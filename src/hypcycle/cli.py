@@ -21,10 +21,10 @@ from .boundary import (
     check_hecke_generation,
     cusp_data,
 )
-from .cosets import SubgroupSpec
-from .hecke import WrongDivisibility, diamond, hecke_T, hecke_U
-from .homology import compute_h1, cycle_of
-from .intlinalg import RingSpec, ZZ
+from .cosets import BudgetExceeded, SubgroupSpec
+from .hecke import ConjugateLeavesGroup, WrongDivisibility, diamond, hecke_T, hecke_U
+from .homology import NotACycle, compute_h1
+from .intlinalg import ImageNotContained, NotInModule, RingSpec, ZZ, is_prime
 from .ordinary import (
     Budget,
     cycle_quotient_report,
@@ -45,6 +45,46 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message, code=3)
+
+
+# errors of the input or of the budget: JSON error report, exit code 3
+INPUT_ERRORS = (WrongDivisibility, ValueError, NotACycle, BudgetExceeded,
+                ConjugateLeavesGroup, NotInModule, ImageNotContained)
+
+
+def _weight(text):
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError("k must be >= 0, got %d" % k)
+    return k
+
+
+def _positive(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % n)
+    return n
+
+
+def _prime(text):
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError("p = %d is not prime" % p)
+    return p
+
+
+def _dumps(obj):
+    """Compact sorted JSON; Python's int-to-str digit limit is lifted
+    while encoding, since exact Hecke matrices can exceed it."""
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def _budget_from(args):
@@ -230,8 +270,7 @@ def cmd_batch(args):
             for key in ("group", "k", "ring", "p", "M", "verdict"):
                 if key in report:
                     row[key] = report[key]
-            row["detail"] = json.dumps(report, sort_keys=True,
-                                       separators=(",", ":"))
+            row["detail"] = _dumps(report)
             worst = max(worst, min(code, 2))
         except Exception as exc:  # isolate failures per row
             row["status"] = "error"
@@ -262,69 +301,69 @@ def build_parser():
 
     p = sub.add_parser("h1", help="invariant factors and rank of H1")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     p.add_argument("--ring", default="Z")
     p.set_defaults(func=cmd_h1)
 
     p = sub.add_parser("cycle", help="cycle class of a matrix")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=cmd_cycle)
 
     p = sub.add_parser("hecke", help="Hecke operator matrix and charpoly")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--op", required=True, help="Tp | Up | diamond:d")
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=_prime)
     p.set_defaults(func=cmd_hecke)
 
     p = sub.add_parser("ordinary", help="ordinary part of H1 mod p^M")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--M", type=int, default=2)
+    p.add_argument("--k", type=_weight, required=True)
+    p.add_argument("--p", type=_prime, required=True)
+    p.add_argument("--M", type=_positive, default=2)
     p.set_defaults(func=cmd_ordinary)
 
     p = sub.add_parser("verify-main",
                        help="ordinary part vs hyperbolic-cycle span")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--M", type=int, default=2)
+    p.add_argument("--k", type=_weight, required=True)
+    p.add_argument("--p", type=_prime, required=True)
+    p.add_argument("--M", type=_positive, default=2)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_verify_main)
 
     p = sub.add_parser("quotient", help="H1 / hyperbolic-cycle span")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("boundary", help="cusps and boundary subgroup")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     p.add_argument("--ring", default="Z")
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("check-identity",
                        help="T_p z(T) = (1 + p^(2k+1) <p>) z(T)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--N", type=_positive, required=True)
+    p.add_argument("--p", type=_prime, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     p.set_defaults(func=cmd_check_identity)
 
     p = sub.add_parser("check-generation",
                        help="Hecke generation of the boundary")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     p.set_defaults(func=cmd_check_generation)
 
     p = sub.add_parser("bridge", help="mod-p reduction bridge (p | N)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--N", type=_positive, required=True)
+    p.add_argument("--p", type=_prime, required=True)
+    p.add_argument("--k", type=_weight, required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_bridge)
 
@@ -343,19 +382,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
         result, code = args.func(args)
     except CliError as exc:
-        err = {"error": str(exc), "version": __version__}
-        print(json.dumps(err, sort_keys=True, separators=(",", ":")))
+        print(_dumps({"error": str(exc), "version": __version__}))
         return exc.code
-    except (WrongDivisibility, ValueError) as exc:
-        err = {"error": str(exc), "version": __version__}
-        print(json.dumps(err, sort_keys=True, separators=(",", ":")))
+    except INPUT_ERRORS as exc:
+        print(_dumps({"error": str(exc), "version": __version__}))
         return 3
     if isinstance(result, str):
         text = result
     else:
         result = dict(result)
         result["config"] = _config_dict(args)
-        text = json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
+        text = _dumps(result) + "\n"
     output = getattr(args, "output", None)
     if output:
         with open(output, "w") as fh:

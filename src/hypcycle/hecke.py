@@ -130,17 +130,6 @@ class OperatorMatrix:
              for r1, r2 in zip(self.matrix, other.matrix)],
             self.source, self.target)
 
-    def power(self, e):
-        assert self.source is self.target
-        out = identity_operator(self.source)
-        base = self
-        while e:
-            if e & 1:
-                out = base.compose(out)
-            base = base.compose(base)
-            e >>= 1
-        return out
-
     def charpoly(self):
         """Characteristic polynomial on the free part, as a sympy Poly."""
         import sympy
@@ -221,14 +210,6 @@ class DoubleCoset:
                 cols.append(list(self.target.coords(image)))
             self._matrix = from_columns(cols, self.target.ngens)
         return OperatorMatrix(self._matrix, self.source, self.target)
-
-
-def double_coset(target_spec, alpha, source_spec, k, ring, precomputed=None):
-    """Operator matrix of [Gamma' alpha Gamma] on freshly computed
-    presentations (see DoubleCoset for the prepared form)."""
-    src = compute_h1(source_spec, k, ring)
-    tgt = src if target_spec == source_spec else compute_h1(target_spec, k, ring)
-    return DoubleCoset(src, tgt, alpha).operator()
 
 
 def hecke_matrix_diag_p(h1, p, max_index=200000):

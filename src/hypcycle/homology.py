@@ -10,28 +10,37 @@ A degree-1 chain is a pair (mS, mU) of induced vectors representing
 
 and H1 = ker d1 / im d2, which computes the homology of the subgroup
 by Shapiro's identification.
+
+H1 is computed quotient first.  d2 is block diagonal over the S-orbits
+(size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
+of small per-orbit cokernels: the local 2- and 3-term Manin relations.
+The induced d1 on their free generators is a graph incidence matrix
+with (2k+1)-square blocks; a spanning tree of the coset graph clears
+all of it but one block, and the kernel is taken there, over Z or
+modulo p^M (LocalQuotient, compute_h1).  No dense matrix of the size
+of the induced module is ever built.
 """
+
+from collections import namedtuple
 
 from .cosets import build_cosets
 from .intlinalg import (
-    FgModule,
-    RingSpec,
     ZZ,
+    columns,
     from_columns,
     identity,
     kernel_basis,
     kernel_mod,
+    mat_mul,
+    smith_normal_form_full,
     subquotient,
-    zeros,
 )
-from .psl2 import PMat, decompose_word
+from .psl2 import decompose_word
 from .symspace import (
     IndVec,
     act,
     act_matrix,
-    ind_act,
     ind_act_letter,
-    monomial,
     poly_add,
     poly_mod,
     zero_poly,
@@ -87,15 +96,6 @@ class Chain1:
 
     def __eq__(self, other):
         return self.mS == other.mS and self.mU == other.mU
-
-    def flatten(self):
-        return self.mS.flatten() + self.mU.flatten()
-
-    @staticmethod
-    def unflatten(table, k, vec, modulus=None):
-        half = table.index * (2 * k + 1)
-        return Chain1(IndVec.unflatten(table, k, vec[:half], modulus),
-                      IndVec.unflatten(table, k, vec[half:], modulus))
 
 
 def boundary1(c):
@@ -292,13 +292,20 @@ def to_group_chain(c, check=True):
 
 class H1Presentation:
     """H1 of a subgroup with degree-2k coefficients over a ring,
-    as an FgModule with a coordinate map on chains."""
+    as an FgModule with a coordinate map on cycles.
 
-    def __init__(self, table, k, ring, module, spec=None):
+    The ambient coordinates of the module are those of C1 modulo the
+    local relations, restricted to the generators off the spanning
+    tree (see LocalQuotient); ``coords`` projects a cycle there and
+    solves in the kernel basis, and ``generator_chain`` lifts back.
+    """
+
+    def __init__(self, table, k, ring, module, quotient, spec=None):
         self.table = table
         self.k = k
         self.ring = ring
         self.module = module
+        self.quotient = quotient
         self.spec = spec
 
     @property
@@ -318,14 +325,11 @@ class H1Presentation:
         return self.ring.modulus
 
     def coords(self, chain):
-        return self.module.coords(chain.flatten())
+        """Generator coordinates of a cycle (over Z/m: a cycle mod m)."""
+        return self.module.coords(self.quotient.project(chain))
 
     def generator_chain(self, i):
-        return Chain1.unflatten(self.table, self.k, self.module.generator(i),
-                                self.ring.modulus)
-
-    def generator_chains(self):
-        return [self.generator_chain(i) for i in range(self.ngens)]
+        return self.quotient.lift(self.module.generator(i))
 
     def cycle(self, gamma, poly):
         return cycle_of(gamma, poly, self.table, self.k, self.ring.modulus)
@@ -340,36 +344,188 @@ class H1Presentation:
         return self.module.reduce_coords(coords)
 
 
-def _action_matrix_on_induced(table, k, letter, modulus):
-    """Dense matrix of a letter acting on the induced module."""
-    n = table.index
-    d = 2 * k + 1
-    N = n * d
-    A = zeros(N, N)
-    for i in range(n):
-        jj, tw = i, None
-        steps = 1 if letter[0] == "S" else (3 - letter[1])
+def _letter_blocks(table, k, gen):
+    """Per-coset blocks of the letter (gen, 1) acting on the induced
+    module: entry i is (j, M), the block of coset i goes to coset j
+    through M (as in ind_act_letter)."""
+    steps = 1 if gen == "S" else 2
+    out = []
+    for i in range(table.index):
+        j, tw = i, None
         for _ in range(steps):
-            j2, tw2 = table.step(jj, letter[0])
+            j2, tw2 = table.step(j, gen)
             tw = tw2 if tw is None else tw * tw2
-            jj = j2
-        M = act_matrix(tw.inv(), k, modulus)
-        for col in range(d):
-            for row in range(d):
-                val = M[row][col]
-                if val:
-                    A[jj * d + row][i * d + col] = val
-    return A
+            j = j2
+        out.append((j, act_matrix(tw.inv(), k)))
+    return out
+
+
+def _dot(row, x):
+    return sum(a * y for a, y in zip(row, x) if y)
+
+
+def _apply(M, v):
+    return [_dot(row, v) for row in M]
+
+
+def _accumulate(blocks, b, w):
+    cur = blocks.get(b)
+    blocks[b] = w if cur is None else [x + y for x, y in zip(cur, w)]
+
+
+# one ambient coordinate of C1 / im d2: row.x_block - prow.x_root (prow
+# None for a fixed coset), with generator ``lift`` at block and torsion
+# order ``order`` (0 if free)
+Coord = namedtuple("Coord", "slot block row root prow lift order")
+
+
+class LocalQuotient:
+    """C1 modulo the local 2- and 3-term relations, with the kernel of
+    d1 reduced to a spanning tree of the coset graph.
+
+    d2 is block diagonal over the S-orbits and U-orbits of cosets, so
+    C1 / im d2 is a direct sum of per-orbit cokernels (Manin's
+    relations).  A full orbit (o0, o1[, o2]) has the free cokernel
+    x_{o_t} - P_t x_{o0}, generated by unit vectors at o1[, o2]; a fixed
+    coset with letter matrix M has the cokernel of I+M (or I+M+M^2),
+    read off its Smith form.  Torsion generators are cycles.
+
+    A free generator at a coset b > 0 whose letter sends b to a smaller
+    coset is a tree edge: its d1 is -I at b and a unimodular block at
+    the parent, and breadth-first coset tables give every b > 0 one.
+    Pushing a d1 column down the tree (leaves first) clears every block
+    but the root's, so ker d1 on the quotient is the kernel of a
+    (2k+1) x s matrix ``residues`` over the s free generators off the
+    tree.  These, then the torsion generators, are the ambient
+    coordinates ``coords``.
+    """
+
+    def __init__(self, table, k, modulus=None):
+        n = table.index
+        d = 2 * k + 1
+        self.table = table
+        self.k = k
+        self.modulus = modulus
+        self.acts = {"S": _letter_blocks(table, k, "S"),
+                     "U": _letter_blocks(table, k, "U")}
+        full = {}      # (slot, block) -> (orbit root, transport P)
+        fixed = []
+        for slot, order in (("S", 2), ("U", 3)):
+            act = self.acts[slot]
+            seen = set()
+            for i in range(n):
+                if i in seen:
+                    continue
+                orbit = [i]
+                while act[orbit[-1]][0] != i:
+                    orbit.append(act[orbit[-1]][0])
+                seen.update(orbit)
+                if len(orbit) == order:
+                    P = identity(d)
+                    for a, b in zip(orbit, orbit[1:]):  # i is the least
+                        P = mat_mul(act[a][1], P)
+                        full[(slot, b)] = (i, P)
+                    continue
+                R = power = identity(d)
+                for _ in range(order - 1):
+                    power = mat_mul(act[i][1], power)
+                    R = [[x + y for x, y in zip(r1, r2)]
+                         for r1, r2 in zip(R, power)]
+                U, Uinv, D, _, _ = smith_normal_form_full(R)
+                fixed += [Coord(slot, i, Uinv[r], None, None,
+                                [row[r] for row in U], D[r][r])
+                          for r in range(d) if D[r][r] != 1]
+        self.tree = {}  # block -> (slot, parent, M)
+        for b in range(1, n):
+            for slot in ("S", "U"):
+                parent, M = self.acts[slot][b]
+                if (slot, b) in full and parent < b:
+                    self.tree[b] = (slot, parent, M)
+                    break
+            else:
+                raise RuntimeError("coset table is not breadth-first")
+        unit = identity(d)
+        self.coords = [Coord(slot, b, unit[i], root, P[i], unit[i], 0)
+                       for (slot, b), (root, P) in sorted(full.items())
+                       if self.tree[b][0] != slot for i in range(d)]
+        self.coords += sorted(fixed, key=lambda c: c.order != 0)
+        self.torsion = [(j, c.order) for j, c in enumerate(self.coords)
+                        if c.order]
+        self.nfree = len(self.coords) - len(self.torsion)
+        cols = [self._push(self._d1([(c.slot, c.block, c.lift)]))[0]
+                for c in self.coords[:self.nfree]]
+        self.residues = from_columns(cols, d)
+
+    @property
+    def ambient_rank(self):
+        return len(self.coords)
+
+    def _reduce(self, v):
+        m = self.modulus
+        return [x % m for x in v] if m else v
+
+    def _d1(self, terms):
+        """d1 of a sparse chain [(slot, block, vector)], blockwise."""
+        out = {}
+        for slot, b, v in terms:
+            j, M = self.acts[slot][b]
+            _accumulate(out, j, _apply(M, v))
+            _accumulate(out, b, [-x for x in v])
+        return out
+
+    def _push(self, blocks):
+        """Add tree generators until only the root block of a 0-chain
+        is left: returns (root block, tree coefficients by block).
+        Parents have smaller indices, so one descending sweep does."""
+        coef = {}
+        for b in range(max(blocks, default=0), 0, -1):
+            v = self._reduce(blocks.pop(b, []))
+            if any(v):
+                coef[b] = v
+                _, parent, M = self.tree[b]
+                _accumulate(blocks, parent, _apply(M, v))
+        return self._reduce(blocks.get(0, [0] * (2 * self.k + 1))), coef
+
+    def project(self, chain):
+        """Ambient coordinates of a chain modulo the local relations."""
+        x = {"S": chain.mS.blocks, "U": chain.mU.blocks}
+        return self._reduce([
+            _dot(c.row, x[c.slot][c.block])
+            - (_dot(c.prow, x[c.slot][c.root]) if c.prow else 0)
+            for c in self.coords])
+
+    def lift(self, vec):
+        """A cycle with the given ambient coordinates (vec must lie in
+        the kernel of ``residues`` on the free part)."""
+        terms = [(c.slot, c.block, [a * x for x in c.lift])
+                 for a, c in zip(vec, self.coords) if a]
+        root, coef = self._push(self._d1(terms))
+        if any(root):
+            raise NotACycle("vector outside the kernel of the residues")
+        terms += [(self.tree[b][0], b, v) for b, v in coef.items()]
+        acc = {}
+        for slot, b, v in terms:
+            _accumulate(acc, (slot, b), v)
+        zero = zero_poly(self.k)
+        return Chain1(*(IndVec(self.table, self.k, self.modulus,
+                               [tuple(self._reduce(acc[(slot, b)]))
+                                if (slot, b) in acc else zero
+                                for b in range(self.table.index)])
+                        for slot in ("S", "U")))
 
 
 def compute_h1(spec_or_table, k, ring=ZZ, shuffle_seed=None):
     """H1 presentation of the congruence subgroup with degree-2k
     coefficients over the given ring.
 
-    Over Q the exact integer computation is used and only its free
-    part is exposed; over F_p and Z/p^M the chain complex itself is
-    reduced, so torsion of the complex is handled correctly.
+    H1 is the torsion of C1 / im d2 plus the kernel of d1 on its free
+    part (see LocalQuotient).  Over Z and Q that kernel is saturated;
+    over Z/m it is the kernel mod m, taken modulo m on the free part
+    and modulo gcd(e, m) on a local torsion factor e.  Over Q only the
+    free part is exposed.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0, got %d" % k)
     if hasattr(spec_or_table, "transversal"):
         table = spec_or_table
         spec = None
@@ -377,43 +533,19 @@ def compute_h1(spec_or_table, k, ring=ZZ, shuffle_seed=None):
         spec = spec_or_table
         table = build_cosets(spec, shuffle_seed=shuffle_seed)
     modulus = ring.modulus
-    n = table.index
-    d = 2 * k + 1
-    N = n * d
-    AS = _action_matrix_on_induced(table, k, ("S", 1), modulus)
-    AU = _action_matrix_on_induced(table, k, ("U", 1), modulus)
-    AU2 = _action_matrix_on_induced(table, k, ("U", 2), modulus)
-    # d1 = [AS - I | AU - I]
-    d1 = zeros(N, 2 * N)
-    for i in range(N):
-        row = d1[i]
-        ASi, AUi = AS[i], AU[i]
-        for j in range(N):
-            row[j] = ASi[j]
-            row[N + j] = AUi[j]
-        row[i] -= 1
-        row[N + i] -= 1
-    # d2 = diag(I + AS, I + AU + AU^2)
-    d2 = zeros(2 * N, 2 * N)
-    for i in range(N):
-        r1 = d2[i]
-        r2 = d2[N + i]
-        ASi, AUi, AU2i = AS[i], AU[i], AU2[i]
-        for j in range(N):
-            r1[j] = ASi[j]
-            r2[N + j] = AUi[j] + AU2i[j]
-        r1[i] += 1
-        r2[N + i] += 1
+    quo = LocalQuotient(table, k, modulus)
+    s = quo.nfree
+    n = quo.ambient_rank
     if modulus is None:
-        K = kernel_basis(d1)
-        image = d2
+        K = kernel_basis(quo.residues)
     else:
-        K = kernel_mod(d1, modulus)
-        extra = []
-        for i in range(2 * N):
-            col = [0] * (2 * N)
-            col[i] = modulus
-            extra.append(col)
-        image = [d2[i] + [extra[j][i] for j in range(2 * N)] for i in range(2 * N)]
-    module = subquotient(K, image, ring)
-    return H1Presentation(table, k, ring, module, spec=spec)
+        K = kernel_mod(quo.residues, modulus)
+    kcols = [col + [0] * (n - s) for col in columns(K)]
+    image = []
+    for idx, e in quo.torsion:
+        kcols.append([int(t == idx) for t in range(n)])
+        image.append([e * (t == idx) for t in range(n)])
+    if modulus is not None:
+        image += [[modulus * (t == i) for t in range(n)] for i in range(n)]
+    module = subquotient(from_columns(kcols, n), from_columns(image, n), ring)
+    return H1Presentation(table, k, ring, module, quo, spec=spec)

@@ -1,16 +1,25 @@
 """Exact dense linear algebra over Z, Q, F_p and Z/p^M.
 
 Matrices are plain lists of rows of Python ints, so everything is
-arbitrary precision.  The central primitives are the Smith normal form
-with full transition matrices, a column echelon form used for integer
-kernels and exact linear solving, and a row-style lattice accumulator
-used for incremental span computations.  Finitely generated modules
-(subquotients of Z^n, possibly with a prime-power modulus) are presented
-by invariant factors together with an exact coordinate map.
+arbitrary precision.  The primitives are the Smith normal form with
+full transition matrices, a column echelon form used for integer
+kernels and exact solving, the kernel modulo m in Hermite form, and a
+row-style lattice accumulator for incremental span computations.
+Finitely generated modules (subquotients of Z^n, possibly with a
+prime-power modulus) are presented by invariant factors together with
+an exact coordinate map.
+
+Entry size, not dimension, drives the cost, so every elimination
+bounds it: the column echelon clears each row by Euclidean steps on
+its smallest entry with nearest-integer quotients, and the kernel
+modulo m keeps every entry reduced mod m with pivots of least
+valuation.  H1 hands these routines only small matrices (see
+homology.LocalQuotient).
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import isqrt
 
 
 class ImageNotContained(Exception):
@@ -78,22 +87,10 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v) if a) for row in A]
 
 
-def mat_mod(A, m):
-    return [[x % m for x in row] for row in A]
-
-
-def vec_mod(v, m):
-    return [x % m for x in v]
-
-
 def transpose(A):
     if not A:
         return []
     return [list(col) for col in zip(*A)]
-
-
-def mat_eq_zero(A):
-    return all(all(x == 0 for x in row) for row in A)
 
 
 def columns(A):
@@ -135,7 +132,19 @@ def det(A):
 # Smith normal form with transition matrices
 
 
+def _nearest_quotient(b, a):
+    """q with |b - q*a| <= |a|/2."""
+    q, r = divmod(b, a)
+    if 2 * abs(r) > abs(a):
+        q += 1
+    return q
+
+
 def _snf_inplace(D, U, Uinv, V, Vinv):
+    """Smith form by Euclidean steps: move the smallest entry of the
+    remaining block to the pivot, reduce its row and column by
+    nearest-integer quotients, and repeat on the remainders (each
+    smaller than half the pivot) until the pivot divides the block."""
     m = len(D)
     n = len(D[0]) if D else 0
 
@@ -152,123 +161,55 @@ def _snf_inplace(D, U, Uinv, V, Vinv):
         for r in Vinv:
             r[i], r[j] = r[j], r[i]
 
-    def row_combine(i, j, col):
-        # gcd-combine rows i and j so D[i][col] = gcd, D[j][col] = 0
-        a, b = D[i][col], D[j][col]
-        if b == 0:
-            return
-        if a and b % a == 0:
-            q = b // a
-            Di, Dj = D[i], D[j]
-            for t in range(n):
-                Dj[t] -= q * Di[t]
-            for r in U:
-                r[i] += q * r[j]
-            Ui, Uj = Uinv[i], Uinv[j]
-            for t in range(m):
-                Uj[t] -= q * Ui[t]
-            return
-        x, y, g = xgcd(a, b)
-        ag, bg = a // g, b // g
-        Di, Dj = D[i], D[j]
+    def row_sub(i, p, q):
+        # row i -= q * row p
+        Di, Dp = D[i], D[p]
         for t in range(n):
-            p, q = Di[t], Dj[t]
-            Di[t] = x * p + y * q
-            Dj[t] = -bg * p + ag * q
+            Di[t] -= q * Dp[t]
         for r in U:
-            p, q = r[i], r[j]
-            r[i] = ag * p + bg * q
-            r[j] = -y * p + x * q
-        Ui, Uj = Uinv[i], Uinv[j]
+            r[p] += q * r[i]
+        Ui, Up = Uinv[i], Uinv[p]
         for t in range(m):
-            p, q = Ui[t], Uj[t]
-            Ui[t] = x * p + y * q
-            Uj[t] = -bg * p + ag * q
+            Ui[t] -= q * Up[t]
 
-    def col_combine(i, j, row):
-        a, b = D[row][i], D[row][j]
-        if b == 0:
-            return
-        if a and b % a == 0:
-            q = b // a
-            for r in D:
-                r[j] -= q * r[i]
-            Vi, Vj = V[i], V[j]
-            for t in range(n):
-                Vi[t] += q * Vj[t]
-            for r in Vinv:
-                r[j] -= q * r[i]
-            return
-        x, y, g = xgcd(a, b)
-        ag, bg = a // g, b // g
+    def col_sub(j, p, q):
+        # column j -= q * column p
         for r in D:
-            p, q = r[i], r[j]
-            r[i] = x * p + y * q
-            r[j] = -bg * p + ag * q
-        Vi, Vj = V[i], V[j]
+            r[j] -= q * r[p]
+        Vp, Vj = V[p], V[j]
         for t in range(n):
-            p, q = Vi[t], Vj[t]
-            Vi[t] = ag * p + bg * q
-            Vj[t] = -y * p + x * q
+            Vp[t] += q * Vj[t]
         for r in Vinv:
-            p, q = r[i], r[j]
-            r[i] = x * p + y * q
-            r[j] = -bg * p + ag * q
+            r[j] -= q * r[p]
 
-    r = min(m, n)
-    for k in range(r):
-        # minimal-absolute-value pivot, fixed for determinism
-        piv = None
-        best = None
-        for i in range(k, m):
-            Di = D[i]
-            for j in range(k, n):
-                x = Di[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        if piv[0] != k:
-            row_swap(k, piv[0])
-        if piv[1] != k:
-            col_swap(k, piv[1])
-        while True:
+    for k in range(min(m, n)):
+        piv = min(((abs(D[i][j]), i, j) for i in range(k, m)
+                   for j in range(k, n) if D[i][j]), default=None)
+        while piv is not None:
+            _, i, j = piv
+            if i != k:
+                row_swap(k, i)
+            if j != k:
+                col_swap(k, j)
+            a = D[k][k]
             for i in range(k + 1, m):
-                row_combine(k, i, k)
-            if all(D[k][j] == 0 for j in range(k + 1, n)):
-                pass
-            else:
-                for j in range(k + 1, n):
-                    col_combine(k, j, k)
-                continue
-            if any(D[i][k] for i in range(k + 1, m)):
-                continue
-            # force divisibility of the remaining block by the pivot
-            d = D[k][k]
-            bad = None
-            for i in range(k + 1, m):
-                Di = D[i]
-                for j in range(k + 1, n):
-                    if Di[j] % d:
-                        bad = i
-                        break
+                if D[i][k]:
+                    row_sub(i, k, _nearest_quotient(D[i][k], a))
+            for j in range(k + 1, n):
+                if D[k][j]:
+                    col_sub(j, k, _nearest_quotient(D[k][j], a))
+            piv = min([(abs(D[i][k]), i, k) for i in range(k + 1, m) if D[i][k]]
+                      + [(abs(D[k][j]), k, j) for j in range(k + 1, n) if D[k][j]],
+                      default=None)
+            if piv is None:
+                # force divisibility of the remaining block by the pivot
+                bad = next((i for i in range(k + 1, m)
+                            if any(D[i][j] % a for j in range(k + 1, n))), None)
                 if bad is not None:
-                    break
-            if bad is None:
-                break
-            Dk, Db = D[k], D[bad]
-            for t in range(n):
-                Dk[t] += Db[t]
-            for r2 in U:
-                r2[bad] -= r2[k]
-            Uk, Ub = Uinv[k], Uinv[bad]
-            for t in range(m):
-                Uk[t] += Ub[t]
+                    row_sub(k, bad, -1)
+                    piv = (a, k, k)
+        if not D[k][k]:
+            return
         if D[k][k] < 0:
             for t in range(n):
                 D[k][t] = -D[k][t]
@@ -315,7 +256,10 @@ class ColumnEchelon:
     """Unimodular column reduction A*W == H with H in echelon form.
 
     ``pivots`` lists (row, col) pairs with strictly increasing rows; every
-    column of H past the last pivot is zero.
+    column of H past the last pivot is zero.  Each row is cleared by
+    Euclidean steps on its smallest entry with nearest-integer
+    quotients, which keeps the entries of W far smaller than pairwise
+    extended-gcd combination does.
     """
 
     def __init__(self, A):
@@ -328,41 +272,32 @@ class ColumnEchelon:
         for i in range(m):
             if c >= n:
                 break
-            # gcd-collapse row i over columns >= c into column c
-            j0 = None
-            for j in range(c, n):
-                if H[i][j]:
-                    j0 = j
-                    break
-            if j0 is None:
+            row = H[i]
+            live = [j for j in range(c, n) if row[j]]
+            if not live:
                 continue
-            if j0 != c:
+            while len(live) > 1:
+                p = min(live, key=lambda j: abs(row[j]))
+                a = row[p]
+                rest = [p]
+                for j in live:
+                    if j == p:
+                        continue
+                    q = _nearest_quotient(row[j], a)
+                    for r in H:
+                        r[j] -= q * r[p]
+                    for r in W:
+                        r[j] -= q * r[p]
+                    if row[j]:
+                        rest.append(j)
+                live = rest
+            p = live[0]
+            if p != c:
                 for r in H:
-                    r[c], r[j0] = r[j0], r[c]
+                    r[c], r[p] = r[p], r[c]
                 for r in W:
-                    r[c], r[j0] = r[j0], r[c]
-            for j in range(c + 1, n):
-                a, b = H[i][c], H[i][j]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for r in H:
-                        r[j] -= q * r[c]
-                    for r in W:
-                        r[j] -= q * r[c]
-                else:
-                    x, y, g = xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    for r in H:
-                        p, q = r[c], r[j]
-                        r[c] = x * p + y * q
-                        r[j] = -bg * p + ag * q
-                    for r in W:
-                        p, q = r[c], r[j]
-                        r[c] = x * p + y * q
-                        r[j] = -bg * p + ag * q
-            if H[i][c] < 0:
+                    r[c], r[p] = r[p], r[c]
+            if row[c] < 0:
                 for r in H:
                     r[c] = -r[c]
                 for r in W:
@@ -411,16 +346,54 @@ def kernel_basis(A):
 def kernel_mod(A, m):
     """Basis of the lattice {x in Z^n : A x == 0 mod m}, as columns.
 
-    The lattice contains m*Z^n, so the basis always has n columns.
+    The lattice contains m*Z^n, so the basis always has n columns.  It
+    is read off the Hermite form of the lattice spanned by the columns
+    of [A; I] and m*Z^(rows+n): the columns whose pivots lie in the I
+    part are exactly the kernel.  Every entry stays reduced mod m, and
+    each pivot is gcd(entries, m), a power of p for m = p^M.  The basis
+    is lower triangular with diagonal entries dividing m and all other
+    entries in [0, m).
     """
     nrows = len(A)
-    ncols = len(A[0]) if A else 0
-    aug = [row[:] + [0] * nrows for row in A]
-    for i in range(nrows):
-        aug[i][ncols + i] = m
-    ker = ColumnEchelon(aug).kernel_columns()
-    cols = [v[:ncols] for v in ker]
-    return from_columns(cols, ncols)
+    n = len(A[0]) if A else 0
+    gens = [[row[j] for row in A] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    basis = _hermite_mod(gens, nrows + n, m)
+    return from_columns([col[nrows:] for col in basis[nrows:]], n)
+
+
+def _hermite_mod(gens, n, m):
+    """Hermite basis (lower triangular columns) of the lattice spanned
+    by ``gens`` and m*Z^n; since m*Z^n lies inside, every step reduces
+    mod m, and row i starts from the generator m*e_i."""
+    gens = [[x % m for x in g] for g in gens]
+    basis = []
+    for i in range(n):
+        piv = [0] * n
+        piv[i] = m
+        for g in gens:
+            b = g[i]
+            if not b:
+                continue
+            a = piv[i]
+            x, y, h = xgcd(a, b)
+            ag, bg = a // h, b // h
+            for t in range(i + 1, n):
+                p, q = piv[t], g[t]
+                piv[t] = (x * p + y * q) % m
+                g[t] = (-bg * p + ag * q) % m
+            piv[i] = h
+            g[i] = 0
+        basis.append(piv)
+    for t in range(n):
+        h = basis[t][t]
+        for col in basis[:t]:
+            q = col[t] // h
+            if q:
+                col[t] -= q * h
+                for u in range(t + 1, n):
+                    col[u] = (col[u] - q * basis[t][u]) % m
+    return basis
 
 
 def rank(A):
@@ -438,13 +411,6 @@ class Lattice:
         self.n = n
         self.rows = []        # echelon rows, sorted by pivot column
         self.pivcol = []      # pivot column of each row
-
-    def copy(self):
-        other = Lattice.__new__(Lattice)
-        other.n = self.n
-        other.rows = [r[:] for r in self.rows]
-        other.pivcol = self.pivcol[:]
-        return other
 
     def add(self, vec):
         """Add a vector; return True if the lattice grew."""
@@ -508,11 +474,16 @@ class Lattice:
         return len(self.rows)
 
     def basis_columns(self):
-        return from_columns([r[:] for r in self.rows], self.n)
+        """The reduced Hermite rows (see canonical) as columns."""
+        return from_columns([list(r) for r in self.canonical()], self.n)
 
 
 # ---------------------------------------------------------------------------
 # rings and finitely generated modules
+
+
+def is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -527,7 +498,7 @@ class RingSpec:
         if self.kind not in ("Z", "Q", "Fp", "ZpM"):
             raise ValueError("unknown ring kind %r" % (self.kind,))
         if self.kind in ("Fp", "ZpM"):
-            if self.p < 2 or any(self.p % q == 0 for q in range(2, self.p)):
+            if not is_prime(self.p):
                 raise ValueError("p = %r is not prime" % (self.p,))
         if self.kind == "ZpM" and self.M < 1:
             raise ValueError("M must be >= 1")
@@ -575,14 +546,13 @@ class FgModule:
     """
 
     def __init__(self, ambient_rank, ring, invariant_factors, gen_lift,
-                 kernel_ech, uinv_rows, kept):
+                 kernel_ech, uinv_rows):
         self.ambient_rank = ambient_rank
         self.ring = ring
         self.invariant_factors = tuple(invariant_factors)
         self.gen_lift = gen_lift
         self._kernel_ech = kernel_ech
-        self._uinv_rows = uinv_rows   # rows of Uinv indexed like kept
-        self._kept = kept
+        self._uinv_rows = uinv_rows   # rows of Uinv of the kept generators
 
     @property
     def ngens(self):
@@ -626,12 +596,6 @@ class FgModule:
             raise NotInModule("vector outside the module")
         raw = [sum(r[t] * y[t] for t in range(len(y)) if y[t]) for r in self._uinv_rows]
         return self.reduce_coords(raw)
-
-    def coords_or_none(self, vec):
-        try:
-            return self.coords(vec)
-        except NotInModule:
-            return None
 
     def generator(self, i):
         return [row[i] for row in self.gen_lift]
@@ -702,11 +666,10 @@ def subquotient(kernel, image, ring=ZZ):
         # over Q only the free part survives
         free_idx = [t for t, d in enumerate(factors) if d == 0]
         factors = [0] * len(free_idx)
-        kept = [kept[t] for t in free_idx]
         gen_cols = [gen_cols[t] for t in free_idx]
         gen_lift = from_columns(gen_cols, n)
         uinv_rows = [uinv_rows[t] for t in free_idx]
-    return FgModule(n, ring, factors, gen_lift, ech, uinv_rows, kept)
+    return FgModule(n, ring, factors, gen_lift, ech, uinv_rows)
 
 
 def induced_endomorphism(f, module):

@@ -8,7 +8,6 @@ image along the stable kernel.  Both submodules are computed exactly
 and the projector is solved from the direct-sum decomposition.
 """
 
-import os
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -43,14 +42,6 @@ class Budget:
             "patience": self.patience,
             "seed": self.seed,
         }
-
-
-def thread_count():
-    """Worker cap from HYPCYCLE_THREADS (results never depend on it)."""
-    try:
-        return max(1, int(os.environ.get("HYPCYCLE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class PModule:
@@ -204,8 +195,8 @@ def ordinary_idempotent(A, pm):
         n += 1
     image, kernel = prev
     # solve e_i = o_i + k_i with o_i in the image, k_i in the kernel
-    img_cols = [list(r) for r in image.rows]
-    ker_cols = [list(r) for r in kernel.rows]
+    img_cols = [list(r) for r in image.canonical()]
+    ker_cols = [list(r) for r in kernel.canonical()]
     B = from_columns(img_cols + ker_cols + pm.relation_columns(), g)
     ech = ColumnEchelon(B)
     e_cols = []
@@ -389,20 +380,13 @@ class SpanReport:
         return {"Verified": 0, "Falsified": 1, "Inconclusive": 2}[self.verdict]
 
 
-def _evaluate_cycles(h1z, pm, dec, candidates, threads):
+def _evaluate_cycles(h1z, pm, dec, candidates):
     """Ordinary projections of cycle classes, in candidate order."""
-
-    def one(g):
-        w = poly_pow(quadratic_form(g), h1z.k)
-        coords = h1z.cycle_coords(g, w)
-        return dec.apply(pm.project(coords))
-
-    if threads <= 1:
-        return [one(g) for g in candidates]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(one, candidates))
+    out = []
+    for g in candidates:
+        coords = h1z.cycle_coords(g, poly_pow(quadratic_form(g), h1z.k))
+        out.append(dec.apply(pm.project(coords)))
+    return out
 
 
 def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
@@ -419,7 +403,6 @@ def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
     tried = 0
     quiet = 0
     verdict = None
-    threads = thread_count()
     batch = 16
     stream = enumerate_hyperbolic(h1z.table, budget)
     done = span.canonical() == target
@@ -431,7 +414,7 @@ def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
                 break
         if not candidates:
             break
-        values = _evaluate_cycles(h1z, pm, dec, candidates, threads)
+        values = _evaluate_cycles(h1z, pm, dec, candidates)
         for ez in values:
             tried += 1
             if not dec.image.contains(ez):

@@ -187,17 +187,6 @@ class IndVec:
             return False
         return (self - other).is_zero()
 
-    def flatten(self):
-        out = []
-        for b in self.blocks:
-            out.extend(b)
-        return out
-
-    @staticmethod
-    def unflatten(table, k, vec, modulus=None):
-        d = 2 * k + 1
-        blocks = [tuple(vec[i * d:(i + 1) * d]) for i in range(table.index)]
-        return IndVec(table, k, modulus, blocks)
 
 
 def ind_act_letter(letter, v):

@@ -218,8 +218,8 @@ class TestComputeH1:
 
     def test_universal_coefficients(self):
         # H1 of the reduced complex = H1 tensor Z/m + Tor(H0, Z/m)
-        from hypcycle.homology import _action_matrix_on_induced
-        from hypcycle.intlinalg import from_columns, identity as id_mat, subquotient, zeros
+        from hypcycle.intlinalg import from_columns, identity as id_mat, subquotient
+        from oracles import action_matrix_on_induced
 
         for spec, k in ((SubgroupSpec.gamma1(1), 1), (SubgroupSpec.gamma1(1), 2),
                         (SubgroupSpec.gamma0(2), 1), (SubgroupSpec.gamma1(4), 1)):
@@ -228,8 +228,8 @@ class TestComputeH1:
             n = table.index
             d = 2 * k + 1
             N = n * d
-            AS = _action_matrix_on_induced(table, k, ("S", 1), None)
-            AU = _action_matrix_on_induced(table, k, ("U", 1), None)
+            AS = action_matrix_on_induced(table, k, ("S", 1), None)
+            AU = action_matrix_on_induced(table, k, ("U", 1), None)
             d1cols = []
             for j in range(N):
                 col = [AS[i][j] for i in range(N)]
