@@ -1,17 +1,23 @@
-"""Congruence subgroups Gamma_H(N), membership, and coset tables of
+"""Congruence subgroups Gamma_H(N) and keyed right-coset tables of
 finite-index subgroups of PSL2(Z).
 
-Cosets are right cosets.  Tables are built by breadth-first orbit of
-the identity coset under right multiplication by S and U; coset
-equality is always decided by the exact membership predicate.  Each
-table stores, for every transversal element t and generator x, the
-target coset and the subgroup-valued twist of t*x.
+Cosets are right cosets, and every table carries a canonical
+right-coset key: a function with key(g) == key(g') exactly when
+g' * g^-1 lies in the subgroup.  For Gamma_H(N) the key is the bottom
+row (c : d) mod N up to scaling by +-H, the P^1(Z/N) indexing of
+Cremona and of Stein's book (ch. 8); the Hecke intersection groups
+combine such keys (hecke.intersection_key).  Tables are built by
+breadth-first orbit of the identity coset under right multiplication
+by S and U with one key lookup per edge, and store, for every
+transversal element t and generator x, the target coset and the
+subgroup-valued twist of t*x.  The coset of any element is one key
+lookup away.
 """
 
 from dataclasses import dataclass, field
 from math import gcd
 
-from .psl2 import I, PMat, S, U, decompose_word
+from .psl2 import I, S, U
 
 
 class BudgetExceeded(Exception):
@@ -49,7 +55,10 @@ class SubgroupSpec:
         for g in self.h_gens:
             if gcd(g, self.N) != 1:
                 raise ValueError("%d is not a unit mod %d" % (g, self.N))
-        object.__setattr__(self, "_h_set", _unit_closure(self.N, self.h_gens))
+        h_set = _unit_closure(self.N, self.h_gens)
+        object.__setattr__(self, "_h_set", h_set)
+        object.__setattr__(self, "_pm_h",
+                           tuple(h_set | {(-h) % self.N for h in h_set}))
 
     @staticmethod
     def gamma0(N):
@@ -95,31 +104,41 @@ class SubgroupSpec:
         d = g.d % N
         return d in self._h_set or (-d) % N in self._h_set
 
+    def coset_key(self, g):
+        """Key of the right coset Gamma_H * g: left multiplication by an
+        element of Gamma_H scales the bottom row (c, d) mod N by its
+        d mod N, a unit in +-H, so the key is the least row of that
+        orbit."""
+        N = self.N
+        c, d = g.c, g.d
+        return min(((h * c) % N, (h * d) % N) for h in self._pm_h)
+
     def __str__(self):
         return self.name
-
-
-def membership(g, spec):
-    return spec.contains(g)
 
 
 class CosetTable:
     """Right-coset table of a finite-index subgroup of PSL2(Z).
 
-    ``transversal[0]`` is the identity; ``mulS[i]`` and ``mulU[i]``
-    give (j, twist) with t_i * x == twist * t_j and twist in the
-    subgroup.
+    ``key`` is the subgroup's right-coset key: key(g) == key(g') exactly
+    when g' * g^-1 lies in the subgroup.  ``transversal[0]`` is the
+    identity; ``mulS[i]`` and ``mulU[i]`` give (j, twist) with
+    t_i * x == twist * t_j and twist in the subgroup; ``cosets`` maps
+    the key of each t_i to i.
     """
 
-    def __init__(self, contains, transversal, mulS, mulU, name=""):
-        self.contains = contains
+    def __init__(self, key, transversal, mulS, mulU, cosets):
+        self.key = key
         self.transversal = transversal
         self.mulS = mulS
         self.mulU = mulU
-        self.name = name
         self.index = len(transversal)
-        self._word_cache = {}
+        self._cosets = cosets
         self.fox_cache = {}
+
+    def contains(self, g):
+        """Membership of g: its coset is the identity coset."""
+        return self._cosets.get(self.key(g)) == 0
 
     def step(self, i, gen):
         """(j, twist) for right multiplication of coset i by S or U."""
@@ -137,11 +156,8 @@ class CosetTable:
 
     def coset_of(self, g):
         """(index, twist) with g == twist * transversal[index]."""
-        j = 0
-        for letter in decompose_word(g):
-            j, _ = self.step_letter(j, letter)
-        tw = g * self.transversal[j].inv()
-        return j, tw
+        j = self._cosets[self.key(g)]
+        return j, g * self.transversal[j].inv()
 
     def schreier(self, g):
         """Decompose g = gamma * t with gamma in the subgroup and t in
@@ -159,30 +175,25 @@ class CosetTable:
         return list(seen.values())
 
 
-def schreier(g, table):
-    return table.schreier(g)
-
-
-def build_cosets(spec_or_pred, max_index=100000, shuffle_seed=None):
-    """Breadth-first coset table of the subgroup cut out by a
-    SubgroupSpec or membership predicate.
+def build_cosets(spec_or_key, shuffle_seed=None):
+    """Breadth-first coset table of the subgroup given by a SubgroupSpec
+    or by a right-coset key function; one key lookup per edge.
 
     ``shuffle_seed`` permutes the BFS exploration order; all invariants
     downstream must be independent of the resulting transversal.
     """
-    if isinstance(spec_or_pred, SubgroupSpec):
-        contains = spec_or_pred.contains
-        name = spec_or_pred.name
+    if isinstance(spec_or_key, SubgroupSpec):
+        key = spec_or_key.coset_key
     else:
-        contains = spec_or_pred
-        name = getattr(spec_or_pred, "__name__", "predicate")
+        key = spec_or_key
     rng = None
     if shuffle_seed is not None:
         import random
 
         rng = random.Random(shuffle_seed)
     transversal = [I]
-    edges = {}          # (i, gen) -> (j, twist)
+    cosets = {key(I): 0}
+    mul = {"S": {}, "U": {}}
     frontier = [0]
     while frontier:
         if rng is None:
@@ -194,32 +205,18 @@ def build_cosets(spec_or_pred, max_index=100000, shuffle_seed=None):
         if rng is not None:
             rng.shuffle(gens)
         for gen, x in gens:
-            if (i, gen) in edges:
-                continue
             c = t * x
-            j = None
-            for j2, t2 in enumerate(transversal):
-                if contains(c * t2.inv()):
-                    j = j2
-                    break
+            kc = key(c)
+            j = cosets.get(kc)
             if j is None:
+                j = len(transversal)
                 transversal.append(c)
-                j = len(transversal) - 1
-                if j >= max_index:
-                    raise BudgetExceeded(
-                        "coset orbit exceeded %d; wrong predicate?" % max_index)
+                cosets[kc] = j
                 frontier.append(j)
-            edges[(i, gen)] = (j, c * transversal[j].inv())
+            mul[gen][i] = (j, c * transversal[j].inv())
     n = len(transversal)
-    mulS = [edges[(i, "S")] for i in range(n)]
-    mulU = [edges[(i, "U")] for i in range(n)]
-    return CosetTable(contains, transversal, mulS, mulU, name=name)
-
-
-def subgroup_cosets(predicate, max_index=100000, shuffle_seed=None):
-    """Coset table for a finite-index subgroup given by a membership
-    predicate (caller guarantees finite index; BFS must terminate)."""
-    return build_cosets(predicate, max_index=max_index, shuffle_seed=shuffle_seed)
+    return CosetTable(key, transversal, [mul["S"][i] for i in range(n)],
+                      [mul["U"][i] for i in range(n)], cosets)
 
 
 def subgroup_transversal(sub_table, ambient_table):

@@ -12,7 +12,7 @@ and corestricted to Gamma'.
 
 from dataclasses import dataclass
 
-from .cosets import SubgroupSpec, subgroup_cosets, subgroup_transversal
+from .cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from .homology import (
     Chain1,
     H1Presentation,
@@ -45,6 +45,34 @@ def conjugate_by(alpha, g):
     if a % det or b % det or c % det or d % det:
         return None
     return PMat(a // det, b // det, c // det, d // det)
+
+
+def hermite_split(m):
+    """(sigma, (a, b, d)) with m == sigma * [[a, b], [0, d]], sigma in
+    SL2(Z), a, d > 0 and 0 <= b < d: the Hermite form of an integer
+    matrix of positive determinant, unique under left multiplication
+    by SL2(Z)."""
+    x, y, a = xgcd(m.a, m.c)
+    # [[x, y], [-c/a, a/a]] * m == [[a, b0], [0, d]]
+    b0 = x * m.b + y * m.d
+    d = m.det() // a
+    q, b = divmod(b0, d)
+    ua, uc = m.a // a, m.c // a
+    return PMat(ua, q * ua - y, uc, q * uc + x), (a, b, d)
+
+
+def intersection_key(key, key_prime, alpha):
+    """Right-coset key of Gamma n alpha^-1 Gamma' alpha from the keys of
+    Gamma and Gamma'.  Write alpha*g = sigma*beta (hermite_split).  If
+    g' g^-1 lies in the intersection, then beta' beta^-1 is in SL2(Z),
+    so beta' == beta and sigma' sigma^-1 lies in Gamma'; conversely
+    those two equalities and a common Gamma coset give membership."""
+
+    def key1(g):
+        sigma, beta = hermite_split(alpha * g.lift())
+        return key(g), key_prime(sigma), beta
+
+    return key1
 
 
 def conj_star(c, alpha, target_table):
@@ -153,7 +181,7 @@ def identity_operator(h1):
 class DoubleCoset:
     """Prepared double-coset operator [Gamma' alpha Gamma]."""
 
-    def __init__(self, source, target, alpha, max_index=200000):
+    def __init__(self, source, target, alpha):
         if alpha.det() <= 0:
             raise ValueError("alpha must have positive determinant")
         if source.k != target.k or source.ring != target.ring:
@@ -163,31 +191,15 @@ class DoubleCoset:
         self.alpha = alpha
         k = source.k
         modulus = source.ring.modulus
-        det = alpha.det()
-        adj = alpha.adjugate()
-        src_contains = source.table.contains
-        tgt_contains = target.table.contains
-
-        def pred1(g):
-            if not src_contains(g):
-                return False
-            cg = conjugate_by(alpha, g)
-            return cg is not None and tgt_contains(cg)
-
-        def pred2(g):
-            if not tgt_contains(g):
-                return False
-            m = adj * g.lift() * alpha
-            if m.a % det or m.b % det or m.c % det or m.d % det:
-                return False
-            return src_contains(PMat(m.a // det, m.b // det,
-                                     m.c // det, m.d // det))
-
-        self.table1 = subgroup_cosets(pred1, max_index)
+        key, key_prime = source.table.key, target.table.key
+        # Gamma_1 = Gamma n alpha^-1 Gamma' alpha; Gamma_2 = Gamma' n
+        # alpha Gamma alpha^-1 takes adj(alpha), a multiple of alpha^-1
+        self.table1 = build_cosets(intersection_key(key, key_prime, alpha))
         self.reps = subgroup_transversal(self.table1, source.table)
         self.res_map = restriction_map(source.table, self.table1, k, modulus,
                                        self.reps)
-        self.table2 = subgroup_cosets(pred2, max_index)
+        self.table2 = build_cosets(
+            intersection_key(key_prime, key, alpha.adjugate()))
         self.cor_map = corestriction_map(self.table2, target.table, k, modulus)
         self._matrix = None
 
@@ -212,29 +224,29 @@ class DoubleCoset:
         return OperatorMatrix(self._matrix, self.source, self.target)
 
 
-def hecke_matrix_diag_p(h1, p, max_index=200000):
+def hecke_matrix_diag_p(h1, p):
     """[Gamma diag(1,p) Gamma] as an endomorphism of H1."""
-    return DoubleCoset(h1, h1, Mat2(1, 0, 0, p), max_index=max_index)
+    return DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
 
 
-def hecke_T(p, h1, max_index=200000):
+def hecke_T(p, h1):
     spec = h1.spec
     if spec is None or spec.N % p == 0:
         raise WrongDivisibility("T_p requires p coprime to the level")
-    return hecke_matrix_diag_p(h1, p, max_index).operator()
+    return hecke_matrix_diag_p(h1, p).operator()
 
 
-def hecke_U(p, h1, max_index=200000):
+def hecke_U(p, h1):
     spec = h1.spec
     if spec is None or spec.N % p:
         raise WrongDivisibility("U_p requires p dividing the level")
-    return hecke_matrix_diag_p(h1, p, max_index).operator()
+    return hecke_matrix_diag_p(h1, p).operator()
 
 
-def hecke_operator(p, h1, max_index=200000):
+def hecke_operator(p, h1):
     """T_p or U_p according to the divisibility of the level by p; this
     single double coset drives the ordinary projector."""
-    return hecke_matrix_diag_p(h1, p, max_index).operator()
+    return hecke_matrix_diag_p(h1, p).operator()
 
 
 def beta_matrix(N, p):
@@ -299,7 +311,7 @@ def gamma0p_intersection(spec, p):
                         label="%s&gamma0:%d" % (spec.name, p))
 
 
-def pi_phi_V(h1, p, max_index=200000):
+def pi_phi_V(h1, p):
     """The operators of the level-raising square at p (p coprime to
     the level): pi is corestriction, phi the double coset of diag(1,p)
     into the intersection with Gamma_0(p), V the shifted double coset
@@ -309,10 +321,9 @@ def pi_phi_V(h1, p, max_index=200000):
         raise WrongDivisibility("pi/phi/V need p coprime to the level")
     specp = gamma0p_intersection(spec, p)
     h1p = compute_h1(specp, h1.k, h1.ring)
-    pi = DoubleCoset(h1p, h1, I.lift(), max_index=max_index).operator()
-    phi = DoubleCoset(h1, h1p, Mat2(1, 0, 0, p), max_index=max_index).operator()
+    pi = DoubleCoset(h1p, h1, I.lift()).operator()
+    phi = DoubleCoset(h1, h1p, Mat2(1, 0, 0, p)).operator()
     beta = beta_matrix(spec.N, p)
-    V = DoubleCoset(h1p, h1p, beta * Mat2(p, 0, 0, 1),
-                    max_index=max_index).operator()
-    Up = hecke_U(p, h1p, max_index=max_index)
+    V = DoubleCoset(h1p, h1p, beta * Mat2(p, 0, 0, 1)).operator()
+    Up = hecke_U(p, h1p)
     return PPhiV(h1, h1p, pi, phi, V, Up)

@@ -431,7 +431,7 @@ class LocalQuotient:
                     power = mat_mul(act[i][1], power)
                     R = [[x + y for x, y in zip(r1, r2)]
                          for r1, r2 in zip(R, power)]
-                U, Uinv, D, _, _ = smith_normal_form_full(R)
+                U, Uinv, D = smith_normal_form_full(R)
                 fixed += [Coord(slot, i, Uinv[r], None, None,
                                 [row[r] for row in U], D[r][r])
                           for r in range(d) if D[r][r] != 1]

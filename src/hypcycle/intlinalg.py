@@ -2,7 +2,7 @@
 
 Matrices are plain lists of rows of Python ints, so everything is
 arbitrary precision.  The primitives are the Smith normal form with
-full transition matrices, a column echelon form used for integer
+its transition matrices, a column echelon form used for integer
 kernels and exact solving, the kernel modulo m in Hermite form, and a
 row-style lattice accumulator for incremental span computations.
 Finitely generated modules (subquotients of Z^n, possibly with a
@@ -140,11 +140,13 @@ def _nearest_quotient(b, a):
     return q
 
 
-def _snf_inplace(D, U, Uinv, V, Vinv):
+def _snf_inplace(D, U, Uinv, V=None, Vinv=None):
     """Smith form by Euclidean steps: move the smallest entry of the
     remaining block to the pivot, reduce its row and column by
     nearest-integer quotients, and repeat on the remainders (each
-    smaller than half the pivot) until the pivot divides the block."""
+    smaller than half the pivot) until the pivot divides the block.
+    The right transition matrices V and Vinv are updated only when
+    given."""
     m = len(D)
     n = len(D[0]) if D else 0
 
@@ -157,9 +159,10 @@ def _snf_inplace(D, U, Uinv, V, Vinv):
     def col_swap(i, j):
         for r in D:
             r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
-        for r in Vinv:
-            r[i], r[j] = r[j], r[i]
+        if V is not None:
+            V[i], V[j] = V[j], V[i]
+            for r in Vinv:
+                r[i], r[j] = r[j], r[i]
 
     def row_sub(i, p, q):
         # row i -= q * row p
@@ -176,11 +179,12 @@ def _snf_inplace(D, U, Uinv, V, Vinv):
         # column j -= q * column p
         for r in D:
             r[j] -= q * r[p]
-        Vp, Vj = V[p], V[j]
-        for t in range(n):
-            Vp[t] += q * Vj[t]
-        for r in Vinv:
-            r[j] -= q * r[p]
+        if V is not None:
+            Vp, Vj = V[p], V[j]
+            for t in range(n):
+                Vp[t] += q * Vj[t]
+            for r in Vinv:
+                r[j] -= q * r[p]
 
     for k in range(min(m, n)):
         piv = min(((abs(D[i][j]), i, j) for i in range(k, m)
@@ -233,14 +237,14 @@ def smith_normal_form(A):
 
 
 def smith_normal_form_full(A):
-    """Like smith_normal_form but also return Uinv and Vinv."""
+    """Return (U, Uinv, D): the Smith form D of A with both left
+    transition matrices, A == U*D*V for a unimodular V that is not
+    formed."""
     m = len(A)
-    n = len(A[0]) if A else 0
     D = mat_copy(A)
     U, Uinv = identity(m), identity(m)
-    V, Vinv = identity(n), identity(n)
-    _snf_inplace(D, U, Uinv, V, Vinv)
-    return U, Uinv, D, V, Vinv
+    _snf_inplace(D, U, Uinv)
+    return U, Uinv, D
 
 
 def diagonal(D):
@@ -405,7 +409,9 @@ def rank(A):
 
 
 class Lattice:
-    """Sublattice of Z^n accumulated one vector at a time."""
+    """Sublattice of Z^n accumulated one vector at a time, kept in
+    reduced Hermite form: echelon rows with positive pivots and every
+    entry above a pivot in [0, pivot)."""
 
     def __init__(self, n):
         self.n = n
@@ -421,9 +427,10 @@ class Lattice:
                 continue
             k = bisect_left(self.pivcol, j)
             if k == len(self.pivcol) or self.pivcol[k] != j:
-                self.rows.insert(k, v)
+                self.rows.insert(k, v if v[j] > 0 else [-x for x in v])
                 self.pivcol.insert(k, j)
-                return True
+                grew = True
+                break
             row = self.rows[k]
             a, b = row[j], v[j]
             if b % a == 0:
@@ -438,7 +445,21 @@ class Lattice:
                     row[t] = x * p + y * q
                     v[t] = -bg * p + ag * q
                 grew = True
+        if grew:
+            self._reduce()
         return grew
+
+    def _reduce(self):
+        """Bring every entry above a pivot into [0, pivot)."""
+        rows = self.rows
+        for k, j in enumerate(self.pivcol):
+            a = rows[k][j]
+            for i in range(k):
+                q = rows[i][j] // a
+                if q:
+                    ri, rk = rows[i], rows[k]
+                    for t in range(j, self.n):
+                        ri[t] -= q * rk[t]
 
     def contains(self, vec):
         v = list(vec)
@@ -457,18 +478,8 @@ class Lattice:
         return True
 
     def canonical(self):
-        """Fully reduced HNF rows as a hashable value (equality test)."""
-        rows = [r[:] for r in self.rows]
-        for k in range(len(rows)):
-            j = self.pivcol[k]
-            if rows[k][j] < 0:
-                rows[k] = [-x for x in rows[k]]
-            for i in range(k):
-                q = rows[i][j] // rows[k][j]
-                if q:
-                    for t in range(j, self.n):
-                        rows[i][t] -= q * rows[k][t]
-        return tuple(tuple(r) for r in rows)
+        """The reduced Hermite rows as a hashable value (equality test)."""
+        return tuple(tuple(r) for r in self.rows)
 
     def rank(self):
         return len(self.rows)
@@ -650,7 +661,7 @@ def subquotient(kernel, image, ring=ZZ):
             col[i] = m
             ys.append(col)
     Y = from_columns(ys, s)
-    U, Uinv, D, V, Vinv = smith_normal_form_full(Y)
+    U, Uinv, D = smith_normal_form_full(Y)
     diag = diagonal(D)
     dfull = diag + [0] * (s - len(diag))
     # SNF diagonal is 1,...,1, torsion increasing, then 0s: keep the non-units

@@ -393,16 +393,17 @@ def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
     """Compare the span of ordinary projections of hyperbolic cycles
     with the full ordinary part of H1 over Z/p^M.
 
-    Verified requires exact submodule equality.  A strict inclusion
-    when the budget runs out is always Inconclusive: the span can only
-    grow with more generators.
+    Returns Verified or Inconclusive, never Falsified.  Verified
+    requires exact submodule equality.  A strict inclusion when the
+    budget runs out is Inconclusive: the span can only grow with more
+    generators.  Every projected cycle lies in the ordinary image by
+    construction, so no cycle can refute the claim.
     """
     dec, pm, h1z, op = ordinary_part(spec, k, p, M)
     target = dec.image.canonical()
     span = pm.relation_lattice()
     tried = 0
     quiet = 0
-    verdict = None
     batch = 16
     stream = enumerate_hyperbolic(h1z.table, budget)
     done = span.canonical() == target
@@ -417,9 +418,6 @@ def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
         values = _evaluate_cycles(h1z, pm, dec, candidates)
         for ez in values:
             tried += 1
-            if not dec.image.contains(ez):
-                verdict = "Falsified"  # budget-free containment broken
-                break
             if span.add(ez):
                 quiet = 0
             else:
@@ -430,11 +428,9 @@ def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
             if quiet >= budget.patience:
                 done = True
                 break
-        if verdict or done:
+        if done:
             break
-    equal = span.canonical() == target
-    if verdict is None:
-        verdict = "Verified" if equal else "Inconclusive"
+    verdict = "Verified" if span.canonical() == target else "Inconclusive"
     stable = True
     if check_stability:
         dec2, pm2, _, _ = ordinary_part(spec, k, p, M + 1, h1z=h1z, op=op)
@@ -507,7 +503,12 @@ def cycle_quotient_report(spec, k, budget=Budget(), max_operator_prime=2000,
                           hecke_primes=(2, 3)):
     """Saturate the integral span of hyperbolic cycles, close it under a
     few Hecke operators, and test the quotient of H1 by the span for
-    finiteness and non-ordinarity at every prime dividing its order."""
+    finiteness and non-ordinarity at every prime dividing its order.
+
+    Returns Verified or Inconclusive.  The computed span may fall short
+    of the true one, whose quotient is then a Hecke quotient of the
+    computed one, so a vanishing ordinary part carries over but a
+    nonzero one refutes nothing."""
     from .intlinalg import identity as id_mat, induced_endomorphism, NotStable
 
     h1z = compute_h1(spec, k, ZZ)
@@ -580,23 +581,15 @@ def cycle_quotient_report(spec, k, budget=Budget(), max_operator_prime=2000,
             Mq = max(_valuation(d, q) for d in factors if d)
             qm = PModule(quotient, q, Mq)
             dq = ordinary_idempotent(qm.reduce_matrix(induced), qm)
-            if dq.ordinary_rank == 0:
-                prime_verdicts[str(q)] = "Verified"
-                verdicts.append("Verified")
-            else:
-                # a nonzero ordinary part of the computed quotient only
-                # falsifies the claim if the span is saturated
-                v = "Falsified" if saturated else "Inconclusive"
-                prime_verdicts[str(q)] = v
-                verdicts.append(v)
+            # a nonzero ordinary part of the computed quotient may vanish
+            # in the true one: ``saturated`` is a patience heuristic, not
+            # a proof that the span is complete
+            v = "Verified" if dq.ordinary_rank == 0 else "Inconclusive"
+            prime_verdicts[str(q)] = v
+            verdicts.append(v)
     if free_rank or not saturated:
         verdicts.append("Inconclusive")
-    if "Falsified" in verdicts:
-        overall = "Falsified"
-    elif "Inconclusive" in verdicts:
-        overall = "Inconclusive"
-    else:
-        overall = "Verified"
+    overall = "Inconclusive" if "Inconclusive" in verdicts else "Verified"
     return QuotientReport(
         verdict=overall,
         group=spec.name,

@@ -8,10 +8,10 @@ from hypcycle.cosets import (
     SubgroupSpec,
     build_cosets,
     p1_size,
-    subgroup_cosets,
     subgroup_transversal,
 )
 from hypcycle.psl2 import I, PMat, S, T, U
+from oracles import subgroup_cosets
 
 
 def p1_brute_force(N):

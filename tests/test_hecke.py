@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypcycle.cosets import SubgroupSpec, subgroup_cosets, subgroup_transversal
+from hypcycle.cosets import SubgroupSpec, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
     DoubleCoset,
@@ -36,6 +36,7 @@ from hypcycle.psl2 import (
     quadratic_form,
 )
 from hypcycle.symspace import IndVec, act, poly_pow
+from oracles import subgroup_cosets
 
 
 def random_hyperbolic_in(spec, rng, count, steps=8):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_cosets, subgroup_transversal
+from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.intlinalg import from_columns, identity, subquotient
 from hypcycle.psl2 import I, Mat2, PMat, S, T, TP, U
 from hypcycle.symspace import (
@@ -21,6 +21,7 @@ from hypcycle.symspace import (
     x2_power,
     zero_poly,
 )
+from oracles import subgroup_cosets
 
 
 def random_psl(rng, steps=6):
