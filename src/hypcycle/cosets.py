@@ -71,20 +71,25 @@ class SubgroupSpec:
 
     @staticmethod
     def gammaH(N, gens):
-        return SubgroupSpec(N, tuple(sorted(set(g % N for g in gens))),
-                            label="gammaH:%d:%s" % (N, ",".join(str(g) for g in sorted(set(g % N for g in gens)))))
+        if N < 1:
+            raise ValueError("level must be >= 1")
+        gens = tuple(sorted(set(g % N for g in gens)))
+        return SubgroupSpec(N, gens, label="gammaH:%d:%s"
+                            % (N, ",".join(map(str, gens))))
 
     @staticmethod
     def parse(text):
-        parts = text.split(":")
-        kind = parts[0]
-        if kind == "gamma0":
-            return SubgroupSpec.gamma0(int(parts[1]))
-        if kind == "gamma1":
-            return SubgroupSpec.gamma1(int(parts[1]))
-        if kind == "gammaH":
-            gens = tuple(int(x) for x in parts[2].split(",")) if len(parts) > 2 and parts[2] else ()
-            return SubgroupSpec.gammaH(int(parts[1]), gens)
+        """gamma0:N, gamma1:N or gammaH:N[:h1,h2,...]; any other number
+        of fields is a ValueError."""
+        kind, *fields = text.split(":")
+        n = len(fields)
+        if kind == "gamma0" and n == 1:
+            return SubgroupSpec.gamma0(int(fields[0]))
+        if kind == "gamma1" and n == 1:
+            return SubgroupSpec.gamma1(int(fields[0]))
+        if kind == "gammaH" and n in (1, 2):
+            gens = fields[1].split(",") if n == 2 and fields[1] else ()
+            return SubgroupSpec.gammaH(int(fields[0]), [int(x) for x in gens])
         raise ValueError("cannot parse group %r" % (text,))
 
     @property

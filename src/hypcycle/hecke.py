@@ -7,22 +7,34 @@ det(alpha) > 0 is computed column by column: each basis cycle is
 restricted to Gamma_1 = Gamma n alpha^-1 Gamma' alpha by the averaging
 map on coefficients, rewritten in subgroup form, conjugated term by
 term through alpha into Gamma_2 = alpha Gamma_1 alpha^-1, re-expanded,
-and corestricted to Gamma'.
+and corestricted to Gamma'.  Corestriction is equivariant, so it is
+applied to maps rather than chains: each conjugated element's Fox map
+on Gamma_2 is pushed through the corestriction once, cached on its
+double coset, and every later term with that element costs one
+matrix-vector product per (slot, block of Gamma') it touches.
 """
 
 from dataclasses import dataclass
+from operator import add, mul
 
 from .cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from .homology import (
     Chain1,
     H1Presentation,
+    _fox_unit_map,
     compute_h1,
-    fox_expand_unit,
+    merge_blocks,
     to_group_chain,
 )
-from .intlinalg import from_columns, identity, xgcd
-from .psl2 import I, Mat2, PMat, decompose_word
-from .symspace import act, corestriction_map, restriction_map
+from .intlinalg import from_columns, identity, mat_mul, xgcd
+from .psl2 import I, Mat2, PMat
+from .symspace import (
+    IndVec,
+    act,
+    corestriction_map,
+    restriction_map,
+    zero_poly,
+)
 
 
 class WrongDivisibility(Exception):
@@ -31,10 +43,6 @@ class WrongDivisibility(Exception):
 
 class ConjugateLeavesGroup(Exception):
     """A conjugated chain term is non-integral or fails membership."""
-
-
-class NotACycleOnTransfer(Exception):
-    """Transfer was asked for a chain with nonzero boundary."""
 
 
 def conjugate_by(alpha, g):
@@ -75,33 +83,71 @@ def intersection_key(key, key_prime, alpha):
     return key1
 
 
-def conj_star(c, alpha, target_table):
-    """Push a cycle through conjugation by alpha, landing over the
-    table of alpha Gamma_1 alpha^-1."""
+def _add_image(acc, key, M, v):
+    """acc[key] += M v, with None standing for the identity."""
+    w = v if M is None else [sum(map(mul, row, v)) for row in M]
+    cur = acc.get(key)
+    acc[key] = w if cur is None else list(map(add, cur, w))
+
+
+def _push_fox_map(entries, cor_map, d, modulus):
+    """The Fox map of an element on the table of Gamma_2 pushed through
+    the corestriction: one matrix per (slot, target block)."""
+    groups = {}
+    for slot, blk, M in entries:
+        for j, C in cor_map.entries[blk]:
+            groups.setdefault((slot, j), []).append(
+                C if M is None else mat_mul(C, M))
+    return merge_blocks(groups, d, modulus)
+
+
+def conj_star(c, alpha, cor_map, cache=None):
+    """Push a cycle over Gamma_1 through conjugation by alpha into
+    Gamma_2 = alpha Gamma_1 alpha^-1 (the source table of ``cor_map``)
+    and corestrict it along ``cor_map``.
+
+    A term (gamma, v) of the subgroup form of the cycle becomes the Fox
+    chain of (alpha gamma alpha^-1 - 1) tensor alpha v.  Corestriction
+    is equivariant, so it can be applied to the Fox map of each
+    conjugated element once: the pushed map, one matrix per (slot,
+    target block), is kept in ``cache`` under the element's key.  A
+    push costs about d = 2k+1 matrix-vector products per entry of the
+    Fox map, so an element is pushed on its d-th use; its earlier uses
+    apply the Fox map on Gamma_2 and corestrict the sum blockwise.
+    """
+    table2, target = cor_map.src_table, cor_map.dst_table
     k, modulus = c.k, c.modulus
-    terms = to_group_chain(c)
-    out = Chain1.zero(target_table, k, modulus)
-    for gamma, v in terms:
+    d = 2 * k + 1
+    if cache is None:
+        cache = {}
+    acc, unpushed = {}, {}
+    for gamma, v in to_group_chain(c):
         cg = conjugate_by(alpha, gamma)
-        if cg is None or target_table.coset_of(cg)[0] != 0:
+        key = None if cg is None else cg.key()
+        entry = cache.get(key, 0)  # uses so far, or the pushed map
+        if entry == 0 and (cg is None or table2.coset_of(cg)[0] != 0):
             raise ConjugateLeavesGroup(
                 "conjugate of %r leaves the target group" % (gamma,))
         av = act(alpha, v, modulus)
-        out = fox_expand_unit(target_table, decompose_word(cg), av, k,
-                              modulus, out=out)
-    return out.reduce() if modulus else out
-
-
-def transfer_res(c, sub_table, reps=None, check=True):
-    """Restriction (transfer) of a cycle to a finite-index subgroup,
-    implemented by the equivariant averaging map on coefficients."""
-    if check:
-        from .homology import boundary1
-
-        if not boundary1(c).is_zero():
-            raise NotACycleOnTransfer("transfer requires a cycle")
-    rmap = restriction_map(c.table, sub_table, c.k, c.modulus, reps)
-    return Chain1(rmap.apply(c.mS), rmap.apply(c.mU))
+        if isinstance(entry, int):
+            fox = _fox_unit_map(table2, cg, k, modulus)
+            if entry + 1 < d:
+                cache[key] = entry + 1
+                for slot, blk, M in fox:
+                    _add_image(unpushed, (slot, blk), M, av)
+                continue
+            entry = cache[key] = _push_fox_map(fox, cor_map, d, modulus)
+        for slot, j, P in entry:
+            _add_image(acc, (slot, j), P, av)
+    for (slot, blk), w in unpushed.items():
+        for j, C in cor_map.entries[blk]:
+            _add_image(acc, (slot, j), C, w)
+    blocks = {"S": [zero_poly(k)] * target.index,
+              "U": [zero_poly(k)] * target.index}
+    for (slot, j), w in acc.items():
+        blocks[slot][j] = tuple(x % modulus for x in w) if modulus else tuple(w)
+    return Chain1(IndVec(target, k, modulus, blocks["S"]),
+                  IndVec(target, k, modulus, blocks["U"]))
 
 
 @dataclass
@@ -201,6 +247,7 @@ class DoubleCoset:
         self.table2 = build_cosets(
             intersection_key(key_prime, key, alpha.adjugate()))
         self.cor_map = corestriction_map(self.table2, target.table, k, modulus)
+        self._pushed = {}
         self._matrix = None
 
     @property
@@ -210,9 +257,7 @@ class DoubleCoset:
 
     def apply_chain(self, c):
         rc = Chain1(self.res_map.apply(c.mS), self.res_map.apply(c.mU))
-        pushed = conj_star(rc, self.alpha, self.table2)
-        return Chain1(self.cor_map.apply(pushed.mS),
-                      self.cor_map.apply(pushed.mU))
+        return conj_star(rc, self.alpha, self.cor_map, self._pushed)
 
     def operator(self):
         if self._matrix is None:

@@ -105,126 +105,88 @@ def boundary1(c):
     return out.reduce() if c.modulus else out
 
 
-def boundary2(pair):
-    """Relation boundaries ((1+S) n1, (1+U+U^2) n2)."""
-    n1, n2 = pair
-    mS = n1 + ind_act_letter(("S", 1), n1)
-    mU = n2 + ind_act_letter(("U", 1), n2) + ind_act_letter(("U", 2), n2)
-    c = Chain1(mS, mU)
-    return c.reduce() if n1.modulus else c
+def merge_blocks(groups, d, modulus=None):
+    """Entries (slot, block, matrix) from lists of d x d matrices keyed
+    by (slot, block), None standing for the identity.  A lone matrix is
+    kept as it is, by reference; repeats are summed into a new matrix,
+    reduced mod m if a modulus is given."""
+    entries = []
+    for (slot, blk), mats in groups.items():
+        if len(mats) == 1:
+            entries.append((slot, blk, mats[0]))
+            continue
+        acc = [[0] * d for _ in range(d)]
+        for M in mats:
+            if M is None:
+                for i in range(d):
+                    acc[i][i] += 1
+            else:
+                acc = [[x + y for x, y in zip(r, s)] for r, s in zip(acc, M)]
+        if modulus is not None:
+            acc = [[x % modulus for x in row] for row in acc]
+        entries.append((slot, blk, acc))
+    return entries
 
 
-def fox_expand(word, v):
-    """Chain representing (eval(word) - 1) tensor v.
-
-    Built by the product rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v,
-    with U^2 expanding into the U slot as (U-1) x Uv + (U-1) x v.
-    """
-    table, k, m = v.table, v.k, v.modulus
-    out = Chain1.zero(table, k, m)
-    cur = v
-    for letter in reversed(tuple(word)):
-        gen, e = letter
-        if gen == "S":
-            out = Chain1(out.mS + cur, out.mU)
-        elif e == 1:
-            out = Chain1(out.mS, out.mU + cur)
-        else:
-            out = Chain1(out.mS, out.mU + cur + ind_act_letter(("U", 1), cur))
-        cur = ind_act_letter(letter, cur)
-    return out.reduce() if m else out
-
-
-def _fox_unit_map(table, word, k, modulus):
-    """Entries (slot, block, matrix) so that the chain of (eval(word)-1)
-    tensor (poly at block 0) is the sum of matrix * poly placed at the
-    given slot and block.  Cached on the table."""
-    key = (tuple(word), k, modulus)
+def _fox_unit_map(table, g, k, modulus):
+    """Entries (slot, block, matrix), one per (slot, block), so that the
+    chain of (g - 1) tensor (poly at block 0) is the sum of matrix * poly
+    placed at the given slot and block; None stands for the identity.
+    Cached on the table, keyed by the element: the word of g is only
+    spelled out on a miss, and walked letter by letter by the product
+    rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v."""
+    key = (g.key(), k, modulus)
     cached = table.fox_cache.get(key)
     if cached is not None:
         return cached
-    entries = []
+    groups = {}
     block = 0
     mat = None  # None means identity so far
     d = 2 * k + 1
 
-    def emit(slot, blk, M):
-        entries.append((slot, blk, M))
-
     def compose(M, N):
-        if N is None:
-            return M
-        out = [[0] * d for _ in range(d)]
-        for i in range(d):
-            Mi = M[i]
-            for t in range(d):
-                a = Mi[t]
-                if a:
-                    Nt = N[t]
-                    row = out[i]
-                    for j in range(d):
-                        row[j] += a * Nt[j]
-        if modulus is not None:
-            out = [[x % modulus for x in row] for row in out]
-        return out
+        if M is None or N is None:
+            return N if M is None else M
+        out = mat_mul(M, N)
+        return [[x % modulus for x in row] for row in out] if modulus else out
 
-    for letter in reversed(tuple(word)):
-        gen, e = letter
-        if gen == "S":
-            emit("S", block, mat)
-        elif e == 1:
-            emit("U", block, mat)
-        else:
-            # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
-            # where ind_act(U) sends the current block (two U-steps)
-            emit("U", block, mat)
-            jj, tw = block, None
-            for _ in range(2):
-                j2, tw2 = table.step(jj, "U")
-                tw = tw2 if tw is None else tw * tw2
-                jj = j2
-            emit("U", jj, compose(act_matrix(tw.inv(), k, modulus), mat))
-        # cur <- ind_act(letter, cur): one block moves
-        steps = 1 if gen == "S" else (3 - e)
-        jj, tw = block, None
+    def walk(blk, gen, steps):
+        """Target block and twist matrix (None: identity twist) of
+        ``steps`` right multiplications by gen."""
+        tw = None
         for _ in range(steps):
-            j2, tw2 = table.step(jj, gen)
+            blk, tw2 = table.step(blk, gen)
             tw = tw2 if tw is None else tw * tw2
-            jj = j2
-        block = jj
-        mat = compose(act_matrix(tw.inv(), k, modulus), mat)
-    table.fox_cache[key] = entries
+        if tw.is_identity():
+            return blk, None
+        return blk, act_matrix(tw.inv(), k, modulus)
+
+    for letter in reversed(tuple(decompose_word(g))):
+        gen, e = letter
+        groups.setdefault((gen, block), []).append(mat)
+        if gen == "U" and e == 2:
+            # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
+            # where the action of U sends the current block (two U-steps)
+            jj, A = walk(block, "U", 2)
+            groups.setdefault(("U", jj), []).append(compose(A, mat))
+        # the current vector moves by the letter: one block moves
+        block, A = walk(block, gen, 1 if gen == "S" else 3 - e)
+        mat = compose(A, mat)
+    entries = table.fox_cache[key] = merge_blocks(groups, d, modulus)
     return entries
 
 
-def fox_expand_unit(table, word, poly, k, modulus=None, out=None):
-    """fox_expand of (poly at block 0), via the cached per-word map.
-
-    If ``out`` is given, add into it in place and return it.
-    """
-    entries = _fox_unit_map(table, word, k, modulus)
-    if out is None:
-        out = Chain1.zero(table, k, modulus)
-    d = 2 * k + 1
-    sblocks = list(out.mS.blocks)
-    ublocks = list(out.mU.blocks)
-    for slot, blk, M in entries:
-        if M is None:
-            val = poly
-        else:
-            acc = [0] * d
-            for j, cc in enumerate(poly):
-                if cc:
-                    for i in range(d):
-                        acc[i] += M[i][j] * cc
-            val = tuple(x % modulus for x in acc) if modulus else tuple(acc)
-        if slot == "S":
-            sblocks[blk] = poly_add(sblocks[blk], val)
-        else:
-            ublocks[blk] = poly_add(ublocks[blk], val)
-    out.mS.blocks = sblocks
-    out.mU.blocks = ublocks
-    return out
+def fox_expand_unit(table, g, poly, k, modulus=None):
+    """The chain of (g - 1) tensor (poly at block 0), via the cached
+    per-element Fox map."""
+    blocks = {"S": [zero_poly(k)] * table.index,
+              "U": [zero_poly(k)] * table.index}
+    for slot, blk, M in _fox_unit_map(table, g, k, modulus):
+        val = poly if M is None else tuple(_apply(M, poly))
+        blocks[slot][blk] = poly_add(blocks[slot][blk], val)
+    out = Chain1(IndVec(table, k, modulus, blocks["S"]),
+                 IndVec(table, k, modulus, blocks["U"]))
+    return out.reduce() if modulus else out
 
 
 def cycle_of(gamma, poly, table, k, modulus=None, check=True):
@@ -241,18 +203,7 @@ def cycle_of(gamma, poly, table, k, modulus=None, check=True):
         base = poly_mod(poly, modulus) if modulus else tuple(poly)
         if tuple(moved) != base:
             raise NotACycle("coefficient is not invariant under the element")
-    word = decompose_word(gamma)
-    return fox_expand_unit(table, word, tuple(poly), k, modulus)
-
-
-def group_chain_to_chain1(terms, table, k, modulus=None):
-    """Sum of the chains of (gamma - 1) tensor v over a subgroup-form
-    list of terms; the inverse direction of to_group_chain."""
-    out = Chain1.zero(table, k, modulus)
-    for gamma, poly in terms:
-        out = fox_expand_unit(table, decompose_word(gamma), tuple(poly), k,
-                              modulus, out=out)
-    return out.reduce() if modulus else out
+    return fox_expand_unit(table, gamma, tuple(poly), k, modulus)
 
 
 def to_group_chain(c, check=True):

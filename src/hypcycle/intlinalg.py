@@ -524,16 +524,19 @@ class RingSpec:
 
     @staticmethod
     def parse(text):
-        parts = text.split(":")
-        if parts[0] in ("Z", "ZZ"):
+        """Z, Q, Fp:p or Zp:p[:M] (M = 2 if left out); any other number
+        of fields is a ValueError."""
+        kind, *fields = text.split(":")
+        n = len(fields)
+        if kind in ("Z", "ZZ") and n == 0:
             return RingSpec("Z")
-        if parts[0] in ("Q", "QQ"):
+        if kind in ("Q", "QQ") and n == 0:
             return RingSpec("Q")
-        if parts[0] in ("F", "Fp", "GF"):
-            return RingSpec("Fp", p=int(parts[1]))
-        if parts[0] in ("Zp", "ZpM"):
-            M = int(parts[2]) if len(parts) > 2 else 2
-            return RingSpec("ZpM", p=int(parts[1]), M=M)
+        if kind in ("F", "Fp", "GF") and n == 1:
+            return RingSpec("Fp", p=int(fields[0]))
+        if kind in ("Zp", "ZpM") and n in (1, 2):
+            M = int(fields[1]) if n == 2 else 2
+            return RingSpec("ZpM", p=int(fields[0]), M=M)
         raise ValueError("cannot parse ring %r" % (text,))
 
     def __str__(self):

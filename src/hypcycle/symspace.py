@@ -9,7 +9,7 @@ transposed adjugate, and -1 acts trivially in even degree.
 """
 
 from .cosets import subgroup_transversal
-from .psl2 import PMat, decompose_word
+from .psl2 import PMat
 
 
 class NonPositiveDeterminant(Exception):
@@ -151,9 +151,6 @@ class IndVec:
         v.blocks = blocks
         return v
 
-    def copy(self):
-        return IndVec(self.table, self.k, self.modulus, list(self.blocks))
-
     def __add__(self, other):
         return IndVec(self.table, self.k, self.modulus,
                       [poly_add(a, b) for a, b in zip(self.blocks, other.blocks)])
@@ -188,7 +185,6 @@ class IndVec:
         return (self - other).is_zero()
 
 
-
 def ind_act_letter(letter, v):
     """Action of a single word letter on an induced vector."""
     gen, e = letter
@@ -209,15 +205,6 @@ def ind_act_letter(letter, v):
         val = _matvec_mod(M, b, m)
         out[j] = poly_add(out[j], tuple(val))
     return IndVec(table, k, m, out)
-
-
-def ind_act(g, v):
-    """Left action of g in PSL2(Z) on the induced module."""
-    w = decompose_word(g)
-    out = v
-    for letter in reversed(w.letters):
-        out = ind_act_letter(letter, out)
-    return out
 
 
 class InductionMap:
@@ -277,11 +264,3 @@ def corestriction_map(src_table, dst_table, k, modulus=None):
         M = act_matrix(gamma.inv(), k, modulus)
         entries.append([(j, M)])
     return InductionMap(src_table, dst_table, k, modulus, entries)
-
-
-def restrict_coeff(v, sub_table, reps=None):
-    return restriction_map(v.table, sub_table, v.k, v.modulus, reps).apply(v)
-
-
-def corestrict_coeff(v, sup_table):
-    return corestriction_map(v.table, sup_table, v.k, v.modulus).apply(v)

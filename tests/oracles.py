@@ -15,10 +15,25 @@ induced module from the per-letter action matrices, takes ker d1 over
 Z (or the kernel mod m, found by an integer echelon of [A | m*I]), and
 passes both to ``subquotient``.  It shares no code with the local
 cokernels and the spanning tree of ``homology.LocalQuotient``.
+
+``fox_expand`` is the letter-by-letter Fox expansion on whole induced
+vectors, and ``conj_star_letter_walk`` is the conjugation push built on
+it: each conjugated term is expanded by walking its word on the table
+of Gamma_2, and the whole chain is corestricted afterwards.  They share
+no code with the cached, merged Fox maps of ``homology`` and the pushed
+maps of ``hecke.conj_star``.  ``ind_act``, ``boundary2``,
+``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
+``transfer_res`` are the chain-level operations the tests check against.
 """
 
 from hypcycle.cosets import BudgetExceeded, CosetTable
-from hypcycle.hecke import conjugate_by
+from hypcycle.hecke import ConjugateLeavesGroup, conjugate_by
+from hypcycle.homology import (
+    Chain1,
+    boundary1,
+    fox_expand_unit,
+    to_group_chain,
+)
 from hypcycle.intlinalg import (
     ColumnEchelon,
     from_columns,
@@ -27,7 +42,14 @@ from hypcycle.intlinalg import (
     zeros,
 )
 from hypcycle.psl2 import I, S, U, decompose_word
-from hypcycle.symspace import act_matrix
+from hypcycle.symspace import (
+    IndVec,
+    act,
+    act_matrix,
+    corestriction_map,
+    ind_act_letter,
+    restriction_map,
+)
 
 
 class PredicateTable(CosetTable):
@@ -163,3 +185,87 @@ def dense_h1(table, k, ring):
     image = [d2[i] + [modulus if j == i else 0 for j in range(2 * N)]
              for i in range(2 * N)]
     return subquotient(K, image, ring)
+
+
+def ind_act(g, v):
+    """Left action of g in PSL2(Z) on the induced module, letter by
+    letter along the word of g."""
+    out = v
+    for letter in reversed(decompose_word(g).letters):
+        out = ind_act_letter(letter, out)
+    return out
+
+
+def boundary2(pair):
+    """Relation boundaries ((1+S) n1, (1+U+U^2) n2)."""
+    n1, n2 = pair
+    mS = n1 + ind_act_letter(("S", 1), n1)
+    mU = n2 + ind_act_letter(("U", 1), n2) + ind_act_letter(("U", 2), n2)
+    c = Chain1(mS, mU)
+    return c.reduce() if n1.modulus else c
+
+
+def fox_expand(word, v):
+    """Chain representing (eval(word) - 1) tensor v.
+
+    Built by the product rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v,
+    with U^2 expanding into the U slot as (U-1) x Uv + (U-1) x v.
+    """
+    table, k, m = v.table, v.k, v.modulus
+    out = Chain1.zero(table, k, m)
+    cur = v
+    for letter in reversed(tuple(word)):
+        gen, e = letter
+        if gen == "S":
+            out = Chain1(out.mS + cur, out.mU)
+        elif e == 1:
+            out = Chain1(out.mS, out.mU + cur)
+        else:
+            out = Chain1(out.mS, out.mU + cur + ind_act_letter(("U", 1), cur))
+        cur = ind_act_letter(letter, cur)
+    return out.reduce() if m else out
+
+
+def group_chain_to_chain1(terms, table, k, modulus=None):
+    """Sum of the chains of (gamma - 1) tensor v over a subgroup-form
+    list of terms; the inverse direction of to_group_chain."""
+    out = Chain1.zero(table, k, modulus)
+    for gamma, poly in terms:
+        out = out + fox_expand_unit(table, gamma, tuple(poly), k, modulus)
+    return out.reduce() if modulus else out
+
+
+def restrict_coeff(v, sub_table, reps=None):
+    return restriction_map(v.table, sub_table, v.k, v.modulus, reps).apply(v)
+
+
+def corestrict_coeff(v, sup_table):
+    return corestriction_map(v.table, sup_table, v.k, v.modulus).apply(v)
+
+
+class NotACycleOnTransfer(Exception):
+    """Transfer was asked for a chain with nonzero boundary."""
+
+
+def transfer_res(c, sub_table, reps=None):
+    """Restriction (transfer) of a cycle to a finite-index subgroup,
+    implemented by the equivariant averaging map on coefficients."""
+    if not boundary1(c).is_zero():
+        raise NotACycleOnTransfer("transfer requires a cycle")
+    rmap = restriction_map(c.table, sub_table, c.k, c.modulus, reps)
+    return Chain1(rmap.apply(c.mS), rmap.apply(c.mU))
+
+
+def conj_star_letter_walk(c, alpha, cor_map):
+    """The conjugation push of a cycle over Gamma_1 by alpha, expanded
+    letter by letter on the table of Gamma_2 (the source of cor_map)
+    and corestricted as a whole chain."""
+    table2, k, m = cor_map.src_table, c.k, c.modulus
+    out = Chain1.zero(table2, k, m)
+    for gamma, v in to_group_chain(c):
+        cg = conjugate_by(alpha, gamma)
+        if cg is None or not table2.contains(cg):
+            raise ConjugateLeavesGroup("conjugate leaves the target group")
+        unit = IndVec.unit(table2, k, act(alpha, v, m), modulus=m)
+        out = out + fox_expand(decompose_word(cg), unit)
+    return Chain1(cor_map.apply(out.mS), cor_map.apply(out.mU))

@@ -1,0 +1,68 @@
+"""Exit codes of the command-line interface (0 Verified, 2 Inconclusive,
+3 bad input), the ``batch`` runner's exit code, and byte-identical
+reports for repeated runs."""
+
+import csv
+import io
+import json
+
+import pytest
+
+from hypcycle import cli
+from hypcycle.intlinalg import RingSpec
+
+
+@pytest.mark.parametrize("argv", [
+    "verify-main --group gamma1:13 --k 0 --p 3 --max-generators 1",
+    "quotient --group gamma0:11 --k 0 --max-generators 1",
+])
+def test_exhausted_budget_exits_2(argv, capsys):
+    code = cli.main(argv.split())
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"] == "Inconclusive"
+
+
+def test_zp_default_precision():
+    assert RingSpec.parse("Zp:5") == RingSpec("ZpM", p=5, M=2)
+
+
+def run_batch(tmp_path, capsys, rows):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(rows))
+    code = cli.main(["batch", "--manifest", str(manifest)])
+    return code, list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+GOOD = {"subcommand": "h1", "group": "gamma0:11", "k": 0}
+INCONCLUSIVE = {"subcommand": "quotient", "group": "gamma0:11", "k": 0,
+                "max_generators": 1}
+BAD = {"subcommand": "h1", "group": "gamma0:11", "k": 0, "ring": "Fp"}
+
+
+@pytest.mark.parametrize("rows, expect", [
+    ([GOOD], 0),
+    ([GOOD, INCONCLUSIVE], 2),
+    ([GOOD, BAD], 2),
+    ([BAD, INCONCLUSIVE, GOOD], 2),
+])
+def test_batch_exit_code_caps_at_2(rows, expect, tmp_path, capsys):
+    code, out = run_batch(tmp_path, capsys, rows)
+    assert code == expect
+    for row, entry in zip(out, rows):
+        bad = entry is BAD
+        assert row["status"] == ("error" if bad else "ok")
+        assert int(row["exit_code"]) == (3 if bad else
+                                         2 if entry is INCONCLUSIVE else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    "hecke --group gamma0:11 --k 1 --op Tp --p 3",
+    "hecke --group gamma0:9 --k 1 --ring Zp:3:2 --op Up --p 3",
+    "quotient --group gamma0:11 --k 0",
+    "verify-main --group gamma0:11 --k 0 --p 3",
+])
+def test_same_argv_same_bytes(argv, capsys):
+    cli.main(argv.split())
+    first = capsys.readouterr().out
+    cli.main(argv.split())
+    assert capsys.readouterr().out == first

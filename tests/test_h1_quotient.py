@@ -168,6 +168,13 @@ class TestCli:
         "bridge --N 9 --p 1 --k 1",
         "check-identity --N 0 --p 3 --k 1",
         "h1 --group gamma0:11 --k 0 --ring Fp:4",
+        "h1 --group gamma0:11 --k 0 --ring Fp",
+        "h1 --group gamma0:11 --k 0 --ring Fp:5:7",
+        "h1 --group gamma0:11 --k 0 --ring Z:9",
+        "h1 --group gamma0:11 --k 0 --ring Zp:5:2:9",
+        "h1 --group gamma0:11:3 --k 0",
+        "h1 --group gamma0 --k 0",
+        "h1 --group gammaH:0:1 --k 0",
     ])
     def test_bad_input_exits_3(self, argv, capsys):
         code, report = run_cli(argv.split(), capsys)

@@ -6,7 +6,6 @@ from hypcycle.cosets import SubgroupSpec, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
     DoubleCoset,
-    NotACycleOnTransfer,
     PPhiV,
     WrongDivisibility,
     beta_matrix,
@@ -20,7 +19,6 @@ from hypcycle.hecke import (
     hecke_matrix_diag_p,
     identity_operator,
     pi_phi_V,
-    transfer_res,
 )
 from hypcycle.homology import Chain1, compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ
@@ -35,8 +33,8 @@ from hypcycle.psl2 import (
     classify,
     quadratic_form,
 )
-from hypcycle.symspace import IndVec, act, poly_pow
-from oracles import subgroup_cosets
+from hypcycle.symspace import IndVec, act, corestriction_map, poly_pow
+from oracles import NotACycleOnTransfer, subgroup_cosets, transfer_res
 
 
 def random_hyperbolic_in(spec, rng, count, steps=8):
@@ -188,7 +186,8 @@ class TestConjStar:
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
             c = h1.cycle(g, (1,))
-            out = conj_star(c, I.lift(), h1.table)
+            out = conj_star(c, I.lift(),
+                            corestriction_map(h1.table, h1.table, 0))
             assert h1.coords(out) == h1.coords(c)
 
     def test_inner_automorphism_trivial(self):
@@ -205,7 +204,8 @@ class TestConjStar:
         c = h1.cycle(g, quadratic_form(g))
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
         with pytest.raises((ConjugateLeavesGroup, Exception)):
-            conj_star(c, Mat2(1, 0, 0, 2), tgt.table)
+            conj_star(c, Mat2(1, 0, 0, 2),
+                      corestriction_map(tgt.table, tgt.table, 1))
 
 
 class TestDiamond:

@@ -8,12 +8,9 @@ from hypcycle.homology import (
     Chain1,
     NotACycle,
     boundary1,
-    boundary2,
     compute_h1,
     cycle_of,
-    fox_expand,
     fox_expand_unit,
-    group_chain_to_chain1,
     to_group_chain,
 )
 from hypcycle.intlinalg import RingSpec, QQ, ZZ
@@ -32,6 +29,7 @@ from hypcycle.psl2 import (
     word_from_letters,
 )
 from hypcycle.symspace import IndVec, poly_pow, x2_power
+from oracles import boundary2, fox_expand, group_chain_to_chain1
 
 
 def dim_cusp_forms_level_one(weight):
@@ -82,7 +80,7 @@ class TestBoundaries:
         assert boundary1(c).is_zero()
 
     def test_single_slot(self):
-        from hypcycle.symspace import ind_act
+        from oracles import ind_act
 
         rng = random.Random(61)
         v = IndVec(self.table, 1, None,
@@ -102,7 +100,7 @@ class TestBoundaries:
             assert boundary1(boundary2((n1, n2))).is_zero()
 
     def test_d2_formula(self):
-        from hypcycle.symspace import ind_act
+        from oracles import ind_act
 
         rng = random.Random(63)
         n1 = IndVec(self.table, 1, None,
@@ -125,7 +123,7 @@ class TestFoxExpand:
         assert c.mS == v and c.mU.is_zero()
 
     def test_su(self):
-        from hypcycle.symspace import ind_act
+        from oracles import ind_act
 
         rng = random.Random(65)
         v = IndVec(self.table, 1, None,
@@ -135,7 +133,7 @@ class TestFoxExpand:
         assert c.mU == v
 
     def test_u_squared(self):
-        from hypcycle.symspace import ind_act
+        from oracles import ind_act
 
         rng = random.Random(66)
         v = IndVec(self.table, 2, None,
@@ -145,7 +143,7 @@ class TestFoxExpand:
         assert c.mU == ind_act(U, v) + v
 
     def test_telescoping(self):
-        from hypcycle.symspace import ind_act
+        from oracles import ind_act
 
         rng = random.Random(67)
         for _ in range(60):
@@ -163,11 +161,11 @@ class TestFoxExpand:
             p = random_poly(rng, k)
             w = random_word(rng, 25)
             direct = fox_expand(w, IndVec.unit(self.table, k, p))
-            cached = fox_expand_unit(self.table, w, p, k)
+            cached = fox_expand_unit(self.table, w.evaluate(), p, k)
             assert direct == cached
 
     def test_boundary_of_fox_mod_p(self):
-        from hypcycle.symspace import ind_act
+        from oracles import ind_act
 
         rng = random.Random(69)
         for _ in range(25):

@@ -9,19 +9,16 @@ from hypcycle.symspace import (
     IndVec,
     NonPositiveDeterminant,
     act,
-    corestrict_coeff,
-    ind_act,
     monomial,
     poly_add,
     poly_mul,
     poly_pow,
     poly_sub,
-    restrict_coeff,
     restriction_map,
     x2_power,
     zero_poly,
 )
-from oracles import subgroup_cosets
+from oracles import corestrict_coeff, ind_act, restrict_coeff, subgroup_cosets
 
 
 def random_psl(rng, steps=6):
