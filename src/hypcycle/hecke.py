@@ -204,20 +204,22 @@ class OperatorMatrix:
              for r1, r2 in zip(self.matrix, other.matrix)],
             self.source, self.target)
 
-    def charpoly(self):
-        """Characteristic polynomial on the free part, as a sympy Poly."""
-        import sympy
+    # polyz is imported on first use: only a charpoly needs it, and a
+    # process that prints none (hypcycle --version) should not load it
 
-        x = sympy.Symbol("x")
+    def charpoly(self):
+        """Coefficients of the characteristic polynomial on the free
+        part, leading first (see polyz)."""
+        from . import polyz
+
         free = [i for i, d in enumerate(self.source.invariant_factors) if d == 0]
-        A = sympy.Matrix([[self.matrix[i][j] for j in free] for i in free])
-        return A.charpoly(x)
+        return polyz.charpoly([[self.matrix[i][j] for j in free] for i in free])
 
     def charpoly_str(self):
-        import sympy
+        """The factored characteristic polynomial, e.g. (x-3)*(x+2)^2."""
+        from . import polyz
 
-        poly = self.charpoly()
-        return str(sympy.factor(poly.as_expr())).replace("**", "^").replace(" ", "")
+        return polyz.factor_str(self.charpoly())
 
 
 def identity_operator(h1):

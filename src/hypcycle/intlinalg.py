@@ -2,7 +2,7 @@
 
 Matrices are plain lists of rows of Python ints, so everything is
 arbitrary precision.  The primitives are the Smith normal form with
-its transition matrices, a column echelon form used for integer
+its left transition matrices, a column echelon form used for integer
 kernels and exact solving, the kernel modulo m in Hermite form, and a
 row-style lattice accumulator for incremental span computations.
 Finitely generated modules (subquotients of Z^n, possibly with a
@@ -87,12 +87,6 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v) if a) for row in A]
 
 
-def transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
-
-
 def columns(A):
     return [list(col) for col in zip(*A)] if A else []
 
@@ -101,31 +95,6 @@ def from_columns(cols, nrows):
     if not cols:
         return [[] for _ in range(nrows)]
     return [list(row) for row in zip(*cols)]
-
-
-def det(A):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = mat_copy(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +109,12 @@ def _nearest_quotient(b, a):
     return q
 
 
-def _snf_inplace(D, U, Uinv, V=None, Vinv=None):
+def _snf_inplace(D, U, Uinv):
     """Smith form by Euclidean steps: move the smallest entry of the
     remaining block to the pivot, reduce its row and column by
     nearest-integer quotients, and repeat on the remainders (each
     smaller than half the pivot) until the pivot divides the block.
-    The right transition matrices V and Vinv are updated only when
-    given."""
+    Only the left transition matrices U and Uinv are kept."""
     m = len(D)
     n = len(D[0]) if D else 0
 
@@ -159,10 +127,6 @@ def _snf_inplace(D, U, Uinv, V=None, Vinv=None):
     def col_swap(i, j):
         for r in D:
             r[i], r[j] = r[j], r[i]
-        if V is not None:
-            V[i], V[j] = V[j], V[i]
-            for r in Vinv:
-                r[i], r[j] = r[j], r[i]
 
     def row_sub(i, p, q):
         # row i -= q * row p
@@ -179,12 +143,6 @@ def _snf_inplace(D, U, Uinv, V=None, Vinv=None):
         # column j -= q * column p
         for r in D:
             r[j] -= q * r[p]
-        if V is not None:
-            Vp, Vj = V[p], V[j]
-            for t in range(n):
-                Vp[t] += q * Vj[t]
-            for r in Vinv:
-                r[j] -= q * r[p]
 
     for k in range(min(m, n)):
         piv = min(((abs(D[i][j]), i, j) for i in range(k, m)
@@ -221,19 +179,6 @@ def _snf_inplace(D, U, Uinv, V=None, Vinv=None):
                 r2[k] = -r2[k]
             for t in range(m):
                 Uinv[k][t] = -Uinv[k][t]
-
-
-def smith_normal_form(A):
-    """Return (U, D, V) with A == U*D*V, U and V unimodular and D diagonal
-    with nonnegative entries satisfying d1 | d2 | ...
-    """
-    m = len(A)
-    n = len(A[0]) if A else 0
-    D = mat_copy(A)
-    U, Uinv = identity(m), identity(m)
-    V, Vinv = identity(n), identity(n)
-    _snf_inplace(D, U, Uinv, V, Vinv)
-    return U, D, V
 
 
 def smith_normal_form_full(A):
@@ -704,17 +649,3 @@ def induced_endomorphism(f, module):
         except NotInModule as e:
             raise NotStable("generator %d image leaves the module" % i) from e
     return from_columns(cols, module.ngens)
-
-
-def saturate_columns(B):
-    """Basis of the saturation of the column span of B in Z^n."""
-    n = len(B)
-    cols = [c for c in columns(B) if any(c)]
-    if not cols:
-        return zeros(n, 0)
-    left_kernel = kernel_basis(transpose(from_columns(cols, n)))
-    s = len(left_kernel[0]) if left_kernel else 0
-    if s == 0:
-        return identity(n)
-    # saturation = integer kernel of the left-kernel pairing
-    return kernel_basis(transpose(left_kernel))

@@ -60,11 +60,17 @@ class Mat2:
 
     @staticmethod
     def parse(text):
+        """The matrix written [[a, b], [c, d]] with integer entries; any
+        other text is a ValueError."""
         import ast
 
-        rows = ast.literal_eval(text)
-        (a, b), (c, d) = rows
-        return Mat2(int(a), int(b), int(c), int(d))
+        try:
+            (a, b), (c, d) = ast.literal_eval(text)
+        except (SyntaxError, TypeError, ValueError) as e:
+            raise ValueError("cannot parse matrix %r" % (text,)) from e
+        if any(type(x) is not int for x in (a, b, c, d)):
+            raise ValueError("matrix entries must be integers: %r" % (text,))
+        return Mat2(a, b, c, d)
 
 
 class PMat:
@@ -183,14 +189,6 @@ class Word:
 
     def __hash__(self):
         return hash(self.letters)
-
-    def evaluate(self):
-        g = I
-        for gen, e in self.letters:
-            base = S if gen == "S" else U
-            for _ in range(e):
-                g = g * base
-        return g
 
     def __repr__(self):
         if not self.letters:

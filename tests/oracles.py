@@ -24,6 +24,11 @@ no code with the cached, merged Fox maps of ``homology`` and the pushed
 maps of ``hecke.conj_star``.  ``ind_act``, ``boundary2``,
 ``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
 ``transfer_res`` are the chain-level operations the tests check against.
+
+``evaluate_word``, ``transpose``, ``det``, ``smith_normal_form`` (the
+Smith form with both transition matrices, built from two left-only
+Smith forms of the library) and ``saturate_columns`` are matrix and
+word helpers that only the tests need.
 """
 
 from hypcycle.cosets import BudgetExceeded, CosetTable
@@ -36,8 +41,13 @@ from hypcycle.homology import (
 )
 from hypcycle.intlinalg import (
     ColumnEchelon,
+    columns,
+    diagonal,
     from_columns,
+    identity,
     kernel_basis,
+    mat_mul,
+    smith_normal_form_full,
     subquotient,
     zeros,
 )
@@ -269,3 +279,79 @@ def conj_star_letter_walk(c, alpha, cor_map):
         unit = IndVec.unit(table2, k, act(alpha, v, m), modulus=m)
         out = out + fox_expand(decompose_word(cg), unit)
     return Chain1(cor_map.apply(out.mS), cor_map.apply(out.mU))
+
+
+def evaluate_word(word):
+    """The element of PSL2(Z) spelled by a word over S, U and U^2."""
+    g = I
+    for gen, e in word:
+        for _ in range(e):
+            g = g * (S if gen == "S" else U)
+    return g
+
+
+def transpose(A):
+    if not A:
+        return []
+    return [list(col) for col in zip(*A)]
+
+
+def det(A):
+    """Exact determinant by fraction-free Bareiss elimination."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [row[:] for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def smith_normal_form(A):
+    """Return (U, D, V) with A == U*D*V, U and V unimodular and D diagonal
+    with nonnegative entries satisfying d1 | d2 | ...
+
+    The left-only Smith form of A^T gives a unimodular W with A*W zero
+    past its first r = rank(A) columns.  In the left-only Smith form
+    A*W == U*D*V3, V3 is then needed only on its first r rows, which are
+    the rows of U^-1*A*W divided by the invariant factors; the other
+    rows are taken from the identity.  V = V3 * W^-1.
+    """
+    n = len(A[0]) if A else 0
+    U2, U2inv, _ = smith_normal_form_full(transpose(A))
+    AW = mat_mul(A, transpose(U2inv))
+    U, Uinv, D = smith_normal_form_full(AW)
+    B = mat_mul(Uinv, AW)
+    V3 = identity(n)
+    for i, d in enumerate(diagonal(D)):
+        if d:
+            V3[i] = [b // d for b in B[i]]
+    return U, D, mat_mul(V3, transpose(U2))
+
+
+def saturate_columns(B):
+    """Basis of the saturation of the column span of B in Z^n."""
+    n = len(B)
+    cols = [c for c in columns(B) if any(c)]
+    if not cols:
+        return zeros(n, 0)
+    left_kernel = kernel_basis(transpose(from_columns(cols, n)))
+    s = len(left_kernel[0]) if left_kernel else 0
+    if s == 0:
+        return identity(n)
+    # saturation = integer kernel of the left-kernel pairing
+    return kernel_basis(transpose(left_kernel))

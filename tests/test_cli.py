@@ -1,10 +1,15 @@
 """Exit codes of the command-line interface (0 Verified, 2 Inconclusive,
-3 bad input), the ``batch`` runner's exit code, and byte-identical
-reports for repeated runs."""
+3 bad input), the ``batch`` runner's exit code, byte-identical reports
+for repeated runs, and ``hecke`` in a process where sympy cannot be
+imported."""
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +71,27 @@ def test_same_argv_same_bytes(argv, capsys):
     first = capsys.readouterr().out
     cli.main(argv.split())
     assert capsys.readouterr().out == first
+
+
+WITHOUT_SYMPY = """
+import sys
+sys.modules["sympy"] = None
+from hypcycle import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, charpoly", [
+    ("hecke --group gamma1:13 --k 0 --op Tp --p 7",
+     "x^4*(x-8)*(x-6)*(x+6)*(x^2-15*x+57)*(x^2-13*x+43)*(x^2-9*x+57)"
+     "*(x^2+5*x+43)"),
+    ("hecke --group gamma0:1 --k 9 --op Tp --p 5",
+     "(x-19073486328126)*(x+2377410)^2"),
+])
+def test_hecke_needs_no_sympy(argv, charpoly):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY] + argv.split(),
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["charpoly"] == charpoly

@@ -175,6 +175,10 @@ class TestCli:
         "h1 --group gamma0:11:3 --k 0",
         "h1 --group gamma0 --k 0",
         "h1 --group gammaH:0:1 --k 0",
+        "cycle --group gamma0:1 --k 0 --matrix [[1,2",
+        "cycle --group gamma0:1 --k 0 --matrix [[2,1],[1,1]]x",
+        "cycle --group gamma0:1 --k 0 --matrix 7",
+        "cycle --group gamma0:1 --k 0 --matrix [[1.9,0],[0,1]]",
     ])
     def test_bad_input_exits_3(self, argv, capsys):
         code, report = run_cli(argv.split(), capsys)

@@ -301,7 +301,8 @@ class TestOrbitFormulaOracle:
 class TestHeckeStability:
     def test_images_in_saturated_span(self):
         # the hyperbolic-cycle span, saturated, absorbs Hecke images
-        from hypcycle.intlinalg import ColumnEchelon, from_columns, saturate_columns
+        from hypcycle.intlinalg import ColumnEchelon, from_columns
+        from oracles import saturate_columns
 
         spec = SubgroupSpec.gamma1(1)
         for k, p in ((1, 2), (2, 2), (5, 2)):

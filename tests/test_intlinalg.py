@@ -12,7 +12,6 @@ from hypcycle.intlinalg import (
     RingSpec,
     ZZ,
     QQ,
-    det,
     diagonal,
     from_columns,
     identity,
@@ -22,13 +21,11 @@ from hypcycle.intlinalg import (
     mat_mul,
     mat_vec,
     rank,
-    saturate_columns,
-    smith_normal_form,
     subquotient,
-    transpose,
     xgcd,
     zeros,
 )
+from oracles import det, saturate_columns, smith_normal_form, transpose
 
 
 def snf_diagonal_oracle(A):
