@@ -110,20 +110,6 @@ class IdentityReport:
     lhs: tuple
     rhs: tuple
 
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "N": self.N,
-            "p": self.p,
-            "k": self.k,
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-        }
-
-    @property
-    def exit_code(self):
-        return {"Verified": 0, "Falsified": 1, "Inconclusive": 2}[self.verdict]
-
 
 def check_boundary_identity(N, p, k, h1=None):
     """T_p z(T) = (1 + p^(2k+1) <p>) z(T) on Gamma_1(N^2), exactly in
@@ -149,20 +135,6 @@ class GenerationReport:
     operators: tuple
     span_factors: tuple
     boundary_factors: tuple
-
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "group": self.group,
-            "k": self.k,
-            "operators": list(self.operators),
-            "span_factors": list(self.span_factors),
-            "boundary_factors": list(self.boundary_factors),
-        }
-
-    @property
-    def exit_code(self):
-        return {"Verified": 0, "Falsified": 1, "Inconclusive": 2}[self.verdict]
 
 
 def check_hecke_generation(spec, k, primes=(2, 3, 5), max_rounds=6, h1=None):

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .boundary import (
@@ -85,6 +86,14 @@ def _dumps(obj):
     finally:
         if lift:
             sys.set_int_max_str_digits(limit)
+
+
+EXIT_CODES = {"Verified": 0, "Falsified": 1, "Inconclusive": 2}
+
+
+def _verdict_report(rep):
+    """A verdict report as a dict, with the exit code of its verdict."""
+    return asdict(rep), EXIT_CODES[rep.verdict]
 
 
 def _budget_from(args):
@@ -199,13 +208,13 @@ def cmd_ordinary(args):
 def cmd_verify_main(args):
     spec = SubgroupSpec.parse(args.group)
     rep = verify_main_theorem(spec, args.k, args.p, args.M, _budget_from(args))
-    return rep.as_dict(), rep.exit_code
+    return _verdict_report(rep)
 
 
 def cmd_quotient(args):
     spec = SubgroupSpec.parse(args.group)
     rep = cycle_quotient_report(spec, args.k, _budget_from(args))
-    return rep.as_dict(), rep.exit_code
+    return _verdict_report(rep)
 
 
 def cmd_boundary(args):
@@ -227,18 +236,18 @@ def cmd_boundary(args):
 
 def cmd_check_identity(args):
     rep = check_boundary_identity(args.N, args.p, args.k)
-    return rep.as_dict(), rep.exit_code
+    return _verdict_report(rep)
 
 
 def cmd_check_generation(args):
     spec = SubgroupSpec.parse(args.group)
     rep = check_hecke_generation(spec, args.k)
-    return rep.as_dict(), rep.exit_code
+    return _verdict_report(rep)
 
 
 def cmd_bridge(args):
     rep = mod_p_bridge(args.N, args.p, args.k, _budget_from(args))
-    return rep.as_dict(), rep.exit_code
+    return _verdict_report(rep)
 
 
 BATCH_COLUMNS = ["row", "subcommand", "status", "exit_code", "group", "k",
@@ -288,10 +297,14 @@ def cmd_batch(args):
 
 def _add_budget_flags(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-word-len", type=int, default=10, dest="max_word_len")
-    p.add_argument("--max-generators", type=int, default=300,
+    p.add_argument("--max-word-len", type=_positive, default=10,
+                   dest="max_word_len")
+    p.add_argument("--max-generators", type=_positive, default=300,
                    dest="max_generators")
-    p.add_argument("--patience", type=int, default=25)
+    p.add_argument("--patience", type=_positive, default=25)
+
+
+OUTPUT_HELP = "write the report to a file"
 
 
 def build_parser():
@@ -369,10 +382,12 @@ def build_parser():
 
     p = sub.add_parser("batch", help="run a JSON manifest, emit CSV")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--output")
+    # the top-level --output, also accepted after the subcommand; without
+    # a default here, the subcommand would overwrite a value given before
+    p.add_argument("--output", default=argparse.SUPPRESS, help=OUTPUT_HELP)
     p.set_defaults(func=cmd_batch)
 
-    parser.add_argument("--output", help="write the report to a file")
+    parser.add_argument("--output", help=OUTPUT_HELP)
     return parser
 
 

@@ -164,12 +164,6 @@ class CosetTable:
         j = self._cosets[self.key(g)]
         return j, g * self.transversal[j].inv()
 
-    def schreier(self, g):
-        """Decompose g = gamma * t with gamma in the subgroup and t in
-        the transversal."""
-        j, tw = self.coset_of(g)
-        return tw, self.transversal[j]
-
     def schreier_generators(self):
         """Nontrivial twists t_i * x * t_j^-1; they generate the subgroup."""
         seen = {}
@@ -251,18 +245,3 @@ def subgroup_transversal(sub_table, ambient_table):
             % (r, len(reps)))
     return [reps[j] for j in sorted(reps)]
 
-
-def p1_size(N):
-    """#P^1(Z/N) by the multiplicative formula N * prod(1 + 1/p)."""
-    n = N
-    num = N
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            num = num // p * (p + 1)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        num = num // n * (n + 1)
-    return num

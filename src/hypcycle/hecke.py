@@ -15,11 +15,9 @@ matrix-vector product per (slot, block of Gamma') it touches.
 """
 
 from dataclasses import dataclass
-from operator import add, mul
 
 from .cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from .homology import (
-    Chain1,
     H1Presentation,
     _fox_unit_map,
     compute_h1,
@@ -29,11 +27,11 @@ from .homology import (
 from .intlinalg import from_columns, identity, mat_mul, xgcd
 from .psl2 import I, Mat2, PMat
 from .symspace import (
-    IndVec,
     act,
+    add_image,
     corestriction_map,
+    reduce_chain,
     restriction_map,
-    zero_poly,
 )
 
 
@@ -83,13 +81,6 @@ def intersection_key(key, key_prime, alpha):
     return key1
 
 
-def _add_image(acc, key, M, v):
-    """acc[key] += M v, with None standing for the identity."""
-    w = v if M is None else [sum(map(mul, row, v)) for row in M]
-    cur = acc.get(key)
-    acc[key] = w if cur is None else list(map(add, cur, w))
-
-
 def _push_fox_map(entries, cor_map, d, modulus):
     """The Fox map of an element on the table of Gamma_2 pushed through
     the corestriction: one matrix per (slot, target block)."""
@@ -101,9 +92,10 @@ def _push_fox_map(entries, cor_map, d, modulus):
     return merge_blocks(groups, d, modulus)
 
 
-def conj_star(c, alpha, cor_map, cache=None):
-    """Push a cycle over Gamma_1 through conjugation by alpha into
-    Gamma_2 = alpha Gamma_1 alpha^-1 (the source table of ``cor_map``)
+def conj_star(c, table1, alpha, cor_map, cache=None):
+    """Push a cycle over Gamma_1 (the group of ``table1``) through
+    conjugation by alpha into Gamma_2 = alpha Gamma_1 alpha^-1 (the
+    source table of ``cor_map``, which also gives k and the modulus)
     and corestrict it along ``cor_map``.
 
     A term (gamma, v) of the subgroup form of the cycle becomes the Fox
@@ -115,13 +107,12 @@ def conj_star(c, alpha, cor_map, cache=None):
     Fox map, so an element is pushed on its d-th use; its earlier uses
     apply the Fox map on Gamma_2 and corestrict the sum blockwise.
     """
-    table2, target = cor_map.src_table, cor_map.dst_table
-    k, modulus = c.k, c.modulus
+    table2, k, modulus = cor_map.src_table, cor_map.k, cor_map.modulus
     d = 2 * k + 1
     if cache is None:
         cache = {}
     acc, unpushed = {}, {}
-    for gamma, v in to_group_chain(c):
+    for gamma, v in to_group_chain(c, table1, k, modulus):
         cg = conjugate_by(alpha, gamma)
         key = None if cg is None else cg.key()
         entry = cache.get(key, 0)  # uses so far, or the pushed map
@@ -134,20 +125,15 @@ def conj_star(c, alpha, cor_map, cache=None):
             if entry + 1 < d:
                 cache[key] = entry + 1
                 for slot, blk, M in fox:
-                    _add_image(unpushed, (slot, blk), M, av)
+                    add_image(unpushed, (slot, blk), M, av)
                 continue
             entry = cache[key] = _push_fox_map(fox, cor_map, d, modulus)
         for slot, j, P in entry:
-            _add_image(acc, (slot, j), P, av)
+            add_image(acc, (slot, j), P, av)
     for (slot, blk), w in unpushed.items():
         for j, C in cor_map.entries[blk]:
-            _add_image(acc, (slot, j), C, w)
-    blocks = {"S": [zero_poly(k)] * target.index,
-              "U": [zero_poly(k)] * target.index}
-    for (slot, j), w in acc.items():
-        blocks[slot][j] = tuple(x % modulus for x in w) if modulus else tuple(w)
-    return Chain1(IndVec(target, k, modulus, blocks["S"]),
-                  IndVec(target, k, modulus, blocks["U"]))
+            add_image(acc, (slot, j), C, w)
+    return reduce_chain(acc, modulus)
 
 
 @dataclass
@@ -258,8 +244,8 @@ class DoubleCoset:
         return len(self.reps)
 
     def apply_chain(self, c):
-        rc = Chain1(self.res_map.apply(c.mS), self.res_map.apply(c.mU))
-        return conj_star(rc, self.alpha, self.cor_map, self._pushed)
+        return conj_star(self.res_map.apply(c), self.table1, self.alpha,
+                         self.cor_map, self._pushed)
 
     def operator(self):
         if self._matrix is None:

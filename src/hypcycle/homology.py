@@ -2,14 +2,17 @@
 degree-2k coefficients, through the two-step chain complex of the
 presentation <S, U | S^2, U^3> with induced coefficients.
 
-A degree-1 chain is a pair (mS, mU) of induced vectors representing
-(S-1) tensor mS + (U-1) tensor mU.  The boundary maps are
+A degree-1 chain is a dict {(slot, block): vector}, slot "S" or "U":
+the vector at (x, i) is the block at coset i of the induced vector m_x
+in (S-1) tensor mS + (U-1) tensor mU.  Absent blocks are zero, and over
+Z/m the vectors are reduced mod m.  The boundary maps are
 
     d1(mS, mU) = (S-1) mS + (U-1) mU
     d2(n1, n2) = ((1+S) n1, (1+U+U^2) n2)
 
 and H1 = ker d1 / im d2, which computes the homology of the subgroup
-by Shapiro's identification.
+by Shapiro's identification.  Functions that read a chain take its
+coset table, k and modulus alongside it.
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
@@ -37,72 +40,18 @@ from .intlinalg import (
 )
 from .psl2 import decompose_word
 from .symspace import (
-    IndVec,
     act,
     act_matrix,
-    ind_act_letter,
+    add_image,
     poly_add,
     poly_mod,
+    reduce_chain,
     zero_poly,
 )
 
 
 class NotACycle(Exception):
     """Chain with nonzero boundary where a cycle is required."""
-
-
-class Chain1:
-    """Degree-1 chain over the presentation: slots for S and U."""
-
-    __slots__ = ("mS", "mU")
-
-    def __init__(self, mS, mU):
-        self.mS = mS
-        self.mU = mU
-
-    @staticmethod
-    def zero(table, k, modulus=None):
-        return Chain1(IndVec.zero(table, k, modulus), IndVec.zero(table, k, modulus))
-
-    @property
-    def table(self):
-        return self.mS.table
-
-    @property
-    def k(self):
-        return self.mS.k
-
-    @property
-    def modulus(self):
-        return self.mS.modulus
-
-    def __add__(self, other):
-        return Chain1(self.mS + other.mS, self.mU + other.mU)
-
-    def __sub__(self, other):
-        return Chain1(self.mS - other.mS, self.mU - other.mU)
-
-    def __neg__(self):
-        return Chain1(-self.mS, -self.mU)
-
-    def scale(self, c):
-        return Chain1(self.mS.scale(c), self.mU.scale(c))
-
-    def reduce(self):
-        return Chain1(self.mS.reduce(), self.mU.reduce())
-
-    def is_zero(self):
-        return self.mS.is_zero() and self.mU.is_zero()
-
-    def __eq__(self, other):
-        return self.mS == other.mS and self.mU == other.mU
-
-
-def boundary1(c):
-    """(S-1) mS + (U-1) mU."""
-    out = ind_act_letter(("S", 1), c.mS) - c.mS
-    out = out + ind_act_letter(("U", 1), c.mU) - c.mU
-    return out.reduce() if c.modulus else out
 
 
 def merge_blocks(groups, d, modulus=None):
@@ -153,10 +102,7 @@ def _fox_unit_map(table, g, k, modulus):
     def walk(blk, gen, steps):
         """Target block and twist matrix (None: identity twist) of
         ``steps`` right multiplications by gen."""
-        tw = None
-        for _ in range(steps):
-            blk, tw2 = table.step(blk, gen)
-            tw = tw2 if tw is None else tw * tw2
+        blk, tw = table.step_letter(blk, (gen, steps))
         if tw.is_identity():
             return blk, None
         return blk, act_matrix(tw.inv(), k, modulus)
@@ -179,65 +125,59 @@ def _fox_unit_map(table, g, k, modulus):
 def fox_expand_unit(table, g, poly, k, modulus=None):
     """The chain of (g - 1) tensor (poly at block 0), via the cached
     per-element Fox map."""
-    blocks = {"S": [zero_poly(k)] * table.index,
-              "U": [zero_poly(k)] * table.index}
+    out = {}
     for slot, blk, M in _fox_unit_map(table, g, k, modulus):
-        val = poly if M is None else tuple(_apply(M, poly))
-        blocks[slot][blk] = poly_add(blocks[slot][blk], val)
-    out = Chain1(IndVec(table, k, modulus, blocks["S"]),
-                 IndVec(table, k, modulus, blocks["U"]))
-    return out.reduce() if modulus else out
+        add_image(out, (slot, blk), M, poly)
+    return reduce_chain(out, modulus)
 
 
-def cycle_of(gamma, poly, table, k, modulus=None, check=True):
+def cycle_of(gamma, poly, table, k, modulus=None):
     """The chain of (gamma - 1) tensor (poly at the identity block).
 
     Requires gamma in the subgroup of the table and poly invariant
     under gamma (e.g. a power of its quadratic form); raises NotACycle
     otherwise.
     """
-    if check:
-        if table.coset_of(gamma)[0] != 0:
-            raise NotACycle("element is not in the subgroup of the table")
-        moved = act(gamma.lift(), poly, modulus)
-        base = poly_mod(poly, modulus) if modulus else tuple(poly)
-        if tuple(moved) != base:
-            raise NotACycle("coefficient is not invariant under the element")
+    if table.coset_of(gamma)[0] != 0:
+        raise NotACycle("element is not in the subgroup of the table")
+    moved = act(gamma.lift(), poly, modulus)
+    base = poly_mod(poly, modulus) if modulus else tuple(poly)
+    if tuple(moved) != base:
+        raise NotACycle("coefficient is not invariant under the element")
     return fox_expand_unit(table, gamma, tuple(poly), k, modulus)
 
 
-def to_group_chain(c, check=True):
+# the letter of x^-1 for the slot letter x of a chain block: right
+# multiplication t_i * x^-1 = twist * t_j gives the block's twist
+_INVERSE_LETTER = {"S": ("S", 1), "U": ("U", 2)}
+
+
+def to_group_chain(c, table, k, m=None):
     """Rewrite a cycle as a list of (gamma, poly) with gamma in the
     subgroup of the table: the subgroup form of the homology class.
 
-    Each nonzero block of each slot contributes its Schreier twist; the
-    per-vertex residues must vanish, which is exactly the cycle
-    condition.  Raises NotACycle otherwise.
+    Each nonzero block of each slot contributes its Schreier twist, S
+    blocks first, each slot by block index; the per-vertex residues
+    must vanish, which is exactly the cycle condition.  Raises
+    NotACycle otherwise.
     """
-    table, k, m = c.table, c.k, c.modulus
     residue = [zero_poly(k)] * table.index
     terms = []
-    for gen, vec in (("S", c.mS), ("U", c.mU)):
-        steps = 1 if gen == "S" else 2  # t_i * x^-1 for the slot letter x
-        for i, b in enumerate(vec.blocks):
-            if not any(b):
-                continue
-            jj, tw = i, None
-            for _ in range(steps):
-                j2, tw2 = table.step(jj, gen)
-                tw = tw2 if tw is None else tw * tw2
-                jj = j2
-            gamma = tw.inv()
-            if not gamma.is_identity():
-                terms.append((gamma, tuple(b)))
-            moved = act(gamma.lift(), b, m)
-            residue[jj] = poly_add(residue[jj], moved)
-            residue[i] = poly_add(residue[i], tuple(-x for x in b))
-    if check:
-        for r in residue:
-            bad = any(x % m for x in r) if m else any(r)
-            if bad:
-                raise NotACycle("nonzero residue: chain is not a cycle")
+    for slot, i in sorted(c):
+        b = c[(slot, i)]
+        if not any(b):
+            continue
+        jj, tw = table.step_letter(i, _INVERSE_LETTER[slot])
+        gamma = tw.inv()
+        if not gamma.is_identity():
+            terms.append((gamma, tuple(b)))
+        moved = act(gamma.lift(), b, m)
+        residue[jj] = poly_add(residue[jj], moved)
+        residue[i] = poly_add(residue[i], tuple(-x for x in b))
+    for r in residue:
+        bad = any(x % m for x in r) if m else any(r)
+        if bad:
+            raise NotACycle("nonzero residue: chain is not a cycle")
     return terms
 
 
@@ -298,30 +238,16 @@ class H1Presentation:
 def _letter_blocks(table, k, gen):
     """Per-coset blocks of the letter (gen, 1) acting on the induced
     module: entry i is (j, M), the block of coset i goes to coset j
-    through M (as in ind_act_letter)."""
-    steps = 1 if gen == "S" else 2
+    through M."""
     out = []
     for i in range(table.index):
-        j, tw = i, None
-        for _ in range(steps):
-            j2, tw2 = table.step(j, gen)
-            tw = tw2 if tw is None else tw * tw2
-            j = j2
+        j, tw = table.step_letter(i, _INVERSE_LETTER[gen])
         out.append((j, act_matrix(tw.inv(), k)))
     return out
 
 
 def _dot(row, x):
     return sum(a * y for a, y in zip(row, x) if y)
-
-
-def _apply(M, v):
-    return [_dot(row, v) for row in M]
-
-
-def _accumulate(blocks, b, w):
-    cur = blocks.get(b)
-    blocks[b] = w if cur is None else [x + y for x, y in zip(cur, w)]
 
 
 # one ambient coordinate of C1 / im d2: row.x_block - prow.x_root (prow
@@ -420,8 +346,8 @@ class LocalQuotient:
         out = {}
         for slot, b, v in terms:
             j, M = self.acts[slot][b]
-            _accumulate(out, j, _apply(M, v))
-            _accumulate(out, b, [-x for x in v])
+            add_image(out, j, M, v)
+            add_image(out, b, None, [-x for x in v])
         return out
 
     def _push(self, blocks):
@@ -434,15 +360,15 @@ class LocalQuotient:
             if any(v):
                 coef[b] = v
                 _, parent, M = self.tree[b]
-                _accumulate(blocks, parent, _apply(M, v))
+                add_image(blocks, parent, M, v)
         return self._reduce(blocks.get(0, [0] * (2 * self.k + 1))), coef
 
     def project(self, chain):
         """Ambient coordinates of a chain modulo the local relations."""
-        x = {"S": chain.mS.blocks, "U": chain.mU.blocks}
+        x = chain.get
         return self._reduce([
-            _dot(c.row, x[c.slot][c.block])
-            - (_dot(c.prow, x[c.slot][c.root]) if c.prow else 0)
+            _dot(c.row, x((c.slot, c.block), ()))
+            - (_dot(c.prow, x((c.slot, c.root), ())) if c.prow else 0)
             for c in self.coords])
 
     def lift(self, vec):
@@ -456,13 +382,8 @@ class LocalQuotient:
         terms += [(self.tree[b][0], b, v) for b, v in coef.items()]
         acc = {}
         for slot, b, v in terms:
-            _accumulate(acc, (slot, b), v)
-        zero = zero_poly(self.k)
-        return Chain1(*(IndVec(self.table, self.k, self.modulus,
-                               [tuple(self._reduce(acc[(slot, b)]))
-                                if (slot, b) in acc else zero
-                                for b in range(self.table.index)])
-                        for slot in ("S", "U")))
+            add_image(acc, (slot, b), None, v)
+        return reduce_chain(acc, self.modulus)
 
 
 def compute_h1(spec_or_table, k, ring=ZZ, shuffle_seed=None):

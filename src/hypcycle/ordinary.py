@@ -8,7 +8,7 @@ image along the stable kernel.  Both submodules are computed exactly
 and the projector is solved from the direct-sum decomposition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from .cosets import build_cosets
@@ -34,14 +34,6 @@ class Budget:
     max_generators: int = 300
     patience: int = 25
     seed: int = 0
-
-    def as_dict(self):
-        return {
-            "max_word_len": self.max_word_len,
-            "max_generators": self.max_generators,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
 
 
 class PModule:
@@ -358,27 +350,6 @@ class SpanReport:
     generators_tried: int
     stable_at_next_precision: bool
 
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "group": self.group,
-            "k": self.k,
-            "p": self.p,
-            "M": self.M,
-            "seed": self.seed,
-            "budget": self.budget,
-            "ordinary_rank": self.ordinary_rank,
-            "span_rank": self.span_rank,
-            "invariant_factors": list(self.invariant_factors),
-            "span_invariant_factors": list(self.span_invariant_factors),
-            "generators_tried": self.generators_tried,
-            "stable_at_next_precision": self.stable_at_next_precision,
-        }
-
-    @property
-    def exit_code(self):
-        return {"Verified": 0, "Falsified": 1, "Inconclusive": 2}[self.verdict]
-
 
 def _evaluate_cycles(h1z, pm, dec, candidates):
     """Ordinary projections of cycle classes, in candidate order."""
@@ -443,7 +414,7 @@ def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
         p=p,
         M=M,
         seed=budget.seed,
-        budget=budget.as_dict(),
+        budget=asdict(budget),
         ordinary_rank=dec.ordinary_rank,
         span_rank=len(span_factors),
         invariant_factors=dec.ordinary_factors,
@@ -465,24 +436,6 @@ class QuotientReport:
     order: int
     prime_verdicts: dict
     generators_tried: int
-
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "group": self.group,
-            "k": self.k,
-            "seed": self.seed,
-            "budget": self.budget,
-            "free_rank": self.free_rank,
-            "invariant_factors": list(self.invariant_factors),
-            "order": self.order,
-            "prime_verdicts": self.prime_verdicts,
-            "generators_tried": self.generators_tried,
-        }
-
-    @property
-    def exit_code(self):
-        return {"Verified": 0, "Falsified": 1, "Inconclusive": 2}[self.verdict]
 
 
 def _prime_factors(n):
@@ -595,7 +548,7 @@ def cycle_quotient_report(spec, k, budget=Budget(), max_operator_prime=2000,
         group=spec.name,
         k=k,
         seed=budget.seed,
-        budget=budget.as_dict(),
+        budget=asdict(budget),
         free_rank=free_rank,
         invariant_factors=factors,
         order=order,
@@ -628,38 +581,10 @@ class BridgeReport:
     image_matches: bool
     unit_scalings_checked: int
 
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "group": self.group,
-            "p": self.p,
-            "k": self.k,
-            "ordinary_dim_constant": self.ordinary_dim_constant,
-            "ordinary_dim_weighted": self.ordinary_dim_weighted,
-            "equivariant": self.equivariant,
-            "image_matches": self.image_matches,
-            "unit_scalings_checked": self.unit_scalings_checked,
-        }
 
-    @property
-    def exit_code(self):
-        return {"Verified": 0, "Falsified": 1, "Inconclusive": 2}[self.verdict]
-
-
-def _j_star_chain(chain, k, table, p):
+def _j_star_chain(chain, k, p):
     """Blockwise b -> b * X2^(2k) on chains of constant coefficients."""
-    from .homology import Chain1
-    from .symspace import IndVec
-
-    def lift_vec(v):
-        blocks = []
-        for b in v.blocks:
-            new = [0] * (2 * k + 1)
-            new[2 * k] = b[0] % p
-            blocks.append(tuple(new))
-        return IndVec(table, k, p, blocks)
-
-    return Chain1(lift_vec(chain.mS), lift_vec(chain.mU))
+    return {key: (0,) * (2 * k) + (b[0] % p,) for key, b in chain.items()}
 
 
 def mod_p_bridge(N, p, k, budget=Budget()):
@@ -690,7 +615,7 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     jcols = []
     for i in range(h0.ngens):
         chain = h0.generator_chain(i)
-        jcols.append(list(hk.coords(_j_star_chain(chain, k, table, p))))
+        jcols.append(list(hk.coords(_j_star_chain(chain, k, p))))
     # Hecke equivariance: j o U_p = U_p o j on the mod-p modules
     equivariant = _check_equivariance(jcols, U0.matrix, Uk.matrix,
                                       h0.ngens, hk.ngens, p)

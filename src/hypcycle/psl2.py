@@ -114,10 +114,6 @@ class PMat:
     def inv(self):
         return PMat(self.d, -self.b, -self.c, self.a)
 
-    def conj_by(self, g):
-        """g * self * g^-1 for g in PSL2(Z)."""
-        return g * self * g.inv()
-
     def is_identity(self):
         return self.key() == (1, 0, 0, 1)
 

@@ -1,12 +1,19 @@
 """The coefficient module of degree-2k forms with its action of
-positive-determinant integer matrices, and coset-indexed block vectors
-realizing the induced module from a finite-index subgroup of PSL2(Z).
+positive-determinant integer matrices, and the blockwise maps between
+modules induced from finite-index subgroups of PSL2(Z).
 
 A polynomial is a tuple of 2k+1 coefficients, slot i holding the
 coefficient of X1^(2k-i) X2^i.  The action substitutes
 (X1, X2) -> (d*X1 - b*X2, -c*X1 + a*X2), i.e. acts through the
 transposed adjugate, and -1 acts trivially in even degree.
+
+An element of the induced module has one such block per coset of the
+subgroup's table.  Chains over it are sparse dicts keyed by
+(slot, block) (see homology); ``add_image`` accumulates into them and
+``InductionMap`` maps them blockwise.
 """
+
+from operator import add, mul
 
 from .cosets import subgroup_transversal
 from .psl2 import PMat
@@ -33,14 +40,6 @@ def x2_power(k):
 
 def poly_add(p, q):
     return tuple(a + b for a, b in zip(p, q))
-
-
-def poly_sub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def poly_scale(p, c):
-    return tuple(c * a for a in p)
 
 
 def poly_mod(p, m):
@@ -115,100 +114,23 @@ def act(g, poly, modulus=None):
     return tuple(out)
 
 
-def _matvec_mod(M, v, modulus):
-    out = [0] * len(M)
-    for j, c in enumerate(v):
-        if c:
-            for i in range(len(M)):
-                out[i] += M[i][j] * c
-    if modulus is not None:
-        out = [x % modulus for x in out]
-    return out
+def add_image(acc, key, M, v):
+    """acc[key] += M v, with None standing for the identity."""
+    w = v if M is None else [sum(map(mul, row, v)) for row in M]
+    cur = acc.get(key)
+    acc[key] = w if cur is None else list(map(add, cur, w))
 
 
-class IndVec:
-    """Element of the module induced from a subgroup coset table: one
-    degree-2k block per transversal element."""
-
-    __slots__ = ("table", "k", "modulus", "blocks")
-
-    def __init__(self, table, k, modulus, blocks):
-        self.table = table
-        self.k = k
-        self.modulus = modulus
-        self.blocks = blocks
-
-    @staticmethod
-    def zero(table, k, modulus=None):
-        z = zero_poly(k)
-        return IndVec(table, k, modulus, [z] * table.index)
-
-    @staticmethod
-    def unit(table, k, poly, block=0, modulus=None):
-        v = IndVec.zero(table, k, modulus)
-        blocks = list(v.blocks)
-        blocks[block] = poly_mod(poly, modulus) if modulus else tuple(poly)
-        v.blocks = blocks
-        return v
-
-    def __add__(self, other):
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_add(a, b) for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other):
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_sub(a, b) for a, b in zip(self.blocks, other.blocks)])
-
-    def __neg__(self):
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_scale(b, -1) for b in self.blocks])
-
-    def scale(self, c):
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_scale(b, c) for b in self.blocks])
-
-    def reduce(self):
-        if self.modulus is None:
-            return self
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_mod(b, self.modulus) for b in self.blocks])
-
-    def is_zero(self):
-        if self.modulus is None:
-            return all(not any(b) for b in self.blocks)
-        m = self.modulus
-        return all(all(x % m == 0 for x in b) for b in self.blocks)
-
-    def __eq__(self, other):
-        if self.table is not other.table or self.k != other.k:
-            return False
-        return (self - other).is_zero()
-
-
-def ind_act_letter(letter, v):
-    """Action of a single word letter on an induced vector."""
-    gen, e = letter
-    table, k, m = v.table, v.k, v.modulus
-    out = [zero_poly(k)] * table.index
-    # right-multiplication steps compute t_i * g^-1 = twist * t_j:
-    # g = S: g^-1 = S (one S-step); g = U: g^-1 = U^2; g = U^2: g^-1 = U
-    steps = 1 if gen == "S" else (3 - e)
-    for i, b in enumerate(v.blocks):
-        if not any(b):
-            continue
-        j, tw = i, None
-        for _ in range(steps):
-            j2, tw2 = v.table.step(j, gen)
-            tw = tw2 if tw is None else tw * tw2
-            j = j2
-        M = act_matrix(tw.inv(), k, m)
-        val = _matvec_mod(M, b, m)
-        out[j] = poly_add(out[j], tuple(val))
-    return IndVec(table, k, m, out)
+def reduce_chain(chain, modulus):
+    """The chain with its vectors reduced mod m (as it is over Z)."""
+    if not modulus:
+        return chain
+    return {key: [x % modulus for x in v] for key, v in chain.items()}
 
 
 class InductionMap:
-    """Blockwise map between induced modules.
+    """Blockwise map between induced modules, applied slot by slot to
+    chains.
 
     ``entries[src_block]`` is a list of (dst_block, matrix) pairs; the
     image of a vector adds matrix * block into dst_block for each pair.
@@ -221,16 +143,13 @@ class InductionMap:
         self.modulus = modulus
         self.entries = entries
 
-    def apply(self, v):
-        out = [zero_poly(self.k)] * self.dst_table.index
-        for i, b in enumerate(v.blocks):
-            if not any(b):
-                continue
-            for j, M in self.entries[i]:
-                val = _matvec_mod(M, b, self.modulus)
-                out[j] = poly_add(out[j], tuple(val))
-        res = IndVec(self.dst_table, self.k, self.modulus, out)
-        return res.reduce() if self.modulus else res
+    def apply(self, chain):
+        out = {}
+        for (slot, i), v in chain.items():
+            if any(v):
+                for j, M in self.entries[i]:
+                    add_image(out, (slot, j), M, v)
+        return reduce_chain(out, self.modulus)
 
 
 def restriction_map(src_table, dst_table, k, modulus=None, reps=None):

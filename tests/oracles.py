@@ -25,20 +25,22 @@ maps of ``hecke.conj_star``.  ``ind_act``, ``boundary2``,
 ``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
 ``transfer_res`` are the chain-level operations the tests check against.
 
-``evaluate_word``, ``transpose``, ``det``, ``smith_normal_form`` (the
+``Chain1`` (a pair (mS, mU) of ``IndVec``, one degree-2k block per
+coset in each slot), ``ind_act_letter`` and ``boundary1`` are the dense
+reference form of the library's chains, which are sparse dicts
+{(slot, block): vector}.  ``sparse`` and ``dense`` convert between the
+two forms; the oracles above work on dense chains, and the tests
+convert where they hand a chain to the library or take one back.
+
+``poly_sub``, ``poly_scale``, ``evaluate_word``, ``transpose``, ``det``, ``smith_normal_form`` (the
 Smith form with both transition matrices, built from two left-only
-Smith forms of the library) and ``saturate_columns`` are matrix and
-word helpers that only the tests need.
+Smith forms of the library), ``saturate_columns``, ``schreier`` and
+``p1_size`` are matrix, word and coset helpers that only the tests need.
 """
 
 from hypcycle.cosets import BudgetExceeded, CosetTable
 from hypcycle.hecke import ConjugateLeavesGroup, conjugate_by
-from hypcycle.homology import (
-    Chain1,
-    boundary1,
-    fox_expand_unit,
-    to_group_chain,
-)
+from hypcycle.homology import fox_expand_unit, to_group_chain
 from hypcycle.intlinalg import (
     ColumnEchelon,
     columns,
@@ -53,13 +55,186 @@ from hypcycle.intlinalg import (
 )
 from hypcycle.psl2 import I, S, U, decompose_word
 from hypcycle.symspace import (
-    IndVec,
     act,
     act_matrix,
     corestriction_map,
-    ind_act_letter,
+    poly_add,
+    poly_mod,
     restriction_map,
+    zero_poly,
 )
+
+
+def poly_sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def poly_scale(p, c):
+    return tuple(c * a for a in p)
+
+
+def _matvec_mod(M, v, modulus):
+    out = [0] * len(M)
+    for j, c in enumerate(v):
+        if c:
+            for i in range(len(M)):
+                out[i] += M[i][j] * c
+    if modulus is not None:
+        out = [x % modulus for x in out]
+    return out
+
+
+class IndVec:
+    """Element of the module induced from a subgroup coset table: one
+    degree-2k block per transversal element."""
+
+    __slots__ = ("table", "k", "modulus", "blocks")
+
+    def __init__(self, table, k, modulus, blocks):
+        self.table = table
+        self.k = k
+        self.modulus = modulus
+        self.blocks = blocks
+
+    @staticmethod
+    def zero(table, k, modulus=None):
+        z = zero_poly(k)
+        return IndVec(table, k, modulus, [z] * table.index)
+
+    @staticmethod
+    def unit(table, k, poly, block=0, modulus=None):
+        v = IndVec.zero(table, k, modulus)
+        blocks = list(v.blocks)
+        blocks[block] = poly_mod(poly, modulus) if modulus else tuple(poly)
+        v.blocks = blocks
+        return v
+
+    def __add__(self, other):
+        return IndVec(self.table, self.k, self.modulus,
+                      [poly_add(a, b) for a, b in zip(self.blocks, other.blocks)])
+
+    def __sub__(self, other):
+        return IndVec(self.table, self.k, self.modulus,
+                      [poly_sub(a, b) for a, b in zip(self.blocks, other.blocks)])
+
+    def __neg__(self):
+        return IndVec(self.table, self.k, self.modulus,
+                      [poly_scale(b, -1) for b in self.blocks])
+
+    def scale(self, c):
+        return IndVec(self.table, self.k, self.modulus,
+                      [poly_scale(b, c) for b in self.blocks])
+
+    def reduce(self):
+        if self.modulus is None:
+            return self
+        return IndVec(self.table, self.k, self.modulus,
+                      [poly_mod(b, self.modulus) for b in self.blocks])
+
+    def is_zero(self):
+        if self.modulus is None:
+            return all(not any(b) for b in self.blocks)
+        m = self.modulus
+        return all(all(x % m == 0 for x in b) for b in self.blocks)
+
+    def __eq__(self, other):
+        if self.table is not other.table or self.k != other.k:
+            return False
+        return (self - other).is_zero()
+
+
+def ind_act_letter(letter, v):
+    """Action of a single word letter on an induced vector."""
+    gen, e = letter
+    table, k, m = v.table, v.k, v.modulus
+    out = [zero_poly(k)] * table.index
+    # right-multiplication steps compute t_i * g^-1 = twist * t_j:
+    # g = S: g^-1 = S (one S-step); g = U: g^-1 = U^2; g = U^2: g^-1 = U
+    steps = 1 if gen == "S" else (3 - e)
+    for i, b in enumerate(v.blocks):
+        if not any(b):
+            continue
+        j, tw = i, None
+        for _ in range(steps):
+            j2, tw2 = v.table.step(j, gen)
+            tw = tw2 if tw is None else tw * tw2
+            j = j2
+        M = act_matrix(tw.inv(), k, m)
+        val = _matvec_mod(M, b, m)
+        out[j] = poly_add(out[j], tuple(val))
+    return IndVec(table, k, m, out)
+
+
+class Chain1:
+    """Degree-1 chain over the presentation: slots for S and U."""
+
+    __slots__ = ("mS", "mU")
+
+    def __init__(self, mS, mU):
+        self.mS = mS
+        self.mU = mU
+
+    @staticmethod
+    def zero(table, k, modulus=None):
+        return Chain1(IndVec.zero(table, k, modulus), IndVec.zero(table, k, modulus))
+
+    @property
+    def table(self):
+        return self.mS.table
+
+    @property
+    def k(self):
+        return self.mS.k
+
+    @property
+    def modulus(self):
+        return self.mS.modulus
+
+    def __add__(self, other):
+        return Chain1(self.mS + other.mS, self.mU + other.mU)
+
+    def __sub__(self, other):
+        return Chain1(self.mS - other.mS, self.mU - other.mU)
+
+    def __neg__(self):
+        return Chain1(-self.mS, -self.mU)
+
+    def scale(self, c):
+        return Chain1(self.mS.scale(c), self.mU.scale(c))
+
+    def reduce(self):
+        return Chain1(self.mS.reduce(), self.mU.reduce())
+
+    def is_zero(self):
+        return self.mS.is_zero() and self.mU.is_zero()
+
+    def __eq__(self, other):
+        return self.mS == other.mS and self.mU == other.mU
+
+
+def boundary1(c):
+    """(S-1) mS + (U-1) mU."""
+    out = ind_act_letter(("S", 1), c.mS) - c.mS
+    out = out + ind_act_letter(("U", 1), c.mU) - c.mU
+    return out.reduce() if c.modulus else out
+
+
+def sparse(c):
+    """The library form {(slot, block): vector} of a dense chain: its
+    nonzero blocks, reduced mod m over Z/m."""
+    c = c.reduce()
+    return {(slot, i): b for slot, v in (("S", c.mS), ("U", c.mU))
+            for i, b in enumerate(v.blocks) if any(b)}
+
+
+def dense(chain, table, k, modulus=None):
+    """The dense chain of a library chain on the given table."""
+    blocks = {"S": [zero_poly(k)] * table.index,
+              "U": [zero_poly(k)] * table.index}
+    for (slot, i), v in chain.items():
+        blocks[slot][i] = tuple(v)
+    return Chain1(IndVec(table, k, modulus, blocks["S"]),
+                  IndVec(table, k, modulus, blocks["U"])).reduce()
 
 
 class PredicateTable(CosetTable):
@@ -241,16 +416,23 @@ def group_chain_to_chain1(terms, table, k, modulus=None):
     list of terms; the inverse direction of to_group_chain."""
     out = Chain1.zero(table, k, modulus)
     for gamma, poly in terms:
-        out = out + fox_expand_unit(table, gamma, tuple(poly), k, modulus)
+        fox = fox_expand_unit(table, gamma, tuple(poly), k, modulus)
+        out = out + dense(fox, table, k, modulus)
     return out.reduce() if modulus else out
 
 
+def _apply_vec(imap, v):
+    """An InductionMap on one induced vector, carried in the S slot."""
+    image = imap.apply(sparse(Chain1(v, IndVec.zero(v.table, v.k, v.modulus))))
+    return dense(image, imap.dst_table, v.k, v.modulus).mS
+
+
 def restrict_coeff(v, sub_table, reps=None):
-    return restriction_map(v.table, sub_table, v.k, v.modulus, reps).apply(v)
+    return _apply_vec(restriction_map(v.table, sub_table, v.k, v.modulus, reps), v)
 
 
 def corestrict_coeff(v, sup_table):
-    return corestriction_map(v.table, sup_table, v.k, v.modulus).apply(v)
+    return _apply_vec(corestriction_map(v.table, sup_table, v.k, v.modulus), v)
 
 
 class NotACycleOnTransfer(Exception):
@@ -263,7 +445,7 @@ def transfer_res(c, sub_table, reps=None):
     if not boundary1(c).is_zero():
         raise NotACycleOnTransfer("transfer requires a cycle")
     rmap = restriction_map(c.table, sub_table, c.k, c.modulus, reps)
-    return Chain1(rmap.apply(c.mS), rmap.apply(c.mU))
+    return dense(rmap.apply(sparse(c)), sub_table, c.k, c.modulus)
 
 
 def conj_star_letter_walk(c, alpha, cor_map):
@@ -272,13 +454,13 @@ def conj_star_letter_walk(c, alpha, cor_map):
     and corestricted as a whole chain."""
     table2, k, m = cor_map.src_table, c.k, c.modulus
     out = Chain1.zero(table2, k, m)
-    for gamma, v in to_group_chain(c):
+    for gamma, v in to_group_chain(sparse(c), c.table, k, m):
         cg = conjugate_by(alpha, gamma)
         if cg is None or not table2.contains(cg):
             raise ConjugateLeavesGroup("conjugate leaves the target group")
         unit = IndVec.unit(table2, k, act(alpha, v, m), modulus=m)
         out = out + fox_expand(decompose_word(cg), unit)
-    return Chain1(cor_map.apply(out.mS), cor_map.apply(out.mU))
+    return dense(cor_map.apply(sparse(out)), cor_map.dst_table, k, m)
 
 
 def evaluate_word(word):
@@ -355,3 +537,26 @@ def saturate_columns(B):
         return identity(n)
     # saturation = integer kernel of the left-kernel pairing
     return kernel_basis(transpose(left_kernel))
+
+
+def schreier(table, g):
+    """Decompose g = gamma * t with gamma in the subgroup and t in the
+    transversal."""
+    j, tw = table.coset_of(g)
+    return tw, table.transversal[j]
+
+
+def p1_size(N):
+    """#P^1(Z/N) by the multiplicative formula N * prod(1 + 1/p)."""
+    n = N
+    num = N
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            num = num // p * (p + 1)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        num = num // n * (n + 1)
+    return num

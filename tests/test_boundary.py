@@ -1,14 +1,17 @@
 """Cusp data against classical formulas that share no code with the
 coset tables: the cusp count and cusp widths of Gamma_0(N), the cusp
-count of Gamma_1(N), and membership of every stabilizer."""
+count of Gamma_1(N), and membership of every stabilizer; the boundary
+subgroup and its Hecke generation."""
 
 from math import gcd
 
 import pytest
 
-from hypcycle.boundary import cusp_data
-from hypcycle.cosets import SubgroupSpec, build_cosets, p1_size
+from hypcycle.boundary import boundary_subgroup, check_hecke_generation, cusp_data
+from hypcycle.cosets import SubgroupSpec, build_cosets
+from hypcycle.homology import compute_h1
 from hypcycle.psl2 import PARABOLIC, classify
+from oracles import p1_size
 
 
 def phi(n):
@@ -74,3 +77,18 @@ def test_cusps_independent_of_transversal(spec_name):
         shuffled = cusp_data(build_cosets(spec, shuffle_seed=seed))
         assert sorted(c.width for c in shuffled) == base
         assert all(spec.contains(c.stabilizer) for c in shuffled)
+
+
+def test_hecke_generation_gamma1_9():
+    report = check_hecke_generation(SubgroupSpec.gamma1(9), 0)
+    assert report.verdict == "Verified"
+    assert report.span_factors == report.boundary_factors == (0,) * 7
+
+
+def test_boundary_subgroup_gamma1_13():
+    # 12 cusps: the parabolic cycles span a free module of rank 12
+    spec = SubgroupSpec.gamma1(13)
+    h1 = compute_h1(spec, 1)
+    module, _ = boundary_subgroup(spec, 1, h1=h1)
+    assert h1.rank == 42 and h1.invariant_factors == (0,) * 42
+    assert module.invariant_factors == (0,) * 12

@@ -1,7 +1,8 @@
 """Exit codes of the command-line interface (0 Verified, 2 Inconclusive,
-3 bad input), the ``batch`` runner's exit code, byte-identical reports
-for repeated runs, and ``hecke`` in a process where sympy cannot be
-imported."""
+3 bad input), the ``batch`` runner's exit code, ``--output`` on either
+side of the subcommand, byte-identical reports for repeated runs, the
+cycle class of a hyperbolic matrix, and ``hecke`` in a process where
+sympy cannot be imported."""
 
 import csv
 import io
@@ -58,6 +59,33 @@ def test_batch_exit_code_caps_at_2(rows, expect, tmp_path, capsys):
         assert row["status"] == ("error" if bad else "ok")
         assert int(row["exit_code"]) == (3 if bad else
                                          2 if entry is INCONCLUSIVE else 0)
+
+
+@pytest.mark.parametrize("before, after", [
+    (["--output", "{out}"], ["batch", "--manifest", "{manifest}"]),
+    ([], ["batch", "--manifest", "{manifest}", "--output", "{out}"]),
+    (["--output", "{out}"], ["h1", "--group", "gamma0:11", "--k", "0"]),
+])
+def test_output_flag_writes_the_file(before, after, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([GOOD]))
+    out = tmp_path / "report.txt"
+    argv = [a.format(out=out, manifest=manifest) for a in before + after]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    if "batch" in argv:
+        assert next(csv.DictReader(io.StringIO(text)))["status"] == "ok"
+    else:
+        assert json.loads(text)["invariant_factors"] == [0, 0, 0]
+
+
+def test_cycle_of_hyperbolic_matrix(capsys):
+    code = cli.main("cycle --group gamma0:11 --k 1 --matrix [[7,-2],[11,-3]]"
+                    .split())
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["class"] == "hyperbolic"
+    assert len(report["coords"]) == len(report["h1_invariant_factors"]) == 6
 
 
 @pytest.mark.parametrize("argv", [

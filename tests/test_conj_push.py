@@ -18,11 +18,10 @@ from hypcycle.hecke import (
     diamond_matrix,
     gamma0p_intersection,
 )
-from hypcycle.homology import Chain1, compute_h1, fox_expand_unit
+from hypcycle.homology import compute_h1, fox_expand_unit
 from hypcycle.intlinalg import RingSpec, ZZ
 from hypcycle.psl2 import I, Mat2, S, T, TP, U, decompose_word
-from hypcycle.symspace import IndVec
-from oracles import conj_star_letter_walk, fox_expand
+from oracles import IndVec, conj_star_letter_walk, dense, fox_expand
 
 PUSH = settings(max_examples=30, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow,
@@ -106,13 +105,16 @@ def test_conj_star_matches_letter_walk(case):
     cache = {}
     for i in range(min(dc.source.ngens, 3)):
         c = dc.source.generator_chain(i)
-        rc = Chain1(dc.res_map.apply(c.mS), dc.res_map.apply(c.mU))
-        expect = conj_star_letter_walk(rc, dc.alpha, dc.cor_map)
+        rc = dc.res_map.apply(c)
+        m, target = ring.modulus, dc.target.table
+        expect = conj_star_letter_walk(dense(rc, dc.table1, k, m), dc.alpha,
+                                       dc.cor_map)
         # an element is pushed on its (2k+1)-th use; later uses hit the
         # cached pushed map
         for _ in range(2 * k + 2):
-            assert conj_star(rc, dc.alpha, dc.cor_map, cache) == expect
-        assert dc.apply_chain(c) == expect
+            got = conj_star(rc, dc.table1, dc.alpha, dc.cor_map, cache)
+            assert dense(got, target, k, m) == expect
+        assert dense(dc.apply_chain(c), target, k, m) == expect
     assert all(isinstance(v, list) for v in cache.values())
 
 
@@ -124,9 +126,9 @@ def test_fox_unit_map_matches_letter_walk(spec, k, ring, word, data):
     g = evaluate(word)
     poly = data.draw(polys(k, ring))
     expect = fox_expand(decompose_word(g), IndVec.unit(table, k, poly, modulus=m))
-    assert fox_expand_unit(table, g, poly, k, m) == expect
+    assert dense(fox_expand_unit(table, g, poly, k, m), table, k, m) == expect
     # the second expansion reads the map cached under the element
-    assert fox_expand_unit(table, g, poly, k, m) == expect
+    assert dense(fox_expand_unit(table, g, poly, k, m), table, k, m) == expect
 
 
 @PUSH
@@ -140,5 +142,6 @@ def test_corestricted_fox_map_is_target_fox_map(case, word, data):
     poly = data.draw(polys(k, ring))
     for g in [evaluate(word)] + dc.table2.schreier_generators()[:4]:
         fox2 = fox_expand_unit(dc.table2, g, poly, k, m)
-        pushed = Chain1(cor.apply(fox2.mS), cor.apply(fox2.mU))
-        assert pushed == fox_expand_unit(dc.target.table, g, poly, k, m)
+        pushed = dense(cor.apply(fox2), dc.target.table, k, m)
+        direct = fox_expand_unit(dc.target.table, g, poly, k, m)
+        assert pushed == dense(direct, dc.target.table, k, m)

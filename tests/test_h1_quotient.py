@@ -27,7 +27,7 @@ from hypcycle.intlinalg import (
     rank,
     smith_normal_form_full,
 )
-from oracles import dense_h1, kernel_mod_augmented
+from oracles import boundary1, dense, dense_h1, kernel_mod_augmented
 
 GRID = settings(max_examples=30, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow,
@@ -115,7 +115,8 @@ class TestUnlockedRungs:
         bits = [x.bit_length() for row in h1.module.gen_lift for x in row]
         for i in range(h1.ngens):
             chain = h1.generator_chain(i)
-            bits += [x.bit_length() for v in (chain.mS, chain.mU)
+            dc = dense(chain, h1.table, 11)
+            bits += [x.bit_length() for v in (dc.mS, dc.mU)
                      for b in v.blocks for x in b]
             e = [0] * h1.ngens
             e[i] = 1
@@ -129,12 +130,10 @@ class TestGeneratorChains:
         ("gamma1:13", 0, "Zp:3:3"), ("gamma0:1", 9, "Fp:5"),
         ("gamma0:11", 1, "Q")])
     def test_lifts_are_cycles_with_unit_coords(self, group, k, ring):
-        from hypcycle.homology import boundary1
-
         h1 = compute_h1(SubgroupSpec.parse(group), k, RingSpec.parse(ring))
         for i in range(h1.ngens):
             chain = h1.generator_chain(i)
-            assert boundary1(chain).is_zero()
+            assert boundary1(dense(chain, h1.table, k, h1.modulus)).is_zero()
             e = [0] * h1.ngens
             e[i] = 1
             assert h1.coords(chain) == tuple(e)
@@ -179,6 +178,12 @@ class TestCli:
         "cycle --group gamma0:1 --k 0 --matrix [[2,1],[1,1]]x",
         "cycle --group gamma0:1 --k 0 --matrix 7",
         "cycle --group gamma0:1 --k 0 --matrix [[1.9,0],[0,1]]",
+        "verify-main --group gamma0:11 --k 0 --p 3 --max-word-len -1",
+        "verify-main --group gamma0:11 --k 0 --p 3 --max-generators 0",
+        "verify-main --group gamma0:11 --k 0 --p 3 --max-generators -3",
+        "verify-main --group gamma0:11 --k 0 --p 3 --patience 0",
+        "quotient --group gamma0:11 --k 0 --max-word-len 0",
+        "bridge --N 9 --p 3 --k 1 --patience -2",
     ])
     def test_bad_input_exits_3(self, argv, capsys):
         code, report = run_cli(argv.split(), capsys)

@@ -20,7 +20,7 @@ from hypcycle.hecke import (
     identity_operator,
     pi_phi_V,
 )
-from hypcycle.homology import Chain1, compute_h1
+from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ
 from hypcycle.psl2 import (
     HYPERBOLIC,
@@ -33,8 +33,16 @@ from hypcycle.psl2 import (
     classify,
     quadratic_form,
 )
-from hypcycle.symspace import IndVec, act, corestriction_map, poly_pow
-from oracles import NotACycleOnTransfer, subgroup_cosets, transfer_res
+from hypcycle.symspace import act, corestriction_map, poly_pow
+from oracles import (
+    Chain1,
+    IndVec,
+    NotACycleOnTransfer,
+    boundary1,
+    dense,
+    subgroup_cosets,
+    transfer_res,
+)
 
 
 def random_hyperbolic_in(spec, rng, count, steps=8):
@@ -169,14 +177,12 @@ class TestTransfer:
             transfer_res(bad, sub.table)
 
     def test_chain_level_transfer_is_cycle(self):
-        from hypcycle.homology import boundary1
-
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
         sub = compute_h1(SubgroupSpec.gamma0(2), 1, ZZ)
         rng = random.Random(81)
         for g in random_hyperbolic_in(SubgroupSpec.gamma1(1), rng, 5):
             c = h1.cycle(g, quadratic_form(g))
-            rc = transfer_res(c, sub.table)
+            rc = transfer_res(dense(c, h1.table, 1), sub.table)
             assert boundary1(rc).is_zero()
 
 
@@ -186,7 +192,7 @@ class TestConjStar:
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
             c = h1.cycle(g, (1,))
-            out = conj_star(c, I.lift(),
+            out = conj_star(c, h1.table, I.lift(),
                             corestriction_map(h1.table, h1.table, 0))
             assert h1.coords(out) == h1.coords(c)
 
@@ -204,7 +210,7 @@ class TestConjStar:
         c = h1.cycle(g, quadratic_form(g))
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
         with pytest.raises((ConjugateLeavesGroup, Exception)):
-            conj_star(c, Mat2(1, 0, 0, 2),
+            conj_star(c, h1.table, Mat2(1, 0, 0, 2),
                       corestriction_map(tgt.table, tgt.table, 1))
 
 

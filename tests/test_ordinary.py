@@ -1,5 +1,5 @@
-"""Soundness of the verdicts of the ordinary-part verifiers, and the
-idempotent against its defining equations."""
+"""Soundness of the verdicts of the ordinary-part verifiers, the
+idempotent against its defining equations, and the mod-p bridge."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from hypcycle.cosets import SubgroupSpec
 from hypcycle.ordinary import (
     Budget,
     cycle_quotient_report,
+    mod_p_bridge,
     ordinary_part,
     verify_main_theorem,
 )
@@ -64,3 +65,14 @@ def test_idempotent_equations(spec_name, k, p, M, ordinary_rank):
         assert dec.image.contains(ecol)
         rest = [(c - x) % o for c, x, o in zip(col, ecol, pm.orders)]
         assert dec.kernel.contains(rest)         # 1 - e lands in the kernel
+
+
+@pytest.mark.parametrize("N,p,k,dim", [(9, 3, 1, 3), (5, 5, 2, 2)])
+def test_mod_p_bridge_verified(N, p, k, dim):
+    # j_*: b -> b * X2^(2k) carries the constant chains of the generators
+    # into degree 2k, so this runs every chain producer and consumer
+    report = mod_p_bridge(N, p, k)
+    assert report.verdict == "Verified"
+    assert report.ordinary_dim_constant == report.ordinary_dim_weighted == dim
+    assert report.equivariant and report.image_matches
+    assert report.unit_scalings_checked == 20

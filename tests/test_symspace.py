@@ -6,19 +6,24 @@ from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.intlinalg import from_columns, identity, subquotient
 from hypcycle.psl2 import I, Mat2, PMat, S, T, TP, U
 from hypcycle.symspace import (
-    IndVec,
     NonPositiveDeterminant,
     act,
     monomial,
     poly_add,
     poly_mul,
     poly_pow,
-    poly_sub,
     restriction_map,
     x2_power,
     zero_poly,
 )
-from oracles import corestrict_coeff, ind_act, restrict_coeff, subgroup_cosets
+from oracles import (
+    IndVec,
+    corestrict_coeff,
+    ind_act,
+    poly_sub,
+    restrict_coeff,
+    subgroup_cosets,
+)
 
 
 def random_psl(rng, steps=6):
