@@ -5,9 +5,16 @@ cusp, and the (1 + p^(2k+1) <p>) identity on translation cycles.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .cosets import SubgroupSpec, build_cosets
-from .hecke import WrongDivisibility, diamond, hecke_T, hecke_operator
+from .hecke import (
+    DoubleCoset,
+    WrongDivisibility,
+    diamond_coset,
+    hecke_matrix_diag_p,
+    t_coset,
+)
 from .homology import compute_h1
 from .intlinalg import Lattice, ZZ, from_columns, subquotient
 from .psl2 import PARABOLIC, PMat, T, classify, quadratic_form
@@ -79,15 +86,16 @@ def boundary_cycles(h1, cusps=None):
     return out
 
 
-def boundary_subgroup(spec, k, ring=ZZ, h1=None):
-    """Submodule of H1 generated by the parabolic cycles of all cusps.
+def boundary_subgroup(spec, k, ring=ZZ, h1=None, cusps=None):
+    """Submodule of H1 generated by the parabolic cycles of all cusps
+    (``cusps`` as from cusp_data, computed if left out).
 
     Every parabolic element is conjugate in the subgroup to a power of
     a cusp stabilizer, and cycles scale linearly in powers, so the
     finitely many stabilizer cycles generate the whole boundary."""
     if h1 is None:
         h1 = compute_h1(spec, k, ring)
-    cols = boundary_cycles(h1)
+    cols = boundary_cycles(h1, cusps)
     rel = h1.module.relation_columns()
     g = h1.ngens
     span = Lattice(g)
@@ -120,8 +128,8 @@ def check_boundary_identity(N, p, k, h1=None):
     if h1 is None:
         h1 = compute_h1(spec, k, ZZ)
     z = list(h1.cycle_coords(T, x2_power(k)))
-    lhs = hecke_T(p, h1).apply_coords(z)
-    dz = diamond(p, h1).apply_coords(z)
+    lhs = t_coset(p, h1).apply_coords(z)
+    dz = diamond_coset(p, h1).apply_coords(z)
     rhs = h1.reduce_coords([a + p ** (2 * k + 1) * b for a, b in zip(z, dz)])
     verdict = "Verified" if tuple(lhs) == tuple(rhs) else "Falsified"
     return IdentityReport(verdict, N, p, k, tuple(lhs), tuple(rhs))
@@ -141,9 +149,10 @@ def check_hecke_generation(spec, k, primes=(2, 3, 5), max_rounds=6, h1=None):
     """Check that the Hecke orbit of the width-one translation cycle
     spans the boundary subgroup (the subgroup must contain T).
 
-    Applies the diag(1, l) operators for the budgeted primes, plus the
-    diamond operators, iterating on new vectors until stable; verdict
-    Inconclusive if the budget stops short of the boundary."""
+    Applies the diag(1, l) double cosets for the budgeted primes, the
+    diamond operators and the cusp-moving double cosets to the new
+    vectors of each round until stable; verdict Inconclusive if the
+    budget stops short of the boundary."""
     if not spec.contains(T):
         raise ValueError("supported groups contain T (width one at infinity)")
     if h1 is None:
@@ -157,23 +166,19 @@ def check_hecke_generation(spec, k, primes=(2, 3, 5), max_rounds=6, h1=None):
     ops = []
     names = []
     for ell in primes:
-        ops.append(hecke_operator(ell, h1))
+        ops.append(hecke_matrix_diag_p(h1, ell))
         names.append(("U%d" if spec.N % ell == 0 else "T%d") % ell)
     for d in range(2, spec.N):
-        from math import gcd
-
         if gcd(d, spec.N) == 1:
-            ops.append(diamond(d, h1))
+            ops.append(diamond_coset(d, h1))
             names.append("<%d>" % d)
     # cusp-moving conjugations: the lemma's generation statement runs
     # over all alpha of positive determinant, and reaching a cusp other
     # than infinity needs an alpha that moves it there
-    from .hecke import DoubleCoset
-
     for c in cusps:
         if c.representative.is_identity():
             continue
-        ops.append(DoubleCoset(h1, h1, c.representative.lift()).operator())
+        ops.append(DoubleCoset(h1, h1, c.representative.lift()))
         names.append("[G %r G]" % (c.representative,))
     span = Lattice(g)
     for col in rel:

@@ -222,7 +222,7 @@ def cmd_boundary(args):
     ring = RingSpec.parse(args.ring)
     h1 = compute_h1(spec, args.k, ring)
     cusps = cusp_data(h1.table)
-    module, _ = boundary_subgroup(spec, args.k, ring, h1=h1)
+    module, _ = boundary_subgroup(spec, args.k, ring, h1=h1, cusps=cusps)
     report = {
         "group": spec.name,
         "k": args.k,

@@ -2,16 +2,20 @@
 corestriction factorization, and the specializations T_p, U_p, the
 diamond operators, and the level-raising triple (pi, phi, V).
 
-An operator from H1(Gamma) to H1(Gamma') attached to alpha with
-det(alpha) > 0 is computed column by column: each basis cycle is
-restricted to Gamma_1 = Gamma n alpha^-1 Gamma' alpha by the averaging
-map on coefficients, rewritten in subgroup form, conjugated term by
-term through alpha into Gamma_2 = alpha Gamma_1 alpha^-1, re-expanded,
-and corestricted to Gamma'.  Corestriction is equivariant, so it is
-applied to maps rather than chains: each conjugated element's Fox map
-on Gamma_2 is pushed through the corestriction once, cached on its
-double coset, and every later term with that element costs one
-matrix-vector product per (slot, block of Gamma') it touches.
+The double coset of alpha with det(alpha) > 0 maps one cycle at a
+time from H1(Gamma) to H1(Gamma'): the cycle is restricted to
+Gamma_1 = Gamma n alpha^-1 Gamma' alpha by the averaging map on
+coefficients, rewritten in subgroup form, conjugated term by term
+through alpha into Gamma_2 = alpha Gamma_1 alpha^-1, re-expanded, and
+corestricted to Gamma'.  A check that needs the images of a few
+classes maps just those (``DoubleCoset.apply_coords``); the operator
+matrix is the images of the generators.
+
+Corestriction is equivariant, so it is applied to maps rather than
+chains: each conjugated element's Fox map on Gamma_2 is pushed through
+the corestriction once, cached on its double coset, and every later
+term with that element costs one matrix-vector product per (slot,
+block of Gamma') it touches.
 """
 
 from dataclasses import dataclass
@@ -247,12 +251,15 @@ class DoubleCoset:
         return conj_star(self.res_map.apply(c), self.table1, self.alpha,
                          self.cor_map, self._pushed)
 
+    def apply_coords(self, coords):
+        """Target coordinates of the image of one class, given by its
+        source coordinates."""
+        return self.target.coords(self.apply_chain(self.source.chain(coords)))
+
     def operator(self):
         if self._matrix is None:
-            cols = []
-            for i in range(self.source.ngens):
-                image = self.apply_chain(self.source.generator_chain(i))
-                cols.append(list(self.target.coords(image)))
+            cols = [list(self.apply_coords(unit))
+                    for unit in identity(self.source.ngens)]
             self._matrix = from_columns(cols, self.target.ngens)
         return OperatorMatrix(self._matrix, self.source, self.target)
 
@@ -262,11 +269,16 @@ def hecke_matrix_diag_p(h1, p):
     return DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
 
 
-def hecke_T(p, h1):
+def t_coset(p, h1):
+    """The double coset of T_p, for p coprime to the level."""
     spec = h1.spec
     if spec is None or spec.N % p == 0:
         raise WrongDivisibility("T_p requires p coprime to the level")
-    return hecke_matrix_diag_p(h1, p).operator()
+    return hecke_matrix_diag_p(h1, p)
+
+
+def hecke_T(p, h1):
+    return t_coset(p, h1).operator()
 
 
 def hecke_U(p, h1):
@@ -306,9 +318,11 @@ def diamond_matrix(N, d):
     return Mat2(a, b, N, d)
 
 
-def diamond(d, h1, beta=None):
-    """The diamond operator <d>: conjugation-push by any beta in
-    Gamma_0(N) with lower-right entry d mod N."""
+def diamond_coset(d, h1, beta=None):
+    """The diamond operator <d> as a map of classes: the identity
+    operator if d = 1 mod N, else the conjugation-push by any beta in
+    Gamma_0(N) with lower-right entry d mod N.  Both have
+    ``apply_coords``."""
     spec = h1.spec
     if spec is None:
         raise ValueError("diamond operator needs a subgroup spec")
@@ -317,7 +331,13 @@ def diamond(d, h1, beta=None):
         return identity_operator(h1)
     if beta is None:
         beta = diamond_matrix(N, d)
-    return DoubleCoset(h1, h1, beta).operator()
+    return DoubleCoset(h1, h1, beta)
+
+
+def diamond(d, h1, beta=None):
+    """The matrix of the diamond operator <d> (see diamond_coset)."""
+    op = diamond_coset(d, h1, beta)
+    return op.operator() if isinstance(op, DoubleCoset) else op
 
 
 @dataclass

@@ -188,7 +188,8 @@ class H1Presentation:
     The ambient coordinates of the module are those of C1 modulo the
     local relations, restricted to the generators off the spanning
     tree (see LocalQuotient); ``coords`` projects a cycle there and
-    solves in the kernel basis, and ``generator_chain`` lifts back.
+    solves in the kernel basis, and ``chain`` lifts generator
+    coordinates back to a cycle.
     """
 
     def __init__(self, table, k, ring, module, quotient, spec=None):
@@ -219,8 +220,12 @@ class H1Presentation:
         """Generator coordinates of a cycle (over Z/m: a cycle mod m)."""
         return self.module.coords(self.quotient.project(chain))
 
+    def chain(self, coords):
+        """A cycle with the given generator coordinates."""
+        return self.quotient.lift(self.module.lift(coords))
+
     def generator_chain(self, i):
-        return self.quotient.lift(self.module.generator(i))
+        return self.chain([int(j == i) for j in range(self.ngens)])
 
     def cycle(self, gamma, poly):
         return cycle_of(gamma, poly, self.table, self.k, self.ring.modulus)

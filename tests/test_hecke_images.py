@@ -1,0 +1,133 @@
+"""Hecke images of single classes: ``DoubleCoset.apply_coords`` against
+the operator matrix, and the claim checks that map only the cycles they
+need (counted chain images and the former ceiling cases)."""
+
+from math import gcd
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from hypcycle.boundary import (
+    check_boundary_identity,
+    check_hecke_generation,
+    cusp_data,
+)
+from hypcycle.cosets import SubgroupSpec
+from hypcycle.hecke import (
+    DoubleCoset,
+    WrongDivisibility,
+    diamond,
+    diamond_coset,
+    diamond_matrix,
+    identity_operator,
+)
+from hypcycle.homology import compute_h1
+from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns
+from hypcycle.psl2 import Mat2
+
+IMAGES = settings(max_examples=50, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow,
+                                         HealthCheck.filter_too_much])
+# index times (2k+1) times the number of generators bounds the chain
+# images of a whole operator matrix
+MAX_WORK = 4000
+
+
+@st.composite
+def rings(draw):
+    ell = draw(st.sampled_from([2, 3, 5]))
+    return draw(st.sampled_from([ZZ, QQ, RingSpec("Fp", p=ell),
+                                 RingSpec("ZpM", p=ell, M=2)]))
+
+
+@st.composite
+def cases(draw):
+    kind = draw(st.sampled_from(["gamma0", "gamma1"]))
+    spec = SubgroupSpec.parse("%s:%d" % (kind, draw(st.integers(1, 13))))
+    return (spec, draw(st.integers(0, 2)), draw(rings()),
+            draw(st.sampled_from(["T", "U", "diamond", "cusp"])),
+            draw(st.sampled_from([2, 3, 5])))
+
+
+def double_coset(h1, op, p):
+    N = h1.spec.N
+    if op in ("T", "U"):
+        assume((N % p == 0) == (op == "U"))
+        return DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
+    if op == "diamond":
+        units = [d for d in range(2, N) if gcd(d, N) == 1]
+        assume(units)
+        return DoubleCoset(h1, h1, diamond_matrix(N, units[p % len(units)]))
+    reps = [c.representative for c in cusp_data(h1.table)
+            if not c.representative.is_identity()]
+    assume(reps)
+    return DoubleCoset(h1, h1, reps[p % len(reps)].lift())
+
+
+@IMAGES
+@given(cases(), st.data())
+def test_apply_coords_matches_operator_matrix(case, data):
+    spec, k, ring, op, p = case
+    h1 = compute_h1(spec, k, ring)
+    assume(0 < h1.ngens
+           and h1.table.index * (2 * k + 1) * h1.ngens <= MAX_WORK)
+    dc = double_coset(h1, op, p)
+    # the matrix against columns lifted from the module's generators
+    # directly, not through H1Presentation.chain
+    cols = [list(h1.coords(dc.apply_chain(
+        h1.quotient.lift(h1.module.generator(i)))))
+        for i in range(h1.ngens)]
+    assert dc.operator().matrix == from_columns(cols, h1.ngens)
+    m = ring.modulus
+    lo, hi = (0, m - 1) if m else (-9, 9)
+    for _ in range(3):
+        z = data.draw(st.lists(st.integers(lo, hi), min_size=h1.ngens,
+                               max_size=h1.ngens))
+        assert dc.apply_coords(z) == dc.operator().apply_coords(z)
+
+
+def test_diamond_keeps_identity_and_divisibility():
+    h1 = compute_h1(SubgroupSpec.gamma1(13), 0, ZZ)
+    assert diamond_coset(14, h1).equals(identity_operator(h1))
+    assert diamond(14, h1).equals(identity_operator(h1))
+    with pytest.raises(WrongDivisibility):
+        diamond_coset(13, h1)
+
+
+@pytest.fixture
+def chain_images(monkeypatch):
+    """Counts calls of DoubleCoset.apply_chain."""
+    count = [0]
+    apply_chain = DoubleCoset.apply_chain
+
+    def counted(self, c):
+        count[0] += 1
+        return apply_chain(self, c)
+
+    monkeypatch.setattr(DoubleCoset, "apply_chain", counted)
+    return count
+
+
+def test_identity_check_maps_one_cycle_per_double_coset(chain_images):
+    assert check_boundary_identity(2, 3, 1).verdict == "Verified"
+    assert chain_images[0] == 2
+
+
+def test_generation_check_maps_frontier_only(chain_images):
+    report = check_hecke_generation(SubgroupSpec.gamma1(9), 0)
+    assert report.verdict == "Verified"
+    assert chain_images[0] <= 15
+
+
+# former ceilings: with full operator matrices these took 12 s each
+
+def test_identity_ceiling_n6(chain_images):
+    assert check_boundary_identity(6, 5, 1).verdict == "Verified"
+    assert chain_images[0] == 2
+
+
+def test_generation_ceiling_gamma1_16(chain_images):
+    report = check_hecke_generation(SubgroupSpec.gamma1(16), 1)
+    assert report.verdict == "Verified"
+    assert chain_images[0] <= len(report.operators)
