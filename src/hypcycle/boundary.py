@@ -119,14 +119,13 @@ class IdentityReport:
     rhs: tuple
 
 
-def check_boundary_identity(N, p, k, h1=None):
+def check_boundary_identity(N, p, k):
     """T_p z(T) = (1 + p^(2k+1) <p>) z(T) on Gamma_1(N^2), exactly in
     H1 coordinates over Z."""
     if p == N or N % p == 0:
         raise WrongDivisibility("the identity needs p coprime to N")
     spec = SubgroupSpec.gamma1(N * N)
-    if h1 is None:
-        h1 = compute_h1(spec, k, ZZ)
+    h1 = compute_h1(spec, k, ZZ)
     z = list(h1.cycle_coords(T, x2_power(k)))
     lhs = t_coset(p, h1).apply_coords(z)
     dz = diamond_coset(p, h1).apply_coords(z)
@@ -145,18 +144,23 @@ class GenerationReport:
     boundary_factors: tuple
 
 
-def check_hecke_generation(spec, k, primes=(2, 3, 5), max_rounds=6, h1=None):
+# primes l of the diag(1, l) double cosets, and the number of rounds,
+# that ``check_hecke_generation`` applies before it gives up
+GENERATION_PRIMES = (2, 3, 5)
+GENERATION_ROUNDS = 6
+
+
+def check_hecke_generation(spec, k):
     """Check that the Hecke orbit of the width-one translation cycle
     spans the boundary subgroup (the subgroup must contain T).
 
-    Applies the diag(1, l) double cosets for the budgeted primes, the
+    Applies the diag(1, l) double cosets for ``GENERATION_PRIMES``, the
     diamond operators and the cusp-moving double cosets to the new
-    vectors of each round until stable; verdict Inconclusive if the
-    budget stops short of the boundary."""
+    vectors of each round until stable; verdict Inconclusive if
+    ``GENERATION_ROUNDS`` rounds stop short of the boundary."""
     if not spec.contains(T):
         raise ValueError("supported groups contain T (width one at infinity)")
-    if h1 is None:
-        h1 = compute_h1(spec, k, ZZ)
+    h1 = compute_h1(spec, k, ZZ)
     g = h1.ngens
     rel = h1.module.relation_columns()
     cusps = cusp_data(h1.table)
@@ -165,7 +169,7 @@ def check_hecke_generation(spec, k, primes=(2, 3, 5), max_rounds=6, h1=None):
         boundary.add(col)
     ops = []
     names = []
-    for ell in primes:
+    for ell in GENERATION_PRIMES:
         ops.append(hecke_matrix_diag_p(h1, ell))
         names.append(("U%d" if spec.N % ell == 0 else "T%d") % ell)
     for d in range(2, spec.N):
@@ -187,7 +191,7 @@ def check_hecke_generation(spec, k, primes=(2, 3, 5), max_rounds=6, h1=None):
     span.add(z0)
     frontier = [z0]
     rounds = 0
-    while frontier and rounds < max_rounds:
+    while frontier and rounds < GENERATION_ROUNDS:
         new = []
         for op in ops:
             for z in frontier:

@@ -100,7 +100,6 @@ def _budget_from(args):
     return Budget(
         max_word_len=args.max_word_len,
         max_generators=args.max_generators,
-        patience=args.patience,
         seed=args.seed,
     )
 
@@ -301,7 +300,6 @@ def _add_budget_flags(p):
                    dest="max_word_len")
     p.add_argument("--max-generators", type=_positive, default=300,
                    dest="max_generators")
-    p.add_argument("--patience", type=_positive, default=25)
 
 
 OUTPUT_HELP = "write the report to a file"

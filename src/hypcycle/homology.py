@@ -396,7 +396,7 @@ def compute_h1(spec_or_table, k, ring=ZZ, shuffle_seed=None):
     coefficients over the given ring.
 
     H1 is the torsion of C1 / im d2 plus the kernel of d1 on its free
-    part (see LocalQuotient).  Over Z and Q that kernel is saturated;
+    part (see LocalQuotient).  Over Z and Q that kernel is primitive;
     over Z/m it is the kernel mod m, taken modulo m on the free part
     and modulo gcd(e, m) on a local torsion factor e.  Over Q only the
     free part is exposed.

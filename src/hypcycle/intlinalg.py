@@ -285,7 +285,7 @@ class ColumnEchelon:
 
 
 def kernel_basis(A):
-    """Columns spanning the integer kernel of A (a saturated sublattice),
+    """Columns spanning the integer kernel of A (a primitive sublattice),
     returned as a matrix with one column per kernel generator."""
     ech = ColumnEchelon(A)
     cols = ech.kernel_columns()

