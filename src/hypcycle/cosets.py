@@ -140,6 +140,7 @@ class CosetTable:
         self.index = len(transversal)
         self._cosets = cosets
         self.fox_cache = {}
+        self.fox_steps = {}
 
     def contains(self, g):
         """Membership of g: its coset is the identity coset."""

@@ -11,24 +11,25 @@ corestricted to Gamma'.  A check that needs the images of a few
 classes maps just those (``DoubleCoset.apply_coords``); the operator
 matrix is the images of the generators.
 
-Corestriction is equivariant, so it is applied to maps rather than
-chains: each conjugated element's Fox map on Gamma_2 is pushed through
-the corestriction once, cached on its double coset, and every later
-term with that element costs one matrix-vector product per (slot,
-block of Gamma') it touches.
+Cycles are mapped in batches (one class, or every generator for the
+matrix).  Corestriction is equivariant, so a conjugated element used at
+least 2k+1 times in a batch has its Fox map on Gamma_2 pushed through
+the corestriction once; other terms are expanded on Gamma_2 and
+corestricted blockwise.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from .homology import (
     H1Presentation,
     _fox_unit_map,
     compute_h1,
-    merge_blocks,
     to_group_chain,
 )
-from .intlinalg import from_columns, identity, mat_mul, xgcd
+from .intlinalg import from_columns, identity, xgcd
 from .psl2 import I, Mat2, PMat
 from .symspace import (
     act,
@@ -85,59 +86,85 @@ def intersection_key(key, key_prime, alpha):
     return key1
 
 
+def intersection_table(table, alpha, table_prime):
+    """Coset table of Gamma n alpha^-1 Gamma' alpha, for Gamma and Gamma'
+    the groups of the tables: the table of Gamma when alpha s alpha^-1
+    lies in Gamma' for every Schreier generator s of Gamma, else one
+    built on intersection_key."""
+    conj = (conjugate_by(alpha, s) for s in table.schreier_generators())
+    if all(cg is not None and table_prime.contains(cg) for cg in conj):
+        return table
+    return build_cosets(intersection_key(table.key, table_prime.key, alpha))
+
+
 def _push_fox_map(entries, cor_map, d, modulus):
-    """The Fox map of an element on the table of Gamma_2 pushed through
-    the corestriction: one matrix per (slot, target block)."""
+    """The Fox map of an element on Gamma_2's table pushed through the
+    corestriction: per (slot, target block), the sum of C M over the
+    entries M that reach it through C (None: identity) as one product
+    [C_1 ... C_n][M_1; ...; M_n], faster than n products and a sum."""
     groups = {}
     for slot, blk, M in entries:
         for j, C in cor_map.entries[blk]:
-            groups.setdefault((slot, j), []).append(
-                C if M is None else mat_mul(C, M))
-    return merge_blocks(groups, d, modulus)
+            groups.setdefault((slot, j), []).append((C, M))
+    unit = identity(d)
+    pushed = []
+    for (slot, j), pairs in groups.items():
+        C, M = pairs[0]
+        if len(pairs) == 1 and (C is None or M is None):
+            pushed.append((slot, j, M if C is None else C))
+            continue
+        rows = [[x for C, _ in pairs for x in (C or unit)[r]] for r in range(d)]
+        cols = list(zip(*[row for _, M in pairs for row in M or unit]))
+        P = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+        if modulus:
+            P = [[x % modulus for x in row] for row in P]
+        pushed.append((slot, j, P))
+    return pushed
 
 
-def conj_star(c, table1, alpha, cor_map, cache=None):
-    """Push a cycle over Gamma_1 (the group of ``table1``) through
+def conj_star(cycles, table1, alpha, cor_map):
+    """Push cycles over Gamma_1 (the group of ``table1``) through
     conjugation by alpha into Gamma_2 = alpha Gamma_1 alpha^-1 (the
     source table of ``cor_map``, which also gives k and the modulus)
-    and corestrict it along ``cor_map``.
+    and corestrict them along ``cor_map``; returns the list of images.
 
-    A term (gamma, v) of the subgroup form of the cycle becomes the Fox
+    A term (gamma, v) of the subgroup form of a cycle becomes the Fox
     chain of (alpha gamma alpha^-1 - 1) tensor alpha v.  Corestriction
-    is equivariant, so it can be applied to the Fox map of each
-    conjugated element once: the pushed map, one matrix per (slot,
-    target block), is kept in ``cache`` under the element's key.  A
-    push costs about d = 2k+1 matrix-vector products per entry of the
-    Fox map, so an element is pushed on its d-th use; its earlier uses
-    apply the Fox map on Gamma_2 and corestrict the sum blockwise.
+    is equivariant, so it can be applied to the Fox map of a conjugated
+    element once.  A push costs about d = 2k+1 matrix-vector products
+    per Fox entry, so an element used at least d times in the batch is
+    pushed; the terms of the others apply the Fox map on Gamma_2, and
+    their sum is corestricted blockwise.
     """
     table2, k, modulus = cor_map.src_table, cor_map.k, cor_map.modulus
     d = 2 * k + 1
-    if cache is None:
-        cache = {}
-    acc, unpushed = {}, {}
-    for gamma, v in to_group_chain(c, table1, k, modulus):
-        cg = conjugate_by(alpha, gamma)
-        key = None if cg is None else cg.key()
-        entry = cache.get(key, 0)  # uses so far, or the pushed map
-        if entry == 0 and (cg is None or table2.coset_of(cg)[0] != 0):
-            raise ConjugateLeavesGroup(
-                "conjugate of %r leaves the target group" % (gamma,))
-        av = act(alpha, v, modulus)
-        if isinstance(entry, int):
-            fox = _fox_unit_map(table2, cg, k, modulus)
-            if entry + 1 < d:
-                cache[key] = entry + 1
-                for slot, blk, M in fox:
-                    add_image(unpushed, (slot, blk), M, av)
-                continue
-            entry = cache[key] = _push_fox_map(fox, cor_map, d, modulus)
-        for slot, j, P in entry:
-            add_image(acc, (slot, j), P, av)
-    for (slot, blk), w in unpushed.items():
-        for j, C in cor_map.entries[blk]:
-            add_image(acc, (slot, j), C, w)
-    return reduce_chain(acc, modulus)
+    forms = [to_group_chain(c, table1, k, modulus) for c in cycles]
+    uses = Counter(gamma.key() for form in forms for gamma, _ in form)
+    maps = {}  # element key -> (pushed?, Fox map on Gamma_2 or pushed)
+    images = []
+    for form in forms:
+        acc, unpushed = {}, {}
+        for gamma, v in form:
+            key = gamma.key()
+            if key not in maps:
+                cg = conjugate_by(alpha, gamma)
+                if cg is None or table2.coset_of(cg)[0] != 0:
+                    raise ConjugateLeavesGroup(
+                        "conjugate of %r leaves the target group" % (gamma,))
+                fox = _fox_unit_map(table2, cg, k, modulus)
+                pushed = uses[key] >= d
+                maps[key] = pushed, (_push_fox_map(fox, cor_map, d, modulus)
+                                     if pushed else fox)
+            pushed, fox = maps[key]
+            out = acc if pushed else unpushed
+            av = act(alpha, v, modulus)
+            for slot, blk, M in fox:
+                add_image(out, (slot, blk), M, av)
+        for (slot, blk), w in unpushed.items():
+            for j, C in cor_map.entries[blk]:
+                add_image(acc, (slot, j), C, w)
+        images.append(reduce_chain(acc, modulus))
+    return images
 
 
 @dataclass
@@ -229,17 +256,15 @@ class DoubleCoset:
         self.alpha = alpha
         k = source.k
         modulus = source.ring.modulus
-        key, key_prime = source.table.key, target.table.key
         # Gamma_1 = Gamma n alpha^-1 Gamma' alpha; Gamma_2 = Gamma' n
         # alpha Gamma alpha^-1 takes adj(alpha), a multiple of alpha^-1
-        self.table1 = build_cosets(intersection_key(key, key_prime, alpha))
+        self.table1 = intersection_table(source.table, alpha, target.table)
         self.reps = subgroup_transversal(self.table1, source.table)
         self.res_map = restriction_map(source.table, self.table1, k, modulus,
                                        self.reps)
-        self.table2 = build_cosets(
-            intersection_key(key_prime, key, alpha.adjugate()))
+        self.table2 = intersection_table(target.table, alpha.adjugate(),
+                                         source.table)
         self.cor_map = corestriction_map(self.table2, target.table, k, modulus)
-        self._pushed = {}
         self._matrix = None
 
     @property
@@ -248,8 +273,8 @@ class DoubleCoset:
         return len(self.reps)
 
     def apply_chain(self, c):
-        return conj_star(self.res_map.apply(c), self.table1, self.alpha,
-                         self.cor_map, self._pushed)
+        return conj_star([self.res_map.apply(c)], self.table1, self.alpha,
+                         self.cor_map)[0]
 
     def apply_coords(self, coords):
         """Target coordinates of the image of one class, given by its
@@ -258,8 +283,10 @@ class DoubleCoset:
 
     def operator(self):
         if self._matrix is None:
-            cols = [list(self.apply_coords(unit))
-                    for unit in identity(self.source.ngens)]
+            chains = [self.res_map.apply(self.source.chain(unit))
+                      for unit in identity(self.source.ngens)]
+            images = conj_star(chains, self.table1, self.alpha, self.cor_map)
+            cols = [list(self.target.coords(c)) for c in images]
             self._matrix = from_columns(cols, self.target.ngens)
         return OperatorMatrix(self._matrix, self.source, self.target)
 

@@ -46,6 +46,7 @@ from .symspace import (
     poly_add,
     poly_mod,
     reduce_chain,
+    rho,
     zero_poly,
 )
 
@@ -64,13 +65,10 @@ def merge_blocks(groups, d, modulus=None):
         if len(mats) == 1:
             entries.append((slot, blk, mats[0]))
             continue
-        acc = [[0] * d for _ in range(d)]
-        for M in mats:
-            if M is None:
-                for i in range(d):
-                    acc[i][i] += 1
-            else:
-                acc = [[x + y for x, y in zip(r, s)] for r, s in zip(acc, M)]
+        ones = mats.count(None)
+        acc = [[ones * (i == j) for j in range(d)] for i in range(d)]
+        for M in filter(None, mats):  # the matrices, not the identities
+            acc = [[x + y for x, y in zip(r, s)] for r, s in zip(acc, M)]
         if modulus is not None:
             acc = [[x % modulus for x in row] for row in acc]
         entries.append((slot, blk, acc))
@@ -83,15 +81,17 @@ def _fox_unit_map(table, g, k, modulus):
     placed at the given slot and block; None stands for the identity.
     Cached on the table, keyed by the element: the word of g is only
     spelled out on a miss, and walked letter by letter by the product
-    rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v."""
+    rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v, reading each step
+    from the table's map (block, gen, n) -> (block', rho(twist^-1)) for
+    (k, modulus), filled on first use."""
     key = (g.key(), k, modulus)
     cached = table.fox_cache.get(key)
     if cached is not None:
         return cached
+    steps = table.fox_steps.setdefault((k, modulus), {})
     groups = {}
     block = 0
     mat = None  # None means identity so far
-    d = 2 * k + 1
 
     def compose(M, N):
         if M is None or N is None:
@@ -99,26 +99,24 @@ def _fox_unit_map(table, g, k, modulus):
         out = mat_mul(M, N)
         return [[x % modulus for x in row] for row in out] if modulus else out
 
-    def walk(blk, gen, steps):
-        """Target block and twist matrix (None: identity twist) of
-        ``steps`` right multiplications by gen."""
-        blk, tw = table.step_letter(blk, (gen, steps))
-        if tw.is_identity():
-            return blk, None
-        return blk, act_matrix(tw.inv(), k, modulus)
+    def fill(blk, gen, n):
+        j, tw = table.step_letter(blk, (gen, n))
+        hit = steps[blk, gen, n] = j, rho(tw.inv(), k, modulus)
+        return hit
 
-    for letter in reversed(tuple(decompose_word(g))):
-        gen, e = letter
+    for gen, e in reversed(tuple(decompose_word(g))):
         groups.setdefault((gen, block), []).append(mat)
         if gen == "U" and e == 2:
             # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
             # where the action of U sends the current block (two U-steps)
-            jj, A = walk(block, "U", 2)
+            jj, A = steps.get((block, "U", 2)) or fill(block, "U", 2)
             groups.setdefault(("U", jj), []).append(compose(A, mat))
         # the current vector moves by the letter: one block moves
-        block, A = walk(block, gen, 1 if gen == "S" else 3 - e)
-        mat = compose(A, mat)
-    entries = table.fox_cache[key] = merge_blocks(groups, d, modulus)
+        n = 1 if gen == "S" else 3 - e
+        block, A = steps.get((block, gen, n)) or fill(block, gen, n)
+        if A is not None:
+            mat = compose(A, mat)
+    entries = table.fox_cache[key] = merge_blocks(groups, 2 * k + 1, modulus)
     return entries
 
 

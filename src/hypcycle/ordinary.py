@@ -17,12 +17,12 @@ from .homology import compute_h1
 from .intlinalg import (
     ColumnEchelon,
     Lattice,
-    NotStable,
     RingSpec,
     ZZ,
     from_columns,
     identity,
     induced_endomorphism,
+    mat_vec,
     subquotient,
 )
 from .psl2 import HYPERBOLIC, I, classify, quadratic_form
@@ -435,11 +435,12 @@ def cycle_quotient_report(spec, k, budget=Budget()):
     few Hecke operators, and test the quotient of H1 by the span for
     finiteness and non-ordinarity at every prime dividing its order.
 
-    Returns Verified exactly when the quotient is finite and its
-    ordinary part vanishes at every such prime, else Inconclusive.  The
-    computed span may fall short of the true one, whose quotient is then
-    a Hecke quotient of the computed one, so a vanishing ordinary part
-    carries over but a nonzero one refutes nothing."""
+    Returns Verified exactly when the quotient is finite and, at every
+    such prime q, the span is T_q-stable and the ordinary part of the
+    quotient vanishes; else Inconclusive.  The computed span may fall
+    short of the true one, whose quotient is then a Hecke quotient of
+    the computed one, so a vanishing ordinary part carries over but a
+    nonzero one refutes nothing."""
     h1z = compute_h1(spec, k, ZZ)
     g = h1z.ngens
     span = Lattice(g)
@@ -487,13 +488,11 @@ def cycle_quotient_report(spec, k, budget=Budget()):
             if q > MAX_OPERATOR_PRIME:
                 continue
             A = (ops.get(q) or hecke_operator(q, h1z)).matrix
-            try:
-                induced = induced_endomorphism(
-                    lambda v: [sum(A[i][j] * v[j] for j in range(g))
-                               for i in range(g)],
-                    quotient)
-            except NotStable:
+            # every vector of Z^g lies in the quotient Z^g / span, so T_q
+            # induces an endomorphism of it only if the span is stable
+            if not all(span.contains(mat_vec(A, s)) for s in span.rows):
                 continue
+            induced = induced_endomorphism(A, quotient)
             Mq = max(_valuation(d, q) for d in factors if d)
             qm = PModule(quotient, q, Mq)
             dq = ordinary_idempotent(qm.reduce_matrix(induced), qm)

@@ -195,21 +195,16 @@ class Word:
         return " ".join(parts)
 
 
-def _push(stack, gen, e):
-    e = e % (2 if gen == "S" else 3)
-    if e == 0:
-        return
-    if stack and stack[-1][0] == gen:
-        prev = stack.pop()
-        _push(stack, gen, prev[1] + e)
-    else:
-        stack.append((gen, e))
-
-
 def word_from_letters(letters):
+    """The reduced word of a letter sequence; the stack stays reduced, so
+    a letter merges with at most its top."""
     stack = []
     for gen, e in letters:
-        _push(stack, gen, e)
+        if stack and stack[-1][0] == gen:
+            e += stack.pop()[1]
+        e %= 2 if gen == "S" else 3
+        if e:
+            stack.append((gen, e))
     return Word(stack)
 
 

@@ -100,6 +100,12 @@ def act_matrix(g, k, modulus=None):
     return M
 
 
+def rho(g, k, modulus=None):
+    """act_matrix of an element of PSL2(Z), or None where it is the
+    identity: at g = 1, and at k = 0 for every g."""
+    return None if k == 0 or g.is_identity() else act_matrix(g, k, modulus)
+
+
 def act(g, poly, modulus=None):
     """The action of g (det > 0) on a degree-2k form."""
     k = (len(poly) - 1) // 2
@@ -133,7 +139,8 @@ class InductionMap:
     chains.
 
     ``entries[src_block]`` is a list of (dst_block, matrix) pairs; the
-    image of a vector adds matrix * block into dst_block for each pair.
+    image of a vector adds matrix * block into dst_block for each pair,
+    None standing for the identity.
     """
 
     def __init__(self, src_table, dst_table, k, modulus, entries):
@@ -168,8 +175,7 @@ def restriction_map(src_table, dst_table, k, modulus=None, reps=None):
         for s in reps:
             g = s * t
             j, delta = dst_table.coset_of(g)
-            M = act_matrix(delta.inv() * s, k, modulus)
-            row.append((j, M))
+            row.append((j, rho(delta.inv() * s, k, modulus)))
         entries.append(row)
     return InductionMap(src_table, dst_table, k, modulus, entries)
 
@@ -180,6 +186,5 @@ def corestriction_map(src_table, dst_table, k, modulus=None):
     entries = []
     for u in src_table.transversal:
         j, gamma = dst_table.coset_of(u)
-        M = act_matrix(gamma.inv(), k, modulus)
-        entries.append([(j, M)])
+        entries.append([(j, rho(gamma.inv(), k, modulus))])
     return InductionMap(src_table, dst_table, k, modulus, entries)

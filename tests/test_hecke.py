@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypcycle.cosets import SubgroupSpec, subgroup_transversal
+from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
     DoubleCoset,
@@ -149,6 +149,38 @@ class TestCharpolys:
         assert hecke_T(5, h1).charpoly_str() == "x-126"
 
 
+def points_11a(p):
+    """#E(F_p) for 11a, y^2 + y = x^3 - x^2 - 10x - 20, by counting
+    affine solutions and the point at infinity."""
+    return 1 + sum(1 for x in range(p) for y in range(p)
+                   if (y * y + y - (x ** 3 - x * x - 10 * x - 20)) % p == 0)
+
+
+def poly_times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+class TestLargePrimeOracles:
+    """Charpolys at large p against values computed outside the Hecke
+    code: point counts on 11a and the Eisenstein eigenvalue 1 + p^3."""
+
+    @pytest.mark.parametrize("p, a_p", [(53, -6), (97, -7)])
+    def test_gamma0_11_point_count(self, p, a_p):
+        assert p + 1 - points_11a(p) == a_p
+        h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
+        cusp_form = [1, -a_p]
+        expect = poly_times([1, -(p + 1)], poly_times(cusp_form, cusp_form))
+        assert hecke_T(p, h1).charpoly() == expect
+
+    def test_level_one_weight_four_at_97(self):
+        h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
+        assert hecke_T(97, h1).charpoly() == [1, -(1 + 97 ** 3)]
+
+
 class TestTransfer:
     def test_cor_res_is_index_level_one(self):
         spec_sub = SubgroupSpec.gamma0(2)
@@ -192,8 +224,8 @@ class TestConjStar:
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
             c = h1.cycle(g, (1,))
-            out = conj_star(c, h1.table, I.lift(),
-                            corestriction_map(h1.table, h1.table, 0))
+            out, = conj_star([c], h1.table, I.lift(),
+                             corestriction_map(h1.table, h1.table, 0))
             assert h1.coords(out) == h1.coords(c)
 
     def test_inner_automorphism_trivial(self):
@@ -210,7 +242,7 @@ class TestConjStar:
         c = h1.cycle(g, quadratic_form(g))
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
         with pytest.raises((ConjugateLeavesGroup, Exception)):
-            conj_star(c, h1.table, Mat2(1, 0, 0, 2),
+            conj_star([c], h1.table, Mat2(1, 0, 0, 2),
                       corestriction_map(tgt.table, tgt.table, 1))
 
 
@@ -233,6 +265,28 @@ class TestDiamond:
         d1 = diamond(2, h1)
         d2 = diamond(2, h1, beta=other)
         assert d1.equals(d2)
+
+    def test_diamond_reuses_the_group_table(self, monkeypatch):
+        # beta in Gamma_0(N) normalizes Gamma_1(N): the intersection
+        # groups are Gamma_1(N) itself, and no table is built for them;
+        # the operator equals the one through the intersection tables
+        import hypcycle.hecke as hecke
+
+        h1 = compute_h1(SubgroupSpec.gamma1(9), 1, ZZ)
+        built = []
+        monkeypatch.setattr(hecke, "build_cosets",
+                            lambda key: built.append(key) or build_cosets(key))
+        dc = DoubleCoset(h1, h1, diamond_matrix(9, 2))
+        assert dc.table1 is h1.table and dc.table2 is h1.table
+        assert built == []
+        reused = dc.operator()
+        monkeypatch.setattr(
+            hecke, "intersection_table", lambda table, alpha, table_prime:
+            hecke.build_cosets(hecke.intersection_key(
+                table.key, table_prime.key, alpha)))
+        dc = DoubleCoset(h1, h1, diamond_matrix(9, 2))
+        assert dc.table1 is not h1.table and len(built) == 2
+        assert dc.operator().equals(reused)
 
     def test_diamond_commutes_with_tp(self):
         h1 = compute_h1(SubgroupSpec.gamma1(5), 1, ZZ)

@@ -23,7 +23,7 @@ from hypcycle.hecke import (
     identity_operator,
 )
 from hypcycle.homology import compute_h1
-from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns
+from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns, identity
 from hypcycle.psl2 import Mat2
 
 IMAGES = settings(max_examples=50, deadline=None, derandomize=True,
@@ -85,6 +85,31 @@ def test_apply_coords_matches_operator_matrix(case, data):
         z = data.draw(st.lists(st.integers(lo, hi), min_size=h1.ngens,
                                max_size=h1.ngens))
         assert dc.apply_coords(z) == dc.operator().apply_coords(z)
+
+
+# on Gamma_1(5): T_2, U_5, <2> and the coset of a cusp representative
+BATCH_OPS = {
+    "T2": lambda h1: Mat2(1, 0, 0, 2),
+    "U5": lambda h1: Mat2(1, 0, 0, 5),
+    "diamond": lambda h1: diamond_matrix(5, 2),
+    "cusp": lambda h1: [c.representative for c in cusp_data(h1.table)
+                        if not c.representative.is_identity()][0].lift(),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("ring", [ZZ, RingSpec("ZpM", p=3, M=2)],
+                         ids=["Z", "Z/9"])
+@pytest.mark.parametrize("op", sorted(BATCH_OPS))
+def test_operator_batch_matches_single_classes(k, ring, op):
+    # operator() maps every generator in one batch, where an element
+    # used 2k+1 times is pushed through the corestriction; a single
+    # class pushes only the elements it uses that often itself
+    h1 = compute_h1(SubgroupSpec.gamma1(5), k, ring)
+    dc = DoubleCoset(h1, h1, BATCH_OPS[op](h1))
+    matrix = dc.operator().matrix
+    for j, unit in enumerate(identity(h1.ngens)):
+        assert [row[j] for row in matrix] == list(dc.apply_coords(unit))
 
 
 def test_diamond_keeps_identity_and_divisibility():
