@@ -1,26 +1,27 @@
-"""Double-coset operators on H1 via the transfer / conjugation-push /
-corestriction factorization, and the specializations T_p, U_p, the
+"""Double-coset operators on H1, and the specializations T_p, U_p, the
 diamond operators, and the level-raising triple (pi, phi, V).
 
-The double coset of alpha with det(alpha) > 0 maps one cycle at a
-time from H1(Gamma) to H1(Gamma'): the cycle is restricted to
-Gamma_1 = Gamma n alpha^-1 Gamma' alpha by the averaging map on
-coefficients, rewritten in subgroup form, conjugated term by term
-through alpha into Gamma_2 = alpha Gamma_1 alpha^-1, re-expanded, and
-corestricted to Gamma'.  A check that needs the images of a few
-classes maps just those (``DoubleCoset.apply_coords``); the operator
-matrix is the images of the generators.
+The double coset of alpha with det(alpha) > 0 maps cycles from H1(Gamma)
+to H1(Gamma'): a cycle is restricted to Gamma_1 = Gamma n alpha^-1
+Gamma' alpha by the averaging map on coefficients and rewritten in
+subgroup form; each term is conjugated through alpha into Gamma_2 =
+alpha Gamma_1 alpha^-1, and its Fox chain there is read straight into
+the ambient coordinates of Gamma''s LocalQuotient through the
+corestriction, whose readers the double coset composes with the
+target's once per block of Gamma_2.  No chain of an image is built.  A
+check that needs the images of a few classes maps just those
+(``DoubleCoset.apply_coords``); the operator matrix is the images of
+the generators.
 
 Cycles are mapped in batches (one class, or every generator for the
-matrix).  Corestriction is equivariant, so a conjugated element used at
-least 2k+1 times in a batch has its Fox map on Gamma_2 pushed through
-the corestriction once; other terms are expanded on Gamma_2 and
-corestricted blockwise.
+matrix).  A conjugated element used at least 2k+1 times in a batch has
+its Fox map read into coordinates once; the other terms apply each Fox
+entry to their coefficient and read the result.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from .homology import (
@@ -31,13 +32,7 @@ from .homology import (
 )
 from .intlinalg import from_columns, identity, xgcd
 from .psl2 import I, Mat2, PMat
-from .symspace import (
-    act,
-    add_image,
-    corestriction_map,
-    reduce_chain,
-    restriction_map,
-)
+from .symspace import act, corestriction_map, restriction_map
 
 
 class WrongDivisibility(Exception):
@@ -97,53 +92,67 @@ def intersection_table(table, alpha, table_prime):
     return build_cosets(intersection_key(table.key, table_prime.key, alpha))
 
 
-def _push_fox_map(entries, cor_map, d, modulus):
-    """The Fox map of an element on Gamma_2's table pushed through the
-    corestriction: per (slot, target block), the sum of C M over the
-    entries M that reach it through C (None: identity) as one product
-    [C_1 ... C_n][M_1; ...; M_n], faster than n products and a sum."""
-    groups = {}
-    for slot, blk, M in entries:
-        for j, C in cor_map.entries[blk]:
-            groups.setdefault((slot, j), []).append((C, M))
-    unit = identity(d)
-    pushed = []
-    for (slot, j), pairs in groups.items():
-        C, M = pairs[0]
-        if len(pairs) == 1 and (C is None or M is None):
-            pushed.append((slot, j, M if C is None else C))
-            continue
-        rows = [[x for C, _ in pairs for x in (C or unit)[r]] for r in range(d)]
-        cols = list(zip(*[row for _, M in pairs for row in M or unit]))
-        P = [[sum(map(mul, r, c)) for c in cols] for r in rows]
-        if modulus:
-            P = [[x % modulus for x in row] for row in P]
-        pushed.append((slot, j, P))
-    return pushed
+def _times(row, M):
+    """The row vector row M, M None standing for the identity."""
+    return row if M is None else [sum(map(mul, row, col)) for col in zip(*M)]
 
 
-def conj_star(cycles, table1, alpha, cor_map):
-    """Push cycles over Gamma_1 (the group of ``table1``) through
-    conjugation by alpha into Gamma_2 = alpha Gamma_1 alpha^-1 (the
-    source table of ``cor_map``, which also gives k and the modulus)
-    and corestrict them along ``cor_map``; returns the list of images.
+class CorestrictedReaders(dict):
+    """The coordinate readers of the target's LocalQuotient composed with
+    the corestriction: at (slot, block) of Gamma_2, the pairs
+    (coordinate index, row C) for the readers (index, row) of the target
+    block that C sends it to.  Filled on first use, so a map of a few
+    classes composes only the blocks they reach."""
+
+    def __init__(self, cor_map, readers):
+        super().__init__()
+        self.entries = cor_map.entries
+        self.target = readers
+
+    def __missing__(self, key):
+        slot, blk = key
+        (j, C), = self.entries[blk]
+        pairs = self[key] = [(idx, _times(row, C))
+                             for idx, row in self.target.get((slot, j), ())]
+        return pairs
+
+
+def _projected_fox_map(fox, readers):
+    """The Fox map of an element on Gamma_2 read into target
+    coordinates: per coordinate index, the sum of (row C) M over the
+    Fox entries M and the readers of their blocks."""
+    proj = {}
+    for slot, blk, M in fox:
+        for idx, row in readers[slot, blk]:
+            r = _times(row, M)
+            proj[idx] = list(map(add, proj[idx], r)) if idx in proj else r
+    return list(proj.items())
+
+
+def conj_star(cycles, table1, alpha, table2, readers, quotient):
+    """Map cycles over Gamma_1 (the group of ``table1``) by conjugation
+    through alpha into Gamma_2 = alpha Gamma_1 alpha^-1 (the group of
+    ``table2``) and corestriction to Gamma'; returns the images as
+    ambient coordinate vectors of Gamma''s LocalQuotient ``quotient``
+    (which gives k and the modulus), reduced mod m.  ``readers`` are
+    the ``CorestrictedReaders`` of the corestriction and that quotient.
 
     A term (gamma, v) of the subgroup form of a cycle becomes the Fox
-    chain of (alpha gamma alpha^-1 - 1) tensor alpha v.  Corestriction
-    is equivariant, so it can be applied to the Fox map of a conjugated
-    element once.  A push costs about d = 2k+1 matrix-vector products
-    per Fox entry, so an element used at least d times in the batch is
-    pushed; the terms of the others apply the Fox map on Gamma_2, and
-    their sum is corestricted blockwise.
+    chain of (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma_2, which
+    is read into coordinates and never built.  Reading a Fox entry M
+    applied to a vector costs about one product by M, and reading M
+    itself about d = 2k+1 such products, so an element used at least d
+    times in the batch has its Fox map read into coordinates once; the
+    terms of the others apply each Fox entry and read the result.
     """
-    table2, k, modulus = cor_map.src_table, cor_map.k, cor_map.modulus
+    k, modulus = quotient.k, quotient.modulus
     d = 2 * k + 1
     forms = [to_group_chain(c, table1, k, modulus) for c in cycles]
     uses = Counter(gamma.key() for form in forms for gamma, _ in form)
-    maps = {}  # element key -> (pushed?, Fox map on Gamma_2 or pushed)
+    maps = {}  # element key -> (projected Fox map or None, Fox map)
     images = []
     for form in forms:
-        acc, unpushed = {}, {}
+        vec = [0] * quotient.ambient_rank
         for gamma, v in form:
             key = gamma.key()
             if key not in maps:
@@ -152,18 +161,21 @@ def conj_star(cycles, table1, alpha, cor_map):
                     raise ConjugateLeavesGroup(
                         "conjugate of %r leaves the target group" % (gamma,))
                 fox = _fox_unit_map(table2, cg, k, modulus)
-                pushed = uses[key] >= d
-                maps[key] = pushed, (_push_fox_map(fox, cor_map, d, modulus)
-                                     if pushed else fox)
-            pushed, fox = maps[key]
-            out = acc if pushed else unpushed
+                maps[key] = (_projected_fox_map(fox, readers)
+                             if uses[key] >= d else None), fox
+            proj, fox = maps[key]
             av = act(alpha, v, modulus)
+            if proj is not None:
+                for idx, row in proj:
+                    vec[idx] += sum(map(mul, row, av))
+                continue
             for slot, blk, M in fox:
-                add_image(out, (slot, blk), M, av)
-        for (slot, blk), w in unpushed.items():
-            for j, C in cor_map.entries[blk]:
-                add_image(acc, (slot, j), C, w)
-        images.append(reduce_chain(acc, modulus))
+                pairs = readers[slot, blk]
+                if pairs:
+                    w = av if M is None else [sum(map(mul, r, av)) for r in M]
+                    for idx, row in pairs:
+                        vec[idx] += sum(map(mul, row, w))
+        images.append([x % modulus for x in vec] if modulus else vec)
     return images
 
 
@@ -265,6 +277,8 @@ class DoubleCoset:
         self.table2 = intersection_table(target.table, alpha.adjugate(),
                                          source.table)
         self.cor_map = corestriction_map(self.table2, target.table, k, modulus)
+        self.readers = CorestrictedReaders(self.cor_map,
+                                           target.quotient.readers)
         self._matrix = None
 
     @property
@@ -272,22 +286,23 @@ class DoubleCoset:
         """Number of single cosets in the double coset."""
         return len(self.reps)
 
-    def apply_chain(self, c):
-        return conj_star([self.res_map.apply(c)], self.table1, self.alpha,
-                         self.cor_map)[0]
+    def _images(self, classes):
+        """Target coordinates of the images of classes, each given by its
+        source coordinates, mapped as one batch."""
+        cycles = [self.res_map.apply(self.source.chain(c)) for c in classes]
+        vecs = conj_star(cycles, self.table1, self.alpha, self.table2,
+                         self.readers, self.target.quotient)
+        return [self.target.module.coords(v) for v in vecs]
 
     def apply_coords(self, coords):
         """Target coordinates of the image of one class, given by its
         source coordinates."""
-        return self.target.coords(self.apply_chain(self.source.chain(coords)))
+        return self._images([coords])[0]
 
     def operator(self):
         if self._matrix is None:
-            chains = [self.res_map.apply(self.source.chain(unit))
-                      for unit in identity(self.source.ngens)]
-            images = conj_star(chains, self.table1, self.alpha, self.cor_map)
-            cols = [list(self.target.coords(c)) for c in images]
-            self._matrix = from_columns(cols, self.target.ngens)
+            self._matrix = from_columns(self._images(identity(
+                self.source.ngens)), self.target.ngens)
         return OperatorMatrix(self._matrix, self.source, self.target)
 
 

@@ -331,6 +331,13 @@ class LocalQuotient:
         self.coords += sorted(fixed, key=lambda c: c.order != 0)
         self.torsion = [(j, c.order) for j, c in enumerate(self.coords)
                         if c.order]
+        # the functionals of project, by the chain block they read
+        self.readers = {}  # (slot, block) -> [(coordinate index, row)]
+        for j, c in enumerate(self.coords):
+            self.readers.setdefault((c.slot, c.block), []).append((j, c.row))
+            if c.prow:
+                self.readers.setdefault((c.slot, c.root), []).append(
+                    (j, [-x for x in c.prow]))
         self.nfree = len(self.coords) - len(self.torsion)
         cols = [self._push(self._d1([(c.slot, c.block, c.lift)]))[0]
                 for c in self.coords[:self.nfree]]
@@ -368,11 +375,11 @@ class LocalQuotient:
 
     def project(self, chain):
         """Ambient coordinates of a chain modulo the local relations."""
-        x = chain.get
-        return self._reduce([
-            _dot(c.row, x((c.slot, c.block), ()))
-            - (_dot(c.prow, x((c.slot, c.root), ())) if c.prow else 0)
-            for c in self.coords])
+        out = [0] * len(self.coords)
+        for key, v in chain.items():
+            for j, row in self.readers.get(key, ()):
+                out[j] += _dot(row, v)
+        return self._reduce(out)
 
     def lift(self, vec):
         """A cycle with the given ambient coordinates (vec must lie in

@@ -20,8 +20,8 @@ cokernels and the spanning tree of ``homology.LocalQuotient``.
 vectors, and ``conj_star_letter_walk`` is the conjugation push built on
 it: each conjugated term is expanded by walking its word on the table
 of Gamma_2, and the whole chain is corestricted afterwards.  They share
-no code with the cached, merged Fox maps of ``homology`` and the pushed
-maps of ``hecke.conj_star``.  ``ind_act``, ``boundary2``,
+no code with the cached, merged Fox maps of ``homology`` and the
+coordinate readers of ``hecke.conj_star``.  ``ind_act``, ``boundary2``,
 ``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
 ``transfer_res`` are the chain-level operations the tests check against.
 

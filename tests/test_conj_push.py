@@ -1,8 +1,8 @@
-"""The cached, corestricted conjugation push of ``hecke.conj_star``
-against ``oracles.conj_star_letter_walk``, which expands every term
-letter by letter on the table of Gamma_2 and corestricts the whole
-chain, over every kind of double coset; and the Fox-map identities the
-push rests on."""
+"""The conjugation push of ``hecke.conj_star``, read straight into target
+coordinates, against ``oracles.conj_star_letter_walk``, which expands
+every term letter by letter on the table of Gamma_2 and corestricts the
+whole chain, over every kind of double coset; and the Fox-map
+identities the push rests on."""
 
 from math import gcd
 
@@ -19,9 +19,9 @@ from hypcycle.hecke import (
     gamma0p_intersection,
 )
 from hypcycle.homology import compute_h1, fox_expand_unit
-from hypcycle.intlinalg import RingSpec, ZZ
+from hypcycle.intlinalg import RingSpec, ZZ, identity
 from hypcycle.psl2 import I, Mat2, S, T, TP, U, decompose_word
-from oracles import IndVec, conj_star_letter_walk, dense, fox_expand
+from oracles import IndVec, conj_star_letter_walk, dense, fox_expand, sparse
 
 PUSH = settings(max_examples=30, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow,
@@ -102,18 +102,20 @@ def test_conj_star_matches_letter_walk(case):
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
     assume(dc.table2.index * (2 * k + 1) <= MAX_WORK)
-    for i in range(min(dc.source.ngens, 3)):
-        c = dc.source.generator_chain(i)
-        rc = dc.res_map.apply(c)
-        m, target = ring.modulus, dc.target.table
-        expect = conj_star_letter_walk(dense(rc, dc.table1, k, m), dc.alpha,
-                                       dc.cor_map)
-        # an element used at least 2k+1 times in the batch is pushed;
-        # the single cycle applies the rest unpushed
-        for batch in ([rc], [rc] * (2 * k + 1)):
-            for got in conj_star(batch, dc.table1, dc.alpha, dc.cor_map):
-                assert dense(got, target, k, m) == expect
-        assert dense(dc.apply_chain(c), target, k, m) == expect
+    quotient = dc.target.quotient
+    for i, unit in enumerate(identity(dc.source.ngens)[:3]):
+        rc = dc.res_map.apply(dc.source.generator_chain(i))
+        walk = conj_star_letter_walk(dense(rc, dc.table1, k, ring.modulus),
+                                     dc.alpha, dc.cor_map)
+        expect = quotient.project(sparse(walk))
+        # an element used at least 2k+1 times in a batch has its Fox map
+        # read into coordinates once; batches of 1, 2k and 2k+1 copies
+        # of the cycle sit below and at that count
+        for size in (1, 2 * k, 2 * k + 1):
+            got = conj_star([rc] * size, dc.table1, dc.alpha, dc.table2,
+                            dc.readers, quotient)
+            assert got == [expect] * size
+        assert dc.apply_coords(unit) == dc.target.module.coords(expect)
 
 
 @FOX

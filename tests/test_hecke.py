@@ -5,6 +5,7 @@ import pytest
 from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
+    CorestrictedReaders,
     DoubleCoset,
     PPhiV,
     WrongDivisibility,
@@ -221,12 +222,14 @@ class TestTransfer:
 class TestConjStar:
     def test_identity_alpha(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
+        readers = CorestrictedReaders(
+            corestriction_map(h1.table, h1.table, 0), h1.quotient.readers)
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
             c = h1.cycle(g, (1,))
-            out, = conj_star([c], h1.table, I.lift(),
-                             corestriction_map(h1.table, h1.table, 0))
-            assert h1.coords(out) == h1.coords(c)
+            out, = conj_star([c], h1.table, I.lift(), h1.table, readers,
+                             h1.quotient)
+            assert h1.module.coords(out) == h1.coords(c)
 
     def test_inner_automorphism_trivial(self):
         spec = SubgroupSpec.gamma0(11)
@@ -241,9 +244,11 @@ class TestConjStar:
         g = T * T * TP
         c = h1.cycle(g, quadratic_form(g))
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
-        with pytest.raises((ConjugateLeavesGroup, Exception)):
-            conj_star([c], h1.table, Mat2(1, 0, 0, 2),
-                      corestriction_map(tgt.table, tgt.table, 1))
+        readers = CorestrictedReaders(
+            corestriction_map(tgt.table, tgt.table, 1), tgt.quotient.readers)
+        with pytest.raises(ConjugateLeavesGroup):
+            conj_star([c], h1.table, Mat2(1, 0, 0, 2), tgt.table, readers,
+                      tgt.quotient)
 
 
 class TestDiamond:

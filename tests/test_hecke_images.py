@@ -1,6 +1,6 @@
 """Hecke images of single classes: ``DoubleCoset.apply_coords`` against
 the operator matrix, and the claim checks that map only the cycles they
-need (counted chain images and the former ceiling cases)."""
+need (counted mapped cycles and the former ceiling cases)."""
 
 from math import gcd
 
@@ -14,6 +14,7 @@ from hypcycle.boundary import (
     cusp_data,
 )
 from hypcycle.cosets import SubgroupSpec
+from hypcycle import hecke
 from hypcycle.hecke import (
     DoubleCoset,
     WrongDivisibility,
@@ -74,10 +75,13 @@ def test_apply_coords_matches_operator_matrix(case, data):
            and h1.table.index * (2 * k + 1) * h1.ngens <= MAX_WORK)
     dc = double_coset(h1, op, p)
     # the matrix against columns lifted from the module's generators
-    # directly, not through H1Presentation.chain
-    cols = [list(h1.coords(dc.apply_chain(
-        h1.quotient.lift(h1.module.generator(i)))))
-        for i in range(h1.ngens)]
+    # directly, not through H1Presentation.chain, and mapped one by one
+    cols = []
+    for i in range(h1.ngens):
+        c = dc.res_map.apply(h1.quotient.lift(h1.module.generator(i)))
+        vec, = hecke.conj_star([c], dc.table1, dc.alpha, dc.table2,
+                               dc.readers, h1.quotient)
+        cols.append(list(h1.module.coords(vec)))
     assert dc.operator().matrix == from_columns(cols, h1.ngens)
     m = ring.modulus
     lo, hi = (0, m - 1) if m else (-9, 9)
@@ -121,38 +125,38 @@ def test_diamond_keeps_identity_and_divisibility():
 
 
 @pytest.fixture
-def chain_images(monkeypatch):
-    """Counts calls of DoubleCoset.apply_chain."""
+def mapped_cycles(monkeypatch):
+    """Counts the cycles passed to hecke.conj_star."""
     count = [0]
-    apply_chain = DoubleCoset.apply_chain
+    conj_star = hecke.conj_star
 
-    def counted(self, c):
-        count[0] += 1
-        return apply_chain(self, c)
+    def counted(cycles, *args):
+        count[0] += len(cycles)
+        return conj_star(cycles, *args)
 
-    monkeypatch.setattr(DoubleCoset, "apply_chain", counted)
+    monkeypatch.setattr(hecke, "conj_star", counted)
     return count
 
 
-def test_identity_check_maps_one_cycle_per_double_coset(chain_images):
+def test_identity_check_maps_one_cycle_per_double_coset(mapped_cycles):
     assert check_boundary_identity(2, 3, 1).verdict == "Verified"
-    assert chain_images[0] == 2
+    assert mapped_cycles[0] == 2
 
 
-def test_generation_check_maps_frontier_only(chain_images):
+def test_generation_check_maps_frontier_only(mapped_cycles):
     report = check_hecke_generation(SubgroupSpec.gamma1(9), 0)
     assert report.verdict == "Verified"
-    assert chain_images[0] <= 15
+    assert mapped_cycles[0] <= 15
 
 
 # former ceilings: with full operator matrices these took 12 s each
 
-def test_identity_ceiling_n6(chain_images):
+def test_identity_ceiling_n6(mapped_cycles):
     assert check_boundary_identity(6, 5, 1).verdict == "Verified"
-    assert chain_images[0] == 2
+    assert mapped_cycles[0] == 2
 
 
-def test_generation_ceiling_gamma1_16(chain_images):
+def test_generation_ceiling_gamma1_16(mapped_cycles):
     report = check_hecke_generation(SubgroupSpec.gamma1(16), 1)
     assert report.verdict == "Verified"
-    assert chain_images[0] <= len(report.operators)
+    assert mapped_cycles[0] <= len(report.operators)

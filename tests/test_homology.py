@@ -5,6 +5,7 @@ import pytest
 
 from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.homology import (
+    LocalQuotient,
     NotACycle,
     compute_h1,
     cycle_of,
@@ -409,3 +410,32 @@ class TestToGroupChain:
                 total = poly_add(total, tuple(-x for x in v))
             assert not any(total)
             checked += 1
+
+
+def project_by_coordinates(quo, chain):
+    """The projection as one sum per ambient coordinate: its row at its
+    block, minus its prow at its orbit root."""
+    def dot(row, key):
+        return sum(a * x for a, x in zip(row, chain.get(key, ())))
+
+    out = [dot(c.row, (c.slot, c.block))
+           - (dot(c.prow, (c.slot, c.root)) if c.prow else 0)
+           for c in quo.coords]
+    return [x % quo.modulus for x in out] if quo.modulus else out
+
+
+@pytest.mark.parametrize("spec", [SubgroupSpec.gamma0(11),
+                                  SubgroupSpec.gamma1(13)],
+                         ids=["gamma0:11", "gamma1:13"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("m", [None, 9], ids=["Z", "Z/9"])
+def test_readers_match_coordinate_formula(spec, k, m):
+    table = build_cosets(spec)
+    quo = LocalQuotient(table, k, m)
+    rng = random.Random(97 + 10 * k)
+    lo, hi = (0, m - 1) if m else (-9, 9)
+    for _ in range(20):
+        chain = {(rng.choice("SU"), rng.randrange(table.index)):
+                 [rng.randint(lo, hi) for _ in range(2 * k + 1)]
+                 for _ in range(rng.randint(0, 2 * table.index))}
+        assert quo.project(chain) == project_by_coordinates(quo, chain)
