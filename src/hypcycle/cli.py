@@ -199,7 +199,6 @@ def cmd_ordinary(args):
         "ordinary_invariant_factors": list(dec.ordinary_factors),
         "ordinary_rank": dec.ordinary_rank,
         "nilpotent_rank": dec.nilpotent_rank,
-        "stabilization_exponent": dec.stabilization_exponent,
     }
     return report, 0
 
@@ -254,8 +253,11 @@ BATCH_COLUMNS = ["row", "subcommand", "status", "exit_code", "group", "k",
 
 
 def cmd_batch(args):
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(args.manifest) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise CliError(str(exc)) from exc
     if not isinstance(manifest, list):
         raise CliError("manifest must be a JSON list of run configs")
     rows = []
@@ -389,16 +391,20 @@ def build_parser():
     return parser
 
 
+def _print_error(exc):
+    print(_dumps({"error": str(exc), "version": __version__}))
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         result, code = args.func(args)
     except CliError as exc:
-        print(_dumps({"error": str(exc), "version": __version__}))
+        _print_error(exc)
         return exc.code
     except INPUT_ERRORS as exc:
-        print(_dumps({"error": str(exc), "version": __version__}))
+        _print_error(exc)
         return 3
     if isinstance(result, str):
         text = result
@@ -408,8 +414,12 @@ def main(argv=None):
         text = _dumps(result) + "\n"
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _print_error(exc)
+            return 3
     else:
         sys.stdout.write(text)
     return code

@@ -528,15 +528,6 @@ class FgModule:
     def is_zero(self):
         return self.ngens == 0
 
-    def order(self):
-        """Cardinality of the module, or None if infinite."""
-        if self.rank:
-            return None
-        n = 1
-        for d in self.torsion_factors:
-            n *= d
-        return n
-
     def reduce_coords(self, coords):
         out = []
         for d, c in zip(self.invariant_factors, coords):
@@ -576,12 +567,6 @@ class FgModule:
                 col[i] = d
                 cols.append(col)
         return cols
-
-    def relation_lattice(self):
-        lat = Lattice(self.ngens)
-        for col in self.relation_columns():
-            lat.add(col)
-        return lat
 
 
 def subquotient(kernel, image, ring=ZZ):

@@ -80,6 +80,19 @@ def test_output_flag_writes_the_file(before, after, tmp_path, capsys):
         assert json.loads(text)["invariant_factors"] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["batch", "--manifest", "{missing}/m.json"],
+    ["--output", "{missing}/x", "batch", "--manifest", "{manifest}"],
+])
+def test_unopenable_path_exits_3(argv, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([GOOD]))
+    argv = [a.format(missing=tmp_path / "missing", manifest=manifest)
+            for a in argv]
+    assert cli.main(argv) == 3
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def test_cycle_of_hyperbolic_matrix(capsys):
     code = cli.main("cycle --group gamma0:11 --k 1 --matrix [[7,-2],[11,-3]]"
                     .split())

@@ -1,5 +1,6 @@
 """Soundness of the verdicts of the ordinary-part verifiers, the
-idempotent against its defining equations, and the mod-p bridge."""
+Fitting split of the ordinary part, the ordinary rank against
+charpoly(T_p) mod p, and the mod-p bridge."""
 
 import pytest
 
@@ -7,16 +8,18 @@ from hypcycle import ordinary
 from hypcycle.cosets import SubgroupSpec
 from hypcycle.hecke import hecke_operator
 from hypcycle.homology import compute_h1
-from hypcycle.intlinalg import ZZ
+from hypcycle.intlinalg import ZZ, mat_mul
 from hypcycle.ordinary import (
     Budget,
     PModule,
+    _image_lattice,
     cycle_quotient_report,
     mod_p_bridge,
     ordinary_idempotent,
     ordinary_part,
     verify_main_theorem,
 )
+from hypcycle.polyz import charpoly
 
 
 def test_quotient_small_budget_never_falsifies():
@@ -100,26 +103,43 @@ def test_ordinary_rank_independent_of_precision(spec_name, k, p):
     ("gamma0:11", 0, 2, 2, 1),     # a_2 = -2: only the Eisenstein line
     ("gamma0:11", 0, 2, 3, 1),
     ("gamma1:13", 0, 3, 2, 15),
+    ("gamma0:1", 0, 2, 2, 1),      # H1 = Z/6: p-torsion only
+    ("gamma0:1", 0, 3, 2, 1),
 ])
-def test_idempotent_equations(spec_name, k, p, M, ordinary_rank):
+def test_fitting_split(spec_name, k, p, M, ordinary_rank):
+    # im P = im P^2 gives M = im P (+) ker P, and im AP = im P shows
+    # that A is invertible on the image
     dec, pm, _, op = ordinary_part(SubgroupSpec.parse(spec_name), k, p, M)
     assert dec.ordinary_rank == ordinary_rank
-    g = pm.ngens
-    e = dec.idempotent
     A = pm.reduce_matrix(op.matrix)
+    P = dec.power
+    image = dec.image.canonical()
+    assert _image_lattice(P, pm).canonical() == image
+    assert _image_lattice(mat_mul(P, P), pm).canonical() == image
+    assert _image_lattice(mat_mul(A, P), pm).canonical() == image
+    assert dec.ordinary_factors == tuple(pm.submodule_factors(dec.image))
+    assert dec.ordinary_rank + dec.nilpotent_rank == pm.ngens
 
-    def apply(mat, v):
-        return [sum(mat[i][j] * v[j] for j in range(g)) % o
-                for i, o in enumerate(pm.orders)]
 
-    for j in range(g):
-        col = [int(i == j) for i in range(g)]
-        ecol = apply(e, col)
-        assert apply(e, ecol) == ecol            # e^2 = e
-        assert apply(e, apply(A, col)) == apply(A, ecol)   # eA = Ae
-        assert dec.image.contains(ecol)
-        rest = [(c - x) % o for c, x, o in zip(col, ecol, pm.orders)]
-        assert dec.kernel.contains(rest)         # 1 - e lands in the kernel
+@pytest.mark.parametrize("spec_name,k,p,ordinary_rank", [
+    ("gamma0:11", 0, 2, 1), ("gamma1:13", 0, 3, 15), ("gamma0:23", 1, 2, 8),
+])
+def test_ordinary_rank_from_charpoly(spec_name, k, p, ordinary_rank):
+    # with no p-torsion in H1 the ordinary rank is the number of unit
+    # roots of charpoly(T_p) mod p: g minus the order of x there
+    h1z = compute_h1(SubgroupSpec.parse(spec_name), k, ZZ)
+    assert all(d == 0 or d % p for d in h1z.invariant_factors)
+    A = hecke_operator(p, h1z).matrix
+    free = [i for i, d in enumerate(h1z.invariant_factors) if d == 0]
+    chi = charpoly([[A[i][j] for j in free] for i in free])
+    zeros = 0
+    while zeros < len(free) and chi[-1 - zeros] % p == 0:
+        zeros += 1
+    assert len(free) - zeros == ordinary_rank
+    for M in (1, 2, 3):
+        pm = PModule(h1z.module, p, M)
+        dec = ordinary_idempotent(pm.reduce_matrix(A), pm)
+        assert dec.ordinary_rank == ordinary_rank
 
 
 @pytest.mark.parametrize("N,p,k,dim", [(9, 3, 1, 3), (5, 5, 2, 2)])
