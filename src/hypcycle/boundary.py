@@ -101,11 +101,7 @@ def boundary_subgroup(spec, k, ring=ZZ, h1=None, cusps=None):
     span = Lattice(g)
     for col in cols + rel:
         span.add(col)
-    basis = span.basis_columns()
-    if g == 0:
-        return subquotient([], []), span
-    rels = from_columns(rel, g) if rel else [[0] * 0 for _ in range(g)]
-    module = subquotient(basis, rels, h1.ring)
+    module = subquotient(span.basis_columns(), from_columns(rel, g), h1.ring)
     return module, span
 
 
@@ -164,9 +160,7 @@ def check_hecke_generation(spec, k):
     g = h1.ngens
     rel = h1.module.relation_columns()
     cusps = cusp_data(h1.table)
-    boundary = Lattice(g)
-    for col in boundary_cycles(h1, cusps) + rel:
-        boundary.add(col)
+    bound_mod, boundary = boundary_subgroup(spec, k, h1=h1, cusps=cusps)
     ops = []
     names = []
     for ell in GENERATION_PRIMES:
@@ -190,8 +184,8 @@ def check_hecke_generation(spec, k):
     z0 = list(h1.cycle_coords(T, x2_power(k)))
     span.add(z0)
     frontier = [z0]
-    rounds = 0
-    while frontier and rounds < GENERATION_ROUNDS:
+    target = boundary.canonical()
+    for _ in range(GENERATION_ROUNDS):
         new = []
         for op in ops:
             for z in frontier:
@@ -199,18 +193,12 @@ def check_hecke_generation(spec, k):
                 if span.add(image):
                     new.append(image)
         frontier = new
-        rounds += 1
-        if span.canonical() == boundary.canonical():
+        if not frontier or span.canonical() == target:
             break
-    if span.canonical() == boundary.canonical():
-        verdict = "Verified"
-    else:
-        # the span sits inside the boundary by Hecke stability; a strict
-        # inclusion after a finite budget is not a refutation
-        verdict = "Inconclusive"
-    rels = from_columns(rel, g) if g else []
-    span_mod = subquotient(span.basis_columns(), rels) if g else subquotient([], [])
-    bound_mod = subquotient(boundary.basis_columns(), rels) if g else subquotient([], [])
+    # the span sits inside the boundary by Hecke stability; a strict
+    # inclusion after a finite budget is not a refutation
+    verdict = "Verified" if span.canonical() == target else "Inconclusive"
+    span_mod = subquotient(span.basis_columns(), from_columns(rel, g))
     return GenerationReport(verdict, spec.name, k, tuple(names),
                             tuple(span_mod.invariant_factors),
                             tuple(bound_mod.invariant_factors))

@@ -97,11 +97,7 @@ def _verdict_report(rep):
 
 
 def _budget_from(args):
-    return Budget(
-        max_word_len=args.max_word_len,
-        max_generators=args.max_generators,
-        seed=args.seed,
-    )
+    return Budget(max_generators=args.max_generators, seed=args.seed)
 
 
 def _config_dict(args):
@@ -265,14 +261,17 @@ def cmd_batch(args):
     for i, entry in enumerate(manifest):
         row = {c: "" for c in BATCH_COLUMNS}
         row["row"] = i
-        row["subcommand"] = entry.get("subcommand", "")
-        argv = [entry.get("subcommand", "")]
-        for key, val in entry.items():
-            if key == "subcommand":
-                continue
-            argv.append("--%s" % key.replace("_", "-"))
-            argv.append(str(val))
         try:
+            if not isinstance(entry, dict):
+                raise CliError("manifest entry is not an object: %r"
+                               % (entry,))
+            row["subcommand"] = entry.get("subcommand", "")
+            argv = [entry.get("subcommand", "")]
+            for key, val in entry.items():
+                if key == "subcommand":
+                    continue
+                argv.append("--%s" % key.replace("_", "-"))
+                argv.append(str(val))
             parsed = build_parser().parse_args(argv)
             report, code = parsed.func(parsed)
             row["status"] = "ok"
@@ -298,8 +297,6 @@ def cmd_batch(args):
 
 def _add_budget_flags(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-word-len", type=_positive, default=10,
-                   dest="max_word_len")
     p.add_argument("--max-generators", type=_positive, default=300,
                    dest="max_generators")
 

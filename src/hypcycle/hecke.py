@@ -1,5 +1,5 @@
-"""Double-coset operators on H1, and the specializations T_p, U_p, the
-diamond operators, and the level-raising triple (pi, phi, V).
+"""Double-coset operators on H1, and the specializations T_p, U_p and
+the diamond operators.
 
 The double coset of alpha with det(alpha) > 0 maps cycles from H1(Gamma)
 to H1(Gamma'): a cycle is restricted to Gamma_1 = Gamma n alpha^-1
@@ -23,15 +23,14 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add, mul
 
-from .cosets import SubgroupSpec, build_cosets, subgroup_transversal
+from .cosets import build_cosets, subgroup_transversal
 from .homology import (
     H1Presentation,
     _fox_unit_map,
-    compute_h1,
     to_group_chain,
 )
 from .intlinalg import from_columns, identity, xgcd
-from .psl2 import I, Mat2, PMat
+from .psl2 import Mat2, PMat
 from .symspace import act, corestriction_map, restriction_map
 
 
@@ -336,19 +335,6 @@ def hecke_operator(p, h1):
     return hecke_matrix_diag_p(h1, p).operator()
 
 
-def beta_matrix(N, p):
-    """beta = [[m, n], [N, p]] in Gamma_0(N) with minimal nonnegative m
-    solving m*p - n*N = 1."""
-    if N == 1:
-        return Mat2(0, -1, 1, p)
-    x, _, g = xgcd(p, N)
-    if g != 1:
-        raise WrongDivisibility("p must be coprime to N")
-    m = x % N
-    n = (m * p - 1) // N
-    return Mat2(m, n, N, p)
-
-
 def diamond_matrix(N, d):
     """An element of Gamma_0(N) with lower row (N, d mod N)."""
     d = d % N
@@ -380,45 +366,3 @@ def diamond(d, h1, beta=None):
     """The matrix of the diamond operator <d> (see diamond_coset)."""
     op = diamond_coset(d, h1, beta)
     return op.operator() if isinstance(op, DoubleCoset) else op
-
-
-@dataclass
-class PPhiV:
-    """The canonical map pi, the transfer phi, and the shift V between
-    the level-N and level-Np presentations, with U_p downstairs."""
-
-    h1: H1Presentation
-    h1p: H1Presentation
-    pi: OperatorMatrix
-    phi: OperatorMatrix
-    V: OperatorMatrix
-    Up: OperatorMatrix
-
-
-def gamma0p_intersection(spec, p):
-    """SubgroupSpec of Gamma n Gamma_0(p) for p coprime to the level."""
-    if spec.N % p == 0:
-        raise WrongDivisibility("p divides the level; intersection is trivial")
-    Np = spec.N * p
-    gens = tuple(x for x in range(1, Np)
-                 if xgcd(x, Np)[2] == 1 and (x % spec.N) in spec.h_set)
-    return SubgroupSpec(Np, gens,
-                        label="%s&gamma0:%d" % (spec.name, p))
-
-
-def pi_phi_V(h1, p):
-    """The operators of the level-raising square at p (p coprime to
-    the level): pi is corestriction, phi the double coset of diag(1,p)
-    into the intersection with Gamma_0(p), V the shifted double coset
-    of beta*diag(p,1), and U_p acts downstairs."""
-    spec = h1.spec
-    if spec is None or spec.N % p == 0:
-        raise WrongDivisibility("pi/phi/V need p coprime to the level")
-    specp = gamma0p_intersection(spec, p)
-    h1p = compute_h1(specp, h1.k, h1.ring)
-    pi = DoubleCoset(h1p, h1, I.lift()).operator()
-    phi = DoubleCoset(h1, h1p, Mat2(1, 0, 0, p)).operator()
-    beta = beta_matrix(spec.N, p)
-    V = DoubleCoset(h1p, h1p, beta * Mat2(p, 0, 0, 1)).operator()
-    Up = hecke_U(p, h1p)
-    return PPhiV(h1, h1p, pi, phi, V, Up)

@@ -30,10 +30,6 @@ class NotInModule(Exception):
     """Coordinate lookup of a vector outside the module."""
 
 
-class NotStable(Exception):
-    """An endomorphism maps some generator outside the module."""
-
-
 def xgcd(a, b):
     """Return (x, y, g) with a*x + b*y == g == gcd(a, b) >= 0."""
     x, next_x = 1, 0
@@ -615,22 +611,3 @@ def subquotient(kernel, image, ring=ZZ):
         uinv_rows = [uinv_rows[t] for t in free_idx]
     return FgModule(n, ring, factors, gen_lift, ech, uinv_rows)
 
-
-def induced_endomorphism(f, module):
-    """Matrix of an ambient linear map on the generators of ``module``.
-
-    ``f`` is a callable on ambient vectors or an ambient square matrix.
-    Raises NotStable if some generator image leaves the module.
-    """
-    if callable(f):
-        apply = f
-    else:
-        apply = lambda v: mat_vec(f, v)
-    cols = []
-    for i in range(module.ngens):
-        w = apply(module.generator(i))
-        try:
-            cols.append(list(module.coords(w)))
-        except NotInModule as e:
-            raise NotStable("generator %d image leaves the module" % i) from e
-    return from_columns(cols, module.ngens)

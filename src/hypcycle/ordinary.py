@@ -10,7 +10,7 @@ so its image is the ordinary part; no projector is formed.
 """
 
 from dataclasses import asdict, dataclass
-from math import gcd
+from math import gcd, prod
 
 from .cosets import SubgroupSpec, build_cosets
 from .hecke import hecke_operator
@@ -19,9 +19,9 @@ from .intlinalg import (
     Lattice,
     RingSpec,
     ZZ,
+    columns,
     from_columns,
     identity,
-    induced_endomorphism,
     mat_mul,
     mat_vec,
     subquotient,
@@ -36,13 +36,15 @@ from .symspace import poly_pow
 QUOTIENT_HECKE_PRIMES = (2, 3)
 QUIET_DRAWS = 25
 MAX_OPERATOR_PRIME = 2000
+# depth of ``enumerate_hyperbolic``'s word ball, which on all but the
+# smallest groups hits its size cap first; walks take 2 to 4x as many
+MAX_WORD_LEN = 10
 
 
 @dataclass(frozen=True)
 class Budget:
     """Budget of the hyperbolic element stream; all reports embed it."""
 
-    max_word_len: int = 10
     max_generators: int = 300
     seed: int = 0
 
@@ -82,9 +84,10 @@ class PModule:
             cols.append(col)
         return cols
 
-    def relation_lattice(self):
+    def relation_lattice(self, vectors=()):
+        """The relations, plus ``vectors`` if given."""
         lat = Lattice(self.ngens)
-        for col in self.relation_columns():
+        for col in self.relation_columns() + list(vectors):
             lat.add(col)
         return lat
 
@@ -100,21 +103,12 @@ class PModule:
     def submodule_factors(self, lat):
         """Invariant factors of a submodule given by a lattice that
         contains the relation lattice."""
-        if self.ngens == 0:
-            return ()
-        basis = lat.basis_columns()
-        if not basis or not basis[0]:
-            return ()
         rels = from_columns(self.relation_columns(), self.ngens)
-        return subquotient(basis, rels).invariant_factors
+        return subquotient(lat.basis_columns(), rels).invariant_factors
 
 
 def _image_lattice(P, pm):
-    lat = pm.relation_lattice()
-    g = pm.ngens
-    for j in range(g):
-        lat.add([P[i][j] for i in range(g)])
-    return lat
+    return pm.relation_lattice(columns(P))
 
 
 @dataclass
@@ -135,27 +129,35 @@ class OrdinaryDecomposition:
         return [x % o for x, o in zip(out, self.pm.orders)]
 
 
+def fitting_power(A, pm):
+    """A^n mod p^M, n the least power of two >= the length of ``pm``,
+    by repeated squaring: an automorphism of the ordinary part and zero
+    on the nilpotent part (Fitting's lemma)."""
+    m = pm.modulus
+    P = [[x % m for x in row] for row in A]
+    n, length = 1, pm.length()
+    while n < length:
+        P = [[x % m for x in row] for row in mat_mul(P, P)]
+        n *= 2
+    return P
+
+
 def ordinary_idempotent(A, pm):
     """Fitting split of a finite module of p-power exponent under A.
 
     On a module of length L, P = A^n with n >= L is an automorphism of
     the ordinary part e*M and zero on the nilpotent part (1 - e)*M, so
-    im P = e*M.  P is taken by repeated squaring, n the least power of
-    two >= L.  ``apply`` multiplies by P, not by e: P*z = u(e*z) for the
-    automorphism u = P on e*M, so projected vectors span e*M exactly
-    when their e-projections do.  The name stays: the benchmark's
-    ``perfbench/spans.py`` traces this function by it.
+    im P = e*M (see fitting_power).  ``apply`` multiplies by P, not by
+    e: P*z = u(e*z) for the automorphism u = P on e*M, so projected
+    vectors span e*M exactly when their e-projections do.  The name
+    stays: the benchmark's ``perfbench/spans.py`` traces this function
+    by it.
     """
-    g = pm.ngens
-    m = pm.modulus
-    P = [[A[i][j] % m for j in range(g)] for i in range(g)]
-    n, length = 1, pm.length()
-    while n < length:
-        P = [[x % m for x in row] for row in mat_mul(P, P)]
-        n *= 2
+    P = fitting_power(A, pm)
     image = _image_lattice(P, pm)
     factors = tuple(pm.submodule_factors(image))
-    return OrdinaryDecomposition(pm, P, image, factors, g - len(factors))
+    return OrdinaryDecomposition(pm, P, image, factors,
+                                 pm.ngens - len(factors))
 
 
 def ordinary_part(spec, k, p, M):
@@ -178,7 +180,7 @@ def enumerate_hyperbolic(table, budget, exclude_p=None):
 
     Breadth-first products of Schreier generators (augmented by their
     pairwise products, so translations appear at word length one) up
-    to the budgeted word length, then seeded random walks.  In the
+    to word length MAX_WORD_LEN, then seeded random walks.  In the
     systematic phase, at most three elements are emitted per
     (|trace|, form content) class: conjugates and inverses represent
     equal cycle classes up to sign, so the cap brings fresh classes
@@ -234,7 +236,7 @@ def enumerate_hyperbolic(table, budget, exclude_p=None):
     # Hecke-close its span or stop
     frontier = {I.key(): I}
     ball = dict(frontier)
-    for _ in range(budget.max_word_len):
+    for _ in range(MAX_WORD_LEN):
         new = {}
         for g in frontier.values():
             for x in gens:
@@ -273,7 +275,7 @@ def enumerate_hyperbolic(table, budget, exclude_p=None):
     while emitted < budget.max_generators and attempts < 200 * budget.max_generators:
         attempts += 1
         g = I
-        for _ in range(rng.randint(2, 4 * budget.max_word_len)):
+        for _ in range(rng.randint(2, 4 * MAX_WORD_LEN)):
             g = g * gens[rng.randrange(len(gens))]
         if admissible(g):
             seen.add(g.key())
@@ -369,16 +371,18 @@ def _prime_factors(n):
 
 
 def cycle_quotient_report(spec, k, budget=Budget()):
-    """Grow the integral span of hyperbolic cycles, close it under a
-    few Hecke operators, and test the quotient of H1 by the span for
-    finiteness and non-ordinarity at every prime dividing its order.
+    """Grow the integral span S of hyperbolic cycles, close it under a
+    few Hecke operators, and test H1/S for finiteness and
+    non-ordinarity at every prime dividing its order.
 
-    Returns Verified exactly when the quotient is finite and, at every
-    such prime q, the span is T_q-stable and the ordinary part of the
-    quotient vanishes; else Inconclusive.  The computed span may fall
-    short of the true one, whose quotient is then a Hecke quotient of
-    the computed one, so a vanishing ordinary part carries over but a
-    nonzero one refutes nothing."""
+    Returns Verified exactly when H1/S is finite and, at every such
+    prime q, S is T_q-stable and e(H1/S) vanishes at q; else
+    Inconclusive.  e commutes with the quotient map and with reduction
+    mod q, so by Nakayama e(H1/S) = 0 at q exactly when e(H1 (x) F_q),
+    the image of the Fitting power of T_q mod q, lies in S + q*H1.  The
+    computed span may fall short of the true one, whose quotient is
+    then a Hecke quotient of the computed one, so a vanishing ordinary
+    part carries over but a nonzero one refutes nothing."""
     h1z = compute_h1(spec, k, ZZ)
     g = h1z.ngens
     span = Lattice(g)
@@ -411,14 +415,9 @@ def cycle_quotient_report(spec, k, budget=Budget()):
             if not hecke_close():
                 break
             quiet = 0
-    basis = span.basis_columns()
-    quotient = subquotient(identity(g), basis) if g else subquotient([], [])
-    factors = quotient.invariant_factors
-    free_rank = sum(1 for d in factors if d == 0)
-    order = 1
-    for d in factors:
-        if d:
-            order *= d
+    factors = subquotient(identity(g), span.basis_columns()).invariant_factors
+    free_rank = factors.count(0)
+    order = prod(d for d in factors if d)
     prime_verdicts = {}
     if free_rank == 0:
         for q in _prime_factors(order):
@@ -426,15 +425,14 @@ def cycle_quotient_report(spec, k, budget=Budget()):
             if q > MAX_OPERATOR_PRIME:
                 continue
             A = (ops.get(q) or hecke_operator(q, h1z)).matrix
-            # every vector of Z^g lies in the quotient Z^g / span, so T_q
-            # induces an endomorphism of it only if the span is stable
+            # T_q induces an endomorphism of Z^g / span only if the span
+            # is stable
             if not all(span.contains(mat_vec(A, s)) for s in span.rows):
                 continue
-            induced = induced_endomorphism(A, quotient)
-            Mq = max(_valuation(d, q) for d in factors if d)
-            qm = PModule(quotient, q, Mq)
-            dq = ordinary_idempotent(qm.reduce_matrix(induced), qm)
-            if dq.ordinary_rank == 0:
+            pq = PModule(h1z.module, q, 1)
+            reduced = pq.relation_lattice(pq.project(s) for s in span.rows)
+            P = fitting_power(pq.reduce_matrix(A), pq)
+            if all(reduced.contains(col) for col in columns(P)):
                 prime_verdicts[str(q)] = "Verified"
     verified = free_rank == 0 and all(
         v == "Verified" for v in prime_verdicts.values())
@@ -449,14 +447,6 @@ def cycle_quotient_report(spec, k, budget=Budget()):
         prime_verdicts=prime_verdicts,
         generators_tried=tried,
     )
-
-
-def _valuation(n, p):
-    v = 0
-    while n % p == 0 and n:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass
@@ -485,7 +475,11 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     """Check that b -> b * X2^(2k) identifies the U_p-ordinary parts of
     H1 with constant and with degree-2k mod-p coefficients on
     Gamma_1(N) for p | N, and unit-scales hyperbolic cycles outside the
-    principal congruence subgroup of level p."""
+    principal congruence subgroup of level p.
+
+    j_* is one matrix J, the images of the generators' chains: it is
+    U_p-equivariant when J*U_p == U_p*J mod p, and it maps the constant
+    ordinary part and the constant cycles by products with J."""
     if N % p:
         raise ValueError("the reduction bridge needs p dividing the level")
     spec = SubgroupSpec.gamma1(N)
@@ -501,23 +495,17 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     pmk = PModule(hk.module, p, 1)
     dec0 = ordinary_idempotent(pm0.reduce_matrix(U0.matrix), pm0)
     deck = ordinary_idempotent(pmk.reduce_matrix(Uk.matrix), pmk)
-    # matrix of j_* on generators
-    jcols = []
-    for i in range(h0.ngens):
-        chain = h0.generator_chain(i)
-        jcols.append(list(hk.coords(_j_star_chain(chain, k, p))))
-    # Hecke equivariance: j o U_p = U_p o j on the mod-p modules
-    equivariant = _check_equivariance(jcols, U0.matrix, Uk.matrix,
-                                      h0.ngens, hk.ngens, p)
-    # image of the constant ordinary part spans the weighted one
-    span = pmk.relation_lattice()
-    for row in dec0.image.rows:
-        x = [0] * h0.ngens
-        for idx, i in enumerate(pm0.keep):
-            x[i] = row[idx]
-        jim = [sum(jcols[t][r] * x[t] for t in range(h0.ngens))
-               for r in range(hk.ngens)]
-        span.add(deck.apply(pmk.project(jim)))
+    J = from_columns([list(hk.coords(_j_star_chain(h0.generator_chain(i),
+                                                   k, p)))
+                      for i in range(h0.ngens)], hk.ngens)
+    equivariant = all(
+        (x - y) % p == 0
+        for lrow, rrow in zip(mat_mul(J, U0.matrix), mat_mul(Uk.matrix, J))
+        for x, y in zip(lrow, rrow))
+    # image of the constant ordinary part spans the weighted one; over
+    # F_p every generator has order p, so pm0 keeps them all
+    span = pmk.relation_lattice(deck.apply(pmk.project(mat_vec(J, row)))
+                                for row in dec0.image.rows)
     image_matches = span.canonical() == deck.image.canonical()
     dims_equal = dec0.ordinary_rank == deck.ordinary_rank
     # unit scaling on hyperbolic cycles outside level-p principal
@@ -531,10 +519,8 @@ def mod_p_bridge(N, p, k, budget=Budget()):
         wk = hk.cycle_coords(gamma, poly_pow(quadratic_form(gamma), k))
         grp = gcd(gcd(abs(c), abs(a - d)), abs(b))
         u = pow((grp * pow(b, -1, p)) % p, k, p)
-        lhs = [sum(jcols[t][r] * w0[t] for t in range(h0.ngens)) % p
-               for r in range(hk.ngens)]
-        rhs = [(u * x) % p for x in wk]
-        if hk.reduce_coords(lhs) != hk.reduce_coords(rhs):
+        rhs = [u * x for x in wk]
+        if hk.reduce_coords(mat_vec(J, w0)) != hk.reduce_coords(rhs):
             scaling_ok = False
             break
         checked += 1
@@ -552,22 +538,3 @@ def mod_p_bridge(N, p, k, budget=Budget()):
         image_matches=image_matches,
         unit_scalings_checked=checked,
     )
-
-
-def _check_equivariance(jcols, A0, Ak, n0, nk, p):
-    for i in range(n0):
-        lhs = [0] * nk
-        for t in range(n0):
-            coef = A0[t][i]
-            if coef:
-                for r in range(nk):
-                    lhs[r] += jcols[t][r] * coef
-        rhs = [0] * nk
-        for t in range(nk):
-            coef = jcols[i][t]
-            if coef:
-                for r in range(nk):
-                    rhs[r] += Ak[r][t] * coef
-        if any((x - y) % p for x, y in zip(lhs, rhs)):
-            return False
-    return True

@@ -36,24 +36,49 @@ convert where they hand a chain to the library or take one back.
 Smith form with both transition matrices, built from two left-only
 Smith forms of the library), ``saturate_columns``, ``schreier`` and
 ``p1_size`` are matrix, word and coset helpers that only the tests need.
+
+``induced_endomorphism`` is the matrix of an ambient map on the
+generators of a subquotient; ``cycle_quotient_report`` once ran its
+per-prime test on it, and the tests keep that route as the oracle of
+the test on H1 (x) F_q.  ``beta_matrix``, ``gamma0p_intersection`` and
+``pi_phi_V`` build the level-raising square (pi, phi, V) at a prime
+coprime to the level.
 """
 
-from hypcycle.cosets import BudgetExceeded, CosetTable
-from hypcycle.hecke import ConjugateLeavesGroup, conjugate_by
-from hypcycle.homology import fox_expand_unit, to_group_chain
+from dataclasses import dataclass
+
+
+from hypcycle.cosets import BudgetExceeded, CosetTable, SubgroupSpec
+from hypcycle.hecke import (
+    ConjugateLeavesGroup,
+    DoubleCoset,
+    OperatorMatrix,
+    WrongDivisibility,
+    conjugate_by,
+    hecke_U,
+)
+from hypcycle.homology import (
+    H1Presentation,
+    compute_h1,
+    fox_expand_unit,
+    to_group_chain,
+)
 from hypcycle.intlinalg import (
     ColumnEchelon,
+    NotInModule,
     columns,
     diagonal,
     from_columns,
     identity,
     kernel_basis,
     mat_mul,
+    mat_vec,
     smith_normal_form_full,
     subquotient,
+    xgcd,
     zeros,
 )
-from hypcycle.psl2 import I, S, U, decompose_word
+from hypcycle.psl2 import I, Mat2, S, U, decompose_word
 from hypcycle.symspace import (
     act,
     act_matrix,
@@ -560,3 +585,82 @@ def p1_size(N):
     if n > 1:
         num = num // n * (n + 1)
     return num
+
+
+class NotStable(Exception):
+    """An endomorphism maps some generator outside the module."""
+
+
+def induced_endomorphism(f, module):
+    """Matrix of an ambient linear map on the generators of ``module``.
+
+    ``f`` is a callable on ambient vectors or an ambient square matrix.
+    Raises NotStable if some generator image leaves the module.
+    """
+    if callable(f):
+        apply = f
+    else:
+        apply = lambda v: mat_vec(f, v)
+    cols = []
+    for i in range(module.ngens):
+        w = apply(module.generator(i))
+        try:
+            cols.append(list(module.coords(w)))
+        except NotInModule as e:
+            raise NotStable("generator %d image leaves the module" % i) from e
+    return from_columns(cols, module.ngens)
+
+
+def beta_matrix(N, p):
+    """beta = [[m, n], [N, p]] in Gamma_0(N) with minimal nonnegative m
+    solving m*p - n*N = 1."""
+    if N == 1:
+        return Mat2(0, -1, 1, p)
+    x, _, g = xgcd(p, N)
+    if g != 1:
+        raise WrongDivisibility("p must be coprime to N")
+    m = x % N
+    n = (m * p - 1) // N
+    return Mat2(m, n, N, p)
+
+
+@dataclass
+class PPhiV:
+    """The canonical map pi, the transfer phi, and the shift V between
+    the level-N and level-Np presentations, with U_p downstairs."""
+
+    h1: H1Presentation
+    h1p: H1Presentation
+    pi: OperatorMatrix
+    phi: OperatorMatrix
+    V: OperatorMatrix
+    Up: OperatorMatrix
+
+
+def gamma0p_intersection(spec, p):
+    """SubgroupSpec of Gamma n Gamma_0(p) for p coprime to the level."""
+    if spec.N % p == 0:
+        raise WrongDivisibility("p divides the level; intersection is trivial")
+    Np = spec.N * p
+    gens = tuple(x for x in range(1, Np)
+                 if xgcd(x, Np)[2] == 1 and (x % spec.N) in spec.h_set)
+    return SubgroupSpec(Np, gens,
+                        label="%s&gamma0:%d" % (spec.name, p))
+
+
+def pi_phi_V(h1, p):
+    """The operators of the level-raising square at p (p coprime to
+    the level): pi is corestriction, phi the double coset of diag(1,p)
+    into the intersection with Gamma_0(p), V the shifted double coset
+    of beta*diag(p,1), and U_p acts downstairs."""
+    spec = h1.spec
+    if spec is None or spec.N % p == 0:
+        raise WrongDivisibility("pi/phi/V need p coprime to the level")
+    specp = gamma0p_intersection(spec, p)
+    h1p = compute_h1(specp, h1.k, h1.ring)
+    pi = DoubleCoset(h1p, h1, I.lift()).operator()
+    phi = DoubleCoset(h1, h1p, Mat2(1, 0, 0, p)).operator()
+    beta = beta_matrix(spec.N, p)
+    V = DoubleCoset(h1p, h1p, beta * Mat2(p, 0, 0, 1)).operator()
+    Up = hecke_U(p, h1p)
+    return PPhiV(h1, h1p, pi, phi, V, Up)

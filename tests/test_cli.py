@@ -61,6 +61,14 @@ def test_batch_exit_code_caps_at_2(rows, expect, tmp_path, capsys):
                                          2 if entry is INCONCLUSIVE else 0)
 
 
+def test_batch_entry_not_an_object_is_an_error_row(tmp_path, capsys):
+    code, out = run_batch(tmp_path, capsys, [GOOD, 5])
+    assert code == 2
+    assert [(row["status"], row["exit_code"]) for row in out] == [
+        ("ok", "0"), ("error", "3")]
+    assert "not an object" in out[1]["detail"]
+
+
 @pytest.mark.parametrize("before, after", [
     (["--output", "{out}"], ["batch", "--manifest", "{manifest}"]),
     ([], ["batch", "--manifest", "{manifest}", "--output", "{out}"]),

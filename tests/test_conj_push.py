@@ -13,15 +13,21 @@ from hypcycle.boundary import cusp_data
 from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.hecke import (
     DoubleCoset,
-    beta_matrix,
     conj_star,
     diamond_matrix,
-    gamma0p_intersection,
 )
 from hypcycle.homology import compute_h1, fox_expand_unit
 from hypcycle.intlinalg import RingSpec, ZZ, identity
 from hypcycle.psl2 import I, Mat2, S, T, TP, U, decompose_word
-from oracles import IndVec, conj_star_letter_walk, dense, fox_expand, sparse
+from oracles import (
+    IndVec,
+    beta_matrix,
+    conj_star_letter_walk,
+    dense,
+    fox_expand,
+    gamma0p_intersection,
+    sparse,
+)
 
 PUSH = settings(max_examples=30, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow,

@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.hecke import (
     DoubleCoset,
-    beta_matrix,
     diamond_matrix,
-    gamma0p_intersection,
     hermite_split,
 )
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import ZZ
 from hypcycle.psl2 import I, Mat2, S, T, TP, U
-from oracles import double_coset_predicates, subgroup_cosets
+from oracles import (
+    beta_matrix,
+    double_coset_predicates,
+    gamma0p_intersection,
+    subgroup_cosets,
+)
 
 KEYS = settings(max_examples=40, deadline=None, derandomize=True)
 HECKE = settings(max_examples=20, deadline=None, derandomize=True)

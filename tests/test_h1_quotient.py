@@ -178,11 +178,11 @@ class TestCli:
         "cycle --group gamma0:1 --k 0 --matrix [[2,1],[1,1]]x",
         "cycle --group gamma0:1 --k 0 --matrix 7",
         "cycle --group gamma0:1 --k 0 --matrix [[1.9,0],[0,1]]",
-        "verify-main --group gamma0:11 --k 0 --p 3 --max-word-len -1",
+        "verify-main --group gamma0:11 --k 0 --p 3 --max-word-len -1",  # removed
         "verify-main --group gamma0:11 --k 0 --p 3 --max-generators 0",
         "verify-main --group gamma0:11 --k 0 --p 3 --max-generators -3",
         "verify-main --group gamma0:11 --k 0 --p 3 --patience 25",  # removed
-        "quotient --group gamma0:11 --k 0 --max-word-len 0",
+        "quotient --group gamma0:11 --k 0 --max-word-len 0",  # removed
     ])
     def test_bad_input_exits_3(self, argv, capsys):
         code, report = run_cli(argv.split(), capsys)

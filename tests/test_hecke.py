@@ -7,19 +7,15 @@ from hypcycle.hecke import (
     ConjugateLeavesGroup,
     CorestrictedReaders,
     DoubleCoset,
-    PPhiV,
     WrongDivisibility,
-    beta_matrix,
     conj_star,
     conjugate_by,
     diamond,
     diamond_matrix,
-    gamma0p_intersection,
     hecke_T,
     hecke_U,
     hecke_matrix_diag_p,
     identity_operator,
-    pi_phi_V,
 )
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ
@@ -39,8 +35,11 @@ from oracles import (
     Chain1,
     IndVec,
     NotACycleOnTransfer,
+    beta_matrix,
     boundary1,
     dense,
+    gamma0p_intersection,
+    pi_phi_V,
     subgroup_cosets,
     transfer_res,
 )

@@ -8,14 +8,12 @@ from hypcycle.intlinalg import (
     ImageNotContained,
     Lattice,
     NotInModule,
-    NotStable,
     RingSpec,
     ZZ,
     QQ,
     diagonal,
     from_columns,
     identity,
-    induced_endomorphism,
     kernel_basis,
     kernel_mod,
     mat_mul,
@@ -25,7 +23,14 @@ from hypcycle.intlinalg import (
     xgcd,
     zeros,
 )
-from oracles import det, saturate_columns, smith_normal_form, transpose
+from oracles import (
+    NotStable,
+    det,
+    induced_endomorphism,
+    saturate_columns,
+    smith_normal_form,
+    transpose,
+)
 
 
 def snf_diagonal_oracle(A):

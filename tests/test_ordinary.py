@@ -1,6 +1,7 @@
 """Soundness of the verdicts of the ordinary-part verifiers, the
-Fitting split of the ordinary part, the ordinary rank against
-charpoly(T_p) mod p, and the mod-p bridge."""
+quotient's per-prime test on H1 (x) F_q against the induced
+endomorphism on the quotient, the Fitting split of the ordinary part,
+the ordinary rank against charpoly(T_p) mod p, and the mod-p bridge."""
 
 import pytest
 
@@ -8,7 +9,15 @@ from hypcycle import ordinary
 from hypcycle.cosets import SubgroupSpec
 from hypcycle.hecke import hecke_operator
 from hypcycle.homology import compute_h1
-from hypcycle.intlinalg import ZZ, mat_mul
+from hypcycle.intlinalg import (
+    Lattice,
+    ZZ,
+    columns,
+    identity,
+    mat_mul,
+    mat_vec,
+    subquotient,
+)
 from hypcycle.ordinary import (
     Budget,
     PModule,
@@ -20,6 +29,7 @@ from hypcycle.ordinary import (
     verify_main_theorem,
 )
 from hypcycle.polyz import charpoly
+from oracles import induced_endomorphism
 
 
 def test_quotient_small_budget_never_falsifies():
@@ -45,6 +55,85 @@ def test_quotient_verified_before_the_stream_ends():
     assert report.generators_tried == 24
     assert report.free_rank == 0
     assert set(report.prime_verdicts.values()) == {"Verified"}
+
+
+def _valuation(n, q):
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def quotient_prime_verdicts(spec, k, budget, monkeypatch):
+    """prime_verdicts of ``cycle_quotient_report`` and of the route it
+    took before the test on H1 (x) F_q: T_q induced on H1/S, then the
+    ordinary part of H1/S (x) Z/q^M at the largest q-valuation M of its
+    order.  The span S is read off the report's call of subquotient."""
+    images = []
+
+    def recording(kernel, image, *rest):
+        images.append(image)
+        return subquotient(kernel, image, *rest)
+
+    monkeypatch.setattr(ordinary, "subquotient", recording)
+    report = cycle_quotient_report(spec, k, budget)
+    assert len(images) == 1
+    h1z = compute_h1(spec, k, ZZ)
+    quotient = subquotient(identity(h1z.ngens), images[0])
+    span = Lattice(h1z.ngens)
+    for col in columns(images[0]):
+        span.add(col)
+    factors = quotient.invariant_factors
+    if 0 in factors:
+        return report.prime_verdicts, {}
+    primes = set()
+    for d in factors:
+        q = 2
+        while d > 1:
+            if d % q == 0:
+                primes.add(q)
+                d //= q
+            else:
+                q += 1
+    verdicts = {}
+    for q in sorted(primes):
+        verdicts[str(q)] = "Inconclusive"
+        A = hecke_operator(q, h1z).matrix
+        if not all(span.contains(mat_vec(A, row)) for row in span.rows):
+            continue
+        induced = induced_endomorphism(A, quotient)
+        qm = PModule(quotient, q, max(_valuation(d, q) for d in factors))
+        dec = ordinary_idempotent(qm.reduce_matrix(induced), qm)
+        if dec.ordinary_rank == 0:
+            verdicts[str(q)] = "Verified"
+    return report.prime_verdicts, verdicts
+
+
+@pytest.mark.parametrize("spec_name,k,budget", [
+    ("gamma0:23", 1, Budget(max_generators=24)),
+    ("gamma0:23", 1, Budget()),
+    ("gamma0:26", 2, Budget()),
+    ("gamma0:46", 1, Budget()),
+    # small spans, stable at a prime where the quotient stays ordinary
+    ("gamma0:1", 2, Budget(max_generators=4)),
+    ("gamma0:8", 2, Budget(max_generators=20)),
+])
+def test_quotient_prime_test_matches_induced_endomorphism(spec_name, k, budget,
+                                                          monkeypatch):
+    new, old = quotient_prime_verdicts(SubgroupSpec.parse(spec_name), k,
+                                       budget, monkeypatch)
+    assert new == old and new
+
+
+def test_quotient_prime_test_fails_without_cycles(monkeypatch):
+    # with no cycles H1/S is H1 = Z/6 on SL_2(Z), whose T_2 and T_3 are
+    # not nilpotent mod 2 and mod 3: both routes leave 2 and 3 open
+    monkeypatch.setattr(ordinary, "enumerate_hyperbolic",
+                        lambda table, budget, exclude_p=None: iter(()))
+    new, old = quotient_prime_verdicts(SubgroupSpec.gamma0(1), 0, Budget(),
+                                       monkeypatch)
+    assert new == old == {"2": "Inconclusive", "3": "Inconclusive"}
 
 
 @pytest.mark.parametrize("budget", [Budget(max_generators=1),
