@@ -8,15 +8,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cosets import SubgroupSpec, build_cosets
-from .hecke import (
-    DoubleCoset,
-    WrongDivisibility,
-    diamond_coset,
-    hecke_matrix_diag_p,
-    t_coset,
-)
+from .hecke import DoubleCoset, WrongDivisibility, diamond_coset, hecke_coset
 from .homology import compute_h1
-from .intlinalg import Lattice, ZZ, from_columns, subquotient
+from .intlinalg import ZZ
 from .psl2 import PARABOLIC, PMat, T, classify, quadratic_form
 from .symspace import poly_pow, x2_power
 
@@ -75,34 +69,22 @@ def cusp_data(spec_or_table):
     return data
 
 
-def boundary_cycles(h1, cusps=None):
-    """The parabolic cycle of each cusp stabilizer, as coordinates."""
-    if cusps is None:
-        cusps = cusp_data(h1.table)
-    out = []
-    for c in cusps:
-        q = quadratic_form(c.stabilizer)
-        out.append(list(h1.cycle_coords(c.stabilizer, poly_pow(q, h1.k))))
-    return out
-
-
 def boundary_subgroup(spec, k, ring=ZZ, h1=None, cusps=None):
-    """Submodule of H1 generated by the parabolic cycles of all cusps
-    (``cusps`` as from cusp_data, computed if left out).
+    """Submodule of H1 generated by the parabolic cycles of the cusp
+    stabilizers (``cusps`` as from cusp_data, computed if left out), as
+    its invariant factors and its span (see FgModule.span).
 
     Every parabolic element is conjugate in the subgroup to a power of
     a cusp stabilizer, and cycles scale linearly in powers, so the
     finitely many stabilizer cycles generate the whole boundary."""
     if h1 is None:
         h1 = compute_h1(spec, k, ring)
-    cols = boundary_cycles(h1, cusps)
-    rel = h1.module.relation_columns()
-    g = h1.ngens
-    span = Lattice(g)
-    for col in cols + rel:
-        span.add(col)
-    module = subquotient(span.basis_columns(), from_columns(rel, g), h1.ring)
-    return module, span
+    if cusps is None:
+        cusps = cusp_data(h1.table)
+    stabs = [c.stabilizer for c in cusps]
+    span = h1.module.span(h1.cycle_coords(g, poly_pow(quadratic_form(g), h1.k))
+                          for g in stabs)
+    return h1.module.factors(span), span
 
 
 @dataclass
@@ -123,7 +105,7 @@ def check_boundary_identity(N, p, k):
     spec = SubgroupSpec.gamma1(N * N)
     h1 = compute_h1(spec, k, ZZ)
     z = list(h1.cycle_coords(T, x2_power(k)))
-    lhs = t_coset(p, h1).apply_coords(z)
+    lhs = hecke_coset(p, h1).apply_coords(z)
     dz = diamond_coset(p, h1).apply_coords(z)
     rhs = h1.reduce_coords([a + p ** (2 * k + 1) * b for a, b in zip(z, dz)])
     verdict = "Verified" if tuple(lhs) == tuple(rhs) else "Falsified"
@@ -157,14 +139,12 @@ def check_hecke_generation(spec, k):
     if not spec.contains(T):
         raise ValueError("supported groups contain T (width one at infinity)")
     h1 = compute_h1(spec, k, ZZ)
-    g = h1.ngens
-    rel = h1.module.relation_columns()
     cusps = cusp_data(h1.table)
-    bound_mod, boundary = boundary_subgroup(spec, k, h1=h1, cusps=cusps)
+    bound_factors, boundary = boundary_subgroup(spec, k, h1=h1, cusps=cusps)
     ops = []
     names = []
     for ell in GENERATION_PRIMES:
-        ops.append(hecke_matrix_diag_p(h1, ell))
+        ops.append(hecke_coset(ell, h1))
         names.append(("U%d" if spec.N % ell == 0 else "T%d") % ell)
     for d in range(2, spec.N):
         if gcd(d, spec.N) == 1:
@@ -178,11 +158,8 @@ def check_hecke_generation(spec, k):
             continue
         ops.append(DoubleCoset(h1, h1, c.representative.lift()))
         names.append("[G %r G]" % (c.representative,))
-    span = Lattice(g)
-    for col in rel:
-        span.add(col)
     z0 = list(h1.cycle_coords(T, x2_power(k)))
-    span.add(z0)
+    span = h1.module.span([z0])
     frontier = [z0]
     target = boundary.canonical()
     for _ in range(GENERATION_ROUNDS):
@@ -198,7 +175,5 @@ def check_hecke_generation(spec, k):
     # the span sits inside the boundary by Hecke stability; a strict
     # inclusion after a finite budget is not a refutation
     verdict = "Verified" if span.canonical() == target else "Inconclusive"
-    span_mod = subquotient(span.basis_columns(), from_columns(rel, g))
     return GenerationReport(verdict, spec.name, k, tuple(names),
-                            tuple(span_mod.invariant_factors),
-                            tuple(bound_mod.invariant_factors))
+                            h1.module.factors(span), bound_factors)

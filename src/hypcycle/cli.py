@@ -23,7 +23,12 @@ from .boundary import (
     cusp_data,
 )
 from .cosets import BudgetExceeded, SubgroupSpec
-from .hecke import ConjugateLeavesGroup, WrongDivisibility, diamond, hecke_T, hecke_U
+from .hecke import (
+    ConjugateLeavesGroup,
+    WrongDivisibility,
+    diamond_coset,
+    hecke_coset,
+)
 from .homology import NotACycle, compute_h1
 from .intlinalg import ImageNotContained, NotInModule, RingSpec, ZZ, is_prime
 from .ordinary import (
@@ -153,19 +158,18 @@ def cmd_hecke(args):
     ring = RingSpec.parse(args.ring)
     h1 = compute_h1(spec, args.k, ring)
     op_name = args.op
-    if op_name == "Tp":
+    if op_name in ("Tp", "Up"):
         if args.p is None:
-            raise CliError("--op Tp requires --p")
-        op = hecke_T(args.p, h1)
-        label = "T%d" % args.p
-    elif op_name == "Up":
-        if args.p is None:
-            raise CliError("--op Up requires --p")
-        op = hecke_U(args.p, h1)
-        label = "U%d" % args.p
+            raise CliError("--op %s requires --p" % op_name)
+        if op_name == "Tp" and spec.N % args.p == 0:
+            raise WrongDivisibility("T_p requires p coprime to the level")
+        if op_name == "Up" and spec.N % args.p:
+            raise WrongDivisibility("U_p requires p dividing the level")
+        op = hecke_coset(args.p, h1).operator()
+        label = "%s%d" % (op_name[0], args.p)
     elif op_name.startswith("diamond:"):
         d = int(op_name.split(":", 1)[1])
-        op = diamond(d, h1)
+        op = diamond_coset(d, h1).operator()
         label = "<%d>" % d
     else:
         raise CliError("unknown operator %r" % op_name)
@@ -216,13 +220,13 @@ def cmd_boundary(args):
     ring = RingSpec.parse(args.ring)
     h1 = compute_h1(spec, args.k, ring)
     cusps = cusp_data(h1.table)
-    module, _ = boundary_subgroup(spec, args.k, ring, h1=h1, cusps=cusps)
+    factors, _ = boundary_subgroup(spec, args.k, ring, h1=h1, cusps=cusps)
     report = {
         "group": spec.name,
         "k": args.k,
         "ring": str(ring),
         "cusps": [c.as_dict() for c in cusps],
-        "boundary_invariant_factors": list(module.invariant_factors),
+        "boundary_invariant_factors": list(factors),
         "h1_invariant_factors": list(h1.invariant_factors),
     }
     return report, 0

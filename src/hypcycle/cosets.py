@@ -139,7 +139,6 @@ class CosetTable:
         self.mulU = mulU
         self.index = len(transversal)
         self._cosets = cosets
-        self.fox_cache = {}
         self.fox_steps = {}
 
     def contains(self, g):

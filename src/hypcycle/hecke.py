@@ -1,5 +1,7 @@
 """Double-coset operators on H1, and the specializations T_p, U_p and
-the diamond operators.
+the diamond operators: ``hecke_coset`` is the one constructor of the
+double coset of diag(1,p), which is T_p or U_p by the divisibility of
+the level, and ``diamond_coset`` the one constructor of <d>.
 
 The double coset of alpha with det(alpha) > 0 maps cycles from H1(Gamma)
 to H1(Gamma'): a cycle is restricted to Gamma_1 = Gamma n alpha^-1
@@ -232,6 +234,11 @@ class OperatorMatrix:
              for r1, r2 in zip(self.matrix, other.matrix)],
             self.source, self.target)
 
+    def operator(self):
+        """The matrix is its own operator, so it stands wherever a
+        prepared DoubleCoset does (see diamond_coset)."""
+        return self
+
     # polyz is imported on first use: only a charpoly needs it, and a
     # process that prints none (hypcycle --version) should not load it
 
@@ -305,34 +312,10 @@ class DoubleCoset:
         return OperatorMatrix(self._matrix, self.source, self.target)
 
 
-def hecke_matrix_diag_p(h1, p):
-    """[Gamma diag(1,p) Gamma] as an endomorphism of H1."""
+def hecke_coset(p, h1):
+    """[Gamma diag(1,p) Gamma] on H1: T_p for p coprime to the level, U_p
+    for p dividing it."""
     return DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
-
-
-def t_coset(p, h1):
-    """The double coset of T_p, for p coprime to the level."""
-    spec = h1.spec
-    if spec is None or spec.N % p == 0:
-        raise WrongDivisibility("T_p requires p coprime to the level")
-    return hecke_matrix_diag_p(h1, p)
-
-
-def hecke_T(p, h1):
-    return t_coset(p, h1).operator()
-
-
-def hecke_U(p, h1):
-    spec = h1.spec
-    if spec is None or spec.N % p:
-        raise WrongDivisibility("U_p requires p dividing the level")
-    return hecke_matrix_diag_p(h1, p).operator()
-
-
-def hecke_operator(p, h1):
-    """T_p or U_p according to the divisibility of the level by p; this
-    single double coset drives the ordinary projector."""
-    return hecke_matrix_diag_p(h1, p).operator()
 
 
 def diamond_matrix(N, d):
@@ -347,22 +330,15 @@ def diamond_matrix(N, d):
 
 
 def diamond_coset(d, h1, beta=None):
-    """The diamond operator <d> as a map of classes: the identity
-    operator if d = 1 mod N, else the conjugation-push by any beta in
-    Gamma_0(N) with lower-right entry d mod N.  Both have
-    ``apply_coords``."""
+    """The diamond operator <d>, the double coset of any beta in
+    Gamma_0(N) with lower-right entry d mod N: the identity operator
+    when beta lies in the group (d in +-H), else a DoubleCoset.  Both
+    have ``operator`` and ``apply_coords``."""
     spec = h1.spec
     if spec is None:
         raise ValueError("diamond operator needs a subgroup spec")
-    N = spec.N
-    if N == 1 or d % N == 1 % N:
-        return identity_operator(h1)
     if beta is None:
-        beta = diamond_matrix(N, d)
+        beta = diamond_matrix(spec.N, d)
+    if spec.contains(beta):
+        return identity_operator(h1)
     return DoubleCoset(h1, h1, beta)
-
-
-def diamond(d, h1, beta=None):
-    """The matrix of the diamond operator <d> (see diamond_coset)."""
-    op = diamond_coset(d, h1, beta)
-    return op.operator() if isinstance(op, DoubleCoset) else op

@@ -79,15 +79,11 @@ def _fox_unit_map(table, g, k, modulus):
     """Entries (slot, block, matrix), one per (slot, block), so that the
     chain of (g - 1) tensor (poly at block 0) is the sum of matrix * poly
     placed at the given slot and block; None stands for the identity.
-    Cached on the table, keyed by the element: the word of g is only
-    spelled out on a miss, and walked letter by letter by the product
-    rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v, reading each step
-    from the table's map (block, gen, n) -> (block', rho(twist^-1)) for
-    (k, modulus), filled on first use."""
-    key = (g.key(), k, modulus)
-    cached = table.fox_cache.get(key)
-    if cached is not None:
-        return cached
+    The word of g is walked letter by letter by the product rule
+    (gh - 1) x v = (g - 1) x hv + (h - 1) x v, reading each step from
+    the table's map (block, gen, n) -> (block', rho(twist^-1)) for
+    (k, modulus), filled on first use.  The map of g itself is not
+    cached: callers that use an element more than once keep its map."""
     steps = table.fox_steps.setdefault((k, modulus), {})
     groups = {}
     block = 0
@@ -116,13 +112,12 @@ def _fox_unit_map(table, g, k, modulus):
         block, A = steps.get((block, gen, n)) or fill(block, gen, n)
         if A is not None:
             mat = compose(A, mat)
-    entries = table.fox_cache[key] = merge_blocks(groups, 2 * k + 1, modulus)
-    return entries
+    return merge_blocks(groups, 2 * k + 1, modulus)
 
 
 def fox_expand_unit(table, g, poly, k, modulus=None):
-    """The chain of (g - 1) tensor (poly at block 0), via the cached
-    per-element Fox map."""
+    """The chain of (g - 1) tensor (poly at block 0), via the per-element
+    Fox map."""
     out = {}
     for slot, blk, M in _fox_unit_map(table, g, k, modulus):
         add_image(out, (slot, blk), M, poly)

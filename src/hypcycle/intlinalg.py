@@ -7,7 +7,10 @@ kernels and exact solving, the kernel modulo m in Hermite form, and a
 row-style lattice accumulator for incremental span computations.
 Finitely generated modules (subquotients of Z^n, possibly with a
 prime-power modulus) are presented by invariant factors together with
-an exact coordinate map.
+an exact coordinate map.  Submodules are formed in generator
+coordinates: ``FgModule.span`` gives the lattice of the relations plus
+some vectors, and ``FgModule.factors`` the invariant factors of such a
+lattice modulo the relations.
 
 Entry size, not dimension, drives the cost, so every elimination
 bounds it: the column echelon clears each row by Euclidean steps on
@@ -563,6 +566,21 @@ class FgModule:
                 col[i] = d
                 cols.append(col)
         return cols
+
+    def span(self, vectors=()):
+        """The submodule generated by ``vectors`` (generator
+        coordinates), as the Lattice of the relations plus them."""
+        lat = Lattice(self.ngens)
+        for col in self.relation_columns() + list(vectors):
+            lat.add(col)
+        return lat
+
+    def factors(self, lat):
+        """Invariant factors of ``lat`` (from span) modulo the relations,
+        over Z for any ring: with a modulus m the relations contain
+        m*Z^n, and over Q there are none."""
+        rels = from_columns(self.relation_columns(), self.ngens)
+        return subquotient(lat.basis_columns(), rels).invariant_factors
 
 
 def subquotient(kernel, image, ring=ZZ):

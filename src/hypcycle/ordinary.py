@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass
 from math import gcd, prod
 
 from .cosets import SubgroupSpec, build_cosets
-from .hecke import hecke_operator
+from .hecke import hecke_coset
 from .homology import compute_h1
 from .intlinalg import (
+    FgModule,
     Lattice,
     RingSpec,
     ZZ,
@@ -49,66 +50,36 @@ class Budget:
     seed: int = 0
 
 
-class PModule:
-    """H1 tensored with Z/p^M: cyclic p-power orders and the projection
-    from integral H1 coordinates."""
+class PModule(FgModule):
+    """H1 tensored with Z/p^M: an FgModule whose invariant factors are
+    its cyclic p-power orders, with no ambient presentation, and the
+    projection from integral H1 coordinates (``fg`` the module over Z)."""
 
     def __init__(self, fg, p, M):
         self.p = p
         self.M = M
-        m = p ** M
-        self.modulus = m
-        keep = []
-        orders = []
-        for i, d in enumerate(fg.invariant_factors):
-            o = m if d == 0 else gcd(d, m)
-            if o > 1:
-                keep.append(i)
-                orders.append(o)
-        self.keep = keep
-        self.orders = orders
-        self.ngens = len(keep)
+        m = self.modulus = p ** M
+        orders = [m if d == 0 else gcd(d, m) for d in fg.invariant_factors]
+        self.keep = [i for i, o in enumerate(orders) if o > 1]
+        super().__init__(len(self.keep), RingSpec("ZpM", p=p, M=M),
+                         [orders[i] for i in self.keep], None, None, None)
 
     def project(self, coords):
-        return [c % o for c, o in zip((coords[i] for i in self.keep), self.orders)]
+        return [coords[i] % o
+                for i, o in zip(self.keep, self.invariant_factors)]
 
     def reduce_matrix(self, A):
         m = self.modulus
         return [[A[i][j] % m for j in self.keep] for i in self.keep]
 
-    def relation_columns(self):
-        cols = []
-        for i, o in enumerate(self.orders):
-            col = [0] * self.ngens
-            col[i] = o
-            cols.append(col)
-        return cols
-
-    def relation_lattice(self, vectors=()):
-        """The relations, plus ``vectors`` if given."""
-        lat = Lattice(self.ngens)
-        for col in self.relation_columns() + list(vectors):
-            lat.add(col)
-        return lat
-
     def length(self):
         """Composition length: sum of p-adic valuations of the orders."""
         total = 0
-        for o in self.orders:
+        for o in self.invariant_factors:
             while o > 1:
                 o //= self.p
                 total += 1
         return total
-
-    def submodule_factors(self, lat):
-        """Invariant factors of a submodule given by a lattice that
-        contains the relation lattice."""
-        rels = from_columns(self.relation_columns(), self.ngens)
-        return subquotient(lat.basis_columns(), rels).invariant_factors
-
-
-def _image_lattice(P, pm):
-    return pm.relation_lattice(columns(P))
 
 
 @dataclass
@@ -126,7 +97,7 @@ class OrdinaryDecomposition:
     def apply(self, coords):
         """Image under the Fitting power, an automorphism of e*M."""
         out = mat_vec(self.power, coords)
-        return [x % o for x, o in zip(out, self.pm.orders)]
+        return [x % o for x, o in zip(out, self.pm.invariant_factors)]
 
 
 def fitting_power(A, pm):
@@ -154,8 +125,8 @@ def ordinary_idempotent(A, pm):
     by it.
     """
     P = fitting_power(A, pm)
-    image = _image_lattice(P, pm)
-    factors = tuple(pm.submodule_factors(image))
+    image = pm.span(columns(P))
+    factors = pm.factors(image)
     return OrdinaryDecomposition(pm, P, image, factors,
                                  pm.ngens - len(factors))
 
@@ -167,7 +138,7 @@ def ordinary_part(spec, k, p, M):
     Returns (decomposition, pm, h1z, operator).
     """
     h1z = compute_h1(spec, k, ZZ)
-    op = hecke_operator(p, h1z)
+    op = hecke_coset(p, h1z).operator()
     pm = PModule(h1z.module, p, M)
     A = pm.reduce_matrix(op.matrix)
     dec = ordinary_idempotent(A, pm)
@@ -318,7 +289,7 @@ def verify_main_theorem(spec, k, p, M, budget=Budget()):
     """
     dec, pm, h1z, _ = ordinary_part(spec, k, p, M)
     target = dec.image.canonical()
-    span = pm.relation_lattice()
+    span = pm.span()
     tried = 0
     if span.canonical() != target:
         for g in enumerate_hyperbolic(h1z.table, budget):
@@ -327,7 +298,7 @@ def verify_main_theorem(spec, k, p, M, budget=Budget()):
             if span.add(dec.apply(pm.project(coords))) \
                     and span.canonical() == target:
                 break
-    span_factors = pm.submodule_factors(span)
+    span_factors = pm.factors(span)
     return SpanReport(
         verdict="Verified" if span.canonical() == target else "Inconclusive",
         group=spec.name,
@@ -384,13 +355,10 @@ def cycle_quotient_report(spec, k, budget=Budget()):
     then a Hecke quotient of the computed one, so a vanishing ordinary
     part carries over but a nonzero one refutes nothing."""
     h1z = compute_h1(spec, k, ZZ)
-    g = h1z.ngens
-    span = Lattice(g)
-    for col in h1z.module.relation_columns():
-        span.add(col)
+    span = h1z.module.span()
     # close under a few Hecke operators as we go: the full span is
     # Hecke stable, so closure only moves the computed span toward it
-    ops = {q: hecke_operator(q, h1z) for q in QUOTIENT_HECKE_PRIMES}
+    ops = {q: hecke_coset(q, h1z).operator() for q in QUOTIENT_HECKE_PRIMES}
 
     def hecke_close():
         grew_any = False
@@ -415,7 +383,8 @@ def cycle_quotient_report(spec, k, budget=Budget()):
             if not hecke_close():
                 break
             quiet = 0
-    factors = subquotient(identity(g), span.basis_columns()).invariant_factors
+    factors = subquotient(identity(h1z.ngens),
+                          span.basis_columns()).invariant_factors
     free_rank = factors.count(0)
     order = prod(d for d in factors if d)
     prime_verdicts = {}
@@ -424,13 +393,13 @@ def cycle_quotient_report(spec, k, budget=Budget()):
             prime_verdicts[str(q)] = "Inconclusive"
             if q > MAX_OPERATOR_PRIME:
                 continue
-            A = (ops.get(q) or hecke_operator(q, h1z)).matrix
+            A = (ops.get(q) or hecke_coset(q, h1z).operator()).matrix
             # T_q induces an endomorphism of Z^g / span only if the span
             # is stable
             if not all(span.contains(mat_vec(A, s)) for s in span.rows):
                 continue
             pq = PModule(h1z.module, q, 1)
-            reduced = pq.relation_lattice(pq.project(s) for s in span.rows)
+            reduced = pq.span(pq.project(s) for s in span.rows)
             P = fitting_power(pq.reduce_matrix(A), pq)
             if all(reduced.contains(col) for col in columns(P)):
                 prime_verdicts[str(q)] = "Verified"
@@ -487,10 +456,8 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     table = build_cosets(spec)
     h0 = compute_h1(table, 0, ring)
     hk = compute_h1(table, k, ring)
-    h0.spec = spec
-    hk.spec = spec
-    U0 = hecke_operator(p, h0)
-    Uk = hecke_operator(p, hk)
+    U0 = hecke_coset(p, h0).operator()
+    Uk = hecke_coset(p, hk).operator()
     pm0 = PModule(h0.module, p, 1)
     pmk = PModule(hk.module, p, 1)
     dec0 = ordinary_idempotent(pm0.reduce_matrix(U0.matrix), pm0)
@@ -504,8 +471,8 @@ def mod_p_bridge(N, p, k, budget=Budget()):
         for x, y in zip(lrow, rrow))
     # image of the constant ordinary part spans the weighted one; over
     # F_p every generator has order p, so pm0 keeps them all
-    span = pmk.relation_lattice(deck.apply(pmk.project(mat_vec(J, row)))
-                                for row in dec0.image.rows)
+    span = pmk.span(deck.apply(pmk.project(mat_vec(J, row)))
+                    for row in dec0.image.rows)
     image_matches = span.canonical() == deck.image.canonical()
     dims_equal = dec0.ordinary_rank == deck.ordinary_rank
     # unit scaling on hyperbolic cycles outside level-p principal

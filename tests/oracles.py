@@ -55,7 +55,7 @@ from hypcycle.hecke import (
     OperatorMatrix,
     WrongDivisibility,
     conjugate_by,
-    hecke_U,
+    hecke_coset,
 )
 from hypcycle.homology import (
     H1Presentation,
@@ -662,5 +662,5 @@ def pi_phi_V(h1, p):
     phi = DoubleCoset(h1, h1p, Mat2(1, 0, 0, p)).operator()
     beta = beta_matrix(spec.N, p)
     V = DoubleCoset(h1p, h1p, beta * Mat2(p, 0, 0, 1)).operator()
-    Up = hecke_U(p, h1p)
+    Up = hecke_coset(p, h1p).operator()
     return PPhiV(h1, h1p, pi, phi, V, Up)

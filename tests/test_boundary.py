@@ -89,6 +89,6 @@ def test_boundary_subgroup_gamma1_13():
     # 12 cusps: the parabolic cycles span a free module of rank 12
     spec = SubgroupSpec.gamma1(13)
     h1 = compute_h1(spec, 1)
-    module, _ = boundary_subgroup(spec, 1, h1=h1)
+    factors, _ = boundary_subgroup(spec, 1, h1=h1)
     assert h1.rank == 42 and h1.invariant_factors == (0,) * 42
-    assert module.invariant_factors == (0,) * 12
+    assert factors == (0,) * 12

@@ -1,8 +1,8 @@
 """Exit codes of the command-line interface (0 Verified, 2 Inconclusive,
 3 bad input), the ``batch`` runner's exit code, ``--output`` on either
 side of the subcommand, byte-identical reports for repeated runs, the
-cycle class of a hyperbolic matrix, and ``hecke`` in a process where
-sympy cannot be imported."""
+cycle class of a hyperbolic matrix, ``boundary`` over each ring, and
+``hecke`` in a process where sympy cannot be imported."""
 
 import csv
 import io
@@ -26,6 +26,19 @@ def test_exhausted_budget_exits_2(argv, capsys):
     code = cli.main(argv.split())
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["verdict"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("ring,factors", [
+    ("Z", [3, 0, 0, 0]), ("Fp:3", [3, 3, 3, 3]), ("Zp:2:3", [8, 8, 8]),
+    ("Q", [0, 0, 0]),
+])
+def test_boundary_on_every_ring(ring, factors, capsys):
+    # H1 of Gamma_H(13; 3) with constant coefficients is (Z/3)^4 + Z^3;
+    # the span of the cusp cycles keeps one of the Z/3 over Z
+    argv = "boundary --group gammaH:13:3 --k 0 --ring %s" % ring
+    assert cli.main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["boundary_invariant_factors"] == factors
 
 
 def test_zp_default_precision():

@@ -183,6 +183,11 @@ class TestCli:
         "verify-main --group gamma0:11 --k 0 --p 3 --max-generators -3",
         "verify-main --group gamma0:11 --k 0 --p 3 --patience 25",  # removed
         "quotient --group gamma0:11 --k 0 --max-word-len 0",  # removed
+        "hecke --group gamma0:11 --k 0 --op Tp --p 11",
+        "hecke --group gamma0:11 --k 0 --op Up --p 3",
+        "hecke --group gamma0:11 --k 0 --op Tp",
+        "hecke --group gamma0:11 --k 0 --op diamond:11",
+        "hecke --group gamma0:11 --k 0 --op bogus",
     ])
     def test_bad_input_exits_3(self, argv, capsys):
         code, report = run_cli(argv.split(), capsys)

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from hypcycle import cli
 from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
@@ -10,11 +12,9 @@ from hypcycle.hecke import (
     WrongDivisibility,
     conj_star,
     conjugate_by,
-    diamond,
+    diamond_coset,
     diamond_matrix,
-    hecke_T,
-    hecke_U,
-    hecke_matrix_diag_p,
+    hecke_coset,
     identity_operator,
 )
 from hypcycle.homology import compute_h1
@@ -104,22 +104,24 @@ class TestCosetCounts:
         for spec, p in ((SubgroupSpec.gamma1(1), 2), (SubgroupSpec.gamma1(1), 3),
                         (SubgroupSpec.gamma0(11), 2), (SubgroupSpec.gamma1(5), 3)):
             h1 = compute_h1(spec, 0, ZZ)
-            dc = hecke_matrix_diag_p(h1, p)
+            dc = hecke_coset(p, h1)
             assert dc.coset_count == p + 1
 
     def test_up_counts(self):
         for spec, p in ((SubgroupSpec.gamma1(4), 2), (SubgroupSpec.gamma0(9), 3),
                         (SubgroupSpec.gamma1(6), 2), (SubgroupSpec.gamma1(6), 3)):
             h1 = compute_h1(spec, 0, ZZ)
-            dc = hecke_matrix_diag_p(h1, p)
+            dc = hecke_coset(p, h1)
             assert dc.coset_count == p
 
-    def test_divisibility_guards(self):
-        h1 = compute_h1(SubgroupSpec.gamma1(4), 0, ZZ)
-        with pytest.raises(WrongDivisibility):
-            hecke_T(2, h1)
-        with pytest.raises(WrongDivisibility):
-            hecke_U(3, h1)
+    def test_divisibility_guards(self, capsys):
+        # the guard lives in the CLI: hecke_coset itself is T_p or U_p
+        # by divisibility
+        for op, p, message in (("Tp", 2, "T_p requires p coprime to the level"),
+                               ("Up", 3, "U_p requires p dividing the level")):
+            argv = "hecke --group gamma1:4 --k 0 --op %s --p %d" % (op, p)
+            assert cli.main(argv.split()) == 3
+            assert json.loads(capsys.readouterr().out)["error"] == message
 
 
 class TestIdentityOperator:
@@ -132,21 +134,21 @@ class TestIdentityOperator:
 class TestCharpolys:
     def test_level_one_weight_twelve(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 5, QQ)
-        assert hecke_T(2, h1).charpoly_str() == "(x-2049)*(x+24)^2"
+        assert hecke_coset(2, h1).operator().charpoly_str() == "(x-2049)*(x+24)^2"
         # tau(3) = 252, Eisenstein 1 + 3^11 = 177148
-        assert hecke_T(3, h1).charpoly_str() == "(x-177148)*(x-252)^2"
+        assert hecke_coset(3, h1).operator().charpoly_str() == "(x-177148)*(x-252)^2"
 
     def test_gamma0_11(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, QQ)
-        assert hecke_T(2, h1).charpoly_str() == "(x-3)*(x+2)^2"
+        assert hecke_coset(2, h1).operator().charpoly_str() == "(x-3)*(x+2)^2"
         # a_3(11a) = -1, Eisenstein 1 + 3 = 4
-        assert hecke_T(3, h1).charpoly_str() == "(x-4)*(x+1)^2"
+        assert hecke_coset(3, h1).operator().charpoly_str() == "(x-4)*(x+1)^2"
 
     def test_level_one_weight_four(self):
         # only the Eisenstein class: T_p eigenvalue 1 + p^3
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, QQ)
-        assert hecke_T(2, h1).charpoly_str() == "x-9"
-        assert hecke_T(5, h1).charpoly_str() == "x-126"
+        assert hecke_coset(2, h1).operator().charpoly_str() == "x-9"
+        assert hecke_coset(5, h1).operator().charpoly_str() == "x-126"
 
 
 def points_11a(p):
@@ -174,11 +176,11 @@ class TestLargePrimeOracles:
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
         cusp_form = [1, -a_p]
         expect = poly_times([1, -(p + 1)], poly_times(cusp_form, cusp_form))
-        assert hecke_T(p, h1).charpoly() == expect
+        assert hecke_coset(p, h1).operator().charpoly() == expect
 
     def test_level_one_weight_four_at_97(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
-        assert hecke_T(97, h1).charpoly() == [1, -(1 + 97 ** 3)]
+        assert hecke_coset(97, h1).operator().charpoly() == [1, -(1 + 97 ** 3)]
 
 
 class TestTransfer:
@@ -253,12 +255,12 @@ class TestConjStar:
 class TestDiamond:
     def test_diamond_one(self):
         h1 = compute_h1(SubgroupSpec.gamma1(5), 1, ZZ)
-        assert diamond(1, h1).equals(identity_operator(h1))
+        assert diamond_coset(1, h1).operator().equals(identity_operator(h1))
 
     def test_diamond_on_gamma0_trivial(self):
         h1 = compute_h1(SubgroupSpec.gamma0(7), 1, ZZ)
         for d in (2, 3, 5):
-            assert diamond(d, h1).equals(identity_operator(h1))
+            assert diamond_coset(d, h1).operator().equals(identity_operator(h1))
 
     def test_beta_independence(self):
         h1 = compute_h1(SubgroupSpec.gamma1(9), 1, ZZ)
@@ -266,8 +268,8 @@ class TestDiamond:
         # any beta in Gamma_0(9) with lower row (9, 2): shift the top row
         other = Mat2(base.a + 9, base.b + 2, 9, 2)
         assert other.det() == 1
-        d1 = diamond(2, h1)
-        d2 = diamond(2, h1, beta=other)
+        d1 = diamond_coset(2, h1).operator()
+        d2 = diamond_coset(2, h1, beta=other).operator()
         assert d1.equals(d2)
 
     def test_diamond_reuses_the_group_table(self, monkeypatch):
@@ -292,18 +294,40 @@ class TestDiamond:
         assert dc.table1 is not h1.table and len(built) == 2
         assert dc.operator().equals(reused)
 
+    @pytest.mark.parametrize("group,k,ring,d", [
+        ("gamma1:9", 1, ZZ, 8),
+        ("gamma1:13", 1, ZZ, 12),
+        ("gamma1:16", 1, RingSpec("Fp", p=3), 15),
+        ("gammaH:13:3", 1, ZZ, 3),
+        ("gammaH:13:3", 1, ZZ, 9),
+        ("gammaH:13:3", 1, ZZ, 10),
+    ])
+    def test_diamond_in_the_group_is_the_identity(self, group, k, ring, d):
+        # d in +-H: beta lies in the group, and its double coset is
+        # exactly the identity matrix, which diamond_coset returns
+        # without building it
+        spec = SubgroupSpec.parse(group)
+        h1 = compute_h1(spec, k, ring)
+        beta = diamond_matrix(spec.N, d)
+        assert spec.contains(beta)
+        identity = identity_operator(h1).matrix
+        assert DoubleCoset(h1, h1, beta).operator().matrix == identity
+        op = diamond_coset(d, h1)
+        assert not isinstance(op, DoubleCoset)
+        assert op.operator().matrix == identity
+
     def test_diamond_commutes_with_tp(self):
         h1 = compute_h1(SubgroupSpec.gamma1(5), 1, ZZ)
-        Tp = hecke_T(2, h1)
-        D = diamond(2, h1)
+        Tp = hecke_coset(2, h1).operator()
+        D = diamond_coset(2, h1).operator()
         assert Tp.compose(D).equals(D.compose(Tp))
 
     def test_diamond_group_structure(self):
         # <d> depends only on d mod N and is multiplicative
         h1 = compute_h1(SubgroupSpec.gamma1(5), 1, ZZ)
-        d2 = diamond(2, h1)
-        d4 = diamond(4, h1)
-        d7 = diamond(7, h1)
+        d2 = diamond_coset(2, h1).operator()
+        d4 = diamond_coset(4, h1).operator()
+        d7 = diamond_coset(7, h1).operator()
         assert d2.compose(d2).equals(d4)
         assert d2.equals(d7)
 
@@ -311,12 +335,12 @@ class TestDiamond:
 class TestCommutativity:
     def test_tl_tq_level_one(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
-        T2, T3 = hecke_T(2, h1), hecke_T(3, h1)
+        T2, T3 = hecke_coset(2, h1).operator(), hecke_coset(3, h1).operator()
         assert T2.compose(T3).equals(T3.compose(T2))
 
     def test_tl_tq_gamma0_11(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
-        T2, T3 = hecke_T(2, h1), hecke_T(3, h1)
+        T2, T3 = hecke_coset(2, h1).operator(), hecke_coset(3, h1).operator()
         assert T2.compose(T3).equals(T3.compose(T2))
 
 
@@ -332,7 +356,7 @@ class TestOrbitFormulaOracle:
     def test_tp_on_hyperbolic_cycles(self, spec_name, k, p):
         spec = SubgroupSpec.parse(spec_name)
         h1 = compute_h1(spec, k, ZZ)
-        op = hecke_T(p, h1)
+        op = hecke_coset(p, h1).operator()
         rng = random.Random(hash((spec_name, k, p)) & 0xFFFF)
         for g in random_hyperbolic_in(spec, rng, 3):
             w = poly_pow(quadratic_form(g), k)
@@ -348,7 +372,7 @@ class TestOrbitFormulaOracle:
     def test_up_on_hyperbolic_cycles(self):
         spec = SubgroupSpec.gamma1(4)
         h1 = compute_h1(spec, 1, ZZ)
-        op = hecke_U(2, h1)
+        op = hecke_coset(2, h1).operator()
         rng = random.Random(84)
         for g in random_hyperbolic_in(spec, rng, 3, steps=10):
             w = quadratic_form(g)
@@ -379,7 +403,7 @@ class TestHeckeStability:
             span = from_columns(cols + rel, h1.ngens) if (cols + rel) else [[] for _ in range(h1.ngens)]
             sat = saturate_columns(span)
             ech = ColumnEchelon(sat)
-            op = hecke_T(p, h1)
+            op = hecke_coset(p, h1).operator()
             for g in gens[:6]:
                 z = list(h1.cycle_coords(g, poly_pow(quadratic_form(g), k)))
                 image = list(op.apply_coords(z))
@@ -392,7 +416,7 @@ class TestPiPhiV:
         ring = RingSpec("Fp", p=p)
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ring)
         r = pi_phi_V(h1, p)
-        Tp = hecke_T(p, h1)
+        Tp = hecke_coset(p, h1).operator()
         assert r.pi.compose(r.phi).equals(Tp)
         assert r.phi.compose(r.pi).equals(r.Up.plus(r.V))
         assert r.V.compose(r.V).is_zero()
@@ -434,7 +458,7 @@ class TestBoundaryIdentityCore:
         spec = SubgroupSpec.gamma1(N * N)
         h1 = compute_h1(spec, k, ZZ)
         z = list(h1.cycle_coords(T, x2_power(k)))
-        lhs = hecke_T(p, h1).apply_coords(z)
-        dz = diamond(p, h1).apply_coords(z)
+        lhs = hecke_coset(p, h1).operator().apply_coords(z)
+        dz = diamond_coset(p, h1).operator().apply_coords(z)
         rhs = h1.reduce_coords([a + p ** (2 * k + 1) * b for a, b in zip(z, dz)])
         assert tuple(lhs) == tuple(rhs)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcycle.intlinalg import (
     ColumnEchelon,
@@ -346,3 +348,60 @@ def test_xgcd():
         x, y, g = xgcd(a, b)
         assert a * x + b * y == g
         assert g >= 0
+
+
+def subgroup_factors_by_closure(orders, vectors):
+    """Invariant factors of the subgroup of (+) Z/d_i that ``vectors``
+    generate: the subgroup by brute-force closure, then, at each prime
+    power q = p^j, the number of factors divisible by q from the counts
+    of elements killed by q and by q/p."""
+    gens = [tuple(x % d for x, d in zip(v, orders)) for v in vectors]
+    group = {(0,) * len(orders)}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for x in frontier:
+            for v in gens:
+                y = tuple((a + b) % d for a, b, d in zip(x, v, orders))
+                if y not in group:
+                    group.add(y)
+                    new.append(y)
+        frontier = new
+
+    def killed(n):
+        return sum(1 for x in group
+                   if all(n * a % d == 0 for a, d in zip(x, orders)))
+
+    factors = [1] * len(orders)  # the largest factor last
+    for p in (2, 3, 5, 7, 11):
+        q = p
+        while killed(q) > killed(q // p):
+            ratio, count = killed(q) // killed(q // p), 0
+            while ratio > 1:
+                ratio //= p
+                count += 1
+            for i in range(count):
+                factors[-1 - i] *= p
+            q *= p
+    return tuple(f for f in factors if f > 1)
+
+
+@st.composite
+def finite_modules(draw):
+    g = draw(st.integers(1, 3))
+    orders = draw(st.lists(st.integers(1, 12), min_size=g, max_size=g))
+    vectors = draw(st.lists(
+        st.lists(st.integers(-30, 30), min_size=g, max_size=g), max_size=4))
+    return orders, vectors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(finite_modules())
+def test_span_factors_match_closure(case):
+    # FgModule.span/factors on (+) Z/d_i against the subgroup the
+    # vectors generate, enumerated element by element
+    orders, vectors = case
+    module = FgModule(len(orders), ZZ, orders, None, None, None)
+    lat = module.span(vectors)
+    assert all(lat.contains(col) for col in module.relation_columns())
+    assert module.factors(lat) == subgroup_factors_by_closure(orders, vectors)

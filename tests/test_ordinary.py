@@ -7,7 +7,7 @@ import pytest
 
 from hypcycle import ordinary
 from hypcycle.cosets import SubgroupSpec
-from hypcycle.hecke import hecke_operator
+from hypcycle.hecke import hecke_coset
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import (
     Lattice,
@@ -21,7 +21,6 @@ from hypcycle.intlinalg import (
 from hypcycle.ordinary import (
     Budget,
     PModule,
-    _image_lattice,
     cycle_quotient_report,
     mod_p_bridge,
     ordinary_idempotent,
@@ -99,7 +98,7 @@ def quotient_prime_verdicts(spec, k, budget, monkeypatch):
     verdicts = {}
     for q in sorted(primes):
         verdicts[str(q)] = "Inconclusive"
-        A = hecke_operator(q, h1z).matrix
+        A = hecke_coset(q, h1z).operator().matrix
         if not all(span.contains(mat_vec(A, row)) for row in span.rows):
             continue
         induced = induced_endomorphism(A, quotient)
@@ -180,7 +179,7 @@ def test_verify_main_computes_one_idempotent(monkeypatch):
 def test_ordinary_rank_independent_of_precision(spec_name, k, p):
     # the ordinary rank is dim e(H1 (x) F_p) at every M
     h1z = compute_h1(SubgroupSpec.parse(spec_name), k, ZZ)
-    A = hecke_operator(p, h1z).matrix
+    A = hecke_coset(p, h1z).operator().matrix
     ranks = set()
     for M in (1, 2, 3):
         pm = PModule(h1z.module, p, M)
@@ -203,10 +202,10 @@ def test_fitting_split(spec_name, k, p, M, ordinary_rank):
     A = pm.reduce_matrix(op.matrix)
     P = dec.power
     image = dec.image.canonical()
-    assert _image_lattice(P, pm).canonical() == image
-    assert _image_lattice(mat_mul(P, P), pm).canonical() == image
-    assert _image_lattice(mat_mul(A, P), pm).canonical() == image
-    assert dec.ordinary_factors == tuple(pm.submodule_factors(dec.image))
+    assert pm.span(columns(P)).canonical() == image
+    assert pm.span(columns(mat_mul(P, P))).canonical() == image
+    assert pm.span(columns(mat_mul(A, P))).canonical() == image
+    assert dec.ordinary_factors == pm.factors(dec.image)
     assert dec.ordinary_rank + dec.nilpotent_rank == pm.ngens
 
 
@@ -218,7 +217,7 @@ def test_ordinary_rank_from_charpoly(spec_name, k, p, ordinary_rank):
     # roots of charpoly(T_p) mod p: g minus the order of x there
     h1z = compute_h1(SubgroupSpec.parse(spec_name), k, ZZ)
     assert all(d == 0 or d % p for d in h1z.invariant_factors)
-    A = hecke_operator(p, h1z).matrix
+    A = hecke_coset(p, h1z).operator().matrix
     free = [i for i, d in enumerate(h1z.invariant_factors) if d == 0]
     chi = charpoly([[A[i][j] for j in free] for i in free])
     zeros = 0
