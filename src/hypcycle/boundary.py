@@ -7,7 +7,7 @@ cusp, and the (1 + p^(2k+1) <p>) identity on translation cycles.
 from dataclasses import dataclass
 from math import gcd
 
-from .cosets import SubgroupSpec, build_cosets
+from .cosets import SubgroupSpec
 from .hecke import DoubleCoset, WrongDivisibility, diamond_coset, hecke_coset
 from .homology import compute_h1
 from .intlinalg import ZZ
@@ -34,14 +34,10 @@ class CuspDatum:
         }
 
 
-def cusp_data(spec_or_table):
-    """One datum per cusp: T-orbits of right cosets are exactly the
-    cusp classes, and the orbit sizes are the widths (they sum to the
-    index)."""
-    if hasattr(spec_or_table, "transversal"):
-        table = spec_or_table
-    else:
-        table = build_cosets(spec_or_table)
+def cusp_data(table):
+    """One datum per cusp of the subgroup of a coset table: T-orbits of
+    right cosets are exactly the cusp classes, and the orbit sizes are
+    the widths (they sum to the index)."""
     n = table.index
     permT = [table.mulU[table.mulS[i][0]][0] for i in range(n)]  # right *S*U
     seen = [False] * n
@@ -57,10 +53,7 @@ def cusp_data(spec_or_table):
             j = permT[j]
         h = len(orbit)
         s = table.transversal[start]
-        th = T
-        for _ in range(h - 1):
-            th = th * T
-        stab = s * th * s.inv()
+        stab = s * PMat(1, h, 0, 1) * s.inv()
         if table.coset_of(stab)[0] != 0:
             raise RuntimeError("cusp stabilizer fails membership; table bug")
         if classify(stab) != PARABOLIC:
@@ -69,18 +62,14 @@ def cusp_data(spec_or_table):
     return data
 
 
-def boundary_subgroup(spec, k, ring=ZZ, h1=None, cusps=None):
+def boundary_subgroup(h1, cusps):
     """Submodule of H1 generated by the parabolic cycles of the cusp
-    stabilizers (``cusps`` as from cusp_data, computed if left out), as
-    its invariant factors and its span (see FgModule.span).
+    stabilizers (``cusps`` as from cusp_data on the table of ``h1``),
+    as its invariant factors and its span (see FgModule.span).
 
     Every parabolic element is conjugate in the subgroup to a power of
     a cusp stabilizer, and cycles scale linearly in powers, so the
     finitely many stabilizer cycles generate the whole boundary."""
-    if h1 is None:
-        h1 = compute_h1(spec, k, ring)
-    if cusps is None:
-        cusps = cusp_data(h1.table)
     stabs = [c.stabilizer for c in cusps]
     span = h1.module.span(h1.cycle_coords(g, poly_pow(quadratic_form(g), h1.k))
                           for g in stabs)
@@ -140,7 +129,7 @@ def check_hecke_generation(spec, k):
         raise ValueError("supported groups contain T (width one at infinity)")
     h1 = compute_h1(spec, k, ZZ)
     cusps = cusp_data(h1.table)
-    bound_factors, boundary = boundary_subgroup(spec, k, h1=h1, cusps=cusps)
+    bound_factors, boundary = boundary_subgroup(h1, cusps)
     ops = []
     names = []
     for ell in GENERATION_PRIMES:

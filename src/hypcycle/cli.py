@@ -22,7 +22,7 @@ from .boundary import (
     check_hecke_generation,
     cusp_data,
 )
-from .cosets import BudgetExceeded, SubgroupSpec
+from .cosets import SubgroupSpec
 from .hecke import (
     ConjugateLeavesGroup,
     WrongDivisibility,
@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # errors of the input or of the budget: JSON error report, exit code 3
-INPUT_ERRORS = (WrongDivisibility, ValueError, NotACycle, BudgetExceeded,
+INPUT_ERRORS = (WrongDivisibility, ValueError, NotACycle,
                 ConjugateLeavesGroup, NotInModule, ImageNotContained)
 
 
@@ -220,7 +220,7 @@ def cmd_boundary(args):
     ring = RingSpec.parse(args.ring)
     h1 = compute_h1(spec, args.k, ring)
     cusps = cusp_data(h1.table)
-    factors, _ = boundary_subgroup(spec, args.k, ring, h1=h1, cusps=cusps)
+    factors, _ = boundary_subgroup(h1, cusps)
     report = {
         "group": spec.name,
         "k": args.k,
@@ -270,7 +270,11 @@ def cmd_batch(args):
                 raise CliError("manifest entry is not an object: %r"
                                % (entry,))
             row["subcommand"] = entry.get("subcommand", "")
-            argv = [entry.get("subcommand", "")]
+            # a batch row would print CSV in place of a report, and a
+            # manifest naming itself would recurse
+            if row["subcommand"] == "batch":
+                raise CliError("a manifest entry cannot run batch")
+            argv = [row["subcommand"]]
             for key, val in entry.items():
                 if key == "subcommand":
                     continue

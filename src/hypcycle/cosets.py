@@ -20,10 +20,6 @@ from math import gcd
 from .psl2 import I, S, U
 
 
-class BudgetExceeded(Exception):
-    """Coset orbit larger than the configured bound."""
-
-
 def _unit_closure(N, gens):
     units = {1 % N}
     units.update(g % N for g in gens)
@@ -117,9 +113,6 @@ class SubgroupSpec:
         N = self.N
         c, d = g.c, g.d
         return min(((h * c) % N, (h * d) % N) for h in self._pm_h)
-
-    def __str__(self):
-        return self.name
 
 
 class CosetTable:
@@ -222,26 +215,16 @@ def subgroup_transversal(sub_table, ambient_table):
     """Representatives, inside the ambient subgroup, of the cosets of
     the smaller subgroup: one element per coset of sub\\ambient.
 
-    BFS over the Schreier generators of the ambient group, so every
-    representative lies in the ambient group.
+    They are the transversal elements of the smaller subgroup's table
+    that lie in the ambient group.  The filter is exact: the smaller
+    group lies in the ambient one, so a coset sub*t lies in the ambient
+    group exactly when t does, and those cosets are the cosets of sub
+    in the ambient group.
     """
-    gens = ambient_table.schreier_generators()
-    gens = gens + [g.inv() for g in gens]
-    reps = {0: I}
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        s = reps[i]
-        for g in gens:
-            c = s * g
-            j, _ = sub_table.coset_of(c)
-            if j not in reps:
-                reps[j] = c
-                queue.append(j)
+    reps = [t for t in sub_table.transversal if ambient_table.contains(t)]
     r = sub_table.index // ambient_table.index
     if len(reps) != r:
         raise RuntimeError(
             "expected %d cosets, found %d; subgroup not inside ambient?"
             % (r, len(reps)))
-    return [reps[j] for j in sorted(reps)]
-
+    return reps

@@ -13,7 +13,8 @@ corestriction, whose readers the double coset composes with the
 target's once per block of Gamma_2.  No chain of an image is built.  A
 check that needs the images of a few classes maps just those
 (``DoubleCoset.apply_coords``); the operator matrix is the images of
-the generators.
+the generators.  An ``OperatorMatrix`` carries that matrix, its
+``apply_coords`` and the characteristic polynomial on the free part.
 
 Cycles are mapped in batches (one class, or every generator for the
 matrix).  A conjugated element used at least 2k+1 times in a batch has
@@ -198,42 +199,6 @@ class OperatorMatrix:
                     out[i] += self.matrix[i][j] * c
         return self.target.reduce_coords(out)
 
-    def compose(self, other):
-        """self o other (apply ``other`` first)."""
-        cols = []
-        for j in range(other.source.ngens):
-            col = [other.matrix[i][j] for i in range(other.target.ngens)]
-            cols.append(list(self.apply_coords(col)))
-        return OperatorMatrix(from_columns(cols, self.target.ngens),
-                              other.source, self.target)
-
-    def equals(self, other):
-        if self.source is not other.source or self.target is not other.target:
-            return False
-        for j in range(self.source.ngens):
-            a = [self.matrix[i][j] for i in range(self.target.ngens)]
-            b = [other.matrix[i][j] for i in range(self.target.ngens)]
-            if self.target.reduce_coords(a) != self.target.reduce_coords(b):
-                return False
-        return True
-
-    def is_zero(self):
-        for j in range(self.source.ngens):
-            col = [self.matrix[i][j] for i in range(self.target.ngens)]
-            if any(self.target.reduce_coords(col)):
-                return False
-        return True
-
-    def scaled(self, c):
-        return OperatorMatrix([[c * x for x in row] for row in self.matrix],
-                              self.source, self.target)
-
-    def plus(self, other):
-        return OperatorMatrix(
-            [[x + y for x, y in zip(r1, r2)]
-             for r1, r2 in zip(self.matrix, other.matrix)],
-            self.source, self.target)
-
     def operator(self):
         """The matrix is its own operator, so it stands wherever a
         prepared DoubleCoset does (see diamond_coset)."""
@@ -329,16 +294,15 @@ def diamond_matrix(N, d):
     return Mat2(a, b, N, d)
 
 
-def diamond_coset(d, h1, beta=None):
-    """The diamond operator <d>, the double coset of any beta in
-    Gamma_0(N) with lower-right entry d mod N: the identity operator
-    when beta lies in the group (d in +-H), else a DoubleCoset.  Both
-    have ``operator`` and ``apply_coords``."""
+def diamond_coset(d, h1):
+    """The diamond operator <d>, the double coset of an element beta of
+    Gamma_0(N) with lower-right entry d mod N (diamond_matrix): the
+    identity operator when beta lies in the group (d in +-H), else a
+    DoubleCoset.  Both have ``operator`` and ``apply_coords``."""
     spec = h1.spec
     if spec is None:
         raise ValueError("diamond operator needs a subgroup spec")
-    if beta is None:
-        beta = diamond_matrix(spec.N, d)
+    beta = diamond_matrix(spec.N, d)
     if spec.contains(beta):
         return identity_operator(h1)
     return DoubleCoset(h1, h1, beta)

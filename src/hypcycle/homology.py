@@ -100,7 +100,7 @@ def _fox_unit_map(table, g, k, modulus):
         hit = steps[blk, gen, n] = j, rho(tw.inv(), k, modulus)
         return hit
 
-    for gen, e in reversed(tuple(decompose_word(g))):
+    for gen, e in reversed(decompose_word(g)):
         groups.setdefault((gen, block), []).append(mat)
         if gen == "U" and e == 2:
             # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
@@ -205,10 +205,6 @@ class H1Presentation:
     def ngens(self):
         return self.module.ngens
 
-    @property
-    def modulus(self):
-        return self.ring.modulus
-
     def coords(self, chain):
         """Generator coordinates of a cycle (over Z/m: a cycle mod m)."""
         return self.module.coords(self.quotient.project(chain))
@@ -225,9 +221,6 @@ class H1Presentation:
 
     def cycle_coords(self, gamma, poly):
         return self.coords(self.cycle(gamma, poly))
-
-    def zero_coords(self):
-        return self.module.zero_coords()
 
     def reduce_coords(self, coords):
         return self.module.reduce_coords(coords)
@@ -391,7 +384,7 @@ class LocalQuotient:
         return reduce_chain(acc, self.modulus)
 
 
-def compute_h1(spec_or_table, k, ring=ZZ, shuffle_seed=None):
+def compute_h1(spec_or_table, k, ring=ZZ):
     """H1 presentation of the congruence subgroup with degree-2k
     coefficients over the given ring.
 
@@ -408,7 +401,7 @@ def compute_h1(spec_or_table, k, ring=ZZ, shuffle_seed=None):
         spec = None
     else:
         spec = spec_or_table
-        table = build_cosets(spec, shuffle_seed=shuffle_seed)
+        table = build_cosets(spec)
     modulus = ring.modulus
     quo = LocalQuotient(table, k, modulus)
     s = quo.nfree

@@ -344,10 +344,6 @@ def _hermite_mod(gens, n, m):
     return basis
 
 
-def rank(A):
-    return len(ColumnEchelon(A).pivots)
-
-
 # ---------------------------------------------------------------------------
 # incremental lattice (row-style HNF), after the usual pivot bookkeeping
 
@@ -424,9 +420,6 @@ class Lattice:
     def canonical(self):
         """The reduced Hermite rows as a hashable value (equality test)."""
         return tuple(tuple(r) for r in self.rows)
-
-    def rank(self):
-        return len(self.rows)
 
     def basis_columns(self):
         """The reduced Hermite rows (see canonical) as columns."""
@@ -517,15 +510,8 @@ class FgModule:
         return len(self.invariant_factors)
 
     @property
-    def torsion_factors(self):
-        return tuple(d for d in self.invariant_factors if d)
-
-    @property
     def rank(self):
         return sum(1 for d in self.invariant_factors if d == 0)
-
-    def is_zero(self):
-        return self.ngens == 0
 
     def reduce_coords(self, coords):
         out = []
@@ -546,15 +532,9 @@ class FgModule:
         raw = [sum(r[t] * y[t] for t in range(len(y)) if y[t]) for r in self._uinv_rows]
         return self.reduce_coords(raw)
 
-    def generator(self, i):
-        return [row[i] for row in self.gen_lift]
-
     def lift(self, coords):
         """Ambient vector with the given generator coordinates."""
         return mat_vec(self.gen_lift, list(coords))
-
-    def zero_coords(self):
-        return (0,) * self.ngens
 
     def relation_columns(self):
         """Columns spanning the relation lattice in generator coordinates."""

@@ -3,7 +3,9 @@ decomposition over the order-2/order-3 generators, and the invariant
 binary quadratic form of a non-elliptic matrix.
 
 Generator convention: S = [[0,-1],[1,0]] and U = S*T = [[0,-1],[1,1]],
-so T = S*U in PSL2(Z).  Words are reduced sequences over {S, U, U^2}.
+so T = S*U in PSL2(Z).  A word is a tuple of letters ('S', 1),
+('U', 1), ('U', 2), reduced: no two adjacent letters on the same
+generator.
 """
 
 from math import gcd
@@ -24,9 +26,6 @@ class Mat2:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def trace(self):
-        return self.a + self.d
-
     def __mul__(self, other):
         return Mat2(
             self.a * other.a + self.b * other.c,
@@ -35,28 +34,8 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __neg__(self):
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def adjugate(self):
         return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def inverse(self):
-        if self.det() != 1:
-            raise ValueError("inverse only for determinant 1")
-        return self.adjugate()
-
-    def tuple(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and self.tuple() == other.tuple()
-
-    def __hash__(self):
-        return hash(self.tuple())
-
-    def __repr__(self):
-        return "[[%d,%d],[%d,%d]]" % self.tuple()
 
     @staticmethod
     def parse(text):
@@ -142,7 +121,6 @@ def _first_nonzero(*xs):
 S = PMat(0, -1, 1, 0)
 U = PMat(0, -1, 1, 1)           # U = S*T, order 3 in PSL2(Z)
 T = PMat(1, 1, 0, 1)
-TP = PMat(1, 0, 1, 1)           # lower triangular T' = S * T^-1 * S^-1 ~ transpose
 I = PMat(1, 0, 0, 1)
 
 IDENTITY = "identity"
@@ -164,40 +142,10 @@ def classify(g):
 # ---------------------------------------------------------------------------
 # words over {S, U, U^2}
 
-# A word is a tuple of letters ('S', 1), ('U', 1), ('U', 2) with no two
-# adjacent letters on the same generator.
-
-
-class Word:
-    __slots__ = ("letters",)
-
-    def __init__(self, letters=()):
-        self.letters = tuple(letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        if not self.letters:
-            return "1"
-        parts = []
-        for gen, e in self.letters:
-            parts.append(gen if e == 1 else "%s^%d" % (gen, e))
-        return " ".join(parts)
-
 
 def word_from_letters(letters):
-    """The reduced word of a letter sequence; the stack stays reduced, so
-    a letter merges with at most its top."""
+    """The reduced word (a tuple of letters) of a letter sequence; the
+    stack stays reduced, so a letter merges with at most its top."""
     stack = []
     for gen, e in letters:
         if stack and stack[-1][0] == gen:
@@ -205,7 +153,7 @@ def word_from_letters(letters):
         e %= 2 if gen == "S" else 3
         if e:
             stack.append((gen, e))
-    return Word(stack)
+    return tuple(stack)
 
 
 def _letters_for_t_power(q):
@@ -219,7 +167,8 @@ def _letters_for_t_power(q):
 
 
 def decompose_word(g):
-    """Reduced word in S, U evaluating to g in PSL2(Z).
+    """The reduced word in S, U (a tuple of letters) evaluating to g in
+    PSL2(Z).
 
     Euclidean reduction on the bottom row: while c != 0, split off
     T^(a//c) and a swap by S; the tail is a power of T.
@@ -236,8 +185,7 @@ def decompose_word(g):
     # now +-(1, m; 0, 1)
     m = b * a  # a = d = +-1, so T-power is b/a = b*a
     letters.extend(_letters_for_t_power(m))
-    w = word_from_letters(letters)
-    return w
+    return word_from_letters(letters)
 
 
 def quadratic_form(g):

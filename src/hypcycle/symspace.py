@@ -15,7 +15,6 @@ subgroup's table.  Chains over it are sparse dicts keyed by
 
 from operator import add, mul
 
-from .cosets import subgroup_transversal
 from .psl2 import PMat
 
 
@@ -143,10 +142,7 @@ class InductionMap:
     None standing for the identity.
     """
 
-    def __init__(self, src_table, dst_table, k, modulus, entries):
-        self.src_table = src_table
-        self.dst_table = dst_table
-        self.k = k
+    def __init__(self, modulus, entries):
         self.modulus = modulus
         self.entries = entries
 
@@ -159,16 +155,15 @@ class InductionMap:
         return reduce_chain(out, self.modulus)
 
 
-def restriction_map(src_table, dst_table, k, modulus=None, reps=None):
+def restriction_map(src_table, dst_table, k, modulus, reps):
     """Coefficient map inducing restriction to a smaller subgroup.
 
     Sends the block of t to the sum over subgroup-coset representatives
-    s_i of the block of s_i * t carrying s_i-translated coefficients;
-    this is the standard averaging map promoted blockwise to the full
-    induced module, and it is equivariant for the ambient group.
+    s_i (``reps``, as from cosets.subgroup_transversal) of the block of
+    s_i * t carrying s_i-translated coefficients; this is the standard
+    averaging map promoted blockwise to the full induced module, and it
+    is equivariant for the ambient group.
     """
-    if reps is None:
-        reps = subgroup_transversal(dst_table, src_table)
     entries = []
     for t in src_table.transversal:
         row = []
@@ -177,7 +172,7 @@ def restriction_map(src_table, dst_table, k, modulus=None, reps=None):
             j, delta = dst_table.coset_of(g)
             row.append((j, rho(delta.inv() * s, k, modulus)))
         entries.append(row)
-    return InductionMap(src_table, dst_table, k, modulus, entries)
+    return InductionMap(modulus, entries)
 
 
 def corestriction_map(src_table, dst_table, k, modulus=None):
@@ -187,4 +182,4 @@ def corestriction_map(src_table, dst_table, k, modulus=None):
     for u in src_table.transversal:
         j, gamma = dst_table.coset_of(u)
         entries.append([(j, rho(gamma.inv(), k, modulus))])
-    return InductionMap(src_table, dst_table, k, modulus, entries)
+    return InductionMap(modulus, entries)

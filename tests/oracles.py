@@ -4,7 +4,11 @@
 in the order of ``build_cosets``, but it decides coset equality by
 scanning the whole transversal with a membership predicate, and its
 tables find the coset of an element by walking its word in S and U.  It needs nothing but the predicate, so it also
-serves subgroups that have no key, such as the theta group.
+serves subgroups that have no key, such as the theta group.  It raises
+``BudgetExceeded`` when the orbit outgrows its bound.
+``schreier_transversal`` is the breadth-first transversal over the
+ambient group's Schreier generators that ``cosets.subgroup_transversal``
+replaced by a filter of the smaller table's transversal.
 ``double_coset_predicates`` are the membership tests of the two
 intersection groups of a double coset, written directly from their
 definitions.
@@ -32,10 +36,13 @@ reference form of the library's chains, which are sparse dicts
 two forms; the oracles above work on dense chains, and the tests
 convert where they hand a chain to the library or take one back.
 
-``poly_sub``, ``poly_scale``, ``evaluate_word``, ``transpose``, ``det``, ``smith_normal_form`` (the
-Smith form with both transition matrices, built from two left-only
-Smith forms of the library), ``saturate_columns``, ``schreier`` and
-``p1_size`` are matrix, word and coset helpers that only the tests need.
+``poly_sub``, ``poly_scale``, ``TP``, ``evaluate_word``, ``transpose``,
+``rank``, ``det``, ``smith_normal_form`` (the Smith form with both
+transition matrices, built from two left-only Smith forms of the
+library), ``saturate_columns``, ``schreier`` and ``p1_size`` are matrix,
+word and coset helpers that only the tests need.  ``compose``,
+``equals``, ``is_zero``, ``scaled`` and ``plus`` are the algebra of
+``hecke.OperatorMatrix`` that the operator identities are checked in.
 
 ``induced_endomorphism`` is the matrix of an ambient map on the
 generators of a subquotient; ``cycle_quotient_report`` once ran its
@@ -48,7 +55,7 @@ coprime to the level.
 from dataclasses import dataclass
 
 
-from hypcycle.cosets import BudgetExceeded, CosetTable, SubgroupSpec
+from hypcycle.cosets import CosetTable, SubgroupSpec, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
     DoubleCoset,
@@ -78,7 +85,7 @@ from hypcycle.intlinalg import (
     xgcd,
     zeros,
 )
-from hypcycle.psl2 import I, Mat2, S, U, decompose_word
+from hypcycle.psl2 import I, Mat2, PMat, S, U, decompose_word
 from hypcycle.symspace import (
     act,
     act_matrix,
@@ -262,6 +269,11 @@ def dense(chain, table, k, modulus=None):
                   IndVec(table, k, modulus, blocks["U"])).reduce()
 
 
+class BudgetExceeded(ValueError):
+    """Coset orbit larger than the configured bound; a ValueError, so the
+    command-line interface reports it as bad input."""
+
+
 class PredicateTable(CosetTable):
     """Coset table of a subgroup known only by its membership predicate."""
 
@@ -315,6 +327,29 @@ def subgroup_cosets(contains, max_index=100000, shuffle_seed=None):
     return PredicateTable(contains, transversal,
                           [edges[(i, "S")] for i in range(n)],
                           [edges[(i, "U")] for i in range(n)])
+
+
+def schreier_transversal(sub_table, ambient_table):
+    """Representatives, inside the ambient subgroup, of the cosets of
+    the smaller subgroup, found by a breadth-first walk over the
+    ambient group's Schreier generators and their inverses; sorted by
+    the smaller table's coset index."""
+    gens = ambient_table.schreier_generators()
+    gens = gens + [g.inv() for g in gens]
+    reps = {0: I}
+    queue = [0]
+    while queue:
+        s = reps[queue.pop(0)]
+        for g in gens:
+            c = s * g
+            j, _ = sub_table.coset_of(c)
+            if j not in reps:
+                reps[j] = c
+                queue.append(j)
+    r = sub_table.index // ambient_table.index
+    if len(reps) != r:
+        raise RuntimeError("expected %d cosets, found %d" % (r, len(reps)))
+    return [reps[j] for j in sorted(reps)]
 
 
 def double_coset_predicates(src_contains, tgt_contains, alpha):
@@ -401,7 +436,7 @@ def ind_act(g, v):
     """Left action of g in PSL2(Z) on the induced module, letter by
     letter along the word of g."""
     out = v
-    for letter in reversed(decompose_word(g).letters):
+    for letter in reversed(decompose_word(g)):
         out = ind_act_letter(letter, out)
     return out
 
@@ -446,18 +481,20 @@ def group_chain_to_chain1(terms, table, k, modulus=None):
     return out.reduce() if modulus else out
 
 
-def _apply_vec(imap, v):
+def _apply_vec(imap, v, dst_table):
     """An InductionMap on one induced vector, carried in the S slot."""
     image = imap.apply(sparse(Chain1(v, IndVec.zero(v.table, v.k, v.modulus))))
-    return dense(image, imap.dst_table, v.k, v.modulus).mS
+    return dense(image, dst_table, v.k, v.modulus).mS
 
 
-def restrict_coeff(v, sub_table, reps=None):
-    return _apply_vec(restriction_map(v.table, sub_table, v.k, v.modulus, reps), v)
+def restrict_coeff(v, sub_table, reps):
+    return _apply_vec(restriction_map(v.table, sub_table, v.k, v.modulus,
+                                      reps), v, sub_table)
 
 
 def corestrict_coeff(v, sup_table):
-    return _apply_vec(corestriction_map(v.table, sup_table, v.k, v.modulus), v)
+    return _apply_vec(corestriction_map(v.table, sup_table, v.k, v.modulus),
+                      v, sup_table)
 
 
 class NotACycleOnTransfer(Exception):
@@ -469,15 +506,17 @@ def transfer_res(c, sub_table, reps=None):
     implemented by the equivariant averaging map on coefficients."""
     if not boundary1(c).is_zero():
         raise NotACycleOnTransfer("transfer requires a cycle")
+    if reps is None:
+        reps = subgroup_transversal(sub_table, c.table)
     rmap = restriction_map(c.table, sub_table, c.k, c.modulus, reps)
     return dense(rmap.apply(sparse(c)), sub_table, c.k, c.modulus)
 
 
-def conj_star_letter_walk(c, alpha, cor_map):
-    """The conjugation push of a cycle over Gamma_1 by alpha, expanded
-    letter by letter on the table of Gamma_2 (the source of cor_map)
-    and corestricted as a whole chain."""
-    table2, k, m = cor_map.src_table, c.k, c.modulus
+def conj_star_letter_walk(c, dc):
+    """The conjugation push of a cycle over Gamma_1 by the alpha of the
+    double coset ``dc``, expanded letter by letter on the table of
+    Gamma_2 and corestricted as a whole chain."""
+    alpha, table2, k, m = dc.alpha, dc.table2, c.k, c.modulus
     out = Chain1.zero(table2, k, m)
     for gamma, v in to_group_chain(sparse(c), c.table, k, m):
         cg = conjugate_by(alpha, gamma)
@@ -485,7 +524,10 @@ def conj_star_letter_walk(c, alpha, cor_map):
             raise ConjugateLeavesGroup("conjugate leaves the target group")
         unit = IndVec.unit(table2, k, act(alpha, v, m), modulus=m)
         out = out + fox_expand(decompose_word(cg), unit)
-    return dense(cor_map.apply(sparse(out)), cor_map.dst_table, k, m)
+    return dense(dc.cor_map.apply(sparse(out)), dc.target.table, k, m)
+
+
+TP = PMat(1, 0, 1, 1)  # lower triangular T' = S * T^-1 * S^-1 ~ transpose
 
 
 def evaluate_word(word):
@@ -501,6 +543,10 @@ def transpose(A):
     if not A:
         return []
     return [list(col) for col in zip(*A)]
+
+
+def rank(A):
+    return len(ColumnEchelon(A).pivots)
 
 
 def det(A):
@@ -603,12 +649,50 @@ def induced_endomorphism(f, module):
         apply = lambda v: mat_vec(f, v)
     cols = []
     for i in range(module.ngens):
-        w = apply(module.generator(i))
+        w = apply([row[i] for row in module.gen_lift])
         try:
             cols.append(list(module.coords(w)))
         except NotInModule as e:
             raise NotStable("generator %d image leaves the module" % i) from e
     return from_columns(cols, module.ngens)
+
+
+def _column(op, j):
+    return [row[j] for row in op.matrix]
+
+
+def compose(f, g):
+    """The OperatorMatrix f o g (apply ``g`` first)."""
+    cols = [list(f.apply_coords(_column(g, j)))
+            for j in range(g.source.ngens)]
+    return OperatorMatrix(from_columns(cols, f.target.ngens),
+                          g.source, f.target)
+
+
+def equals(f, g):
+    """Equality of two OperatorMatrix between the same presentations,
+    column by column in reduced target coordinates."""
+    if f.source is not g.source or f.target is not g.target:
+        return False
+    reduce = f.target.reduce_coords
+    return all(reduce(_column(f, j)) == reduce(_column(g, j))
+               for j in range(f.source.ngens))
+
+
+def is_zero(f):
+    return not any(any(f.target.reduce_coords(_column(f, j)))
+                   for j in range(f.source.ngens))
+
+
+def scaled(f, c):
+    return OperatorMatrix([[c * x for x in row] for row in f.matrix],
+                          f.source, f.target)
+
+
+def plus(f, g):
+    return OperatorMatrix([[x + y for x, y in zip(r1, r2)]
+                           for r1, r2 in zip(f.matrix, g.matrix)],
+                          f.source, f.target)
 
 
 def beta_matrix(N, p):

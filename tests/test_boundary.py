@@ -46,7 +46,7 @@ def gamma1_cusp_count(N):
 @pytest.mark.parametrize("N", range(1, 31))
 def test_gamma0_cusps(N):
     spec = SubgroupSpec.gamma0(N)
-    data = cusp_data(spec)
+    data = cusp_data(build_cosets(spec))
     assert len(data) == gamma0_cusp_count(N)
     assert sorted(c.width for c in data) == gamma0_widths(N)
     assert sum(c.width for c in data) == p1_size(N)
@@ -72,7 +72,7 @@ def test_gamma1_cusps(N):
 @pytest.mark.parametrize("spec_name", ["gamma0:12", "gamma1:10", "gammaH:13:3"])
 def test_cusps_independent_of_transversal(spec_name):
     spec = SubgroupSpec.parse(spec_name)
-    base = sorted(c.width for c in cusp_data(spec))
+    base = sorted(c.width for c in cusp_data(build_cosets(spec)))
     for seed in (1, 2, 3):
         shuffled = cusp_data(build_cosets(spec, shuffle_seed=seed))
         assert sorted(c.width for c in shuffled) == base
@@ -89,6 +89,6 @@ def test_boundary_subgroup_gamma1_13():
     # 12 cusps: the parabolic cycles span a free module of rank 12
     spec = SubgroupSpec.gamma1(13)
     h1 = compute_h1(spec, 1)
-    factors, _ = boundary_subgroup(spec, 1, h1=h1)
+    factors, _ = boundary_subgroup(h1, cusp_data(h1.table))
     assert h1.rank == 42 and h1.invariant_factors == (0,) * 42
     assert factors == (0,) * 12

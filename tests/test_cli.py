@@ -1,8 +1,9 @@
 """Exit codes of the command-line interface (0 Verified, 2 Inconclusive,
 3 bad input), the ``batch`` runner's exit code, ``--output`` on either
-side of the subcommand, byte-identical reports for repeated runs, the
-cycle class of a hyperbolic matrix, ``boundary`` over each ring, and
-``hecke`` in a process where sympy cannot be imported."""
+side of the subcommand, a ``batch`` entry refused as an error row,
+byte-identical reports for repeated runs, the cycle class of a
+hyperbolic matrix, ``boundary`` over each ring, and ``hecke`` in a
+process where sympy cannot be imported."""
 
 import csv
 import io
@@ -80,6 +81,28 @@ def test_batch_entry_not_an_object_is_an_error_row(tmp_path, capsys):
     assert [(row["status"], row["exit_code"]) for row in out] == [
         ("ok", "0"), ("error", "3")]
     assert "not an object" in out[1]["detail"]
+
+
+def test_batch_entry_running_batch_is_an_error_row(tmp_path, capsys):
+    # a batch entry is refused before it runs, so the other rows of a
+    # mixed manifest stay ok, and a manifest that names itself does not
+    # recurse
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps([GOOD]))
+    nested = {"subcommand": "batch", "manifest": str(inner)}
+    code, out = run_batch(tmp_path, capsys, [GOOD, nested, GOOD])
+    assert code == 2
+    assert [(row["status"], row["exit_code"]) for row in out] == [
+        ("ok", "0"), ("error", "3"), ("ok", "0")]
+    assert "batch" in out[1]["detail"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"subcommand": "batch",
+                                     "manifest": str(manifest)}]))
+    assert cli.main(["batch", "--manifest", str(manifest)]) == 2
+    out = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["status"], row["exit_code"]) for row in out] == [
+        ("error", "3")]
+    assert "batch" in out[0]["detail"]
 
 
 @pytest.mark.parametrize("before, after", [

@@ -18,8 +18,9 @@ from hypcycle.hecke import (
 )
 from hypcycle.homology import compute_h1, fox_expand_unit
 from hypcycle.intlinalg import RingSpec, ZZ, identity
-from hypcycle.psl2 import I, Mat2, S, T, TP, U, decompose_word
+from hypcycle.psl2 import I, Mat2, S, T, U, decompose_word
 from oracles import (
+    TP,
     IndVec,
     beta_matrix,
     conj_star_letter_walk,
@@ -112,7 +113,7 @@ def test_conj_star_matches_letter_walk(case):
     for i, unit in enumerate(identity(dc.source.ngens)[:3]):
         rc = dc.res_map.apply(dc.source.generator_chain(i))
         walk = conj_star_letter_walk(dense(rc, dc.table1, k, ring.modulus),
-                                     dc.alpha, dc.cor_map)
+                                     dc)
         expect = quotient.project(sparse(walk))
         # an element used at least 2k+1 times in a batch has its Fox map
         # read into coordinates once; batches of 1, 2k and 2k+1 copies

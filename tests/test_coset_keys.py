@@ -17,8 +17,9 @@ from hypcycle.hecke import (
 )
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import ZZ
-from hypcycle.psl2 import I, Mat2, S, T, TP, U
+from hypcycle.psl2 import I, Mat2, S, T, U
 from oracles import (
+    TP,
     beta_matrix,
     double_coset_predicates,
     gamma0p_intersection,
@@ -89,7 +90,8 @@ def test_hermite_split(a, b, c, d):
     sigma, (x, y, z) = hermite_split(m)
     assert x > 0 and z > 0 and 0 <= y < z
     prod = sigma.lift() * Mat2(x, y, 0, z)
-    assert prod == m or prod == -m
+    entries = (prod.a, prod.b, prod.c, prod.d)
+    assert entries == (a, b, c, d) or entries == (-a, -b, -c, -d)
 
 
 def double_cosets(spec, p):

@@ -25,6 +25,7 @@ from hypcycle.hecke import (
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns, identity
 from hypcycle.psl2 import Mat2
+from oracles import equals, schreier_transversal
 
 IMAGES = settings(max_examples=50, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -77,7 +78,8 @@ def test_apply_coords_matches_operator_matrix(case, data):
     # directly, not through H1Presentation.chain, and mapped one by one
     cols = []
     for i in range(h1.ngens):
-        c = dc.res_map.apply(h1.quotient.lift(h1.module.generator(i)))
+        generator = [row[i] for row in h1.module.gen_lift]
+        c = dc.res_map.apply(h1.quotient.lift(generator))
         vec, = hecke.conj_star([c], dc.table1, dc.alpha, dc.table2,
                                dc.readers, h1.quotient)
         cols.append(list(h1.module.coords(vec)))
@@ -115,10 +117,45 @@ def test_operator_batch_matches_single_classes(k, ring, op):
         assert [row[j] for row in matrix] == list(dc.apply_coords(unit))
 
 
+def _cusp_mover(h1):
+    return [c.representative for c in cusp_data(h1.table)
+            if not c.representative.is_identity()][0].lift()
+
+
+# T_3 and U_11 on Gamma_0(11), T_5 on Gamma_1(13), <2> on Gamma_1(9), and
+# the coset of a cusp representative on Gamma_H(13; 3)
+TRANSVERSAL_CASES = {
+    "T3": ("gamma0:11", 1, lambda h1: Mat2(1, 0, 0, 3)),
+    "U11": ("gamma0:11", 1, lambda h1: Mat2(1, 0, 0, 11)),
+    "T5": ("gamma1:13", 0, lambda h1: Mat2(1, 0, 0, 5)),
+    "diamond": ("gamma1:9", 1, lambda h1: diamond_matrix(9, 2)),
+    "cusp": ("gammaH:13:3", 1, _cusp_mover),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSVERSAL_CASES))
+def test_transversal_matches_schreier_walk(case, monkeypatch):
+    # the transversal of Gamma_1 in Gamma read off Gamma_1's table: its
+    # elements lie in Gamma, one per coset of Gamma_1 in Gamma, and the
+    # operator equals the one built on the breadth-first walk over
+    # Gamma's Schreier generators
+    group, k, alpha = TRANSVERSAL_CASES[case]
+    h1 = compute_h1(SubgroupSpec.parse(group), k, ZZ)
+    dc = DoubleCoset(h1, h1, alpha(h1))
+    assert all(h1.table.contains(s) for s in dc.reps)
+    cosets = [dc.table1.coset_of(s)[0] for s in dc.reps]
+    assert len(set(cosets)) == len(cosets)
+    assert len(cosets) == dc.table1.index // h1.table.index
+    monkeypatch.setattr(hecke, "subgroup_transversal", schreier_transversal)
+    walked = DoubleCoset(h1, h1, alpha(h1))
+    assert [walked.table1.coset_of(s)[0] for s in walked.reps] == cosets
+    assert walked.operator().matrix == dc.operator().matrix
+
+
 def test_diamond_keeps_identity_and_divisibility():
     h1 = compute_h1(SubgroupSpec.gamma1(13), 0, ZZ)
-    assert diamond_coset(14, h1).equals(identity_operator(h1))
-    assert diamond_coset(14, h1).operator().equals(identity_operator(h1))
+    assert equals(diamond_coset(14, h1), identity_operator(h1))
+    assert equals(diamond_coset(14, h1).operator(), identity_operator(h1))
     with pytest.raises(WrongDivisibility):
         diamond_coset(13, h1)
 

@@ -20,7 +20,6 @@ from hypcycle.intlinalg import (
     kernel_mod,
     mat_mul,
     mat_vec,
-    rank,
     subquotient,
     xgcd,
     zeros,
@@ -29,6 +28,7 @@ from oracles import (
     NotStable,
     det,
     induced_endomorphism,
+    rank,
     saturate_columns,
     smith_normal_form,
     transpose,
@@ -224,7 +224,7 @@ class TestSubquotient:
         K = identity(2)
         m = subquotient(K, identity(2))
         assert m.invariant_factors == ()
-        assert m.is_zero()
+        assert m.ngens == 0
 
     def test_two_torsion_factors(self):
         K = identity(2)
@@ -261,7 +261,7 @@ class TestSubquotient:
             for i in range(m.ngens):
                 e = [0] * m.ngens
                 e[i] = 1
-                assert m.coords(m.generator(i)) == tuple(e)
+                assert m.coords([row[i] for row in m.gen_lift]) == tuple(e)
 
     def test_coords_fails_outside(self):
         K = from_columns([[2, 0]], 2)

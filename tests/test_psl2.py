@@ -11,17 +11,15 @@ from hypcycle.psl2 import (
     PMat,
     S,
     T,
-    TP,
     U,
     NotDefinedForElliptic,
-    Word,
     classify,
     decompose_word,
     poly_str,
     quadratic_form,
     word_from_letters,
 )
-from oracles import evaluate_word
+from oracles import TP, evaluate_word
 
 
 def random_pmat(rng, size=10**6):
@@ -61,16 +59,16 @@ class TestClassify:
 
 class TestDecomposeWord:
     def test_s(self):
-        assert decompose_word(S) == Word((("S", 1),))
+        assert decompose_word(S) == (("S", 1),)
 
     def test_t(self):
         # S*U = -T, which is T in PSL2(Z)
         assert evaluate_word(decompose_word(T)) == T
-        assert decompose_word(T) == Word((("S", 1), ("U", 1)))
+        assert decompose_word(T) == (("S", 1), ("U", 1))
 
     def test_lower_triangular(self):
         w = decompose_word(TP)
-        assert w == Word((("S", 1), ("U", 2)))
+        assert w == (("S", 1), ("U", 2))
         assert evaluate_word(w) == TP
 
     def test_roundtrip_random(self):
@@ -80,7 +78,7 @@ class TestDecomposeWord:
             w = decompose_word(g)
             assert evaluate_word(w) == g
             # reduced: no adjacent letters on one generator
-            for (g1, _), (g2, _) in zip(w.letters, w.letters[1:]):
+            for (g1, _), (g2, _) in zip(w, w[1:]):
                 assert g1 != g2
 
     def test_deterministic(self):
@@ -138,8 +136,8 @@ class TestQuadraticForm:
 
 def test_word_from_letters_reduces():
     w = word_from_letters([("S", 1), ("S", 1), ("U", 2), ("U", 2)])
-    assert w == Word((("U", 1),))
-    assert word_from_letters([("U", 1), ("U", 2)]) == Word(())
+    assert w == (("U", 1),)
+    assert word_from_letters([("U", 1), ("U", 2)]) == ()
 
 
 def test_parse_roundtrip():

@@ -4,7 +4,7 @@ import pytest
 
 from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.intlinalg import from_columns, identity, subquotient
-from hypcycle.psl2 import I, Mat2, PMat, S, T, TP, U
+from hypcycle.psl2 import I, Mat2, PMat, S, T, U
 from hypcycle.symspace import (
     NonPositiveDeterminant,
     act,
@@ -17,6 +17,7 @@ from hypcycle.symspace import (
     zero_poly,
 )
 from oracles import (
+    TP,
     IndVec,
     corestrict_coeff,
     ind_act,
