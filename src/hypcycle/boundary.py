@@ -4,7 +4,7 @@ parabolic cycles, Hecke generation of the boundary from the width-one
 cusp, and the (1 + p^(2k+1) <p>) identity on translation cycles.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .cosets import SubgroupSpec
@@ -15,16 +15,11 @@ from .psl2 import PARABOLIC, PMat, T, classify, quadratic_form
 from .symspace import poly_pow, x2_power
 
 
-@dataclass
-class CuspDatum:
+class CuspDatum(namedtuple("CuspDatum", "representative width stabilizer")):
     """One cusp class: the cusp is representative * infinity, its width
     is the T-orbit size of the coset, and the stabilizer generator is
     representative * T^width * representative^-1, a parabolic element
     of the subgroup."""
-
-    representative: PMat
-    width: int
-    stabilizer: PMat
 
     def as_dict(self):
         return {
@@ -76,14 +71,7 @@ def boundary_subgroup(h1, cusps):
     return h1.module.factors(span), span
 
 
-@dataclass
-class IdentityReport:
-    verdict: str
-    N: int
-    p: int
-    k: int
-    lhs: tuple
-    rhs: tuple
+IdentityReport = namedtuple("IdentityReport", "verdict N p k lhs rhs")
 
 
 def check_boundary_identity(N, p, k):
@@ -101,14 +89,9 @@ def check_boundary_identity(N, p, k):
     return IdentityReport(verdict, N, p, k, tuple(lhs), tuple(rhs))
 
 
-@dataclass
-class GenerationReport:
-    verdict: str
-    group: str
-    k: int
-    operators: tuple
-    span_factors: tuple
-    boundary_factors: tuple
+GenerationReport = namedtuple(
+    "GenerationReport",
+    "verdict group k operators span_factors boundary_factors")
 
 
 # primes l of the diag(1, l) double cosets, and the number of rounds,

@@ -6,40 +6,20 @@ Reports are deterministic JSON (sorted keys, no timestamps), so equal
 configurations produce byte-identical output.  Exit codes: 0 for
 Verified/OK, 1 for Falsified, 2 for Inconclusive or partial failure,
 3 and above for errors.
+
+Each subcommand imports the modules it runs when it is called, and
+this module imports only argparse, json and sys: a process that runs
+under PYTHONDONTWRITEBYTECODE compiles every module it imports from
+source, so ``--version`` loads no other module of the package, ``h1``
+none of the Hecke, ordinary-part or boundary code, and only a charpoly
+(a ``hecke`` report over Q) loads polyz.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
-from .boundary import (
-    boundary_subgroup,
-    check_boundary_identity,
-    check_hecke_generation,
-    cusp_data,
-)
-from .cosets import SubgroupSpec
-from .hecke import (
-    ConjugateLeavesGroup,
-    WrongDivisibility,
-    diamond_coset,
-    hecke_coset,
-)
-from .homology import NotACycle, compute_h1
-from .intlinalg import ImageNotContained, NotInModule, RingSpec, ZZ, is_prime
-from .ordinary import (
-    Budget,
-    cycle_quotient_report,
-    mod_p_bridge,
-    ordinary_part,
-    verify_main_theorem,
-)
-from .psl2 import PMat, classify, poly_str, quadratic_form
-from .symspace import poly_pow
 
 
 class CliError(Exception):
@@ -53,9 +33,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, code=3)
 
 
-# errors of the input or of the budget: JSON error report, exit code 3
-INPUT_ERRORS = (WrongDivisibility, ValueError, NotACycle,
-                ConjugateLeavesGroup, NotInModule, ImageNotContained)
+# errors of the input or of the budget: JSON error report, exit code 3;
+# the library's own input errors all derive from ValueError
+INPUT_ERRORS = (ValueError,)
 
 
 def _weight(text):
@@ -73,6 +53,8 @@ def _positive(text):
 
 
 def _prime(text):
+    from .intlinalg import is_prime
+
     p = int(text)
     if not is_prime(p):
         raise argparse.ArgumentTypeError("p = %d is not prime" % p)
@@ -98,10 +80,12 @@ EXIT_CODES = {"Verified": 0, "Falsified": 1, "Inconclusive": 2}
 
 def _verdict_report(rep):
     """A verdict report as a dict, with the exit code of its verdict."""
-    return asdict(rep), EXIT_CODES[rep.verdict]
+    return rep._asdict(), EXIT_CODES[rep.verdict]
 
 
 def _budget_from(args):
+    from .ordinary import Budget
+
     return Budget(max_generators=args.max_generators, seed=args.seed)
 
 
@@ -117,6 +101,10 @@ def _config_dict(args):
 
 
 def cmd_h1(args):
+    from .cosets import SubgroupSpec
+    from .homology import compute_h1
+    from .intlinalg import RingSpec
+
     spec = SubgroupSpec.parse(args.group)
     ring = RingSpec.parse(args.ring)
     h1 = compute_h1(spec, args.k, ring)
@@ -132,6 +120,12 @@ def cmd_h1(args):
 
 
 def cmd_cycle(args):
+    from .cosets import SubgroupSpec
+    from .homology import compute_h1
+    from .intlinalg import ZZ
+    from .psl2 import PMat, classify, poly_str, quadratic_form
+    from .symspace import poly_pow
+
     spec = SubgroupSpec.parse(args.group)
     g = PMat.parse(args.matrix)
     if not spec.contains(g):
@@ -154,6 +148,11 @@ def cmd_cycle(args):
 
 
 def cmd_hecke(args):
+    from .cosets import SubgroupSpec
+    from .hecke import WrongDivisibility, diamond_coset, hecke_coset
+    from .homology import compute_h1
+    from .intlinalg import RingSpec
+
     spec = SubgroupSpec.parse(args.group)
     ring = RingSpec.parse(args.ring)
     h1 = compute_h1(spec, args.k, ring)
@@ -187,6 +186,9 @@ def cmd_hecke(args):
 
 
 def cmd_ordinary(args):
+    from .cosets import SubgroupSpec
+    from .ordinary import ordinary_part
+
     spec = SubgroupSpec.parse(args.group)
     dec, pm, h1z, op = ordinary_part(spec, args.k, args.p, args.M)
     report = {
@@ -204,18 +206,29 @@ def cmd_ordinary(args):
 
 
 def cmd_verify_main(args):
+    from .cosets import SubgroupSpec
+    from .ordinary import verify_main_theorem
+
     spec = SubgroupSpec.parse(args.group)
     rep = verify_main_theorem(spec, args.k, args.p, args.M, _budget_from(args))
     return _verdict_report(rep)
 
 
 def cmd_quotient(args):
+    from .cosets import SubgroupSpec
+    from .ordinary import cycle_quotient_report
+
     spec = SubgroupSpec.parse(args.group)
     rep = cycle_quotient_report(spec, args.k, _budget_from(args))
     return _verdict_report(rep)
 
 
 def cmd_boundary(args):
+    from .boundary import boundary_subgroup, cusp_data
+    from .cosets import SubgroupSpec
+    from .homology import compute_h1
+    from .intlinalg import RingSpec
+
     spec = SubgroupSpec.parse(args.group)
     ring = RingSpec.parse(args.ring)
     h1 = compute_h1(spec, args.k, ring)
@@ -233,17 +246,24 @@ def cmd_boundary(args):
 
 
 def cmd_check_identity(args):
+    from .boundary import check_boundary_identity
+
     rep = check_boundary_identity(args.N, args.p, args.k)
     return _verdict_report(rep)
 
 
 def cmd_check_generation(args):
+    from .boundary import check_hecke_generation
+    from .cosets import SubgroupSpec
+
     spec = SubgroupSpec.parse(args.group)
     rep = check_hecke_generation(spec, args.k)
     return _verdict_report(rep)
 
 
 def cmd_bridge(args):
+    from .ordinary import mod_p_bridge
+
     rep = mod_p_bridge(args.N, args.p, args.k, _budget_from(args))
     return _verdict_report(rep)
 
@@ -253,6 +273,9 @@ BATCH_COLUMNS = ["row", "subcommand", "status", "exit_code", "group", "k",
 
 
 def cmd_batch(args):
+    import csv
+    import io
+
     try:
         with open(args.manifest) as fh:
             manifest = json.load(fh)

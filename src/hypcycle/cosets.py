@@ -14,7 +14,7 @@ subgroup-valued twist of t*x.  The coset of any element is one key
 lookup away.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .psl2 import I, S, U
@@ -36,25 +36,23 @@ def _unit_closure(N, gens):
     return frozenset(units)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(namedtuple("SubgroupSpec", "N h_gens")):
     """The data (N, H <= (Z/N)^x) cutting out Gamma_H with
-    Gamma_1(N) <= Gamma_H <= Gamma_0(N)."""
+    Gamma_1(N) <= Gamma_H <= Gamma_0(N).  Specs compare and hash by
+    (N, h_gens); the label only names the group."""
 
-    N: int
-    h_gens: tuple = ()
-    label: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if self.N < 1:
+    def __new__(cls, N, h_gens=(), label=""):
+        if N < 1:
             raise ValueError("level must be >= 1")
-        for g in self.h_gens:
-            if gcd(g, self.N) != 1:
-                raise ValueError("%d is not a unit mod %d" % (g, self.N))
-        h_set = _unit_closure(self.N, self.h_gens)
-        object.__setattr__(self, "_h_set", h_set)
-        object.__setattr__(self, "_pm_h",
-                           tuple(h_set | {(-h) % self.N for h in h_set}))
+        for g in h_gens:
+            if gcd(g, N) != 1:
+                raise ValueError("%d is not a unit mod %d" % (g, N))
+        self = super().__new__(cls, N, h_gens)
+        self.label = label
+        self._h_set = _unit_closure(N, h_gens)
+        self._pm_h = tuple(self._h_set | {(-h) % N for h in self._h_set})
+        self._keys = {}
+        return self
 
     @staticmethod
     def gamma0(N):
@@ -109,10 +107,15 @@ class SubgroupSpec:
         """Key of the right coset Gamma_H * g: left multiplication by an
         element of Gamma_H scales the bottom row (c, d) mod N by its
         d mod N, a unit in +-H, so the key is the least row of that
-        orbit."""
+        orbit.  Keys are memoised by the reduced row."""
         N = self.N
-        c, d = g.c, g.d
-        return min(((h * c) % N, (h * d) % N) for h in self._pm_h)
+        row = (g.c % N, g.d % N)
+        key = self._keys.get(row)
+        if key is None:
+            c, d = row
+            key = self._keys[row] = min(((h * c) % N, (h * d) % N)
+                                        for h in self._pm_h)
+        return key
 
 
 class CosetTable:

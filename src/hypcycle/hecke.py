@@ -23,25 +23,20 @@ entry to their coefficient and read the result.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, mul
 
 from .cosets import build_cosets, subgroup_transversal
-from .homology import (
-    H1Presentation,
-    _fox_unit_map,
-    to_group_chain,
-)
+from .homology import _fox_unit_map, to_group_chain
 from .intlinalg import from_columns, identity, xgcd
 from .psl2 import Mat2, PMat
 from .symspace import act, corestriction_map, restriction_map
 
 
-class WrongDivisibility(Exception):
+class WrongDivisibility(ValueError):
     """T_p needs p coprime to the level; U_p needs p dividing it."""
 
 
-class ConjugateLeavesGroup(Exception):
+class ConjugateLeavesGroup(ValueError):
     """A conjugated chain term is non-integral or fails membership."""
 
 
@@ -181,14 +176,14 @@ def conj_star(cycles, table1, alpha, table2, readers, quotient):
     return images
 
 
-@dataclass
 class OperatorMatrix:
     """Matrix of an operator between two H1 presentations, columns
     indexed by source generators in canonical coordinates."""
 
-    matrix: list
-    source: H1Presentation
-    target: H1Presentation
+    def __init__(self, matrix, source, target):
+        self.matrix = matrix
+        self.source = source
+        self.target = target
 
     def apply_coords(self, coords):
         g = self.target.ngens
@@ -203,9 +198,6 @@ class OperatorMatrix:
         """The matrix is its own operator, so it stands wherever a
         prepared DoubleCoset does (see diamond_coset)."""
         return self
-
-    # polyz is imported on first use: only a charpoly needs it, and a
-    # process that prints none (hypcycle --version) should not load it
 
     def charpoly(self):
         """Coefficients of the characteristic polynomial on the free

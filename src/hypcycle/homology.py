@@ -51,7 +51,7 @@ from .symspace import (
 )
 
 
-class NotACycle(Exception):
+class NotACycle(ValueError):
     """Chain with nonzero boundary where a cycle is required."""
 
 

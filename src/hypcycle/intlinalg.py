@@ -21,15 +21,15 @@ homology.LocalQuotient).
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 
-class ImageNotContained(Exception):
+class ImageNotContained(ValueError):
     """Image columns do not lie in the span of the kernel columns."""
 
 
-class NotInModule(Exception):
+class NotInModule(ValueError):
     """Coordinate lookup of a vector outside the module."""
 
 
@@ -434,22 +434,19 @@ def is_prime(n):
     return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Coefficient ring: Z, Q, F_p or Z/p^M."""
+class RingSpec(namedtuple("RingSpec", "kind p M")):
+    """Coefficient ring: Z, Q, F_p or Z/p^M; kind is "Z", "Q", "Fp" or
+    "ZpM"."""
 
-    kind: str            # "Z" | "Q" | "Fp" | "ZpM"
-    p: int = 0
-    M: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp", "ZpM"):
-            raise ValueError("unknown ring kind %r" % (self.kind,))
-        if self.kind in ("Fp", "ZpM"):
-            if not is_prime(self.p):
-                raise ValueError("p = %r is not prime" % (self.p,))
-        if self.kind == "ZpM" and self.M < 1:
+    def __new__(cls, kind, p=0, M=1):
+        if kind not in ("Z", "Q", "Fp", "ZpM"):
+            raise ValueError("unknown ring kind %r" % (kind,))
+        if kind in ("Fp", "ZpM"):
+            if not is_prime(p):
+                raise ValueError("p = %r is not prime" % (p,))
+        if kind == "ZpM" and M < 1:
             raise ValueError("M must be >= 1")
+        return super().__new__(cls, kind, p, M)
 
     @property
     def modulus(self):

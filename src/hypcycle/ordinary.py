@@ -9,7 +9,7 @@ least the length of M is zero on (1 - e)*M and an automorphism of e*M,
 so its image is the ordinary part; no projector is formed.
 """
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from .cosets import SubgroupSpec, build_cosets
@@ -17,7 +17,6 @@ from .hecke import hecke_coset
 from .homology import compute_h1
 from .intlinalg import (
     FgModule,
-    Lattice,
     RingSpec,
     ZZ,
     columns,
@@ -42,12 +41,8 @@ MAX_OPERATOR_PRIME = 2000
 MAX_WORD_LEN = 10
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Budget of the hyperbolic element stream; all reports embed it."""
-
-    max_generators: int = 300
-    seed: int = 0
+# budget of the hyperbolic element stream; all reports embed it
+Budget = namedtuple("Budget", "max_generators seed", defaults=(300, 0))
 
 
 class PModule(FgModule):
@@ -82,14 +77,9 @@ class PModule(FgModule):
         return total
 
 
-@dataclass
-class OrdinaryDecomposition:
-    pm: PModule
-    power: list
-    image: Lattice
-    ordinary_factors: tuple
-    nilpotent_rank: int
-
+class OrdinaryDecomposition(namedtuple(
+        "OrdinaryDecomposition",
+        "pm power image ordinary_factors nilpotent_rank")):
     @property
     def ordinary_rank(self):
         return len(self.ordinary_factors)
@@ -254,19 +244,9 @@ def enumerate_hyperbolic(table, budget, exclude_p=None):
             emitted += 1
 
 
-@dataclass
-class SpanReport:
-    verdict: str
-    group: str
-    k: int
-    p: int
-    M: int
-    budget: dict
-    ordinary_rank: int
-    span_rank: int
-    invariant_factors: tuple
-    span_invariant_factors: tuple
-    generators_tried: int
+SpanReport = namedtuple(
+    "SpanReport", "verdict group k p M budget ordinary_rank span_rank "
+    "invariant_factors span_invariant_factors generators_tried")
 
 
 def verify_main_theorem(spec, k, p, M, budget=Budget()):
@@ -305,7 +285,7 @@ def verify_main_theorem(spec, k, p, M, budget=Budget()):
         k=k,
         p=p,
         M=M,
-        budget=asdict(budget),
+        budget=budget._asdict(),
         ordinary_rank=dec.ordinary_rank,
         span_rank=len(span_factors),
         invariant_factors=dec.ordinary_factors,
@@ -314,17 +294,9 @@ def verify_main_theorem(spec, k, p, M, budget=Budget()):
     )
 
 
-@dataclass
-class QuotientReport:
-    verdict: str
-    group: str
-    k: int
-    budget: dict
-    free_rank: int
-    invariant_factors: tuple
-    order: int
-    prime_verdicts: dict
-    generators_tried: int
+QuotientReport = namedtuple(
+    "QuotientReport", "verdict group k budget free_rank invariant_factors "
+    "order prime_verdicts generators_tried")
 
 
 def _prime_factors(n):
@@ -409,7 +381,7 @@ def cycle_quotient_report(spec, k, budget=Budget()):
         verdict="Verified" if verified else "Inconclusive",
         group=spec.name,
         k=k,
-        budget=asdict(budget),
+        budget=budget._asdict(),
         free_rank=free_rank,
         invariant_factors=factors,
         order=order,
@@ -418,21 +390,12 @@ def cycle_quotient_report(spec, k, budget=Budget()):
     )
 
 
-@dataclass
-class BridgeReport:
-    """Comparison of H1 with constant mod-p coefficients against H1
-    with degree-2k coefficients through b -> b * X2^(2k), for p
-    dividing the level."""
-
-    verdict: str
-    group: str
-    p: int
-    k: int
-    ordinary_dim_constant: int
-    ordinary_dim_weighted: int
-    equivariant: bool
-    image_matches: bool
-    unit_scalings_checked: int
+# comparison of H1 with constant mod-p coefficients against H1 with
+# degree-2k coefficients through b -> b * X2^(2k), for p dividing the
+# level
+BridgeReport = namedtuple(
+    "BridgeReport", "verdict group p k ordinary_dim_constant "
+    "ordinary_dim_weighted equivariant image_matches unit_scalings_checked")
 
 
 def _j_star_chain(chain, k, p):

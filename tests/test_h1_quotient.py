@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypcycle import cli
 from hypcycle.boundary import check_boundary_identity
 from hypcycle.cosets import SubgroupSpec, build_cosets
-from hypcycle.hecke import ConjugateLeavesGroup
+from hypcycle.hecke import ConjugateLeavesGroup, WrongDivisibility
 from hypcycle.homology import NotACycle, compute_h1
 from hypcycle.intlinalg import (
     ColumnEchelon,
@@ -206,6 +206,15 @@ class TestCli:
         def boom(*args, **kwargs):
             raise exc("boom")
 
-        monkeypatch.setattr(cli, "compute_h1", boom)
+        # cmd_h1 imports compute_h1 when it runs, so patch it at its home
+        monkeypatch.setattr("hypcycle.homology.compute_h1", boom)
         code, report = run_cli("h1 --group gamma0:11 --k 0".split(), capsys)
         assert (code, report["error"]) == (3, "boom")
+
+    @pytest.mark.parametrize("exc", [WrongDivisibility, ConjugateLeavesGroup,
+                                     NotACycle, NotInModule,
+                                     ImageNotContained])
+    def test_library_errors_are_value_errors(self, exc):
+        # cli.INPUT_ERRORS is (ValueError,), so main catches these
+        # without loading the modules that define them
+        assert issubclass(exc, ValueError)

@@ -23,8 +23,6 @@ from hypcycle.psl2 import (
     HYPERBOLIC,
     I,
     Mat2,
-    PMat,
-    S,
     T,
     classify,
     quadratic_form,

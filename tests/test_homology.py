@@ -8,7 +8,6 @@ from hypcycle.homology import (
     LocalQuotient,
     NotACycle,
     compute_h1,
-    cycle_of,
     fox_expand_unit,
     to_group_chain,
 )
@@ -25,7 +24,7 @@ from hypcycle.psl2 import (
     quadratic_form,
     word_from_letters,
 )
-from hypcycle.symspace import poly_pow, x2_power
+from hypcycle.symspace import poly_pow
 from oracles import (
     TP,
     Chain1,

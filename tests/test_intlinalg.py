@@ -37,8 +37,6 @@ from oracles import (
 
 def snf_diagonal_oracle(A):
     """Brute-force gcd row/column reduction, no transition tracking."""
-    from math import gcd
-
     M = [row[:] for row in A]
     m = len(M)
     n = len(M[0]) if M else 0

@@ -4,7 +4,7 @@ import pytest
 
 from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.intlinalg import from_columns, identity, subquotient
-from hypcycle.psl2 import I, Mat2, PMat, S, T, U
+from hypcycle.psl2 import I, Mat2, S, T
 from hypcycle.symspace import (
     NonPositiveDeterminant,
     act,
@@ -12,7 +12,6 @@ from hypcycle.symspace import (
     poly_add,
     poly_mul,
     poly_pow,
-    restriction_map,
     x2_power,
     zero_poly,
 )
