@@ -23,14 +23,12 @@ from . import __version__
 
 
 class CliError(Exception):
-    def __init__(self, message, code=3):
-        super().__init__(message)
-        self.code = code
+    """Bad input caught by the command line itself: exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message, code=3)
+        raise CliError(message)
 
 
 # errors of the input or of the budget: JSON error report, exit code 3;
@@ -129,7 +127,7 @@ def cmd_cycle(args):
     spec = SubgroupSpec.parse(args.group)
     g = PMat.parse(args.matrix)
     if not spec.contains(g):
-        raise CliError("matrix is not in the subgroup", code=3)
+        raise CliError("matrix is not in the subgroup")
     cls = classify(g)
     report = {
         "group": spec.name,
@@ -428,10 +426,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         result, code = args.func(args)
-    except CliError as exc:
-        _print_error(exc)
-        return exc.code
-    except INPUT_ERRORS as exc:
+    except (CliError,) + INPUT_ERRORS as exc:
         _print_error(exc)
         return 3
     if isinstance(result, str):

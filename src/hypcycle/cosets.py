@@ -125,7 +125,9 @@ class CosetTable:
     when g' * g^-1 lies in the subgroup.  ``transversal[0]`` is the
     identity; ``mulS[i]`` and ``mulU[i]`` give (j, twist) with
     t_i * x == twist * t_j and twist in the subgroup; ``cosets`` maps
-    the key of each t_i to i.
+    the key of each t_i to i.  ``letter_steps`` holds the steps that
+    walks over the cosets read, one cache per (k, modulus), each filled
+    from mulS/mulU on first use (homology.letter_steps).
     """
 
     def __init__(self, key, transversal, mulS, mulU, cosets):
@@ -135,25 +137,11 @@ class CosetTable:
         self.mulU = mulU
         self.index = len(transversal)
         self._cosets = cosets
-        self.fox_steps = {}
+        self.letter_steps = {}
 
     def contains(self, g):
         """Membership of g: its coset is the identity coset."""
         return self._cosets.get(self.key(g)) == 0
-
-    def step(self, i, gen):
-        """(j, twist) for right multiplication of coset i by S or U."""
-        return self.mulS[i] if gen == "S" else self.mulU[i]
-
-    def step_letter(self, i, letter):
-        """Right multiplication by a word letter ('S',1), ('U',1), ('U',2)."""
-        gen, e = letter
-        j, tw = self.step(i, gen)
-        for _ in range(e - 1):
-            j2, tw2 = self.step(j, gen)
-            tw = tw * tw2
-            j = j2
-        return j, tw
 
     def coset_of(self, g):
         """(index, twist) with g == twist * transversal[index]."""

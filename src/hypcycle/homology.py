@@ -14,6 +14,11 @@ and H1 = ker d1 / im d2, which computes the homology of the subgroup
 by Shapiro's identification.  Functions that read a chain take its
 coset table, k and modulus alongside it.
 
+Every walk over the cosets reads one fact per coset i and letter x^e:
+the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
+rho(g).  The Fox walk, the local quotient, the subgroup form and ``d1``
+read it from the table's cache at (k, modulus) (``letter_steps``).
+
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
 of small per-orbit cokernels: the local 2- and 3-term Manin relations.
@@ -39,20 +44,66 @@ from .intlinalg import (
     subquotient,
 )
 from .psl2 import decompose_word
-from .symspace import (
-    act,
-    act_matrix,
-    add_image,
-    poly_add,
-    poly_mod,
-    reduce_chain,
-    rho,
-    zero_poly,
-)
+from .symspace import act, add_image, poly_mod, reduce_chain, rho
 
 
 class NotACycle(ValueError):
     """Chain with nonzero boundary where a cycle is required."""
+
+
+class LetterSteps(dict):
+    """The steps of a coset table's letters ('S', 1), ('U', 1) and
+    ('U', 2) at (k, modulus): the key (i, gen, e) maps to (j, g, rho(g))
+    with t_i * gen^e == g^-1 * t_j and g in the subgroup, rho(g) taken
+    mod the modulus (None at g = 1 and at k = 0).  A step is composed
+    from the table's mulS/mulU on first use."""
+
+    def __init__(self, table, k, modulus):
+        super().__init__()
+        self.table, self.k, self.modulus = table, k, modulus
+
+    def __missing__(self, key):
+        i, gen, e = key
+        mul = self.table.mulS if gen == "S" else self.table.mulU
+        j, tw = mul[i]
+        if e == 2:
+            j, tw2 = mul[j]
+            tw = tw * tw2
+        g = tw.inv()
+        hit = self[key] = j, g, rho(g, self.k, self.modulus)
+        return hit
+
+
+def letter_steps(table, k, modulus=None):
+    """The table's LetterSteps at (k, modulus), one per pair."""
+    steps = table.letter_steps.get((k, modulus))
+    if steps is None:
+        steps = table.letter_steps[k, modulus] = LetterSteps(table, k, modulus)
+    return steps
+
+
+# the exponent e of the step that a chain block of slot x reads:
+# x^-1 = x^e, and t_i * x^-1 = g^-1 * t_j sends block i to block j by g
+_SLOT_STEP = {"S": 1, "U": 2}
+
+
+def d1(terms, steps):
+    """d1 of a sparse chain [(slot, block, vector)] as {block: vector},
+    read through the LetterSteps ``steps``; not reduced."""
+    out = {}
+    for slot, b, v in terms:
+        j, _, M = steps[b, slot, _SLOT_STEP[slot]]
+        add_image(out, j, M, v)
+        add_image(out, b, None, [-x for x in v])
+    return out
+
+
+def _compose(M, N, modulus=None):
+    """M N, None standing for the identity; reduced mod m if given."""
+    if M is None or N is None:
+        return N if M is None else M
+    out = mat_mul(M, N)
+    return [[x % modulus for x in row] for row in out] if modulus else out
 
 
 def merge_blocks(groups, d, modulus=None):
@@ -81,37 +132,25 @@ def _fox_unit_map(table, g, k, modulus):
     placed at the given slot and block; None stands for the identity.
     The word of g is walked letter by letter by the product rule
     (gh - 1) x v = (g - 1) x hv + (h - 1) x v, reading each step from
-    the table's map (block, gen, n) -> (block', rho(twist^-1)) for
-    (k, modulus), filled on first use.  The map of g itself is not
-    cached: callers that use an element more than once keep its map."""
-    steps = table.fox_steps.setdefault((k, modulus), {})
+    the table's letter_steps at (k, modulus).  The map of g itself is
+    not cached: callers that use an element more than once keep its
+    map."""
+    steps = letter_steps(table, k, modulus)
     groups = {}
     block = 0
     mat = None  # None means identity so far
-
-    def compose(M, N):
-        if M is None or N is None:
-            return N if M is None else M
-        out = mat_mul(M, N)
-        return [[x % modulus for x in row] for row in out] if modulus else out
-
-    def fill(blk, gen, n):
-        j, tw = table.step_letter(blk, (gen, n))
-        hit = steps[blk, gen, n] = j, rho(tw.inv(), k, modulus)
-        return hit
-
     for gen, e in reversed(decompose_word(g)):
         groups.setdefault((gen, block), []).append(mat)
         if gen == "U" and e == 2:
             # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
             # where the action of U sends the current block (two U-steps)
-            jj, A = steps.get((block, "U", 2)) or fill(block, "U", 2)
-            groups.setdefault(("U", jj), []).append(compose(A, mat))
+            jj, _, A = steps[block, "U", 2]
+            groups.setdefault(("U", jj), []).append(_compose(A, mat, modulus))
         # the current vector moves by the letter: one block moves
         n = 1 if gen == "S" else 3 - e
-        block, A = steps.get((block, gen, n)) or fill(block, gen, n)
+        block, _, A = steps[block, gen, n]
         if A is not None:
-            mat = compose(A, mat)
+            mat = _compose(A, mat, modulus)
     return merge_blocks(groups, 2 * k + 1, modulus)
 
 
@@ -140,37 +179,25 @@ def cycle_of(gamma, poly, table, k, modulus=None):
     return fox_expand_unit(table, gamma, tuple(poly), k, modulus)
 
 
-# the letter of x^-1 for the slot letter x of a chain block: right
-# multiplication t_i * x^-1 = twist * t_j gives the block's twist
-_INVERSE_LETTER = {"S": ("S", 1), "U": ("U", 2)}
-
-
 def to_group_chain(c, table, k, m=None):
     """Rewrite a cycle as a list of (gamma, poly) with gamma in the
     subgroup of the table: the subgroup form of the homology class.
 
-    Each nonzero block of each slot contributes its Schreier twist, S
-    blocks first, each slot by block index; the per-vertex residues
-    must vanish, which is exactly the cycle condition.  Raises
-    NotACycle otherwise.
+    Each nonzero block of each slot contributes the element g of its
+    step in the table's letter_steps at (k, m), S blocks first, each
+    slot by block index.  The chain must be a cycle (mod m over Z/m):
+    d1 read through the same steps must vanish; raises NotACycle
+    otherwise.
     """
-    residue = [zero_poly(k)] * table.index
+    steps = letter_steps(table, k, m)
+    blocks = [(s, i, c[s, i]) for s, i in sorted(c) if any(c[s, i])]
+    if any(map(any, reduce_chain(d1(blocks, steps), m).values())):
+        raise NotACycle("nonzero residue: chain is not a cycle")
     terms = []
-    for slot, i in sorted(c):
-        b = c[(slot, i)]
-        if not any(b):
-            continue
-        jj, tw = table.step_letter(i, _INVERSE_LETTER[slot])
-        gamma = tw.inv()
+    for slot, i, b in blocks:
+        _, gamma, _ = steps[i, slot, _SLOT_STEP[slot]]
         if not gamma.is_identity():
             terms.append((gamma, tuple(b)))
-        moved = act(gamma.lift(), b, m)
-        residue[jj] = poly_add(residue[jj], moved)
-        residue[i] = poly_add(residue[i], tuple(-x for x in b))
-    for r in residue:
-        bad = any(x % m for x in r) if m else any(r)
-        if bad:
-            raise NotACycle("nonzero residue: chain is not a cycle")
     return terms
 
 
@@ -226,17 +253,6 @@ class H1Presentation:
         return self.module.reduce_coords(coords)
 
 
-def _letter_blocks(table, k, gen):
-    """Per-coset blocks of the letter (gen, 1) acting on the induced
-    module: entry i is (j, M), the block of coset i goes to coset j
-    through M."""
-    out = []
-    for i in range(table.index):
-        j, tw = table.step_letter(i, _INVERSE_LETTER[gen])
-        out.append((j, act_matrix(tw.inv(), k)))
-    return out
-
-
 def _dot(row, x):
     return sum(a * y for a, y in zip(row, x) if y)
 
@@ -274,29 +290,30 @@ class LocalQuotient:
         self.table = table
         self.k = k
         self.modulus = modulus
-        self.acts = {"S": _letter_blocks(table, k, "S"),
-                     "U": _letter_blocks(table, k, "U")}
+        # the Z steps over every ring: the fixed-coset Smith forms are
+        # taken over Z, and the relations mod m come in compute_h1
+        steps = self.steps = letter_steps(table, k)
         full = {}      # (slot, block) -> (orbit root, transport P)
         fixed = []
         for slot, order in (("S", 2), ("U", 3)):
-            act = self.acts[slot]
+            e = _SLOT_STEP[slot]
             seen = set()
             for i in range(n):
                 if i in seen:
                     continue
                 orbit = [i]
-                while act[orbit[-1]][0] != i:
-                    orbit.append(act[orbit[-1]][0])
+                while (j := steps[orbit[-1], slot, e][0]) != i:
+                    orbit.append(j)
                 seen.update(orbit)
                 if len(orbit) == order:
                     P = identity(d)
                     for a, b in zip(orbit, orbit[1:]):  # i is the least
-                        P = mat_mul(act[a][1], P)
+                        P = _compose(steps[a, slot, e][2], P)
                         full[(slot, b)] = (i, P)
                     continue
                 R = power = identity(d)
                 for _ in range(order - 1):
-                    power = mat_mul(act[i][1], power)
+                    power = _compose(steps[i, slot, e][2], power)
                     R = [[x + y for x, y in zip(r1, r2)]
                          for r1, r2 in zip(R, power)]
                 U, Uinv, D = smith_normal_form_full(R)
@@ -306,7 +323,7 @@ class LocalQuotient:
         self.tree = {}  # block -> (slot, parent, M)
         for b in range(1, n):
             for slot in ("S", "U"):
-                parent, M = self.acts[slot][b]
+                parent, _, M = steps[b, slot, _SLOT_STEP[slot]]
                 if (slot, b) in full and parent < b:
                     self.tree[b] = (slot, parent, M)
                     break
@@ -327,7 +344,7 @@ class LocalQuotient:
                 self.readers.setdefault((c.slot, c.root), []).append(
                     (j, [-x for x in c.prow]))
         self.nfree = len(self.coords) - len(self.torsion)
-        cols = [self._push(self._d1([(c.slot, c.block, c.lift)]))[0]
+        cols = [self._push(d1([(c.slot, c.block, c.lift)], steps))[0]
                 for c in self.coords[:self.nfree]]
         self.residues = from_columns(cols, d)
 
@@ -338,15 +355,6 @@ class LocalQuotient:
     def _reduce(self, v):
         m = self.modulus
         return [x % m for x in v] if m else v
-
-    def _d1(self, terms):
-        """d1 of a sparse chain [(slot, block, vector)], blockwise."""
-        out = {}
-        for slot, b, v in terms:
-            j, M = self.acts[slot][b]
-            add_image(out, j, M, v)
-            add_image(out, b, None, [-x for x in v])
-        return out
 
     def _push(self, blocks):
         """Add tree generators until only the root block of a 0-chain
@@ -374,7 +382,7 @@ class LocalQuotient:
         the kernel of ``residues`` on the free part)."""
         terms = [(c.slot, c.block, [a * x for x in c.lift])
                  for a, c in zip(vec, self.coords) if a]
-        root, coef = self._push(self._d1(terms))
+        root, coef = self._push(d1(terms, self.steps))
         if any(root):
             raise NotACycle("vector outside the kernel of the residues")
         terms += [(self.tree[b][0], b, v) for b, v in coef.items()]

@@ -493,10 +493,7 @@ class FgModule:
     increasing divisibility order, then 0 for each free factor.
     """
 
-    def __init__(self, ambient_rank, ring, invariant_factors, gen_lift,
-                 kernel_ech, uinv_rows):
-        self.ambient_rank = ambient_rank
-        self.ring = ring
+    def __init__(self, invariant_factors, gen_lift, kernel_ech, uinv_rows):
         self.invariant_factors = tuple(invariant_factors)
         self.gen_lift = gen_lift
         self._kernel_ech = kernel_ech
@@ -604,5 +601,5 @@ def subquotient(kernel, image, ring=ZZ):
         gen_cols = [gen_cols[t] for t in free_idx]
         gen_lift = from_columns(gen_cols, n)
         uinv_rows = [uinv_rows[t] for t in free_idx]
-    return FgModule(n, ring, factors, gen_lift, ech, uinv_rows)
+    return FgModule(factors, gen_lift, ech, uinv_rows)
 

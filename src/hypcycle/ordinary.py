@@ -56,8 +56,7 @@ class PModule(FgModule):
         m = self.modulus = p ** M
         orders = [m if d == 0 else gcd(d, m) for d in fg.invariant_factors]
         self.keep = [i for i, o in enumerate(orders) if o > 1]
-        super().__init__(len(self.keep), RingSpec("ZpM", p=p, M=M),
-                         [orders[i] for i in self.keep], None, None, None)
+        super().__init__([orders[i] for i in self.keep], None, None, None)
 
     def project(self, coords):
         return [coords[i] % o

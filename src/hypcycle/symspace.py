@@ -22,10 +22,6 @@ class NonPositiveDeterminant(Exception):
     """The polynomial action is only defined for det > 0."""
 
 
-def zero_poly(k):
-    return (0,) * (2 * k + 1)
-
-
 def monomial(k, i, coef=1):
     v = [0] * (2 * k + 1)
     v[i] = coef
@@ -35,10 +31,6 @@ def monomial(k, i, coef=1):
 def x2_power(k):
     """X2^(2k)."""
     return monomial(k, 2 * k)
-
-
-def poly_add(p, q):
-    return tuple(a + b for a, b in zip(p, q))
 
 
 def poly_mod(p, m):

@@ -36,7 +36,9 @@ reference form of the library's chains, which are sparse dicts
 two forms; the oracles above work on dense chains, and the tests
 convert where they hand a chain to the library or take one back.
 
-``poly_sub``, ``poly_scale``, ``TP``, ``evaluate_word``, ``transpose``,
+``zero_poly``, ``poly_add``, ``poly_sub``, ``poly_scale``,
+``letter_step`` (right multiplication of a coset by a word letter,
+composed from the table's mulS/mulU), ``TP``, ``evaluate_word``, ``transpose``,
 ``rank``, ``det``, ``smith_normal_form`` (the Smith form with both
 transition matrices, built from two left-only Smith forms of the
 library), ``saturate_columns``, ``schreier`` and ``p1_size`` are matrix,
@@ -90,11 +92,17 @@ from hypcycle.symspace import (
     act,
     act_matrix,
     corestriction_map,
-    poly_add,
     poly_mod,
     restriction_map,
-    zero_poly,
 )
+
+
+def zero_poly(k):
+    return (0,) * (2 * k + 1)
+
+
+def poly_add(p, q):
+    return tuple(a + b for a, b in zip(p, q))
 
 
 def poly_sub(p, q):
@@ -114,6 +122,18 @@ def _matvec_mod(M, v, modulus):
     if modulus is not None:
         out = [x % modulus for x in out]
     return out
+
+
+def letter_step(table, i, letter):
+    """(j, twist) with t_i * gen^e == twist * t_j for a letter (gen, e),
+    composed from the table's mulS/mulU."""
+    gen, e = letter
+    mul = table.mulS if gen == "S" else table.mulU
+    j, tw = mul[i]
+    for _ in range(e - 1):
+        j, tw2 = mul[j]
+        tw = tw * tw2
+    return j, tw
 
 
 class IndVec:
@@ -186,11 +206,7 @@ def ind_act_letter(letter, v):
     for i, b in enumerate(v.blocks):
         if not any(b):
             continue
-        j, tw = i, None
-        for _ in range(steps):
-            j2, tw2 = v.table.step(j, gen)
-            tw = tw2 if tw is None else tw * tw2
-            j = j2
+        j, tw = letter_step(table, i, (gen, steps))
         M = act_matrix(tw.inv(), k, m)
         val = _matvec_mod(M, b, m)
         out[j] = poly_add(out[j], tuple(val))
@@ -286,7 +302,7 @@ class PredicateTable(CosetTable):
         walking the word of g through the table."""
         j = 0
         for letter in decompose_word(g):
-            j, _ = self.step_letter(j, letter)
+            j, _ = letter_step(self, j, letter)
         return j, g * self.transversal[j].inv()
 
 
@@ -378,12 +394,8 @@ def action_matrix_on_induced(table, k, letter, modulus):
     N = n * d
     A = zeros(N, N)
     for i in range(n):
-        jj, tw = i, None
         steps = 1 if letter[0] == "S" else (3 - letter[1])
-        for _ in range(steps):
-            j2, tw2 = table.step(jj, letter[0])
-            tw = tw2 if tw is None else tw * tw2
-            jj = j2
+        jj, tw = letter_step(table, i, (letter[0], steps))
         M = act_matrix(tw.inv(), k, modulus)
         for col in range(d):
             for row in range(d):

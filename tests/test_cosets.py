@@ -109,7 +109,7 @@ class TestBuildCosets:
         table = build_cosets(SubgroupSpec.gamma0(7))
         for i, t in enumerate(table.transversal):
             for gen, x in (("S", S), ("U", U)):
-                j, tw = table.step(i, gen)
+                j, tw = (table.mulS if gen == "S" else table.mulU)[i]
                 assert tw * table.transversal[j] == t * x
                 assert table.contains(tw)
 

@@ -4,17 +4,20 @@ from math import gcd
 import pytest
 
 from hypcycle.cosets import SubgroupSpec, build_cosets
+from hypcycle.hecke import DoubleCoset
 from hypcycle.homology import (
     LocalQuotient,
     NotACycle,
     compute_h1,
     fox_expand_unit,
+    letter_steps,
     to_group_chain,
 )
 from hypcycle.intlinalg import RingSpec, QQ, ZZ
 from hypcycle.psl2 import (
     HYPERBOLIC,
     I,
+    Mat2,
     PMat,
     S,
     T,
@@ -24,7 +27,7 @@ from hypcycle.psl2 import (
     quadratic_form,
     word_from_letters,
 )
-from hypcycle.symspace import poly_pow
+from hypcycle.symspace import poly_pow, rho
 from oracles import (
     TP,
     Chain1,
@@ -369,6 +372,38 @@ class TestToGroupChain:
             to_group_chain(sparse(Chain1(v, IndVec.zero(self.h1.table, 1))),
                            self.h1.table, 1)
 
+    def test_cycle_check_modulo_m(self):
+        # for a cycle c and a chain n that is no cycle over Z: c + 3n is
+        # a cycle mod 3 but not over Z, and c + n is no cycle mod 3
+        # whenever d1(n) is nonzero mod 3 (read by the dense oracle)
+        table = self.h1.table
+        c = self.h1.generator_chain(0)
+
+        def plus(n, s):
+            out = {key: list(v) for key, v in c.items()}
+            for key, v in n.items():
+                out[key] = [x + s * y for x, y in
+                            zip(out.get(key, [0, 0, 0]), v)]
+            return out
+
+        seen = {3: 0, None: 0}
+        for slot in "SU":
+            for i in range(table.index):
+                for t in range(3):
+                    n = {(slot, i): [int(t == r) for r in range(3)]}
+                    if boundary1(dense(n, table, 1)).is_zero():
+                        continue
+                    to_group_chain(plus(n, 3), table, 1, 3)
+                    with pytest.raises(NotACycle):
+                        to_group_chain(plus(n, 3), table, 1)
+                    seen[None] += 1
+                    if boundary1(dense(n, table, 1, 3)).is_zero():
+                        continue
+                    with pytest.raises(NotACycle):
+                        to_group_chain(plus(n, 1), table, 1, 3)
+                    seen[3] += 1
+        assert seen[3] and seen[None]
+
     def test_roundtrip_single_cycles(self):
         rng = random.Random(74)
         checked = 0
@@ -393,7 +428,8 @@ class TestToGroupChain:
             assert self.h1.coords(sparse(back)) == self.h1.coords(c)
 
     def test_coefficient_identity(self):
-        from hypcycle.symspace import act, poly_add, zero_poly
+        from hypcycle.symspace import act
+        from oracles import poly_add, zero_poly
 
         rng = random.Random(75)
         checked = 0
@@ -437,3 +473,41 @@ def test_readers_match_coordinate_formula(spec, k, m):
                  [rng.randint(lo, hi) for _ in range(2 * k + 1)]
                  for _ in range(rng.randint(0, 2 * table.index))}
         assert quo.project(chain) == project_by_coordinates(quo, chain)
+
+
+@pytest.mark.parametrize("name", ["gamma0:7", "gamma1:5", "gammaH:13:3",
+                                  "T2 table1 on gamma0:7"])
+def test_letter_steps_match_transversal(name):
+    # every step (j, g, rho(g)) against the transversal itself:
+    # g^-1 t_j == t_i gen^e with g in the subgroup
+    if name.startswith("T2"):
+        h1 = compute_h1(SubgroupSpec.gamma0(7), 0, ZZ)
+        table = DoubleCoset(h1, h1, Mat2(1, 0, 0, 2)).table1
+    else:
+        table = build_cosets(SubgroupSpec.parse(name))
+    for k, m in ((0, None), (1, None), (2, 9)):
+        steps = letter_steps(table, k, m)
+        for i, t in enumerate(table.transversal):
+            for gen, e in (("S", 1), ("U", 1), ("U", 2)):
+                j, g, M = steps[i, gen, e]
+                x = S if gen == "S" else U
+                assert g.inv() * table.transversal[j] == t * (x if e == 1
+                                                              else x * x)
+                assert table.contains(g)
+                assert M == rho(g, k, m)
+
+
+def test_steps_kept_per_k_and_modulus():
+    # over Z/9 the local quotient reads the Z steps, the Fox walk of a
+    # cycle its own steps mod 9, both on the one table
+    h1 = compute_h1(SubgroupSpec.gamma0(11), 1, RingSpec.parse("Zp:3:2"))
+    table = h1.table
+    assert h1.quotient.steps is table.letter_steps[1, None]
+    g = PMat(3, 1, 11, 4)
+    h1.cycle(g, poly_pow(quadratic_form(g), 1))
+    assert set(table.letter_steps) == {(1, None), (1, 9)}
+    z_steps, mod9 = table.letter_steps[1, None], table.letter_steps[1, 9]
+    assert any(x < 0 for _, _, M in z_steps.values() if M
+               for row in M for x in row)
+    assert all(0 <= x < 9 for _, _, M in mod9.values() if M
+               for row in M for x in row)

@@ -11,7 +11,6 @@ from hypcycle.intlinalg import (
     Lattice,
     NotInModule,
     RingSpec,
-    ZZ,
     QQ,
     diagonal,
     from_columns,
@@ -399,7 +398,7 @@ def test_span_factors_match_closure(case):
     # FgModule.span/factors on (+) Z/d_i against the subgroup the
     # vectors generate, enumerated element by element
     orders, vectors = case
-    module = FgModule(len(orders), ZZ, orders, None, None, None)
+    module = FgModule(orders, None, None, None)
     lat = module.span(vectors)
     assert all(lat.contains(col) for col in module.relation_columns())
     assert module.factors(lat) == subgroup_factors_by_closure(orders, vectors)

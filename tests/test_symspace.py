@@ -9,20 +9,20 @@ from hypcycle.symspace import (
     NonPositiveDeterminant,
     act,
     monomial,
-    poly_add,
     poly_mul,
     poly_pow,
     x2_power,
-    zero_poly,
 )
 from oracles import (
     TP,
     IndVec,
     corestrict_coeff,
     ind_act,
+    poly_add,
     poly_sub,
     restrict_coeff,
     subgroup_cosets,
+    zero_poly,
 )
 
 
