@@ -90,10 +90,6 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "N h_gens")):
     def name(self):
         return self.label or "gammaH:%d:%s" % (self.N, ",".join(map(str, self.h_gens)))
 
-    @property
-    def h_set(self):
-        return self._h_set
-
     def contains(self, g):
         """Membership of an element of PSL2(Z): some sign lift has
         c = 0 mod N and d mod N in H."""
@@ -158,36 +154,20 @@ class CosetTable:
         return list(seen.values())
 
 
-def build_cosets(spec_or_key, shuffle_seed=None):
+def build_cosets(spec_or_key):
     """Breadth-first coset table of the subgroup given by a SubgroupSpec
-    or by a right-coset key function; one key lookup per edge.
-
-    ``shuffle_seed`` permutes the BFS exploration order; all invariants
-    downstream must be independent of the resulting transversal.
-    """
+    or by a right-coset key function; one key lookup per edge."""
     if isinstance(spec_or_key, SubgroupSpec):
         key = spec_or_key.coset_key
     else:
         key = spec_or_key
-    rng = None
-    if shuffle_seed is not None:
-        import random
-
-        rng = random.Random(shuffle_seed)
     transversal = [I]
     cosets = {key(I): 0}
-    mul = {"S": {}, "U": {}}
-    frontier = [0]
-    while frontier:
-        if rng is None:
-            i = frontier.pop(0)
-        else:
-            i = frontier.pop(rng.randrange(len(frontier)))
-        t = transversal[i]
-        gens = [("S", S), ("U", U)]
-        if rng is not None:
-            rng.shuffle(gens)
-        for gen, x in gens:
+    mul = {"S": [], "U": []}
+    # the loop visits the cosets in the order they are found, each one
+    # after every coset found before it: a breadth-first walk
+    for t in transversal:
+        for gen, x in (("S", S), ("U", U)):
             c = t * x
             kc = key(c)
             j = cosets.get(kc)
@@ -195,11 +175,8 @@ def build_cosets(spec_or_key, shuffle_seed=None):
                 j = len(transversal)
                 transversal.append(c)
                 cosets[kc] = j
-                frontier.append(j)
-            mul[gen][i] = (j, c * transversal[j].inv())
-    n = len(transversal)
-    return CosetTable(key, transversal, [mul["S"][i] for i in range(n)],
-                      [mul["U"][i] for i in range(n)], cosets)
+            mul[gen].append((j, c * transversal[j].inv()))
+    return CosetTable(key, transversal, mul["S"], mul["U"], cosets)
 
 
 def subgroup_transversal(sub_table, ambient_table):

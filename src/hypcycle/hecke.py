@@ -3,20 +3,23 @@ the diamond operators: ``hecke_coset`` is the one constructor of the
 double coset of diag(1,p), which is T_p or U_p by the divisibility of
 the level, and ``diamond_coset`` the one constructor of <d>.
 
-The double coset of alpha with det(alpha) > 0 maps cycles from H1(Gamma)
-to H1(Gamma'): a cycle is restricted to Gamma_1 = Gamma n alpha^-1
-Gamma' alpha by the averaging map on coefficients and rewritten in
-subgroup form; each term is conjugated through alpha into Gamma_2 =
-alpha Gamma_1 alpha^-1, and its Fox chain there is read straight into
-the ambient coordinates of Gamma''s LocalQuotient through the
-corestriction, whose readers the double coset composes with the
-target's once per block of Gamma_2.  No chain of an image is built.  A
-check that needs the images of a few classes maps just those
-(``DoubleCoset.apply_coords``); the operator matrix is the images of
-the generators.  An ``OperatorMatrix`` carries that matrix, its
-``apply_coords`` and the characteristic polynomial on the free part.
+The double coset of alpha with det(alpha) > 0 maps classes from
+H1(Gamma) to H1(Gamma').  A class is lifted to a cycle on Gamma, and
+its restriction to Gamma_1 = Gamma n alpha^-1 Gamma' alpha (the
+averaging map on coefficients) is read in subgroup form straight off
+that cycle, through the restriction's entries and Gamma_1's steps
+(homology.restricted_form).  Each term is conjugated through alpha
+into Gamma_2 = alpha Gamma_1 alpha^-1, and its Fox chain there is read
+straight into the ambient coordinates of Gamma''s LocalQuotient
+through the corestriction, whose readers the double coset composes
+with the target's once per block of Gamma_2.  No chain is built on
+Gamma_1 or Gamma_2, and no chain of an image.  A check that needs the
+images of a few classes maps just those (``DoubleCoset.apply_coords``);
+the operator matrix is the images of the generators.  An
+``OperatorMatrix`` carries that matrix, its ``apply_coords`` and the
+characteristic polynomial on the free part.
 
-Cycles are mapped in batches (one class, or every generator for the
+Classes are mapped in batches (one class, or every generator for the
 matrix).  A conjugated element used at least 2k+1 times in a batch has
 its Fox map read into coordinates once; the other terms apply each Fox
 entry to their coefficient and read the result.
@@ -26,7 +29,7 @@ from collections import Counter
 from operator import add, mul
 
 from .cosets import build_cosets, subgroup_transversal
-from .homology import _fox_unit_map, to_group_chain
+from .homology import _fox_unit_map, restricted_form
 from .intlinalg import from_columns, identity, xgcd
 from .psl2 import Mat2, PMat
 from .symspace import act, corestriction_map, restriction_map
@@ -99,11 +102,12 @@ class CorestrictedReaders(dict):
     the corestriction: at (slot, block) of Gamma_2, the pairs
     (coordinate index, row C) for the readers (index, row) of the target
     block that C sends it to.  Filled on first use, so a map of a few
-    classes composes only the blocks they reach."""
+    classes composes only the blocks they reach.  ``entries`` are the
+    corestriction's (symspace.corestriction_map)."""
 
-    def __init__(self, cor_map, readers):
+    def __init__(self, entries, readers):
         super().__init__()
-        self.entries = cor_map.entries
+        self.entries = entries
         self.target = readers
 
     def __missing__(self, key):
@@ -126,25 +130,25 @@ def _projected_fox_map(fox, readers):
     return list(proj.items())
 
 
-def conj_star(cycles, table1, alpha, table2, readers, quotient):
-    """Map cycles over Gamma_1 (the group of ``table1``) by conjugation
+def conj_star(forms, alpha, table2, readers, quotient):
+    """Map classes of Gamma_1, each given in subgroup form (a list of
+    (gamma, vector), as from homology.restricted_form), by conjugation
     through alpha into Gamma_2 = alpha Gamma_1 alpha^-1 (the group of
     ``table2``) and corestriction to Gamma'; returns the images as
     ambient coordinate vectors of Gamma''s LocalQuotient ``quotient``
     (which gives k and the modulus), reduced mod m.  ``readers`` are
     the ``CorestrictedReaders`` of the corestriction and that quotient.
 
-    A term (gamma, v) of the subgroup form of a cycle becomes the Fox
-    chain of (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma_2, which
-    is read into coordinates and never built.  Reading a Fox entry M
-    applied to a vector costs about one product by M, and reading M
-    itself about d = 2k+1 such products, so an element used at least d
-    times in the batch has its Fox map read into coordinates once; the
-    terms of the others apply each Fox entry and read the result.
+    A term (gamma, v) of a subgroup form becomes the Fox chain of
+    (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma_2, which is read
+    into coordinates and never built.  Reading a Fox entry M applied to
+    a vector costs about one product by M, and reading M itself about
+    d = 2k+1 such products, so an element used at least d times in the
+    batch has its Fox map read into coordinates once; the terms of the
+    others apply each Fox entry and read the result.
     """
     k, modulus = quotient.k, quotient.modulus
     d = 2 * k + 1
-    forms = [to_group_chain(c, table1, k, modulus) for c in cycles]
     uses = Counter(gamma.key() for form in forms for gamma, _ in form)
     maps = {}  # element key -> (projected Fox map or None, Fox map)
     images = []
@@ -235,13 +239,13 @@ class DoubleCoset:
         # alpha Gamma alpha^-1 takes adj(alpha), a multiple of alpha^-1
         self.table1 = intersection_table(source.table, alpha, target.table)
         self.reps = subgroup_transversal(self.table1, source.table)
-        self.res_map = restriction_map(source.table, self.table1, k, modulus,
-                                       self.reps)
+        self.res_entries = restriction_map(source.table, self.table1, k,
+                                           modulus, self.reps)
         self.table2 = intersection_table(target.table, alpha.adjugate(),
                                          source.table)
-        self.cor_map = corestriction_map(self.table2, target.table, k, modulus)
-        self.readers = CorestrictedReaders(self.cor_map,
-                                           target.quotient.readers)
+        self.readers = CorestrictedReaders(
+            corestriction_map(self.table2, target.table, k, modulus),
+            target.quotient.readers)
         self._matrix = None
 
     @property
@@ -252,9 +256,12 @@ class DoubleCoset:
     def _images(self, classes):
         """Target coordinates of the images of classes, each given by its
         source coordinates, mapped as one batch."""
-        cycles = [self.res_map.apply(self.source.chain(c)) for c in classes]
-        vecs = conj_star(cycles, self.table1, self.alpha, self.table2,
-                         self.readers, self.target.quotient)
+        source = self.source
+        forms = [restricted_form(source.chain(c), self.res_entries,
+                                 self.table1, source.k, source.ring.modulus)
+                 for c in classes]
+        vecs = conj_star(forms, self.alpha, self.table2, self.readers,
+                         self.target.quotient)
         return [self.target.module.coords(v) for v in vecs]
 
     def apply_coords(self, coords):

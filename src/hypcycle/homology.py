@@ -16,8 +16,10 @@ coset table, k and modulus alongside it.
 
 Every walk over the cosets reads one fact per coset i and letter x^e:
 the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
-rho(g).  The Fox walk, the local quotient, the subgroup form and ``d1``
-read it from the table's cache at (k, modulus) (``letter_steps``).
+rho(g).  The Fox walk, the local quotient, ``d1`` and
+``restricted_form`` (the subgroup form of a cycle's restriction to a
+smaller group, the first step of a Hecke image; see hecke) read it
+from the table's cache at (k, modulus) (``letter_steps``).
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
@@ -30,6 +32,7 @@ of the induced module is ever built.
 """
 
 from collections import namedtuple
+from operator import mul
 
 from .cosets import build_cosets
 from .intlinalg import (
@@ -179,25 +182,28 @@ def cycle_of(gamma, poly, table, k, modulus=None):
     return fox_expand_unit(table, gamma, tuple(poly), k, modulus)
 
 
-def to_group_chain(c, table, k, m=None):
-    """Rewrite a cycle as a list of (gamma, poly) with gamma in the
-    subgroup of the table: the subgroup form of the homology class.
+def restricted_form(chain, entries, table, k, m=None):
+    """The subgroup form of the restriction of a cycle to the group of
+    ``table``: a list of (gamma, vector) with gamma in that group.
 
-    Each nonzero block of each slot contributes the element g of its
-    step in the table's letter_steps at (k, m), S blocks first, each
-    slot by block index.  The chain must be a cycle (mod m over Z/m):
-    d1 read through the same steps must vanish; raises NotACycle
-    otherwise.
+    ``entries`` are the restriction's blockwise entries
+    (symspace.restriction_map).  Each destination block j has one
+    source block, so each nonzero block (slot, i) of the cycle and
+    entry (j, M) of i give the term (gamma, M v), gamma the element of
+    the step of j in the table's letter_steps at (k, m); terms with
+    gamma = 1 are dropped.  ``chain`` must be a cycle: it is not
+    checked here (LocalQuotient.lift checks the classes it lifts).
     """
     steps = letter_steps(table, k, m)
-    blocks = [(s, i, c[s, i]) for s, i in sorted(c) if any(c[s, i])]
-    if any(map(any, reduce_chain(d1(blocks, steps), m).values())):
-        raise NotACycle("nonzero residue: chain is not a cycle")
     terms = []
-    for slot, i, b in blocks:
-        _, gamma, _ = steps[i, slot, _SLOT_STEP[slot]]
-        if not gamma.is_identity():
-            terms.append((gamma, tuple(b)))
+    for (slot, i), v in chain.items():
+        if any(v):
+            e = _SLOT_STEP[slot]
+            for j, M in entries[i]:
+                gamma = steps[j, slot, e][1]
+                if not gamma.is_identity():
+                    terms.append((gamma, v if M is None else
+                                  [sum(map(mul, row, v)) for row in M]))
     return terms
 
 

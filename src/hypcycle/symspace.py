@@ -9,8 +9,10 @@ transposed adjugate, and -1 acts trivially in even degree.
 
 An element of the induced module has one such block per coset of the
 subgroup's table.  Chains over it are sparse dicts keyed by
-(slot, block) (see homology); ``add_image`` accumulates into them and
-``InductionMap`` maps them blockwise.
+(slot, block) (see homology); ``add_image`` accumulates into them.
+The restriction and corestriction maps are their blockwise entries,
+which the Hecke side reads directly (homology.restricted_form,
+hecke.CorestrictedReaders): no chain is mapped block by block.
 """
 
 from operator import add, mul
@@ -125,28 +127,6 @@ def reduce_chain(chain, modulus):
     return {key: [x % modulus for x in v] for key, v in chain.items()}
 
 
-class InductionMap:
-    """Blockwise map between induced modules, applied slot by slot to
-    chains.
-
-    ``entries[src_block]`` is a list of (dst_block, matrix) pairs; the
-    image of a vector adds matrix * block into dst_block for each pair,
-    None standing for the identity.
-    """
-
-    def __init__(self, modulus, entries):
-        self.modulus = modulus
-        self.entries = entries
-
-    def apply(self, chain):
-        out = {}
-        for (slot, i), v in chain.items():
-            if any(v):
-                for j, M in self.entries[i]:
-                    add_image(out, (slot, j), M, v)
-        return reduce_chain(out, self.modulus)
-
-
 def restriction_map(src_table, dst_table, k, modulus, reps):
     """Coefficient map inducing restriction to a smaller subgroup.
 
@@ -154,7 +134,11 @@ def restriction_map(src_table, dst_table, k, modulus, reps):
     s_i (``reps``, as from cosets.subgroup_transversal) of the block of
     s_i * t carrying s_i-translated coefficients; this is the standard
     averaging map promoted blockwise to the full induced module, and it
-    is equivariant for the ambient group.
+    is equivariant for the ambient group.  Returns the blockwise
+    entries: ``entries[src_block]`` lists the (dst_block, matrix) pairs,
+    None standing for the identity.  The s_i * t run over the cosets
+    of the smaller group inside Gamma * t, so every destination block
+    has exactly one source block.
     """
     entries = []
     for t in src_table.transversal:
@@ -164,14 +148,16 @@ def restriction_map(src_table, dst_table, k, modulus, reps):
             j, delta = dst_table.coset_of(g)
             row.append((j, rho(delta.inv() * s, k, modulus)))
         entries.append(row)
-    return InductionMap(modulus, entries)
+    return entries
 
 
 def corestriction_map(src_table, dst_table, k, modulus=None):
     """Coefficient map inducing corestriction to a larger subgroup:
-    blocks are regrouped along the coset projection with twists."""
+    blocks are regrouped along the coset projection with twists.
+    Returns the blockwise entries, one (dst_block, matrix) pair per
+    source block (see restriction_map)."""
     entries = []
     for u in src_table.transversal:
         j, gamma = dst_table.coset_of(u)
         entries.append([(j, rho(gamma.inv(), k, modulus))])
-    return InductionMap(modulus, entries)
+    return entries

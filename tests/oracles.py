@@ -5,7 +5,9 @@ in the order of ``build_cosets``, but it decides coset equality by
 scanning the whole transversal with a membership predicate, and its
 tables find the coset of an element by walking its word in S and U.  It needs nothing but the predicate, so it also
 serves subgroups that have no key, such as the theta group.  It raises
-``BudgetExceeded`` when the orbit outgrows its bound.
+``BudgetExceeded`` when the orbit outgrows its bound.  With a
+``shuffle_seed`` it explores the cosets in a seeded random order, which
+gives the transversals that the invariance tests compare.
 ``schreier_transversal`` is the breadth-first transversal over the
 ambient group's Schreier generators that ``cosets.subgroup_transversal``
 replaced by a filter of the smaller table's transversal.
@@ -28,6 +30,12 @@ no code with the cached, merged Fox maps of ``homology`` and the
 coordinate readers of ``hecke.conj_star``.  ``ind_act``, ``boundary2``,
 ``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
 ``transfer_res`` are the chain-level operations the tests check against.
+``apply_blockwise`` maps a chain through the blockwise entries of the
+restriction or corestriction, and ``to_group_chain`` rewrites a cycle
+in subgroup form, reading its steps from the table's mulS/mulU and
+checking the cycle by the dense boundary: chained, they are the route
+that ``homology.restricted_form`` replaced, which built the restricted
+chain on the smaller group and walked it again.
 
 ``Chain1`` (a pair (mS, mU) of ``IndVec``, one degree-2k block per
 coset in each slot), ``ind_act_letter`` and ``boundary1`` are the dense
@@ -42,7 +50,8 @@ composed from the table's mulS/mulU), ``TP``, ``evaluate_word``, ``transpose``,
 ``rank``, ``det``, ``smith_normal_form`` (the Smith form with both
 transition matrices, built from two left-only Smith forms of the
 library), ``saturate_columns``, ``schreier`` and ``p1_size`` are matrix,
-word and coset helpers that only the tests need.  ``compose``,
+word and coset helpers that only the tests need, and ``h_closure`` is
+the subgroup H of (Z/N)^x of a spec, grown from its generators.  ``compose``,
 ``equals``, ``is_zero``, ``scaled`` and ``plus`` are the algebra of
 ``hecke.OperatorMatrix`` that the operator identities are checked in.
 
@@ -68,9 +77,9 @@ from hypcycle.hecke import (
 )
 from hypcycle.homology import (
     H1Presentation,
+    NotACycle,
     compute_h1,
     fox_expand_unit,
-    to_group_chain,
 )
 from hypcycle.intlinalg import (
     ColumnEchelon,
@@ -91,8 +100,10 @@ from hypcycle.psl2 import I, Mat2, PMat, S, U, decompose_word
 from hypcycle.symspace import (
     act,
     act_matrix,
+    add_image,
     corestriction_map,
     poly_mod,
+    reduce_chain,
     restriction_map,
 )
 
@@ -309,7 +320,8 @@ class PredicateTable(CosetTable):
 def subgroup_cosets(contains, max_index=100000, shuffle_seed=None):
     """Breadth-first coset table of the subgroup cut out by a membership
     predicate (the caller guarantees finite index), exploring in the
-    order of build_cosets."""
+    order of build_cosets, or, given ``shuffle_seed``, taking the next
+    coset and the order of S and U at random."""
     rng = None
     if shuffle_seed is not None:
         import random
@@ -483,6 +495,42 @@ def fox_expand(word, v):
     return out.reduce() if m else out
 
 
+def apply_blockwise(entries, chain, m=None):
+    """A library chain mapped slot by slot through the blockwise entries
+    of a map between induced modules (symspace.restriction_map,
+    corestriction_map): each nonzero block i adds matrix * block into
+    block j for every pair (j, matrix) of ``entries[i]``; reduced mod m
+    over Z/m."""
+    out = {}
+    for (slot, i), v in chain.items():
+        if any(v):
+            for j, M in entries[i]:
+                add_image(out, (slot, j), M, v)
+    return reduce_chain(out, m)
+
+
+def to_group_chain(c, table, k, m=None):
+    """Rewrite a cycle as a list of (gamma, poly) with gamma in the
+    subgroup of the table: the subgroup form of the homology class.
+
+    Each nonzero block of each slot contributes the twist inverse of its
+    letter step, composed from the table's mulS/mulU (one S-step for the
+    S slot, two U-steps for the U slot), S blocks first, each slot by
+    block index; terms with gamma = 1 are dropped.  The chain must be a
+    cycle (mod m over Z/m) by the dense boundary; raises NotACycle
+    otherwise."""
+    if not boundary1(dense(c, table, k, m)).is_zero():
+        raise NotACycle("nonzero residue: chain is not a cycle")
+    terms = []
+    for slot, i in sorted(c):
+        b = poly_mod(c[slot, i], m) if m else tuple(c[slot, i])
+        if any(b):
+            _, tw = letter_step(table, i, (slot, 1 if slot == "S" else 2))
+            if not tw.is_identity():
+                terms.append((tw.inv(), b))
+    return terms
+
+
 def group_chain_to_chain1(terms, table, k, modulus=None):
     """Sum of the chains of (gamma - 1) tensor v over a subgroup-form
     list of terms; the inverse direction of to_group_chain."""
@@ -493,9 +541,11 @@ def group_chain_to_chain1(terms, table, k, modulus=None):
     return out.reduce() if modulus else out
 
 
-def _apply_vec(imap, v, dst_table):
-    """An InductionMap on one induced vector, carried in the S slot."""
-    image = imap.apply(sparse(Chain1(v, IndVec.zero(v.table, v.k, v.modulus))))
+def _apply_vec(entries, v, dst_table):
+    """A blockwise map on one induced vector, carried in the S slot."""
+    image = apply_blockwise(
+        entries, sparse(Chain1(v, IndVec.zero(v.table, v.k, v.modulus))),
+        v.modulus)
     return dense(image, dst_table, v.k, v.modulus).mS
 
 
@@ -520,8 +570,9 @@ def transfer_res(c, sub_table, reps=None):
         raise NotACycleOnTransfer("transfer requires a cycle")
     if reps is None:
         reps = subgroup_transversal(sub_table, c.table)
-    rmap = restriction_map(c.table, sub_table, c.k, c.modulus, reps)
-    return dense(rmap.apply(sparse(c)), sub_table, c.k, c.modulus)
+    entries = restriction_map(c.table, sub_table, c.k, c.modulus, reps)
+    return dense(apply_blockwise(entries, sparse(c), c.modulus), sub_table,
+                 c.k, c.modulus)
 
 
 def conj_star_letter_walk(c, dc):
@@ -536,7 +587,8 @@ def conj_star_letter_walk(c, dc):
             raise ConjugateLeavesGroup("conjugate leaves the target group")
         unit = IndVec.unit(table2, k, act(alpha, v, m), modulus=m)
         out = out + fox_expand(decompose_word(cg), unit)
-    return dense(dc.cor_map.apply(sparse(out)), dc.target.table, k, m)
+    image = apply_blockwise(dc.readers.entries, sparse(out), m)
+    return dense(image, dc.target.table, k, m)
 
 
 TP = PMat(1, 0, 1, 1)  # lower triangular T' = S * T^-1 * S^-1 ~ transpose
@@ -733,13 +785,27 @@ class PPhiV:
     Up: OperatorMatrix
 
 
+def h_closure(spec):
+    """The subgroup H of (Z/N)^x generated by the spec's h_gens: the
+    residues of all products of the generators, grown one factor at a
+    time until no new residue appears."""
+    N = spec.N
+    closure = {1 % N}
+    while True:
+        grown = closure | {(h * g) % N for h in closure for g in spec.h_gens}
+        if grown == closure:
+            return frozenset(closure)
+        closure = grown
+
+
 def gamma0p_intersection(spec, p):
     """SubgroupSpec of Gamma n Gamma_0(p) for p coprime to the level."""
     if spec.N % p == 0:
         raise WrongDivisibility("p divides the level; intersection is trivial")
     Np = spec.N * p
+    H = h_closure(spec)
     gens = tuple(x for x in range(1, Np)
-                 if xgcd(x, Np)[2] == 1 and (x % spec.N) in spec.h_set)
+                 if xgcd(x, Np)[2] == 1 and (x % spec.N) in H)
     return SubgroupSpec(Np, gens,
                         label="%s&gamma0:%d" % (spec.name, p))
 

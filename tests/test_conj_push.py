@@ -1,9 +1,12 @@
 """The conjugation push of ``hecke.conj_star``, read straight into target
 coordinates, against ``oracles.conj_star_letter_walk``, which expands
 every term letter by letter on the table of Gamma_2 and corestricts the
-whole chain, over every kind of double coset; and the Fox-map
-identities the push rests on."""
+whole chain, over every kind of double coset; the subgroup form that
+``homology.restricted_form`` reads off a source cycle, against the
+restricted chain rewritten by ``oracles.to_group_chain``; and the
+Fox-map identities the push rests on."""
 
+from collections import Counter
 from math import gcd
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -16,18 +19,20 @@ from hypcycle.hecke import (
     conj_star,
     diamond_matrix,
 )
-from hypcycle.homology import compute_h1, fox_expand_unit
+from hypcycle.homology import compute_h1, fox_expand_unit, restricted_form
 from hypcycle.intlinalg import RingSpec, ZZ, identity
 from hypcycle.psl2 import I, Mat2, S, T, U, decompose_word
 from oracles import (
     TP,
     IndVec,
+    apply_blockwise,
     beta_matrix,
     conj_star_letter_walk,
     dense,
     fox_expand,
     gamma0p_intersection,
     sparse,
+    to_group_chain,
 )
 
 PUSH = settings(max_examples=30, deadline=None, derandomize=True,
@@ -109,20 +114,46 @@ def test_conj_star_matches_letter_walk(case):
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
     assume(dc.table2.index * (2 * k + 1) <= MAX_WORK)
-    quotient = dc.target.quotient
+    quotient, m = dc.target.quotient, ring.modulus
     for i, unit in enumerate(identity(dc.source.ngens)[:3]):
-        rc = dc.res_map.apply(dc.source.generator_chain(i))
-        walk = conj_star_letter_walk(dense(rc, dc.table1, k, ring.modulus),
-                                     dc)
+        rc = apply_blockwise(dc.res_entries, dc.source.generator_chain(i), m)
+        walk = conj_star_letter_walk(dense(rc, dc.table1, k, m), dc)
         expect = quotient.project(sparse(walk))
         # an element used at least 2k+1 times in a batch has its Fox map
         # read into coordinates once; batches of 1, 2k and 2k+1 copies
         # of the cycle sit below and at that count
+        form = to_group_chain(rc, dc.table1, k, m)
         for size in (1, 2 * k, 2 * k + 1):
-            got = conj_star([rc] * size, dc.table1, dc.alpha, dc.table2,
-                            dc.readers, quotient)
+            got = conj_star([form] * size, dc.alpha, dc.table2, dc.readers,
+                            quotient)
             assert got == [expect] * size
         assert dc.apply_coords(unit) == dc.target.module.coords(expect)
+
+
+def form_terms(form, m):
+    """The multiset of terms (gamma key, vector mod m) of a subgroup
+    form, zero vectors dropped."""
+    terms = ((g.key(), tuple(x % m for x in v) if m else tuple(v))
+             for g, v in form)
+    return Counter(t for t in terms if any(t[1]))
+
+
+@PUSH
+@given(push_cases())
+def test_restricted_form_matches_oracle(case):
+    # the subgroup form read off the source cycle, against the old
+    # route: restrict the cycle blockwise to a chain on Gamma_1, then
+    # rewrite that chain by its letter steps
+    spec, k, ring, p, op = case
+    assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
+    dc = double_coset(spec, k, ring, p, op)
+    m = ring.modulus
+    for i in range(min(dc.source.ngens, 3)):
+        c = dc.source.generator_chain(i)
+        got = restricted_form(c, dc.res_entries, dc.table1, k, m)
+        want = to_group_chain(apply_blockwise(dc.res_entries, c, m),
+                              dc.table1, k, m)
+        assert form_terms(got, m) == form_terms(want, m)
 
 
 @FOX
@@ -145,10 +176,10 @@ def test_corestricted_fox_map_is_target_fox_map(case, word, data):
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
     m = ring.modulus
-    cor = dc.cor_map
     poly = data.draw(polys(k, ring))
     for g in [evaluate(word)] + dc.table2.schreier_generators()[:4]:
         fox2 = fox_expand_unit(dc.table2, g, poly, k, m)
-        pushed = dense(cor.apply(fox2), dc.target.table, k, m)
+        pushed = dense(apply_blockwise(dc.readers.entries, fox2, m),
+                       dc.target.table, k, m)
         direct = fox_expand_unit(dc.target.table, g, poly, k, m)
         assert pushed == dense(direct, dc.target.table, k, m)

@@ -8,8 +8,15 @@ from hypcycle.cosets import (
     build_cosets,
     subgroup_transversal,
 )
+from hypcycle.hecke import diamond_matrix
 from hypcycle.psl2 import I, PMat, S, T, U
-from oracles import BudgetExceeded, p1_size, schreier, subgroup_cosets
+from oracles import (
+    BudgetExceeded,
+    h_closure,
+    p1_size,
+    schreier,
+    subgroup_cosets,
+)
 
 
 def p1_brute_force(N):
@@ -193,7 +200,7 @@ def test_shuffled_tables_same_index():
     spec = SubgroupSpec.gamma1(5)
     base = build_cosets(spec)
     for seed in (1, 2):
-        shuffled = build_cosets(spec, shuffle_seed=seed)
+        shuffled = subgroup_cosets(spec.contains, shuffle_seed=seed)
         assert shuffled.index == base.index
 
 
@@ -201,4 +208,11 @@ def test_parse():
     assert SubgroupSpec.parse("gamma0:11") == SubgroupSpec.gamma0(11)
     assert SubgroupSpec.parse("gamma1:4") == SubgroupSpec.gamma1(4)
     s = SubgroupSpec.parse("gammaH:8:3")
-    assert s.h_set == frozenset({1, 3})
+    assert s == SubgroupSpec(8, (3,))
+    assert h_closure(s) == frozenset({1, 3})
+    # membership reads +-H: on Gamma_H(13; 3), H = {1, 3, 9}
+    s = SubgroupSpec.parse("gammaH:13:3")
+    pm_h = {x for h in h_closure(s) for x in (h, 13 - h)}
+    assert pm_h == {1, 3, 4, 9, 10, 12}
+    assert {d for d in range(1, 13)
+            if s.contains(PMat.of(diamond_matrix(13, d)))} == pm_h

@@ -44,6 +44,7 @@ from oracles import (
     plus,
     scaled,
     subgroup_cosets,
+    to_group_chain,
     transfer_res,
 )
 
@@ -231,8 +232,8 @@ class TestConjStar:
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
             c = h1.cycle(g, (1,))
-            out, = conj_star([c], h1.table, I.lift(), h1.table, readers,
-                             h1.quotient)
+            out, = conj_star([to_group_chain(c, h1.table, 0)], I.lift(),
+                             h1.table, readers, h1.quotient)
             assert h1.module.coords(out) == h1.coords(c)
 
     def test_inner_automorphism_trivial(self):
@@ -251,8 +252,8 @@ class TestConjStar:
         readers = CorestrictedReaders(
             corestriction_map(tgt.table, tgt.table, 1), tgt.quotient.readers)
         with pytest.raises(ConjugateLeavesGroup):
-            conj_star([c], h1.table, Mat2(1, 0, 0, 2), tgt.table, readers,
-                      tgt.quotient)
+            conj_star([to_group_chain(c, h1.table, 1)], Mat2(1, 0, 0, 2),
+                      tgt.table, readers, tgt.quotient)
 
 
 class TestDiamond:

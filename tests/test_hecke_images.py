@@ -25,7 +25,12 @@ from hypcycle.hecke import (
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns, identity
 from hypcycle.psl2 import Mat2
-from oracles import equals, schreier_transversal
+from oracles import (
+    apply_blockwise,
+    equals,
+    schreier_transversal,
+    to_group_chain,
+)
 
 IMAGES = settings(max_examples=50, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -76,15 +81,15 @@ def test_apply_coords_matches_operator_matrix(case, data):
     dc = double_coset(h1, op, p)
     # the matrix against columns lifted from the module's generators
     # directly, not through H1Presentation.chain, and mapped one by one
+    m = ring.modulus
     cols = []
     for i in range(h1.ngens):
         generator = [row[i] for row in h1.module.gen_lift]
-        c = dc.res_map.apply(h1.quotient.lift(generator))
-        vec, = hecke.conj_star([c], dc.table1, dc.alpha, dc.table2,
-                               dc.readers, h1.quotient)
+        c = apply_blockwise(dc.res_entries, h1.quotient.lift(generator), m)
+        vec, = hecke.conj_star([to_group_chain(c, dc.table1, k, m)],
+                               dc.alpha, dc.table2, dc.readers, h1.quotient)
         cols.append(list(h1.module.coords(vec)))
     assert dc.operator().matrix == from_columns(cols, h1.ngens)
-    m = ring.modulus
     lo, hi = (0, m - 1) if m else (-9, 9)
     for _ in range(3):
         z = data.draw(st.lists(st.integers(lo, hi), min_size=h1.ngens,
@@ -162,13 +167,14 @@ def test_diamond_keeps_identity_and_divisibility():
 
 @pytest.fixture
 def mapped_cycles(monkeypatch):
-    """Counts the cycles passed to hecke.conj_star."""
+    """Counts the classes passed to hecke.conj_star, one subgroup form
+    each."""
     count = [0]
     conj_star = hecke.conj_star
 
-    def counted(cycles, *args):
-        count[0] += len(cycles)
-        return conj_star(cycles, *args)
+    def counted(forms, *args):
+        count[0] += len(forms)
+        return conj_star(forms, *args)
 
     monkeypatch.setattr(hecke, "conj_star", counted)
     return count

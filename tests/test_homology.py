@@ -11,7 +11,6 @@ from hypcycle.homology import (
     compute_h1,
     fox_expand_unit,
     letter_steps,
-    to_group_chain,
 )
 from hypcycle.intlinalg import RingSpec, QQ, ZZ
 from hypcycle.psl2 import (
@@ -39,6 +38,8 @@ from oracles import (
     fox_expand,
     group_chain_to_chain1,
     sparse,
+    subgroup_cosets,
+    to_group_chain,
 )
 
 
@@ -221,7 +222,8 @@ class TestComputeH1:
         spec = SubgroupSpec.gamma1(5)
         base = compute_h1(spec, 1, ZZ)
         for seed in (1, 5):
-            other = compute_h1(build_cosets(spec, shuffle_seed=seed), 1, ZZ)
+            table = subgroup_cosets(spec.contains, shuffle_seed=seed)
+            other = compute_h1(table, 1, ZZ)
             assert other.invariant_factors == base.invariant_factors
 
     def test_universal_coefficients(self):
@@ -473,6 +475,25 @@ def test_readers_match_coordinate_formula(spec, k, m):
                  [rng.randint(lo, hi) for _ in range(2 * k + 1)]
                  for _ in range(rng.randint(0, 2 * table.index))}
         assert quo.project(chain) == project_by_coordinates(quo, chain)
+
+
+@pytest.mark.parametrize("name,ring", [("gamma0:11", "Z"),
+                                       ("gamma1:5", "Zp:3:2")])
+def test_lift_rejects_vectors_outside_the_residue_kernel(name, ring):
+    # the one residue check on the way to a Hecke image: a free unit
+    # vector whose residue column is nonzero (mod m) is no cycle, and
+    # the lift of every generator is a cycle by the dense boundary
+    h1 = compute_h1(SubgroupSpec.parse(name), 1, RingSpec.parse(ring))
+    quo, m = h1.quotient, h1.ring.modulus
+    outside = [j for j in range(quo.nfree)
+               if any(row[j] % m if m else row[j] for row in quo.residues)]
+    assert outside
+    for j in outside:
+        with pytest.raises(NotACycle):
+            quo.lift([int(t == j) for t in range(quo.ambient_rank)])
+    for i in range(h1.ngens):
+        chain = h1.generator_chain(i)
+        assert boundary1(dense(chain, h1.table, 1, m)).is_zero()
 
 
 @pytest.mark.parametrize("name", ["gamma0:7", "gamma1:5", "gammaH:13:3",

@@ -24,8 +24,6 @@ ALLOWED = {
         "the benchmark's trace hook on DoubleCoset.__init__ reads it",
     "psl2.PMat.__eq__": "tests compare group elements with ==",
     "psl2.PMat.__hash__": "the hash that goes with PMat.__eq__",
-    "cosets.SubgroupSpec.h_set":
-        "the oracle gamma0p_intersection builds its group from H",
 }
 
 CASES = [
