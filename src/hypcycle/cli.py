@@ -122,7 +122,6 @@ def cmd_cycle(args):
     from .homology import compute_h1
     from .intlinalg import ZZ
     from .psl2 import PMat, classify, poly_str, quadratic_form
-    from .symspace import poly_pow
 
     spec = SubgroupSpec.parse(args.group)
     g = PMat.parse(args.matrix)
@@ -136,11 +135,9 @@ def cmd_cycle(args):
         "class": cls,
     }
     if cls in ("hyperbolic", "parabolic"):
-        q = quadratic_form(g)
         h1 = compute_h1(spec, args.k, ZZ)
-        coords = h1.cycle_coords(g, poly_pow(q, args.k))
-        report["quadratic_form"] = poly_str(q)
-        report["coords"] = list(coords)
+        report["quadratic_form"] = poly_str(quadratic_form(g))
+        report["coords"] = list(h1.cycle_coords(g))
         report["h1_invariant_factors"] = list(h1.invariant_factors)
     return report, 0
 

@@ -12,7 +12,9 @@ Z/m the vectors are reduced mod m.  The boundary maps are
 
 and H1 = ker d1 / im d2, which computes the homology of the subgroup
 by Shapiro's identification.  Functions that read a chain take its
-coset table, k and modulus alongside it.
+coset table, k and modulus alongside it.  The paper's cycles are
+z(gamma) = (gamma - 1) tensor q_gamma^k, q_gamma the quadratic form of
+gamma; ``H1Presentation.cycle_coords(gamma)`` gives their coordinates.
 
 Every walk over the cosets reads one fact per coset i and letter x^e:
 the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
@@ -46,8 +48,8 @@ from .intlinalg import (
     smith_normal_form_full,
     subquotient,
 )
-from .psl2 import decompose_word
-from .symspace import act, add_image, poly_mod, reduce_chain, rho
+from .psl2 import decompose_word, quadratic_form
+from .symspace import act, add_image, poly_mod, poly_pow, reduce_chain, rho
 
 
 class NotACycle(ValueError):
@@ -249,11 +251,12 @@ class H1Presentation:
     def generator_chain(self, i):
         return self.chain([int(j == i) for j in range(self.ngens)])
 
-    def cycle(self, gamma, poly):
-        return cycle_of(gamma, poly, self.table, self.k, self.ring.modulus)
-
-    def cycle_coords(self, gamma, poly):
-        return self.coords(self.cycle(gamma, poly))
+    def cycle_coords(self, gamma):
+        """Coordinates of z(gamma) = (gamma - 1) tensor q_gamma^k;
+        NotDefinedForElliptic if gamma is elliptic or the identity."""
+        poly = poly_pow(quadratic_form(gamma), self.k)
+        return self.coords(cycle_of(gamma, poly, self.table, self.k,
+                                    self.ring.modulus))
 
     def reduce_coords(self, coords):
         return self.module.reduce_coords(coords)

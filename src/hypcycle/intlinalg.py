@@ -4,7 +4,8 @@ Matrices are plain lists of rows of Python ints, so everything is
 arbitrary precision.  The primitives are the Smith normal form with
 its left transition matrices, a column echelon form used for integer
 kernels and exact solving, the kernel modulo m in Hermite form, and a
-row-style lattice accumulator for incremental span computations.
+row-style lattice accumulator for incremental spans and their closure
+under linear maps (``Lattice.close_under``).
 Finitely generated modules (subquotients of Z^n, possibly with a
 prime-power modulus) are presented by invariant factors together with
 an exact coordinate map.  Submodules are formed in generator
@@ -400,6 +401,27 @@ class Lattice:
                     ri, rk = rows[i], rows[k]
                     for t in range(j, self.n):
                         ri[t] -= q * rk[t]
+
+    def close_under(self, maps, frontier, rounds, target=None):
+        """Add images under the linear ``maps`` until a round adds
+        nothing, for at most ``rounds`` rounds or until canonical()
+        equals ``target``; True if the lattice grew.  A round maps the
+        vectors that grew the lattice in the round before (the first,
+        ``frontier``): the rest lay in it already, so this adds the
+        images of the whole lattice."""
+        grew = False
+        for _ in range(rounds):
+            new = []
+            for f in maps:
+                for v in frontier:
+                    image = list(f(v))
+                    if self.add(image):
+                        new.append(image)
+            frontier = new
+            grew = grew or bool(new)
+            if not new or self.canonical() == target:
+                break
+        return grew
 
     def contains(self, vec):
         v = list(vec)

@@ -7,6 +7,8 @@ by Fitting's lemma, as e*M (+) (1 - e)*M: A is invertible on the
 ordinary part e*M and nilpotent on the rest.  One power A^n with n at
 least the length of M is zero on (1 - e)*M and an automorphism of e*M,
 so its image is the ordinary part; no projector is formed.
+``verify-main``, ``bridge`` and ``quotient``'s per-prime test read that
+image from ``ordinary_idempotent``.
 """
 
 from collections import namedtuple
@@ -26,14 +28,14 @@ from .intlinalg import (
     mat_vec,
     subquotient,
 )
-from .psl2 import HYPERBOLIC, I, classify, quadratic_form
-from .symspace import poly_pow
+from .psl2 import HYPERBOLIC, I, classify
 
-# ``quotient`` closes its span under these Hecke operators after this
-# many draws in a row add nothing, and stops drawing once closure adds
-# nothing either; primes of the quotient's order above the operator
-# bound get no Hecke matrix and stay Inconclusive
+# ``quotient`` closes its span under these Hecke operators (for at most
+# this many rounds) after this many draws in a row add nothing, and stops
+# drawing once closure adds nothing either; primes of the quotient's order
+# above the operator bound get no Hecke matrix and stay Inconclusive
 QUOTIENT_HECKE_PRIMES = (2, 3)
+QUOTIENT_CLOSURE_ROUNDS = 8
 QUIET_DRAWS = 25
 MAX_OPERATOR_PRIME = 2000
 # depth of ``enumerate_hyperbolic``'s word ball, which on all but the
@@ -89,31 +91,23 @@ class OrdinaryDecomposition(namedtuple(
         return [x % o for x, o in zip(out, self.pm.invariant_factors)]
 
 
-def fitting_power(A, pm):
-    """A^n mod p^M, n the least power of two >= the length of ``pm``,
-    by repeated squaring: an automorphism of the ordinary part and zero
-    on the nilpotent part (Fitting's lemma)."""
+def ordinary_idempotent(A, pm):
+    """Fitting split of a finite module of p-power exponent under A.
+
+    On a module of length L, P = A^n with n >= L is an automorphism of
+    the ordinary part e*M and zero on the nilpotent part (1 - e)*M, so
+    im P = e*M; n is the least power of two >= L, reached by repeated
+    squaring mod p^M.  ``apply`` multiplies by P, not by e: P*z =
+    u(e*z) for the automorphism u = P on e*M, so projected vectors span
+    e*M exactly when their e-projections do.  The name stays: the
+    benchmark's ``perfbench/spans.py`` traces this function by it.
+    """
     m = pm.modulus
     P = [[x % m for x in row] for row in A]
     n, length = 1, pm.length()
     while n < length:
         P = [[x % m for x in row] for row in mat_mul(P, P)]
         n *= 2
-    return P
-
-
-def ordinary_idempotent(A, pm):
-    """Fitting split of a finite module of p-power exponent under A.
-
-    On a module of length L, P = A^n with n >= L is an automorphism of
-    the ordinary part e*M and zero on the nilpotent part (1 - e)*M, so
-    im P = e*M (see fitting_power).  ``apply`` multiplies by P, not by
-    e: P*z = u(e*z) for the automorphism u = P on e*M, so projected
-    vectors span e*M exactly when their e-projections do.  The name
-    stays: the benchmark's ``perfbench/spans.py`` traces this function
-    by it.
-    """
-    P = fitting_power(A, pm)
     image = pm.span(columns(P))
     factors = pm.factors(image)
     return OrdinaryDecomposition(pm, P, image, factors,
@@ -272,9 +266,8 @@ def verify_main_theorem(spec, k, p, M, budget=Budget()):
     tried = 0
     if span.canonical() != target:
         for g in enumerate_hyperbolic(h1z.table, budget):
-            coords = h1z.cycle_coords(g, poly_pow(quadratic_form(g), k))
             tried += 1
-            if span.add(dec.apply(pm.project(coords))) \
+            if span.add(dec.apply(pm.project(h1z.cycle_coords(g)))) \
                     and span.canonical() == target:
                 break
     span_factors = pm.factors(span)
@@ -330,28 +323,15 @@ def cycle_quotient_report(spec, k, budget=Budget()):
     # close under a few Hecke operators as we go: the full span is
     # Hecke stable, so closure only moves the computed span toward it
     ops = {q: hecke_coset(q, h1z).operator() for q in QUOTIENT_HECKE_PRIMES}
-
-    def hecke_close():
-        grew_any = False
-        for _ in range(8):
-            grew = False
-            for qop in ops.values():
-                for row in [r[:] for r in span.rows]:
-                    if span.add(list(qop.apply_coords(row))):
-                        grew = True
-            if not grew:
-                break
-            grew_any = True
-        return grew_any
-
+    maps = [op.apply_coords for op in ops.values()]
     tried = 0
     quiet = 0
     for gamma in enumerate_hyperbolic(h1z.table, budget):
-        z = list(h1z.cycle_coords(gamma, poly_pow(quadratic_form(gamma), k)))
         tried += 1
-        quiet = 0 if span.add(z) else quiet + 1
+        quiet = 0 if span.add(h1z.cycle_coords(gamma)) else quiet + 1
         if quiet >= QUIET_DRAWS:
-            if not hecke_close():
+            if not span.close_under(maps, [r[:] for r in span.rows],
+                                    QUOTIENT_CLOSURE_ROUNDS):
                 break
             quiet = 0
     factors = subquotient(identity(h1z.ngens),
@@ -371,8 +351,8 @@ def cycle_quotient_report(spec, k, budget=Budget()):
                 continue
             pq = PModule(h1z.module, q, 1)
             reduced = pq.span(pq.project(s) for s in span.rows)
-            P = fitting_power(pq.reduce_matrix(A), pq)
-            if all(reduced.contains(col) for col in columns(P)):
+            image = ordinary_idempotent(pq.reduce_matrix(A), pq).image
+            if all(reduced.contains(row) for row in image.rows):
                 prime_verdicts[str(q)] = "Verified"
     verified = free_rank == 0 and all(
         v == "Verified" for v in prime_verdicts.values())
@@ -444,8 +424,8 @@ def mod_p_bridge(N, p, k, budget=Budget()):
         a, b, c, d = gamma.key()
         if b % p == 0:
             continue  # the scaling statement needs b to be a unit
-        w0 = h0.cycle_coords(gamma, (1,))
-        wk = hk.cycle_coords(gamma, poly_pow(quadratic_form(gamma), k))
+        w0 = h0.cycle_coords(gamma)
+        wk = hk.cycle_coords(gamma)
         grp = gcd(gcd(abs(c), abs(a - d)), abs(b))
         u = pow((grp * pow(b, -1, p)) % p, k, p)
         rhs = [u * x for x in wk]

@@ -11,7 +11,7 @@ generator.
 from math import gcd
 
 
-class NotDefinedForElliptic(Exception):
+class NotDefinedForElliptic(ValueError):
     """Quadratic form requested for an elliptic or identity matrix."""
 
 

@@ -20,19 +20,8 @@ from operator import add, mul
 from .psl2 import PMat
 
 
-class NonPositiveDeterminant(Exception):
+class NonPositiveDeterminant(ValueError):
     """The polynomial action is only defined for det > 0."""
-
-
-def monomial(k, i, coef=1):
-    v = [0] * (2 * k + 1)
-    v[i] = coef
-    return tuple(v)
-
-
-def x2_power(k):
-    """X2^(2k)."""
-    return monomial(k, 2 * k)
 
 
 def poly_mod(p, m):

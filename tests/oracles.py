@@ -45,6 +45,9 @@ two forms; the oracles above work on dense chains, and the tests
 convert where they hand a chain to the library or take one back.
 
 ``zero_poly``, ``poly_add``, ``poly_sub``, ``poly_scale``,
+``monomial``, ``x2_power``, ``cycle_coords_of`` (the coordinates of
+(gamma - 1) tensor w for any w that gamma fixes, where
+``H1Presentation.cycle_coords`` takes w = q_gamma^k),
 ``letter_step`` (right multiplication of a coset by a word letter,
 composed from the table's mulS/mulU), ``TP``, ``evaluate_word``, ``transpose``,
 ``rank``, ``det``, ``smith_normal_form`` (the Smith form with both
@@ -58,7 +61,10 @@ the subgroup H of (Z/N)^x of a spec, grown from its generators.  ``compose``,
 ``induced_endomorphism`` is the matrix of an ambient map on the
 generators of a subquotient; ``cycle_quotient_report`` once ran its
 per-prime test on it, and the tests keep that route as the oracle of
-the test on H1 (x) F_q.  ``beta_matrix``, ``gamma0p_intersection`` and
+the test on H1 (x) F_q.  ``close_every_row`` is the Hecke-closure
+rule that ``Lattice.close_under`` replaced: every map on every row in
+each round, where close_under maps only the rows that grew.
+``beta_matrix``, ``gamma0p_intersection`` and
 ``pi_phi_V`` build the level-raising square (pi, phi, V) at a prime
 coprime to the level.
 """
@@ -79,6 +85,7 @@ from hypcycle.homology import (
     H1Presentation,
     NotACycle,
     compute_h1,
+    cycle_of,
     fox_expand_unit,
 )
 from hypcycle.intlinalg import (
@@ -122,6 +129,23 @@ def poly_sub(p, q):
 
 def poly_scale(p, c):
     return tuple(c * a for a in p)
+
+
+def monomial(k, i, coef=1):
+    v = [0] * (2 * k + 1)
+    v[i] = coef
+    return tuple(v)
+
+
+def x2_power(k):
+    """X2^(2k), the coefficient q_T^k of the translation cycle z(T)."""
+    return monomial(k, 2 * k)
+
+
+def cycle_coords_of(h1, gamma, poly):
+    """Coordinates of the cycle (gamma - 1) tensor poly, for any
+    coefficient that gamma fixes."""
+    return h1.coords(cycle_of(gamma, poly, h1.table, h1.k, h1.ring.modulus))
 
 
 def _matvec_mod(M, v, modulus):
@@ -658,6 +682,25 @@ def smith_normal_form(A):
         if d:
             V3[i] = [b // d for b in B[i]]
     return U, D, mat_mul(V3, transpose(U2))
+
+
+def close_every_row(lattice, maps, rounds, target=None):
+    """The closure rule of ``Lattice.close_under`` with no frontier:
+    each round applies every map to every row of the lattice as it
+    stood when the round began.  Same round cap and target stop; True
+    if the lattice grew."""
+    grew = False
+    for _ in range(rounds):
+        rows = [r[:] for r in lattice.rows]
+        added = False
+        for f in maps:
+            for r in rows:
+                if lattice.add(list(f(r))):
+                    added = True
+        grew = grew or added
+        if not added or lattice.canonical() == target:
+            break
+    return grew
 
 
 def saturate_columns(B):

@@ -26,6 +26,8 @@ from hypcycle.intlinalg import (
     mat_vec,
     smith_normal_form_full,
 )
+from hypcycle.psl2 import NotDefinedForElliptic
+from hypcycle.symspace import NonPositiveDeterminant
 from oracles import (
     BudgetExceeded,
     boundary1,
@@ -213,7 +215,8 @@ class TestCli:
 
     @pytest.mark.parametrize("exc", [WrongDivisibility, ConjugateLeavesGroup,
                                      NotACycle, NotInModule,
-                                     ImageNotContained])
+                                     ImageNotContained, NotDefinedForElliptic,
+                                     NonPositiveDeterminant])
     def test_library_errors_are_value_errors(self, exc):
         # cli.INPUT_ERRORS is (ValueError,), so main catches these
         # without loading the modules that define them

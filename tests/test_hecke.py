@@ -17,7 +17,7 @@ from hypcycle.hecke import (
     hecke_coset,
     identity_operator,
 )
-from hypcycle.homology import compute_h1
+from hypcycle.homology import compute_h1, cycle_of
 from hypcycle.intlinalg import QQ, RingSpec, ZZ
 from hypcycle.psl2 import (
     HYPERBOLIC,
@@ -36,6 +36,7 @@ from oracles import (
     beta_matrix,
     boundary1,
     compose,
+    cycle_coords_of,
     dense,
     equals,
     gamma0p_intersection,
@@ -46,6 +47,7 @@ from oracles import (
     subgroup_cosets,
     to_group_chain,
     transfer_res,
+    x2_power,
 )
 
 
@@ -219,7 +221,7 @@ class TestTransfer:
         sub = compute_h1(SubgroupSpec.gamma0(2), 1, ZZ)
         rng = random.Random(81)
         for g in random_hyperbolic_in(SubgroupSpec.gamma1(1), rng, 5):
-            c = h1.cycle(g, quadratic_form(g))
+            c = cycle_of(g, quadratic_form(g), h1.table, 1)
             rc = transfer_res(dense(c, h1.table, 1), sub.table)
             assert boundary1(rc).is_zero()
 
@@ -231,7 +233,7 @@ class TestConjStar:
             corestriction_map(h1.table, h1.table, 0), h1.quotient.readers)
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
-            c = h1.cycle(g, (1,))
+            c = cycle_of(g, (1,), h1.table, 0)
             out, = conj_star([to_group_chain(c, h1.table, 0)], I.lift(),
                              h1.table, readers, h1.quotient)
             assert h1.module.coords(out) == h1.coords(c)
@@ -247,7 +249,7 @@ class TestConjStar:
     def test_conjugate_leaves_group(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
         g = T * T * TP
-        c = h1.cycle(g, quadratic_form(g))
+        c = cycle_of(g, quadratic_form(g), h1.table, 1)
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
         readers = CorestrictedReaders(
             corestriction_map(tgt.table, tgt.table, 1), tgt.quotient.readers)
@@ -364,12 +366,12 @@ class TestOrbitFormulaOracle:
         rng = random.Random(hash((spec_name, k, p)) & 0xFFFF)
         for g in random_hyperbolic_in(spec, rng, 3):
             w = poly_pow(quadratic_form(g), k)
-            z = list(h1.cycle_coords(g, w))
+            z = list(h1.cycle_coords(g))
             via_matrix = op.apply_coords(z)
             acc = (0,) * h1.ngens
             for delta, w2 in orbit_formula_image(Mat2(1, 0, 0, p), g, w,
                                                  h1.table, h1.table.contains):
-                c = h1.cycle_coords(delta, w2)
+                c = cycle_coords_of(h1, delta, w2)
                 acc = tuple(a + b for a, b in zip(acc, c))
             assert h1.reduce_coords(acc) == tuple(via_matrix)
 
@@ -380,13 +382,13 @@ class TestOrbitFormulaOracle:
         rng = random.Random(84)
         for g in random_hyperbolic_in(spec, rng, 3, steps=10):
             w = quadratic_form(g)
-            z = list(h1.cycle_coords(g, w))
+            z = list(h1.cycle_coords(g))
             via_matrix = op.apply_coords(z)
             acc = (0,) * h1.ngens
             for delta, w2 in orbit_formula_image(Mat2(1, 0, 0, 2), g, w,
                                                  h1.table, h1.table.contains):
                 acc = tuple(a + b for a, b in
-                            zip(acc, h1.cycle_coords(delta, w2)))
+                            zip(acc, cycle_coords_of(h1, delta, w2)))
             assert h1.reduce_coords(acc) == tuple(via_matrix)
 
 
@@ -401,15 +403,14 @@ class TestHeckeStability:
             h1 = compute_h1(spec, k, ZZ)
             rng = random.Random(100 + k)
             gens = random_hyperbolic_in(spec, rng, 12, steps=9)
-            cols = [list(h1.cycle_coords(g, poly_pow(quadratic_form(g), k)))
-                    for g in gens]
+            cols = [list(h1.cycle_coords(g)) for g in gens]
             rel = h1.module.relation_columns()
             span = from_columns(cols + rel, h1.ngens) if (cols + rel) else [[] for _ in range(h1.ngens)]
             sat = saturate_columns(span)
             ech = ColumnEchelon(sat)
             op = hecke_coset(p, h1).operator()
             for g in gens[:6]:
-                z = list(h1.cycle_coords(g, poly_pow(quadratic_form(g), k)))
+                z = list(h1.cycle_coords(g))
                 image = list(op.apply_coords(z))
                 assert ech.solve(image) is not None
 
@@ -457,11 +458,9 @@ class TestBoundaryIdentityCore:
 
     @pytest.mark.parametrize("N,p,k", [(2, 3, 0), (2, 3, 1)])
     def test_small_cases(self, N, p, k):
-        from hypcycle.symspace import x2_power
-
         spec = SubgroupSpec.gamma1(N * N)
         h1 = compute_h1(spec, k, ZZ)
-        z = list(h1.cycle_coords(T, x2_power(k)))
+        z = list(cycle_coords_of(h1, T, x2_power(k)))
         lhs = hecke_coset(p, h1).operator().apply_coords(z)
         dz = diamond_coset(p, h1).operator().apply_coords(z)
         rhs = h1.reduce_coords([a + p ** (2 * k + 1) * b for a, b in zip(z, dz)])

@@ -9,6 +9,7 @@ from hypcycle.homology import (
     LocalQuotient,
     NotACycle,
     compute_h1,
+    cycle_of,
     fox_expand_unit,
     letter_steps,
 )
@@ -33,6 +34,7 @@ from oracles import (
     IndVec,
     boundary1,
     boundary2,
+    cycle_coords_of,
     dense,
     evaluate_word,
     fox_expand,
@@ -40,6 +42,7 @@ from oracles import (
     sparse,
     subgroup_cosets,
     to_group_chain,
+    x2_power,
 )
 
 
@@ -299,14 +302,14 @@ class TestCycleOf:
         table = build_cosets(SubgroupSpec.gamma1(1))
         h1 = compute_h1(SubgroupSpec.gamma1(1), 0, ZZ)
         rng = random.Random(71)
-        cs = h1.cycle_coords(S, (1,))
-        cu = h1.cycle_coords(U, (1,))
+        cs = cycle_coords_of(h1, S, (1,))
+        cu = cycle_coords_of(h1, U, (1,))
         for _ in range(50):
             g = random_psl(rng)
             w = decompose_word(g)
             ns = sum(e for gen, e in w if gen == "S")
             nu = sum(e for gen, e in w if gen == "U")
-            coords = h1.cycle_coords(g, (1,))
+            coords = cycle_coords_of(h1, g, (1,))
             # abelianized class is determined by the exponent sums
             lin = h1.reduce_coords(tuple(ns * a + nu * b for a, b in zip(cs, cu)))
             assert coords == lin
@@ -314,7 +317,7 @@ class TestCycleOf:
     def test_hyperbolic_example_class_zero(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 0, ZZ)
         g = PMat(2, 1, 1, 1)  # word S U S U^2: exponents (2, 3) = 0 in Z/6
-        assert h1.cycle_coords(g, (1,)) == (0,) * h1.ngens
+        assert h1.cycle_coords(g) == (0,) * h1.ngens
 
     def test_power_linearity(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 2, ZZ)
@@ -324,12 +327,11 @@ class TestCycleOf:
             g = random_psl(rng)
             if classify(g) != HYPERBOLIC:
                 continue
-            q = quadratic_form(g)
-            base = h1.cycle_coords(g, poly_pow(q, 2))
+            base = h1.cycle_coords(g)
             gp = g
             for dd in range(2, 6):
                 gp = gp * g
-                got = h1.cycle_coords(gp, poly_pow(quadratic_form(gp), 2))
+                got = h1.cycle_coords(gp)
                 expect = h1.reduce_coords(tuple(dd * x for x in base))
                 assert got == expect
             checked += 1
@@ -338,12 +340,42 @@ class TestCycleOf:
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
         g = PMat(2, 1, 1, 1)
         with pytest.raises(NotACycle):
-            h1.cycle(g, (1, 0, 0))
+            cycle_of(g, (1, 0, 0), h1.table, 1)
 
     def test_membership_required(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
         with pytest.raises(NotACycle):
-            h1.cycle(S, (1,))
+            cycle_of(S, (1,), h1.table, 0)
+
+    @pytest.mark.parametrize("name", ["gamma0:11", "gamma1:5", "gammaH:13:3"])
+    @pytest.mark.parametrize("ring", ["Z", "Zp:3:2"])
+    def test_cycle_coords_is_z_gamma(self, name, ring):
+        # z(gamma) = (gamma - 1) tensor q_gamma^k, on hyperbolic elements
+        # and on the cusp stabilisers
+        from hypcycle.boundary import cusp_data
+        from hypcycle.ordinary import Budget, enumerate_hyperbolic
+
+        spec = SubgroupSpec.parse(name)
+        table = build_cosets(spec)
+        elements = list(enumerate_hyperbolic(table, Budget(4)))
+        elements += [c.stabilizer for c in cusp_data(table)]
+        for k in range(3):
+            h1 = compute_h1(table, k, RingSpec.parse(ring))
+            m = h1.ring.modulus
+            for g in elements:
+                w = poly_pow(quadratic_form(g), k)
+                assert h1.cycle_coords(g) == h1.coords(
+                    cycle_of(g, w, h1.table, k, m))
+
+    def test_translation_coefficient_is_x2_power(self):
+        h1 = compute_h1(SubgroupSpec.gamma0(11), 2, ZZ)
+        assert poly_pow(quadratic_form(T), 2) == x2_power(2)
+        assert h1.cycle_coords(T) == cycle_coords_of(h1, T, x2_power(2))
+
+    def test_elliptic_has_no_cycle(self):
+        h1 = compute_h1(SubgroupSpec.gamma0(1), 1, ZZ)
+        with pytest.raises(ValueError):
+            h1.cycle_coords(S)
 
     def test_boundary_zero(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
@@ -354,7 +386,7 @@ class TestCycleOf:
             if classify(g) != HYPERBOLIC or not SubgroupSpec.gamma0(11).contains(g):
                 continue
             q = quadratic_form(g)
-            c = h1.cycle(g, q)
+            c = cycle_of(g, q, h1.table, 1)
             assert boundary1(dense(c, h1.table, 1)).is_zero()
             checked += 1
 
@@ -414,7 +446,7 @@ class TestToGroupChain:
             if classify(g) != HYPERBOLIC or not self.spec.contains(g):
                 continue
             q = quadratic_form(g)
-            c = self.h1.cycle(g, q)
+            c = cycle_of(g, q, self.h1.table, 1)
             terms = to_group_chain(c, self.h1.table, 1)
             for gamma, _ in terms:
                 assert self.spec.contains(gamma)
@@ -439,7 +471,7 @@ class TestToGroupChain:
             g = random_psl(rng, steps=8)
             if classify(g) != HYPERBOLIC or not self.spec.contains(g):
                 continue
-            c = self.h1.cycle(g, quadratic_form(g))
+            c = cycle_of(g, quadratic_form(g), self.h1.table, 1)
             total = zero_poly(1)
             for gamma, v in to_group_chain(c, self.h1.table, 1):
                 total = poly_add(total, act(gamma.lift(), v))
@@ -525,7 +557,7 @@ def test_steps_kept_per_k_and_modulus():
     table = h1.table
     assert h1.quotient.steps is table.letter_steps[1, None]
     g = PMat(3, 1, 11, 4)
-    h1.cycle(g, poly_pow(quadratic_form(g), 1))
+    h1.cycle_coords(g)
     assert set(table.letter_steps) == {(1, None), (1, 9)}
     z_steps, mod9 = table.letter_steps[1, None], table.letter_steps[1, 9]
     assert any(x < 0 for _, _, M in z_steps.values() if M

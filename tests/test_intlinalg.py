@@ -25,6 +25,7 @@ from hypcycle.intlinalg import (
 )
 from oracles import (
     NotStable,
+    close_every_row,
     det,
     induced_endomorphism,
     rank,
@@ -329,6 +330,67 @@ class TestLattice:
             for v in reversed(vecs):
                 b.add(v)
             assert a.canonical() == b.canonical()
+
+
+def _lattice(n, vecs):
+    lat = Lattice(n)
+    for v in vecs:
+        lat.add(v)
+    return lat
+
+
+@st.composite
+def closures(draw):
+    """A lattice of Z^n (n <= 5) from a few vectors, up to three linear
+    maps, a round cap, and a target: none, or the lattice that the
+    every-row rule reaches after some rounds."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    vecs = draw(st.lists(vec, min_size=1, max_size=3))
+    mats = draw(st.lists(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                           max_size=n),
+                                  min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    rounds = draw(st.integers(1, 5))
+    target = None
+    reach = draw(st.none() | st.integers(1, 6))
+    if reach is not None:
+        lat = _lattice(n, vecs)
+        close_every_row(lat, [lambda v, A=A: mat_vec(A, v) for A in mats],
+                        reach)
+        target = lat.canonical()
+    return n, vecs, mats, rounds, target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(closures())
+def test_close_under_matches_every_row_rule(case):
+    n, vecs, mats, rounds, target = case
+    maps = [lambda v, A=A: mat_vec(A, v) for A in mats]
+    got, want = _lattice(n, vecs), _lattice(n, vecs)
+    grew = got.close_under(maps, vecs, rounds, target)
+    assert grew == close_every_row(want, maps, rounds, target)
+    assert got.canonical() == want.canonical()
+
+
+def test_close_under_rounds_and_cap():
+    # the shift e_i -> e_{i+1} on Z^5 grows span{e_0} by one unit
+    # vector per round: four rounds that grow and a fifth that adds
+    # nothing; a cap of two stops at span{e_0, e_1, e_2}
+    shift = [[int(i == j + 1) for j in range(5)] for i in range(5)]
+    maps = [lambda v: mat_vec(shift, v)]
+    e0 = [1, 0, 0, 0, 0]
+    full = _lattice(5, [e0])
+    assert full.close_under(maps, [e0], 10)
+    assert full.canonical() == tuple(tuple(r) for r in identity(5))
+    capped = _lattice(5, [e0])
+    assert capped.close_under(maps, [e0], 2)
+    assert capped.canonical() == tuple(tuple(r) for r in identity(5)[:3])
+    assert not full.close_under(maps, [list(r) for r in full.rows], 10)
+    # the target stops the closure at the round that reaches it
+    stopped = _lattice(5, [e0])
+    stopped.close_under(maps, [e0], 10, capped.canonical())
+    assert stopped.canonical() == capped.canonical()
 
 
 def test_saturate_columns():

@@ -8,20 +8,20 @@ from hypcycle.psl2 import I, Mat2, S, T
 from hypcycle.symspace import (
     NonPositiveDeterminant,
     act,
-    monomial,
     poly_mul,
     poly_pow,
-    x2_power,
 )
 from oracles import (
     TP,
     IndVec,
     corestrict_coeff,
     ind_act,
+    monomial,
     poly_add,
     poly_sub,
     restrict_coeff,
     subgroup_cosets,
+    x2_power,
     zero_poly,
 )
 
