@@ -20,18 +20,28 @@ the operator matrix is the images of the generators.  An
 characteristic polynomial on the free part.
 
 Classes are mapped in batches (one class, or every generator for the
-matrix).  A conjugated element used at least 2k+1 times in a batch has
-its Fox map read into coordinates once; the other terms apply each Fox
-entry to their coefficient and read the result.
+matrix), and each conjugated element has its Fox map read into
+coordinates once per batch.  That read walks the element's word as
+runs T^q (psl2.word_runs) along the T-orbits of Gamma_2's table: prefix
+sums of the projected reader rows along each orbit, kept with the
+corestricted readers (``RunSums``), give a run's rows at a constant
+cost, however long it is and however often it laps its orbit.  The
+conjugates for T_p and U_p have runs of length about p, so a Hecke
+matrix costs about one step per run, not one per letter.
 """
 
-from collections import Counter
-from operator import add, mul
+from operator import add, mul, sub
 
 from .cosets import build_cosets, subgroup_transversal
-from .homology import _fox_unit_map, restricted_form
+from .homology import (
+    _compose,
+    fox_step,
+    letter_steps,
+    merge_blocks,
+    restricted_form,
+)
 from .intlinalg import from_columns, identity, xgcd
-from .psl2 import Mat2, PMat
+from .psl2 import T_LETTERS, Mat2, PMat, word_runs
 from .symspace import act, corestriction_map, restriction_map
 
 
@@ -92,9 +102,13 @@ def intersection_table(table, alpha, table_prime):
     return build_cosets(intersection_key(table.key, table_prime.key, alpha))
 
 
-def _times(row, M):
-    """The row vector row M, M None standing for the identity."""
-    return row if M is None else [sum(map(mul, row, col)) for col in zip(*M)]
+def _add_rows(acc, pairs, M):
+    """acc[idx] += row M for the pairs (idx, row), M None standing for
+    the identity."""
+    cols = None if M is None else list(zip(*M))
+    for idx, row in pairs:
+        r = row if cols is None else [sum(map(mul, row, c)) for c in cols]
+        acc[idx] = list(map(add, acc[idx], r)) if idx in acc else r
 
 
 class CorestrictedReaders(dict):
@@ -103,31 +117,197 @@ class CorestrictedReaders(dict):
     (coordinate index, row C) for the readers (index, row) of the target
     block that C sends it to.  Filled on first use, so a map of a few
     classes composes only the blocks they reach.  ``entries`` are the
-    corestriction's (symspace.corestriction_map)."""
+    corestriction's (symspace.corestriction_map); ``runs`` are the
+    RunSums of the readers on Gamma_2's table, made by conj_star."""
 
     def __init__(self, entries, readers):
         super().__init__()
         self.entries = entries
         self.target = readers
+        self.runs = None
 
     def __missing__(self, key):
         slot, blk = key
         (j, C), = self.entries[blk]
-        pairs = self[key] = [(idx, _times(row, C))
-                             for idx, row in self.target.get((slot, j), ())]
+        rows = {}
+        _add_rows(rows, self.target.get((slot, j), ()), C)
+        pairs = self[key] = list(rows.items())
         return pairs
 
 
-def _projected_fox_map(fox, readers):
-    """The Fox map of an element on Gamma_2 read into target
-    coordinates: per coordinate index, the sum of (row C) M over the
-    Fox entries M and the readers of their blocks."""
-    proj = {}
-    for slot, blk, M in fox:
-        for idx, row in readers[slot, blk]:
-            r = _times(row, M)
-            proj[idx] = list(map(add, proj[idx], r)) if idx in proj else r
-    return list(proj.items())
+class _Orbit:
+    """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, extended
+    to a reach R <= w: for u < R the rows G(b_u) Pi_u of each step, and
+    for t <= R the twists Pi_t, their inverses, the prefix sums PS_t and
+    the number of rows in the steps before t; also the lap sums
+    (sum of P^j for j < a, P^a) by a."""
+
+    __slots__ = ("blocks", "rows", "pi", "pinv", "ps", "count", "laps")
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.rows = []
+        self.pi = [None]
+        self.pinv = [None]
+        self.ps = [{}]
+        self.count = [0]
+        self.laps = {}
+
+
+class RunSums:
+    """The Fox walk of elements of Gamma_2 read straight into target
+    coordinates, one step per run T^q of their words (psl2.word_runs).
+
+    One step of T^s (s = +-1) is the two letters of T^s, walked as in
+    homology.fox_step.  Along a T^s-orbit b_0 -> b_1 -> ... of Gamma_2's
+    blocks, a walk that enters b_0 with matrix M is at b_u with Pi_u M,
+    and G(b) are the reader rows that one step from b deposits per unit
+    matrix.  The prefix sums are PS_t = sum over u < t of G(b_u) Pi_u,
+    so a run of q steps entering b_t with M adds
+    (PS_(t+q) - PS_t) Pi_t^-1 M to the element's projected map and
+    leaves with Pi_(t+q) Pi_t^-1 M.  An orbit of length w closes with
+    the lap twist P = Pi_w, so Pi_(aw+r) = Pi_r P^a and
+    PS_(aw+r) = PS_w (I + P + ... + P^(a-1)) + PS_r P^a.
+
+    An orbit is found when a run first enters it, and its sums are
+    extended only as far as runs reach; Pi^-1 is carried from the steps
+    of T^-s, which walk the orbit backwards, as far as runs start.  A
+    run within one lap reads PS_(t+q) - PS_t as the difference of the
+    two sums or as the sum of its own steps' rows, whichever has fewer
+    rows.  Single letters take one fox_step each, and their deposits
+    are read once per block.
+    """
+
+    def __init__(self, table, readers, k, modulus):
+        self.steps = letter_steps(table, k, modulus)
+        self.readers = readers
+        self.d = 2 * k + 1
+        self.modulus = modulus
+        mulS, mulU = table.mulS, table.mulU
+        # the block one step of T^s moves a walk to (see fox_step)
+        self.next = {1: lambda b: mulS[mulU[mulU[b][0]][0]][0],
+                     -1: lambda b: mulU[mulS[b][0]][0]}
+        self.orbits = {}  # (s, block) -> (orbit, position)
+
+    def project(self, g):
+        """The projected Fox map of g: pairs (coordinate index, row),
+        the sum of the reader rows times the Fox entries of g."""
+        steps, m = self.steps, self.modulus
+        proj, groups = {}, {}
+        block, mat = 0, None
+        for gen, e in reversed(word_runs(g)):
+            if gen == "T":
+                block, mat = self._run(proj, block, mat, e)
+            else:
+                block, mat = fox_step(steps, groups, block, mat, gen, e, m)
+        for slot, blk, M in merge_blocks(groups, self.d, m):
+            _add_rows(proj, self.readers[slot, blk], M)
+        return list(proj.items())
+
+    def _run(self, proj, block, mat, q):
+        """Add the run T^q entering ``block`` with ``mat`` to proj;
+        returns the block and matrix it leaves with."""
+        s, q = (1, q) if q > 0 else (-1, -q)
+        orbit, t = self._position(s, block)
+        w, m = len(orbit.blocks), self.modulus
+        a, r = divmod(t + q, w)
+        self._extend(s, orbit, w if a else t + q)
+        ps, pi = orbit.ps, orbit.pi
+        if a:
+            geo, Pa = self._laps(orbit, a)
+            hi = {}
+            _add_rows(hi, ps[w].items(), geo)
+            _add_rows(hi, ps[r].items(), Pa)
+            out = _compose(pi[r], Pa, m)
+        else:
+            hi, out = ps[t + q], pi[t + q]
+        if not a and orbit.count[t + q] - orbit.count[t] < len(hi):
+            rows = {}
+            for u in range(t, t + q):
+                _add_rows(rows, orbit.rows[u], None)
+            rows = rows.items()
+        else:
+            lo = ps[t]  # its indices are among hi's: PS only grows
+            rows = [(idx, list(map(sub, row, lo[idx])) if idx in lo else row)
+                    for idx, row in hi.items()]
+        X = _compose(self._inverse(s, orbit, t), mat, m)
+        _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
+        return orbit.blocks[r], _compose(out, X, m)
+
+    def _position(self, s, block):
+        """(orbit, position) of a block on its T^s-orbit."""
+        hit = self.orbits.get((s, block))
+        if hit is None:
+            nxt, blocks = self.next[s], [block]
+            b = nxt(block)
+            while b != block:
+                blocks.append(b)
+                b = nxt(b)
+            orbit = _Orbit(blocks)
+            for u, b in enumerate(blocks):
+                self.orbits[s, b] = orbit, u
+            hit = orbit, 0
+        return hit
+
+    def _extend(self, s, orbit, reach):
+        """Extend the orbit's twists and prefix sums to ``reach`` <= w:
+        one step is the two letters of T^s, each a fox_step."""
+        steps, m, readers = self.steps, self.modulus, self.readers
+        blocks, pi, ps = orbit.blocks, orbit.pi, orbit.ps
+        for u in range(len(ps) - 1, reach):
+            groups, rows = {}, {}
+            blk, M = blocks[u], pi[u]
+            for gen, e in reversed(T_LETTERS[s]):
+                blk, M = fox_step(steps, groups, blk, M, gen, e, m)
+            for key, mats in groups.items():
+                for D in mats:
+                    _add_rows(rows, readers[key], D)
+            rows = list(rows.items())
+            orbit.rows.append(rows)
+            orbit.count.append(orbit.count[u] + len(rows))
+            acc = dict(ps[u]) if rows else ps[u]  # sums are never changed
+            _add_rows(acc, rows, None)
+            ps.append(acc)
+            pi.append(M)
+
+    def _inverse(self, s, orbit, t):
+        """Pi_t^-1, extending the inverses as far as t: runs start at
+        fewer positions than they cover."""
+        steps, m, pinv = self.steps, self.modulus, orbit.pinv
+        back = [(gen, 1 if gen == "S" else 3 - e)
+                for gen, e in T_LETTERS[-s][::-1]]
+        for u in range(len(pinv) - 1, t):
+            # Pi_u is None (the identity) only while every twist so far
+            # is, and then so is its inverse
+            B = None  # the twist of one step of T^-s, back to b_u
+            if orbit.pi[u + 1] is not None:
+                blk = orbit.blocks[u + 1]
+                for gen, n in back:
+                    blk, _, A = steps[blk, gen, n]
+                    B = _compose(A, B, m)
+            pinv.append(_compose(pinv[u], B, m))
+        return pinv[t]
+
+    def _laps(self, orbit, a):
+        """(I + P + ... + P^(a-1), P^a) for the lap twist P = Pi_w, by
+        doubling from a = 1; cached on the orbit."""
+        hit = orbit.laps.get(a)
+        if hit is None:
+            m, d = self.modulus, self.d
+            P = orbit.pi[len(orbit.blocks)] or identity(d)
+            geo, power = identity(d), P
+            for bit in bin(a)[3:]:
+                # n -> 2n, then n -> n + 1 on a set bit
+                geo = [list(map(add, r, s)) for r, s
+                       in zip(geo, _compose(geo, power, m))]
+                power = _compose(power, power, m)
+                if bit == "1":
+                    geo = [list(map(add, r, s)) for r, s in zip(geo, power)]
+                    power = _compose(power, P, m)
+            if m:
+                geo = [[x % m for x in row] for row in geo]
+            hit = orbit.laps[a] = geo, power
+        return hit
 
 
 def conj_star(forms, alpha, table2, readers, quotient):
@@ -141,41 +321,30 @@ def conj_star(forms, alpha, table2, readers, quotient):
 
     A term (gamma, v) of a subgroup form becomes the Fox chain of
     (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma_2, which is read
-    into coordinates and never built.  Reading a Fox entry M applied to
-    a vector costs about one product by M, and reading M itself about
-    d = 2k+1 such products, so an element used at least d times in the
-    batch has its Fox map read into coordinates once; the terms of the
-    others apply each Fox entry and read the result.
+    into coordinates and never built: each element's Fox map is read
+    into coordinates once per batch by the RunSums kept on ``readers``,
+    and each of its terms applies that map to alpha v.
     """
     k, modulus = quotient.k, quotient.modulus
-    d = 2 * k + 1
-    uses = Counter(gamma.key() for form in forms for gamma, _ in form)
-    maps = {}  # element key -> (projected Fox map or None, Fox map)
+    runs = readers.runs
+    if runs is None:
+        runs = readers.runs = RunSums(table2, readers, k, modulus)
+    maps = {}  # element key -> projected Fox map
     images = []
     for form in forms:
         vec = [0] * quotient.ambient_rank
         for gamma, v in form:
             key = gamma.key()
-            if key not in maps:
+            proj = maps.get(key)
+            if proj is None:
                 cg = conjugate_by(alpha, gamma)
                 if cg is None or table2.coset_of(cg)[0] != 0:
                     raise ConjugateLeavesGroup(
                         "conjugate of %r leaves the target group" % (gamma,))
-                fox = _fox_unit_map(table2, cg, k, modulus)
-                maps[key] = (_projected_fox_map(fox, readers)
-                             if uses[key] >= d else None), fox
-            proj, fox = maps[key]
+                proj = maps[key] = runs.project(cg)
             av = act(alpha, v, modulus)
-            if proj is not None:
-                for idx, row in proj:
-                    vec[idx] += sum(map(mul, row, av))
-                continue
-            for slot, blk, M in fox:
-                pairs = readers[slot, blk]
-                if pairs:
-                    w = av if M is None else [sum(map(mul, r, av)) for r in M]
-                    for idx, row in pairs:
-                        vec[idx] += sum(map(mul, row, w))
+            for idx, row in proj:
+                vec[idx] += sum(map(mul, row, av))
         images.append([x % modulus for x in vec] if modulus else vec)
     return images
 

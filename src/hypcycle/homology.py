@@ -21,7 +21,11 @@ the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
 rho(g).  The Fox walk, the local quotient, ``d1`` and
 ``restricted_form`` (the subgroup form of a cycle's restriction to a
 smaller group, the first step of a Hecke image; see hecke) read it
-from the table's cache at (k, modulus) (``letter_steps``).
+from the table's cache at (k, modulus) (``letter_steps``).  The Fox
+walk takes one letter at a time (``fox_step``); a cycle walks the
+letters of its reduced word, and a Hecke image walks the runs T^q of
+the word (psl2.word_runs), one step of T per letter pair, with prefix
+sums along the T-orbits (hecke.RunSums).
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
@@ -44,7 +48,6 @@ from .intlinalg import (
     identity,
     kernel_basis,
     kernel_mod,
-    mat_mul,
     smith_normal_form_full,
     subquotient,
 )
@@ -104,11 +107,15 @@ def d1(terms, steps):
 
 
 def _compose(M, N, modulus=None):
-    """M N, None standing for the identity; reduced mod m if given."""
+    """M N, None standing for the identity; reduced mod m if given.  The
+    factors are small dense squares (rho of group elements), so each
+    entry is one sum over a row and a column."""
     if M is None or N is None:
         return N if M is None else M
-    out = mat_mul(M, N)
-    return [[x % modulus for x in row] for row in out] if modulus else out
+    cols = list(zip(*N))
+    if modulus:
+        return [[sum(map(mul, row, c)) % modulus for c in cols] for row in M]
+    return [[sum(map(mul, row, c)) for c in cols] for row in M]
 
 
 def merge_blocks(groups, d, modulus=None):
@@ -131,31 +138,37 @@ def merge_blocks(groups, d, modulus=None):
     return entries
 
 
+def fox_step(steps, groups, block, mat, gen, e, modulus=None):
+    """One letter (gen, e) of the Fox walk: the walk at ``block`` with
+    matrix ``mat`` (None for the identity) deposits mat into the list
+    of ``groups`` at (gen, block), and U^2 also deposits where the
+    action of U sends the block; returns the block and matrix the
+    letter moves the walk to.  Steps are read from the LetterSteps
+    ``steps``."""
+    groups.setdefault((gen, block), []).append(mat)
+    if gen == "U" and e == 2:
+        # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
+        # where the action of U sends the current block (two U-steps)
+        jj, _, A = steps[block, "U", 2]
+        groups.setdefault(("U", jj), []).append(_compose(A, mat, modulus))
+    # the current vector moves by the letter: one block moves
+    block, _, A = steps[block, gen, 1 if gen == "S" else 3 - e]
+    return block, mat if A is None else _compose(A, mat, modulus)
+
+
 def _fox_unit_map(table, g, k, modulus):
     """Entries (slot, block, matrix), one per (slot, block), so that the
     chain of (g - 1) tensor (poly at block 0) is the sum of matrix * poly
     placed at the given slot and block; None stands for the identity.
-    The word of g is walked letter by letter by the product rule
-    (gh - 1) x v = (g - 1) x hv + (h - 1) x v, reading each step from
-    the table's letter_steps at (k, modulus).  The map of g itself is
-    not cached: callers that use an element more than once keep its
-    map."""
+    The word of g is walked letter by letter (fox_step) by the product
+    rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v, reading each step
+    from the table's letter_steps at (k, modulus)."""
     steps = letter_steps(table, k, modulus)
     groups = {}
     block = 0
     mat = None  # None means identity so far
     for gen, e in reversed(decompose_word(g)):
-        groups.setdefault((gen, block), []).append(mat)
-        if gen == "U" and e == 2:
-            # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
-            # where the action of U sends the current block (two U-steps)
-            jj, _, A = steps[block, "U", 2]
-            groups.setdefault(("U", jj), []).append(_compose(A, mat, modulus))
-        # the current vector moves by the letter: one block moves
-        n = 1 if gen == "S" else 3 - e
-        block, _, A = steps[block, gen, n]
-        if A is not None:
-            mat = _compose(A, mat, modulus)
+        block, mat = fox_step(steps, groups, block, mat, gen, e, modulus)
     return merge_blocks(groups, 2 * k + 1, modulus)
 
 

@@ -12,6 +12,7 @@ image from ``ordinary_idempotent``.
 """
 
 from collections import namedtuple
+from functools import cached_property
 from math import gcd, prod
 
 from .cosets import SubgroupSpec, build_cosets
@@ -79,11 +80,23 @@ class PModule(FgModule):
 
 
 class OrdinaryDecomposition(namedtuple(
-        "OrdinaryDecomposition",
-        "pm power image ordinary_factors nilpotent_rank")):
+        "OrdinaryDecomposition", "pm power image")):
+    """The Fitting split of ``pm`` under one endomorphism: its power P
+    and the ordinary image im P.  The image's invariant factors are
+    computed on first read; ``quotient``'s per-prime test reads only the
+    image."""
+
+    @cached_property
+    def ordinary_factors(self):
+        return self.pm.factors(self.image)
+
     @property
     def ordinary_rank(self):
         return len(self.ordinary_factors)
+
+    @property
+    def nilpotent_rank(self):
+        return self.pm.ngens - self.ordinary_rank
 
     def apply(self, coords):
         """Image under the Fitting power, an automorphism of e*M."""
@@ -108,10 +121,7 @@ def ordinary_idempotent(A, pm):
     while n < length:
         P = [[x % m for x in row] for row in mat_mul(P, P)]
         n *= 2
-    image = pm.span(columns(P))
-    factors = pm.factors(image)
-    return OrdinaryDecomposition(pm, P, image, factors,
-                                 pm.ngens - len(factors))
+    return OrdinaryDecomposition(pm, P, pm.span(columns(P)))
 
 
 def ordinary_part(spec, k, p, M):

@@ -49,7 +49,10 @@ convert where they hand a chain to the library or take one back.
 (gamma - 1) tensor w for any w that gamma fixes, where
 ``H1Presentation.cycle_coords`` takes w = q_gamma^k),
 ``letter_step`` (right multiplication of a coset by a word letter,
-composed from the table's mulS/mulU), ``TP``, ``evaluate_word``, ``transpose``,
+composed from the table's mulS/mulU), ``TP``, ``word_from_letters`` (the
+stack reduction of a letter sequence) and ``letter_word`` (the reduced
+word built letter by letter on it, which ``psl2.word_runs`` replaced),
+``power``, ``evaluate_word``, ``transpose``,
 ``rank``, ``det``, ``smith_normal_form`` (the Smith form with both
 transition matrices, built from two left-only Smith forms of the
 library), ``saturate_columns``, ``schreier`` and ``p1_size`` are matrix,
@@ -616,6 +619,45 @@ def conj_star_letter_walk(c, dc):
 
 
 TP = PMat(1, 0, 1, 1)  # lower triangular T' = S * T^-1 * S^-1 ~ transpose
+
+
+def word_from_letters(letters):
+    """The reduced word (a tuple of letters) of a letter sequence; the
+    stack stays reduced, so a letter merges with at most its top."""
+    stack = []
+    for gen, e in letters:
+        if stack and stack[-1][0] == gen:
+            e += stack.pop()[1]
+        e %= 2 if gen == "S" else 3
+        if e:
+            stack.append((gen, e))
+    return tuple(stack)
+
+
+def letter_word(g):
+    """The reduced word of g built letter by letter: floor quotients of
+    the Euclidean reduction, each T^q spelled as |q| letter pairs, the
+    whole sequence reduced by ``word_from_letters``.  This is the
+    construction that ``psl2.word_runs`` replaced."""
+    def t_power(q):
+        return [("S", 1), ("U", 1)] * q if q > 0 else [("U", 2), ("S", 1)] * -q
+
+    letters = []
+    a, b, c, d = g.key()
+    while c:
+        q = a // c
+        letters += t_power(q) + [("S", 1)]
+        a, b = a - q * c, b - q * d
+        a, b, c, d = c, d, -a, -b
+    return word_from_letters(letters + t_power(b * a))
+
+
+def power(x, e):
+    """x^e in PSL2(Z), by |e| products."""
+    g, base = I, x if e > 0 else x.inv()
+    for _ in range(abs(e)):
+        g = g * base
+    return g
 
 
 def evaluate_word(word):

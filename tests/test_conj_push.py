@@ -1,27 +1,42 @@
 """The conjugation push of ``hecke.conj_star``, read straight into target
 coordinates, against ``oracles.conj_star_letter_walk``, which expands
 every term letter by letter on the table of Gamma_2 and corestricts the
-whole chain, over every kind of double coset; the subgroup form that
-``homology.restricted_form`` reads off a source cycle, against the
-restricted chain rewritten by ``oracles.to_group_chain``; and the
-Fox-map identities the push rests on."""
+whole chain, over every kind of double coset; the run walk of
+``hecke.RunSums``, against the letter walk ``oracles.fox_expand``
+projected through the same readers, on words with long runs; the
+subgroup form that ``homology.restricted_form`` reads off a source
+cycle, against the restricted chain rewritten by
+``oracles.to_group_chain``; and the Fox-map identities the push rests
+on."""
 
+import random
 from collections import Counter
 from math import gcd
+from operator import mul
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hypcycle.boundary import cusp_data
 from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.hecke import (
+    CorestrictedReaders,
     DoubleCoset,
+    RunSums,
     conj_star,
+    conjugate_by,
     diamond_matrix,
 )
-from hypcycle.homology import compute_h1, fox_expand_unit, restricted_form
+from hypcycle.homology import (
+    LocalQuotient,
+    compute_h1,
+    fox_expand_unit,
+    restricted_form,
+)
 from hypcycle.intlinalg import RingSpec, ZZ, identity
 from hypcycle.psl2 import I, Mat2, S, T, U, decompose_word
+from hypcycle.symspace import corestriction_map
 from oracles import (
     TP,
     IndVec,
@@ -31,6 +46,7 @@ from oracles import (
     dense,
     fox_expand,
     gamma0p_intersection,
+    power,
     sparse,
     to_group_chain,
 )
@@ -39,6 +55,7 @@ PUSH = settings(max_examples=30, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow,
                                        HealthCheck.filter_too_much])
 FOX = settings(max_examples=60, deadline=None, derandomize=True)
+RUNS = settings(max_examples=60, deadline=None, derandomize=True)
 
 OPS = ["hecke", "diamond", "pi", "phi", "V", "cusp"]
 # level times (p+1)^2 bounds the tables of V, the largest kind, before
@@ -119,15 +136,84 @@ def test_conj_star_matches_letter_walk(case):
         rc = apply_blockwise(dc.res_entries, dc.source.generator_chain(i), m)
         walk = conj_star_letter_walk(dense(rc, dc.table1, k, m), dc)
         expect = quotient.project(sparse(walk))
-        # an element used at least 2k+1 times in a batch has its Fox map
-        # read into coordinates once; batches of 1, 2k and 2k+1 copies
-        # of the cycle sit below and at that count
+        # each element's Fox map is read into coordinates once per
+        # batch; batches of 1, 2k and 2k+1 copies of the cycle reuse it
         form = to_group_chain(rc, dc.table1, k, m)
         for size in (1, 2 * k, 2 * k + 1):
             got = conj_star([form] * size, dc.alpha, dc.table2, dc.readers,
                             quotient)
             assert got == [expect] * size
         assert dc.apply_coords(unit) == dc.target.module.coords(expect)
+
+
+# long runs T^(+-q), which wrap past the T-orbits (of length 1 on
+# Gamma_0(1), 1 and 2 on Gamma_0(2), 1 and 11 on Gamma_0(11)), short
+# runs inside the orbit of length 23 on Gamma_0(23), and runs that meet
+# at merged S and U^2 letters (T^a S T^b, T^a U^2 T^b)
+run_words = st.lists(st.tuples(st.sampled_from([T, TP, S, U]),
+                               st.integers(-30, 30) | st.integers(-3, 3)),
+                     min_size=1, max_size=6)
+
+
+@RUNS
+@given(st.sampled_from(["gamma0:1", "gamma0:2", "gamma0:11", "gamma0:23"]),
+       st.integers(0, 3), rings(), st.lists(run_words, min_size=1,
+                                             max_size=4), st.data())
+def test_run_walk_matches_letter_walk(name, k, ring, words, data):
+    table = build_cosets(SubgroupSpec.parse(name))
+    m = ring.modulus
+    quotient = LocalQuotient(table, k, m)
+    # the table's own readers, through the identity corestriction
+    readers = CorestrictedReaders(corestriction_map(table, table, k, m),
+                                  quotient.readers)
+    runs = RunSums(table, readers, k, m)
+    # one RunSums for all the words: later words read sums, orbits and
+    # laps that earlier ones left
+    for word in words:
+        g = I
+        for x, e in word:
+            g = g * power(x, e)
+        poly = data.draw(polys(k, ring))
+        chain = fox_expand(decompose_word(g),
+                           IndVec.unit(table, k, poly, modulus=m))
+        got = [0] * quotient.ambient_rank
+        for idx, row in runs.project(g):
+            got[idx] += sum(map(mul, row, poly))
+        if m:
+            got = [x % m for x in got]
+        assert got == quotient.project(sparse(chain))
+
+
+@pytest.mark.parametrize("name,p,k,ring", [
+    ("gamma0:11", 5, 1, ZZ),
+    ("gamma0:11", 7, 0, ZZ),
+    ("gamma0:9", 3, 2, RingSpec("ZpM", p=3, M=2)),
+    ("gamma0:6", 5, 1, RingSpec("Fp", p=5)),
+    ("gamma0:2", 13, 3, ZZ),
+])
+def test_run_walk_on_hecke_conjugates(name, p, k, ring):
+    # the conjugates that a Hecke matrix walks, through one RunSums on
+    # Gamma_2: their runs start all over the wide orbits, so they read
+    # the rows of their own steps, differences of two prefix sums and
+    # laps
+    h1 = compute_h1(SubgroupSpec.parse(name), k, ring)
+    dc = DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
+    m = ring.modulus
+    readers = CorestrictedReaders(dc.readers.entries, h1.quotient.readers)
+    runs = RunSums(dc.table2, readers, k, m)
+    rng = random.Random(p)
+    poly = [rng.randint(-9, 9) for _ in range(2 * k + 1)]
+    for gamma in dc.table1.schreier_generators():
+        cg = conjugate_by(dc.alpha, gamma)
+        chain = fox_expand(decompose_word(cg),
+                           IndVec.unit(dc.table2, k, poly, modulus=m))
+        image = apply_blockwise(readers.entries, sparse(chain), m)
+        got = [0] * h1.quotient.ambient_rank
+        for idx, row in runs.project(cg):
+            got[idx] += sum(map(mul, row, poly))
+        if m:
+            got = [x % m for x in got]
+        assert got == h1.quotient.project(image)
 
 
 def form_terms(form, m):

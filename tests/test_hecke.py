@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hypcycle import cli
+from hypcycle.boundary import cusp_data
 from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
@@ -18,7 +19,7 @@ from hypcycle.hecke import (
     identity_operator,
 )
 from hypcycle.homology import compute_h1, cycle_of
-from hypcycle.intlinalg import QQ, RingSpec, ZZ
+from hypcycle.intlinalg import QQ, RingSpec, ZZ, identity
 from hypcycle.psl2 import (
     HYPERBOLIC,
     I,
@@ -256,6 +257,37 @@ class TestConjStar:
         with pytest.raises(ConjugateLeavesGroup):
             conj_star([to_group_chain(c, h1.table, 1)], Mat2(1, 0, 0, 2),
                       tgt.table, readers, tgt.quotient)
+
+
+def single_class_op(name, k, ring, op):
+    """A fresh double coset of the given kind on H1(name) with degree 2k:
+    T_p or U_p ("hecke:p"), <d> ("diamond:d"), or the double coset of
+    the last cusp representative ("cusp")."""
+    h1 = compute_h1(SubgroupSpec.parse(name), k, ring)
+    kind, _, arg = op.partition(":")
+    if kind == "hecke":
+        return hecke_coset(int(arg), h1)
+    if kind == "diamond":
+        return DoubleCoset(h1, h1, diamond_matrix(h1.spec.N, int(arg)))
+    rep = [c.representative for c in cusp_data(h1.table)][-1]
+    return DoubleCoset(h1, h1, rep.lift())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name,ring,op", [
+    ("gamma0:11", ZZ, "hecke:2"),
+    ("gamma0:9", RingSpec("ZpM", p=3, M=2), "hecke:3"),
+    ("gamma1:7", RingSpec("Fp", p=5), "diamond:3"),
+    ("gamma0:4", ZZ, "cusp"),
+])
+def test_apply_coords_matches_operator_columns(name, ring, op, k):
+    # the image of one class, mapped alone through a double coset of its
+    # own, is the column of the operator matrix that maps every
+    # generator in one batch
+    matrix = single_class_op(name, k, ring, op).operator().matrix
+    dc = single_class_op(name, k, ring, op)
+    for i, unit in enumerate(identity(dc.source.ngens)):
+        assert list(dc.apply_coords(unit)) == [row[i] for row in matrix]
 
 
 class TestDiamond:

@@ -25,7 +25,6 @@ from hypcycle.psl2 import (
     classify,
     decompose_word,
     quadratic_form,
-    word_from_letters,
 )
 from hypcycle.symspace import poly_pow, rho
 from oracles import (
@@ -42,6 +41,7 @@ from oracles import (
     sparse,
     subgroup_cosets,
     to_group_chain,
+    word_from_letters,
     x2_power,
 )
 

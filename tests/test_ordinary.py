@@ -172,6 +172,29 @@ def test_verify_main_computes_one_idempotent(monkeypatch):
     assert calls == [2]
 
 
+def test_quotient_prime_test_reads_no_factors(monkeypatch):
+    # the per-prime test reads only the Fitting image: the image's
+    # invariant factors are computed where they are read (ordinary,
+    # verify-main, bridge), not here
+    factored = []
+    factors = PModule.factors
+
+    def counted(self, lattice):
+        factored.append(self.p)
+        return factors(self, lattice)
+
+    monkeypatch.setattr(PModule, "factors", counted)
+    report = cycle_quotient_report(SubgroupSpec.gamma0(1), 5)
+    assert report.prime_verdicts == {"2": "Verified", "3": "Verified",
+                                     "5": "Verified"}
+    assert factored == []
+    dec, _, _, _ = ordinary_part(SubgroupSpec.gamma0(11), 0, 2, 3)
+    assert factored == []
+    first = dec.ordinary_factors  # computed on first read, then kept
+    assert dec.ordinary_rank == len(first) and dec.ordinary_factors is first
+    assert factored == [2]
+
+
 @pytest.mark.parametrize("spec_name,k,p", [
     ("gamma0:11", 0, 2), ("gamma1:13", 0, 3), ("gamma0:23", 1, 2),
     ("gamma1:14", 0, 3),

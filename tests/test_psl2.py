@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcycle.psl2 import (
     ELLIPTIC,
@@ -17,9 +19,9 @@ from hypcycle.psl2 import (
     decompose_word,
     poly_str,
     quadratic_form,
-    word_from_letters,
+    word_runs,
 )
-from oracles import TP, evaluate_word
+from oracles import TP, evaluate_word, letter_word, power, word_from_letters
 
 
 def random_pmat(rng, size=10**6):
@@ -144,3 +146,35 @@ def test_parse_roundtrip():
     g = PMat.parse("[[2,1],[1,1]]")
     assert g.key() == (2, 1, 1, 1)
     assert repr(g) == "[[2,1],[1,1]]"
+
+
+def evaluate_powers(parts):
+    g = I
+    for x, e in parts:
+        g = g * power(x, e)
+    return g
+
+
+# products of long powers of T and T' = S T^-1 S^-1 with S and U: their
+# words have long runs T^(+-q), and runs that meet at merged letters
+long_runs = st.lists(st.tuples(st.sampled_from([T, TP, S, U]),
+                               st.integers(-40, 40)),
+                     max_size=8).map(evaluate_powers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(long_runs)
+def test_word_runs_spell_the_letter_word(g):
+    # the runs, spelled out, are the word built letter by letter from
+    # floor quotients, and they evaluate to g
+    assert decompose_word(g) == letter_word(g)
+    assert evaluate_word(decompose_word(g)) == g
+    for gen, e in word_runs(g):
+        assert (gen, e) in (("S", 1), ("U", 1), ("U", 2)) or (
+            gen == "T" and e != 0)
+
+
+def test_word_runs_of_a_long_power():
+    # T^500 is one run; so is T'^-500 = S T^500 S^-1 between its letters
+    assert word_runs(power(T, 500)) == (("T", 500),)
+    assert word_runs(power(TP, -500)) == (("U", 1), ("T", 499), ("S", 1))
