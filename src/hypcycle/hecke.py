@@ -23,11 +23,11 @@ Classes are mapped in batches (one class, or every generator for the
 matrix), and each conjugated element has its Fox map read into
 coordinates once per batch.  That read walks the element's word as
 runs T^q (psl2.word_runs) along the T-orbits of Gamma_2's table: prefix
-sums of the projected reader rows along each orbit, kept with the
-corestricted readers (``RunSums``), give a run's rows at a constant
-cost, however long it is and however often it laps its orbit.  The
-conjugates for T_p and U_p have runs of length about p, so a Hecke
-matrix costs about one step per run, not one per letter.
+sums of the projected reader rows along each orbit, kept by the
+double coset beside its corestricted readers (``RunSums``), give a
+run's rows at a constant cost per lap of its orbit, however long it
+is.  The conjugates for T_p and U_p have runs of length about p, so a
+Hecke matrix costs about one step per run, not one per letter.
 """
 
 from operator import add, mul, sub
@@ -117,14 +117,12 @@ class CorestrictedReaders(dict):
     (coordinate index, row C) for the readers (index, row) of the target
     block that C sends it to.  Filled on first use, so a map of a few
     classes composes only the blocks they reach.  ``entries`` are the
-    corestriction's (symspace.corestriction_map); ``runs`` are the
-    RunSums of the readers on Gamma_2's table, made by conj_star."""
+    corestriction's (symspace.corestriction_map)."""
 
     def __init__(self, entries, readers):
         super().__init__()
         self.entries = entries
         self.target = readers
-        self.runs = None
 
     def __missing__(self, key):
         slot, blk = key
@@ -137,26 +135,22 @@ class CorestrictedReaders(dict):
 
 class _Orbit:
     """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, extended
-    to a reach R <= w: for u < R the rows G(b_u) Pi_u of each step, and
-    for t <= R the twists Pi_t, their inverses, the prefix sums PS_t and
-    the number of rows in the steps before t; also the lap sums
-    (sum of P^j for j < a, P^a) by a."""
+    to a reach R <= w: for t <= R the twists Pi_t, their inverses and
+    the prefix sums PS_t."""
 
-    __slots__ = ("blocks", "rows", "pi", "pinv", "ps", "count", "laps")
+    __slots__ = ("blocks", "pi", "pinv", "ps")
 
     def __init__(self, blocks):
         self.blocks = blocks
-        self.rows = []
         self.pi = [None]
         self.pinv = [None]
         self.ps = [{}]
-        self.count = [0]
-        self.laps = {}
 
 
 class RunSums:
-    """The Fox walk of elements of Gamma_2 read straight into target
-    coordinates, one step per run T^q of their words (psl2.word_runs).
+    """The Fox walk of elements of Gamma_2 (the group of ``table``) read
+    straight into target coordinates through the corestricted
+    ``readers``, one step per run T^q of their words (psl2.word_runs).
 
     One step of T^s (s = +-1) is the two letters of T^s, walked as in
     homology.fox_step.  Along a T^s-orbit b_0 -> b_1 -> ... of Gamma_2's
@@ -166,19 +160,18 @@ class RunSums:
     so a run of q steps entering b_t with M adds
     (PS_(t+q) - PS_t) Pi_t^-1 M to the element's projected map and
     leaves with Pi_(t+q) Pi_t^-1 M.  An orbit of length w closes with
-    the lap twist P = Pi_w, so Pi_(aw+r) = Pi_r P^a and
-    PS_(aw+r) = PS_w (I + P + ... + P^(a-1)) + PS_r P^a.
+    the lap twist P = Pi_w: a run that passes b_(w-1) is read up to the
+    orbit's end, and goes on from b_0 with P Pi_t^-1 M.
 
     An orbit is found when a run first enters it, and its sums are
     extended only as far as runs reach; Pi^-1 is carried from the steps
-    of T^-s, which walk the orbit backwards, as far as runs start.  A
-    run within one lap reads PS_(t+q) - PS_t as the difference of the
-    two sums or as the sum of its own steps' rows, whichever has fewer
-    rows.  Single letters take one fox_step each, and their deposits
-    are read once per block.
+    of T^-s, which walk the orbit backwards, as far as runs start.
+    Single letters take one fox_step each, and their deposits are read
+    once per block.
     """
 
     def __init__(self, table, readers, k, modulus):
+        self.table = table
         self.steps = letter_steps(table, k, modulus)
         self.readers = readers
         self.d = 2 * k + 1
@@ -205,34 +198,23 @@ class RunSums:
         return list(proj.items())
 
     def _run(self, proj, block, mat, q):
-        """Add the run T^q entering ``block`` with ``mat`` to proj;
-        returns the block and matrix it leaves with."""
+        """Add the run T^q entering ``block`` with ``mat`` to proj, one
+        lap at a time; returns the block and matrix it leaves with."""
         s, q = (1, q) if q > 0 else (-1, -q)
-        orbit, t = self._position(s, block)
-        w, m = len(orbit.blocks), self.modulus
-        a, r = divmod(t + q, w)
-        self._extend(s, orbit, w if a else t + q)
-        ps, pi = orbit.ps, orbit.pi
-        if a:
-            geo, Pa = self._laps(orbit, a)
-            hi = {}
-            _add_rows(hi, ps[w].items(), geo)
-            _add_rows(hi, ps[r].items(), Pa)
-            out = _compose(pi[r], Pa, m)
-        else:
-            hi, out = ps[t + q], pi[t + q]
-        if not a and orbit.count[t + q] - orbit.count[t] < len(hi):
-            rows = {}
-            for u in range(t, t + q):
-                _add_rows(rows, orbit.rows[u], None)
-            rows = rows.items()
-        else:
-            lo = ps[t]  # its indices are among hi's: PS only grows
+        m = self.modulus
+        while q:
+            orbit, t = self._position(s, block)
+            w = len(orbit.blocks)
+            u = min(t + q, w)
+            self._extend(s, orbit, u)
+            hi, lo = orbit.ps[u], orbit.ps[t]  # lo's indices are among hi's
             rows = [(idx, list(map(sub, row, lo[idx])) if idx in lo else row)
                     for idx, row in hi.items()]
-        X = _compose(self._inverse(s, orbit, t), mat, m)
-        _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
-        return orbit.blocks[r], _compose(out, X, m)
+            X = _compose(self._inverse(s, orbit, t), mat, m)
+            _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
+            block, mat = orbit.blocks[u % w], _compose(orbit.pi[u], X, m)
+            q -= u - t
+        return block, mat
 
     def _position(self, s, block):
         """(orbit, position) of a block on its T^s-orbit."""
@@ -262,11 +244,8 @@ class RunSums:
             for key, mats in groups.items():
                 for D in mats:
                     _add_rows(rows, readers[key], D)
-            rows = list(rows.items())
-            orbit.rows.append(rows)
-            orbit.count.append(orbit.count[u] + len(rows))
             acc = dict(ps[u]) if rows else ps[u]  # sums are never changed
-            _add_rows(acc, rows, None)
+            _add_rows(acc, rows.items(), None)
             ps.append(acc)
             pi.append(M)
 
@@ -288,57 +267,33 @@ class RunSums:
             pinv.append(_compose(pinv[u], B, m))
         return pinv[t]
 
-    def _laps(self, orbit, a):
-        """(I + P + ... + P^(a-1), P^a) for the lap twist P = Pi_w, by
-        doubling from a = 1; cached on the orbit."""
-        hit = orbit.laps.get(a)
-        if hit is None:
-            m, d = self.modulus, self.d
-            P = orbit.pi[len(orbit.blocks)] or identity(d)
-            geo, power = identity(d), P
-            for bit in bin(a)[3:]:
-                # n -> 2n, then n -> n + 1 on a set bit
-                geo = [list(map(add, r, s)) for r, s
-                       in zip(geo, _compose(geo, power, m))]
-                power = _compose(power, power, m)
-                if bit == "1":
-                    geo = [list(map(add, r, s)) for r, s in zip(geo, power)]
-                    power = _compose(power, P, m)
-            if m:
-                geo = [[x % m for x in row] for row in geo]
-            hit = orbit.laps[a] = geo, power
-        return hit
 
-
-def conj_star(forms, alpha, table2, readers, quotient):
+def conj_star(forms, alpha, runs, rank):
     """Map classes of Gamma_1, each given in subgroup form (a list of
     (gamma, vector), as from homology.restricted_form), by conjugation
-    through alpha into Gamma_2 = alpha Gamma_1 alpha^-1 (the group of
-    ``table2``) and corestriction to Gamma'; returns the images as
-    ambient coordinate vectors of Gamma''s LocalQuotient ``quotient``
-    (which gives k and the modulus), reduced mod m.  ``readers`` are
-    the ``CorestrictedReaders`` of the corestriction and that quotient.
+    through alpha into Gamma_2 = alpha Gamma_1 alpha^-1 and
+    corestriction to Gamma'; returns the images as ambient coordinate
+    vectors (of length ``rank``) of Gamma''s LocalQuotient, reduced mod
+    m.  ``runs`` are the RunSums of Gamma_2's table and the corestricted
+    readers of that quotient; they give k and the modulus.
 
     A term (gamma, v) of a subgroup form becomes the Fox chain of
     (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma_2, which is read
     into coordinates and never built: each element's Fox map is read
-    into coordinates once per batch by the RunSums kept on ``readers``,
-    and each of its terms applies that map to alpha v.
+    into coordinates once per batch by ``runs``, and each of its terms
+    applies that map to alpha v.
     """
-    k, modulus = quotient.k, quotient.modulus
-    runs = readers.runs
-    if runs is None:
-        runs = readers.runs = RunSums(table2, readers, k, modulus)
+    modulus = runs.modulus
     maps = {}  # element key -> projected Fox map
     images = []
     for form in forms:
-        vec = [0] * quotient.ambient_rank
+        vec = [0] * rank
         for gamma, v in form:
             key = gamma.key()
             proj = maps.get(key)
             if proj is None:
                 cg = conjugate_by(alpha, gamma)
-                if cg is None or table2.coset_of(cg)[0] != 0:
+                if cg is None or runs.table.coset_of(cg)[0] != 0:
                     raise ConjugateLeavesGroup(
                         "conjugate of %r leaves the target group" % (gamma,))
                 proj = maps[key] = runs.project(cg)
@@ -415,6 +370,7 @@ class DoubleCoset:
         self.readers = CorestrictedReaders(
             corestriction_map(self.table2, target.table, k, modulus),
             target.quotient.readers)
+        self.runs = RunSums(self.table2, self.readers, k, modulus)
         self._matrix = None
 
     @property
@@ -429,8 +385,8 @@ class DoubleCoset:
         forms = [restricted_form(source.chain(c), self.res_entries,
                                  self.table1, source.k, source.ring.modulus)
                  for c in classes]
-        vecs = conj_star(forms, self.alpha, self.table2, self.readers,
-                         self.target.quotient)
+        vecs = conj_star(forms, self.alpha, self.runs,
+                         self.target.quotient.ambient_rank)
         return [self.target.module.coords(v) for v in vecs]
 
     def apply_coords(self, coords):

@@ -48,6 +48,7 @@ from .intlinalg import (
     identity,
     kernel_basis,
     kernel_mod,
+    mat_mul,
     smith_normal_form_full,
     subquotient,
 )
@@ -107,15 +108,11 @@ def d1(terms, steps):
 
 
 def _compose(M, N, modulus=None):
-    """M N, None standing for the identity; reduced mod m if given.  The
-    factors are small dense squares (rho of group elements), so each
-    entry is one sum over a row and a column."""
+    """M N, None standing for the identity; reduced mod m if given."""
     if M is None or N is None:
         return N if M is None else M
-    cols = list(zip(*N))
-    if modulus:
-        return [[sum(map(mul, row, c)) % modulus for c in cols] for row in M]
-    return [[sum(map(mul, row, c)) for c in cols] for row in M]
+    out = mat_mul(M, N)
+    return [[x % modulus for x in row] for row in out] if modulus else out
 
 
 def merge_blocks(groups, d, modulus=None):

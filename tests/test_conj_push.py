@@ -140,8 +140,8 @@ def test_conj_star_matches_letter_walk(case):
         # batch; batches of 1, 2k and 2k+1 copies of the cycle reuse it
         form = to_group_chain(rc, dc.table1, k, m)
         for size in (1, 2 * k, 2 * k + 1):
-            got = conj_star([form] * size, dc.alpha, dc.table2, dc.readers,
-                            quotient)
+            got = conj_star([form] * size, dc.alpha, dc.runs,
+                            quotient.ambient_rank)
             assert got == [expect] * size
         assert dc.apply_coords(unit) == dc.target.module.coords(expect)
 
@@ -167,8 +167,8 @@ def test_run_walk_matches_letter_walk(name, k, ring, words, data):
     readers = CorestrictedReaders(corestriction_map(table, table, k, m),
                                   quotient.readers)
     runs = RunSums(table, readers, k, m)
-    # one RunSums for all the words: later words read sums, orbits and
-    # laps that earlier ones left
+    # one RunSums for all the words: later words read the sums and
+    # orbits that earlier ones left
     for word in words:
         g = I
         for x, e in word:
@@ -194,8 +194,7 @@ def test_run_walk_matches_letter_walk(name, k, ring, words, data):
 def test_run_walk_on_hecke_conjugates(name, p, k, ring):
     # the conjugates that a Hecke matrix walks, through one RunSums on
     # Gamma_2: their runs start all over the wide orbits, so they read
-    # the rows of their own steps, differences of two prefix sums and
-    # laps
+    # differences of two prefix sums and runs that pass an orbit's end
     h1 = compute_h1(SubgroupSpec.parse(name), k, ring)
     dc = DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
     m = ring.modulus

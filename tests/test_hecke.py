@@ -9,6 +9,7 @@ from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
     CorestrictedReaders,
+    RunSums,
     DoubleCoset,
     WrongDivisibility,
     conj_star,
@@ -232,11 +233,12 @@ class TestConjStar:
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
         readers = CorestrictedReaders(
             corestriction_map(h1.table, h1.table, 0), h1.quotient.readers)
+        runs = RunSums(h1.table, readers, 0, None)
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
             c = cycle_of(g, (1,), h1.table, 0)
             out, = conj_star([to_group_chain(c, h1.table, 0)], I.lift(),
-                             h1.table, readers, h1.quotient)
+                             runs, h1.quotient.ambient_rank)
             assert h1.module.coords(out) == h1.coords(c)
 
     def test_inner_automorphism_trivial(self):
@@ -254,9 +256,10 @@ class TestConjStar:
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
         readers = CorestrictedReaders(
             corestriction_map(tgt.table, tgt.table, 1), tgt.quotient.readers)
+        runs = RunSums(tgt.table, readers, 1, None)
         with pytest.raises(ConjugateLeavesGroup):
             conj_star([to_group_chain(c, h1.table, 1)], Mat2(1, 0, 0, 2),
-                      tgt.table, readers, tgt.quotient)
+                      runs, tgt.quotient.ambient_rank)
 
 
 def single_class_op(name, k, ring, op):

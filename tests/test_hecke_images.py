@@ -87,7 +87,7 @@ def test_apply_coords_matches_operator_matrix(case, data):
         generator = [row[i] for row in h1.module.gen_lift]
         c = apply_blockwise(dc.res_entries, h1.quotient.lift(generator), m)
         vec, = hecke.conj_star([to_group_chain(c, dc.table1, k, m)],
-                               dc.alpha, dc.table2, dc.readers, h1.quotient)
+                               dc.alpha, dc.runs, h1.quotient.ambient_rank)
         cols.append(list(h1.module.coords(vec)))
     assert dc.operator().matrix == from_columns(cols, h1.ngens)
     lo, hi = (0, m - 1) if m else (-9, 9)
