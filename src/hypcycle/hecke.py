@@ -9,40 +9,35 @@ its restriction to Gamma_1 = Gamma n alpha^-1 Gamma' alpha (the
 averaging map on coefficients) is read in subgroup form straight off
 that cycle, through the restriction's entries and Gamma_1's steps
 (homology.restricted_form).  Each term is conjugated through alpha
-into Gamma_2 = alpha Gamma_1 alpha^-1, and its Fox chain there is read
-straight into the ambient coordinates of Gamma''s LocalQuotient
-through the corestriction, whose readers the double coset composes
-with the target's once per block of Gamma_2.  No chain is built on
-Gamma_1 or Gamma_2, and no chain of an image.  A check that needs the
-images of a few classes maps just those (``DoubleCoset.apply_coords``);
-the operator matrix is the images of the generators.  An
-``OperatorMatrix`` carries that matrix, its ``apply_coords`` and the
-characteristic polynomial on the free part.
+into Gamma', and its Fox chain on Gamma''s own table is read straight
+into the ambient coordinates of Gamma''s LocalQuotient.  That chain is
+the corestriction of the term's Fox chain on Gamma_2 = alpha Gamma_1
+alpha^-1, so no table of Gamma_2 is built and nothing is corestricted.
+No chain is built on Gamma_1 or Gamma', and no chain of an image.  A
+check that needs the images of a few classes maps just those
+(``DoubleCoset.apply_coords``); the operator matrix is the images of
+the generators.  An ``OperatorMatrix`` carries that matrix, its
+``apply_coords`` and the characteristic polynomial on the free part.
 
 Classes are mapped in batches (one class, or every generator for the
 matrix), and each conjugated element has its Fox map read into
 coordinates once per batch.  That read walks the element's word as
-runs T^q (psl2.word_runs) along the T-orbits of Gamma_2's table: prefix
-sums of the projected reader rows along each orbit, kept by the
-double coset beside its corestricted readers (``RunSums``), give a
-run's rows at a constant cost per lap of its orbit, however long it
-is.  The conjugates for T_p and U_p have runs of length about p, so a
-Hecke matrix costs about one step per run, not one per letter.
+runs T^q (psl2.word_runs) along the T-orbits of Gamma''s table: prefix
+sums of the projected reader rows along each orbit, and sums over its
+whole laps, give a run's rows in at most two products, however long it
+is (homology.RunSums).  Each target H1's LocalQuotient keeps one
+(``runs``), so every operator into it shares the orbits and sums.  The
+conjugates for T_p and U_p have runs of length about p, so a Hecke
+matrix costs about one step per run, not one per letter.
 """
 
-from operator import add, mul, sub
+from operator import mul
 
 from .cosets import build_cosets, subgroup_transversal
-from .homology import (
-    _compose,
-    fox_step,
-    letter_steps,
-    merge_blocks,
-    restricted_form,
-)
+from .homology import restricted_form
 from .intlinalg import from_columns, identity, xgcd
-from .psl2 import T_LETTERS, Mat2, PMat, word_runs
-from .symspace import act, corestriction_map, restriction_map
+from .psl2 import Mat2, PMat
+from .symspace import act, restriction_map
 
 
 class WrongDivisibility(ValueError):
@@ -102,186 +97,20 @@ def intersection_table(table, alpha, table_prime):
     return build_cosets(intersection_key(table.key, table_prime.key, alpha))
 
 
-def _add_rows(acc, pairs, M):
-    """acc[idx] += row M for the pairs (idx, row), M None standing for
-    the identity."""
-    cols = None if M is None else list(zip(*M))
-    for idx, row in pairs:
-        r = row if cols is None else [sum(map(mul, row, c)) for c in cols]
-        acc[idx] = list(map(add, acc[idx], r)) if idx in acc else r
-
-
-class CorestrictedReaders(dict):
-    """The coordinate readers of the target's LocalQuotient composed with
-    the corestriction: at (slot, block) of Gamma_2, the pairs
-    (coordinate index, row C) for the readers (index, row) of the target
-    block that C sends it to.  Filled on first use, so a map of a few
-    classes composes only the blocks they reach.  ``entries`` are the
-    corestriction's (symspace.corestriction_map)."""
-
-    def __init__(self, entries, readers):
-        super().__init__()
-        self.entries = entries
-        self.target = readers
-
-    def __missing__(self, key):
-        slot, blk = key
-        (j, C), = self.entries[blk]
-        rows = {}
-        _add_rows(rows, self.target.get((slot, j), ()), C)
-        pairs = self[key] = list(rows.items())
-        return pairs
-
-
-class _Orbit:
-    """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, extended
-    to a reach R <= w: for t <= R the twists Pi_t, their inverses and
-    the prefix sums PS_t."""
-
-    __slots__ = ("blocks", "pi", "pinv", "ps")
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.pi = [None]
-        self.pinv = [None]
-        self.ps = [{}]
-
-
-class RunSums:
-    """The Fox walk of elements of Gamma_2 (the group of ``table``) read
-    straight into target coordinates through the corestricted
-    ``readers``, one step per run T^q of their words (psl2.word_runs).
-
-    One step of T^s (s = +-1) is the two letters of T^s, walked as in
-    homology.fox_step.  Along a T^s-orbit b_0 -> b_1 -> ... of Gamma_2's
-    blocks, a walk that enters b_0 with matrix M is at b_u with Pi_u M,
-    and G(b) are the reader rows that one step from b deposits per unit
-    matrix.  The prefix sums are PS_t = sum over u < t of G(b_u) Pi_u,
-    so a run of q steps entering b_t with M adds
-    (PS_(t+q) - PS_t) Pi_t^-1 M to the element's projected map and
-    leaves with Pi_(t+q) Pi_t^-1 M.  An orbit of length w closes with
-    the lap twist P = Pi_w: a run that passes b_(w-1) is read up to the
-    orbit's end, and goes on from b_0 with P Pi_t^-1 M.
-
-    An orbit is found when a run first enters it, and its sums are
-    extended only as far as runs reach; Pi^-1 is carried from the steps
-    of T^-s, which walk the orbit backwards, as far as runs start.
-    Single letters take one fox_step each, and their deposits are read
-    once per block.
-    """
-
-    def __init__(self, table, readers, k, modulus):
-        self.table = table
-        self.steps = letter_steps(table, k, modulus)
-        self.readers = readers
-        self.d = 2 * k + 1
-        self.modulus = modulus
-        mulS, mulU = table.mulS, table.mulU
-        # the block one step of T^s moves a walk to (see fox_step)
-        self.next = {1: lambda b: mulS[mulU[mulU[b][0]][0]][0],
-                     -1: lambda b: mulU[mulS[b][0]][0]}
-        self.orbits = {}  # (s, block) -> (orbit, position)
-
-    def project(self, g):
-        """The projected Fox map of g: pairs (coordinate index, row),
-        the sum of the reader rows times the Fox entries of g."""
-        steps, m = self.steps, self.modulus
-        proj, groups = {}, {}
-        block, mat = 0, None
-        for gen, e in reversed(word_runs(g)):
-            if gen == "T":
-                block, mat = self._run(proj, block, mat, e)
-            else:
-                block, mat = fox_step(steps, groups, block, mat, gen, e, m)
-        for slot, blk, M in merge_blocks(groups, self.d, m):
-            _add_rows(proj, self.readers[slot, blk], M)
-        return list(proj.items())
-
-    def _run(self, proj, block, mat, q):
-        """Add the run T^q entering ``block`` with ``mat`` to proj, one
-        lap at a time; returns the block and matrix it leaves with."""
-        s, q = (1, q) if q > 0 else (-1, -q)
-        m = self.modulus
-        while q:
-            orbit, t = self._position(s, block)
-            w = len(orbit.blocks)
-            u = min(t + q, w)
-            self._extend(s, orbit, u)
-            hi, lo = orbit.ps[u], orbit.ps[t]  # lo's indices are among hi's
-            rows = [(idx, list(map(sub, row, lo[idx])) if idx in lo else row)
-                    for idx, row in hi.items()]
-            X = _compose(self._inverse(s, orbit, t), mat, m)
-            _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
-            block, mat = orbit.blocks[u % w], _compose(orbit.pi[u], X, m)
-            q -= u - t
-        return block, mat
-
-    def _position(self, s, block):
-        """(orbit, position) of a block on its T^s-orbit."""
-        hit = self.orbits.get((s, block))
-        if hit is None:
-            nxt, blocks = self.next[s], [block]
-            b = nxt(block)
-            while b != block:
-                blocks.append(b)
-                b = nxt(b)
-            orbit = _Orbit(blocks)
-            for u, b in enumerate(blocks):
-                self.orbits[s, b] = orbit, u
-            hit = orbit, 0
-        return hit
-
-    def _extend(self, s, orbit, reach):
-        """Extend the orbit's twists and prefix sums to ``reach`` <= w:
-        one step is the two letters of T^s, each a fox_step."""
-        steps, m, readers = self.steps, self.modulus, self.readers
-        blocks, pi, ps = orbit.blocks, orbit.pi, orbit.ps
-        for u in range(len(ps) - 1, reach):
-            groups, rows = {}, {}
-            blk, M = blocks[u], pi[u]
-            for gen, e in reversed(T_LETTERS[s]):
-                blk, M = fox_step(steps, groups, blk, M, gen, e, m)
-            for key, mats in groups.items():
-                for D in mats:
-                    _add_rows(rows, readers[key], D)
-            acc = dict(ps[u]) if rows else ps[u]  # sums are never changed
-            _add_rows(acc, rows.items(), None)
-            ps.append(acc)
-            pi.append(M)
-
-    def _inverse(self, s, orbit, t):
-        """Pi_t^-1, extending the inverses as far as t: runs start at
-        fewer positions than they cover."""
-        steps, m, pinv = self.steps, self.modulus, orbit.pinv
-        back = [(gen, 1 if gen == "S" else 3 - e)
-                for gen, e in T_LETTERS[-s][::-1]]
-        for u in range(len(pinv) - 1, t):
-            # Pi_u is None (the identity) only while every twist so far
-            # is, and then so is its inverse
-            B = None  # the twist of one step of T^-s, back to b_u
-            if orbit.pi[u + 1] is not None:
-                blk = orbit.blocks[u + 1]
-                for gen, n in back:
-                    blk, _, A = steps[blk, gen, n]
-                    B = _compose(A, B, m)
-            pinv.append(_compose(pinv[u], B, m))
-        return pinv[t]
-
-
 def conj_star(forms, alpha, runs, rank):
     """Map classes of Gamma_1, each given in subgroup form (a list of
     (gamma, vector), as from homology.restricted_form), by conjugation
-    through alpha into Gamma_2 = alpha Gamma_1 alpha^-1 and
-    corestriction to Gamma'; returns the images as ambient coordinate
+    through alpha into Gamma'; returns the images as ambient coordinate
     vectors (of length ``rank``) of Gamma''s LocalQuotient, reduced mod
-    m.  ``runs`` are the RunSums of Gamma_2's table and the corestricted
-    readers of that quotient; they give k and the modulus.
+    m.  ``runs`` are the RunSums of that quotient; they give Gamma''s
+    table, k and the modulus.
 
     A term (gamma, v) of a subgroup form becomes the Fox chain of
-    (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma_2, which is read
-    into coordinates and never built: each element's Fox map is read
-    into coordinates once per batch by ``runs``, and each of its terms
-    applies that map to alpha v.
+    (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma', the
+    corestriction of that chain on Gamma_2 = alpha Gamma_1 alpha^-1;
+    it is read into coordinates and never built: each element's Fox
+    map is read into coordinates once per batch by ``runs``, and each
+    of its terms applies that map to alpha v.
     """
     modulus = runs.modulus
     maps = {}  # element key -> projected Fox map
@@ -293,7 +122,7 @@ def conj_star(forms, alpha, runs, rank):
             proj = maps.get(key)
             if proj is None:
                 cg = conjugate_by(alpha, gamma)
-                if cg is None or runs.table.coset_of(cg)[0] != 0:
+                if cg is None or not runs.table.contains(cg):
                     raise ConjugateLeavesGroup(
                         "conjugate of %r leaves the target group" % (gamma,))
                 proj = maps[key] = runs.project(cg)
@@ -359,18 +188,12 @@ class DoubleCoset:
         self.alpha = alpha
         k = source.k
         modulus = source.ring.modulus
-        # Gamma_1 = Gamma n alpha^-1 Gamma' alpha; Gamma_2 = Gamma' n
-        # alpha Gamma alpha^-1 takes adj(alpha), a multiple of alpha^-1
+        # Gamma_1 = Gamma n alpha^-1 Gamma' alpha
         self.table1 = intersection_table(source.table, alpha, target.table)
         self.reps = subgroup_transversal(self.table1, source.table)
         self.res_entries = restriction_map(source.table, self.table1, k,
                                            modulus, self.reps)
-        self.table2 = intersection_table(target.table, alpha.adjugate(),
-                                         source.table)
-        self.readers = CorestrictedReaders(
-            corestriction_map(self.table2, target.table, k, modulus),
-            target.quotient.readers)
-        self.runs = RunSums(self.table2, self.readers, k, modulus)
+        self.runs = target.quotient.runs
         self._matrix = None
 
     @property

@@ -25,7 +25,7 @@ from the table's cache at (k, modulus) (``letter_steps``).  The Fox
 walk takes one letter at a time (``fox_step``); a cycle walks the
 letters of its reduced word, and a Hecke image walks the runs T^q of
 the word (psl2.word_runs), one step of T per letter pair, with prefix
-sums along the T-orbits (hecke.RunSums).
+sums along the T-orbits (``RunSums``, one per LocalQuotient).
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
@@ -38,7 +38,8 @@ of the induced module is ever built.
 """
 
 from collections import namedtuple
-from operator import mul
+from functools import cached_property
+from operator import add, mul, sub
 
 from .cosets import build_cosets
 from .intlinalg import (
@@ -52,7 +53,7 @@ from .intlinalg import (
     smith_normal_form_full,
     subquotient,
 )
-from .psl2 import decompose_word, quadratic_form
+from .psl2 import T_LETTERS, decompose_word, quadratic_form, word_runs
 from .symspace import act, add_image, poly_mod, poly_pow, reduce_chain, rho
 
 
@@ -219,6 +220,169 @@ def restricted_form(chain, entries, table, k, m=None):
     return terms
 
 
+def _add_rows(acc, pairs, M):
+    """acc[idx] += row M for the pairs (idx, row), M None standing for
+    the identity."""
+    cols = None if M is None else list(zip(*M))
+    for idx, row in pairs:
+        r = row if cols is None else [sum(map(mul, row, c)) for c in cols]
+        acc[idx] = list(map(add, acc[idx], r)) if idx in acc else r
+
+
+class _Orbit:
+    """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, extended
+    to a reach R <= w: for t <= R the twists Pi_t, their inverses and
+    the prefix sums PS_t; and, for n up to the most laps a run has
+    made, the lap sums R_n and P^n (see RunSums)."""
+
+    __slots__ = ("blocks", "pi", "pinv", "ps", "laps")
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.pi = [None]
+        self.pinv = [None]
+        self.ps = [{}]
+        self.laps = [({}, None)]
+
+
+class RunSums:
+    """The Fox walk of elements of the group of a LocalQuotient's table
+    read straight into its coordinates through its readers, one step
+    per run T^q of their words (psl2.word_runs).
+
+    One step of T^s (s = +-1) is the two letters of T^s, walked as in
+    ``fox_step``.  Along a T^s-orbit b_0 -> b_1 -> ... -> b_(w-1)
+    of the table's blocks, a walk that enters b_0 with matrix M is at
+    b_u with Pi_u M, and G(b) are the reader rows that one step from b
+    deposits per unit matrix.  The prefix sums are PS_t = sum over
+    u < t of G(b_u) Pi_u, and the orbit closes with the lap twist
+    P = Pi_w.  A run of q steps entering b_t with M, where
+    t + q = n w + r and 0 <= r < w, passes b_0 n times: with
+    X = Pi_t^-1 M it adds (R_n - PS_t) X + PS_r P^n X to the element's
+    projected map, where R_n = PS_w (I + P + ... + P^(n-1)) are the
+    lap sums (R_0 = 0), and leaves b_r with Pi_r P^n X.  A run within
+    one lap (n = 0) is the difference of two prefix sums.
+
+    An orbit is found when a run first enters it, and its sums are
+    extended only as far as runs reach: the prefix sums to the furthest
+    position, the lap sums to the most laps; Pi^-1 is carried from the
+    steps of T^-s, which walk the orbit backwards, as far as runs start.
+    Single letters take one fox_step each, and their deposits are read
+    once per block.  Nothing depends on the element walked, so one
+    RunSums (``LocalQuotient.runs``) serves every double coset into
+    the quotient's H1.
+    """
+
+    def __init__(self, quotient):
+        table, k, modulus = quotient.table, quotient.k, quotient.modulus
+        self.table = table
+        self.steps = letter_steps(table, k, modulus)
+        self.readers = quotient.readers
+        self.d = 2 * k + 1
+        self.modulus = modulus
+        mulS, mulU = table.mulS, table.mulU
+        # the block one step of T^s moves a walk to (see fox_step)
+        self.next = {1: lambda b: mulS[mulU[mulU[b][0]][0]][0],
+                     -1: lambda b: mulU[mulS[b][0]][0]}
+        self.orbits = {}  # (s, block) -> (orbit, position)
+
+    def project(self, g):
+        """The projected Fox map of g: pairs (coordinate index, row),
+        the sum of the reader rows times the Fox entries of g."""
+        steps, m, readers = self.steps, self.modulus, self.readers
+        proj, groups = {}, {}
+        block, mat = 0, None
+        for gen, e in reversed(word_runs(g)):
+            if gen == "T":
+                block, mat = self._run(proj, block, mat, e)
+            else:
+                block, mat = fox_step(steps, groups, block, mat, gen, e, m)
+        for slot, blk, M in merge_blocks(groups, self.d, m):
+            _add_rows(proj, readers.get((slot, blk), ()), M)
+        return list(proj.items())
+
+    def _run(self, proj, block, mat, q):
+        """Add the run T^q entering ``block`` with ``mat`` to proj;
+        returns the block and matrix it leaves with."""
+        s, q = (1, q) if q > 0 else (-1, -q)
+        m = self.modulus
+        orbit, t = self._position(s, block)
+        n, r = divmod(t + q, len(orbit.blocks))
+        self._extend(s, orbit, len(orbit.blocks) if n else r)
+        hi, Pn = self._laps(orbit, n) if n else (orbit.ps[r], None)
+        lo = orbit.ps[t]  # lo's indices are among hi's
+        rows = [(idx, list(map(sub, row, lo[idx])) if idx in lo else row)
+                for idx, row in hi.items()]
+        X = _compose(self._inverse(s, orbit, t), mat, m)
+        _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
+        if n:
+            X = _compose(Pn, X, m)
+            _add_rows(proj, orbit.ps[r].items(), X)
+        return orbit.blocks[r], _compose(orbit.pi[r], X, m)
+
+    def _position(self, s, block):
+        """(orbit, position) of a block on its T^s-orbit."""
+        hit = self.orbits.get((s, block))
+        if hit is None:
+            nxt, blocks = self.next[s], [block]
+            b = nxt(block)
+            while b != block:
+                blocks.append(b)
+                b = nxt(b)
+            orbit = _Orbit(blocks)
+            for u, b in enumerate(blocks):
+                self.orbits[s, b] = orbit, u
+            hit = orbit, 0
+        return hit
+
+    def _extend(self, s, orbit, reach):
+        """Extend the orbit's twists and prefix sums to ``reach`` <= w:
+        one step is the two letters of T^s, each a fox_step."""
+        steps, m, readers = self.steps, self.modulus, self.readers
+        blocks, pi, ps = orbit.blocks, orbit.pi, orbit.ps
+        for u in range(len(ps) - 1, reach):
+            groups, rows = {}, {}
+            blk, M = blocks[u], pi[u]
+            for gen, e in reversed(T_LETTERS[s]):
+                blk, M = fox_step(steps, groups, blk, M, gen, e, m)
+            for key, mats in groups.items():
+                for D in mats:
+                    _add_rows(rows, readers.get(key, ()), D)
+            acc = dict(ps[u]) if rows else ps[u]  # sums are never changed
+            _add_rows(acc, rows.items(), None)
+            ps.append(acc)
+            pi.append(M)
+
+    def _laps(self, orbit, n):
+        """(R_n, P^n), extending the lap sums as far as n, one lap at a
+        time: R_(j+1) = R_j + PS_w P^j.  The orbit is extended to w."""
+        laps, m, w = orbit.laps, self.modulus, len(orbit.blocks)
+        for j in range(len(laps) - 1, n):
+            R, Pj = laps[j]
+            acc = dict(R)  # sums are never changed
+            _add_rows(acc, orbit.ps[w].items(), Pj)
+            laps.append((acc, _compose(orbit.pi[w], Pj, m)))
+        return laps[n]
+
+    def _inverse(self, s, orbit, t):
+        """Pi_t^-1, extending the inverses as far as t: runs start at
+        fewer positions than they cover."""
+        steps, m, pinv = self.steps, self.modulus, orbit.pinv
+        back = [(gen, 1 if gen == "S" else 3 - e)
+                for gen, e in T_LETTERS[-s][::-1]]
+        for u in range(len(pinv) - 1, t):
+            # Pi_u is None (the identity) only while every twist so far
+            # is, and then so is its inverse
+            B = None  # the twist of one step of T^-s, back to b_u
+            if orbit.pi[u + 1] is not None:
+                blk = orbit.blocks[u + 1]
+                for gen, n in back:
+                    blk, _, A = steps[blk, gen, n]
+                    B = _compose(A, B, m)
+            pinv.append(_compose(pinv[u], B, m))
+        return pinv[t]
+
+
 class H1Presentation:
     """H1 of a subgroup with degree-2k coefficients over a ring,
     as an FgModule with a coordinate map on cycles.
@@ -370,6 +534,12 @@ class LocalQuotient:
     @property
     def ambient_rank(self):
         return len(self.coords)
+
+    @cached_property
+    def runs(self):
+        """The RunSums of this quotient, built on first use and shared by
+        every double coset into its H1."""
+        return RunSums(self)
 
     def _reduce(self, v):
         m = self.modulus

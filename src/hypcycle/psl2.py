@@ -9,7 +9,7 @@ generator.  The reduced word of an element comes as runs
 (``word_runs``): letters and powers ('T', q) read off the quotients of
 a nearest-integer Euclidean reduction, so a word of n letters costs one
 step per quotient, not per letter.  The Hecke walk takes a run in one
-step (hecke.RunSums); ``decompose_word`` spells the runs out letter by
+step (homology.RunSums); ``decompose_word`` spells the runs out letter by
 letter for the letter walk of a cycle (homology.fox_step).
 """
 

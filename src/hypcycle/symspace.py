@@ -10,9 +10,12 @@ transposed adjugate, and -1 acts trivially in even degree.
 An element of the induced module has one such block per coset of the
 subgroup's table.  Chains over it are sparse dicts keyed by
 (slot, block) (see homology); ``add_image`` accumulates into them.
-The restriction and corestriction maps are their blockwise entries,
-which the Hecke side reads directly (homology.restricted_form,
-hecke.CorestrictedReaders): no chain is mapped block by block.
+The restriction and corestriction maps are their blockwise entries.
+The Hecke side reads the restriction's directly
+(homology.restricted_form): no chain is mapped block by block.  It
+needs no corestriction, since the Fox chain of an element on a larger
+group's table is the corestriction of its chain on a smaller one;
+``corestriction_map`` serves the tests' oracles and the layer trace.
 """
 
 from operator import add, mul

@@ -25,9 +25,12 @@ cokernels and the spanning tree of ``homology.LocalQuotient``.
 ``fox_expand`` is the letter-by-letter Fox expansion on whole induced
 vectors, and ``conj_star_letter_walk`` is the conjugation push built on
 it: each conjugated term is expanded by walking its word on the table
-of Gamma_2, and the whole chain is corestricted afterwards.  They share
-no code with the cached, merged Fox maps of ``homology`` and the
-coordinate readers of ``hecke.conj_star``.  ``ind_act``, ``boundary2``,
+of Gamma_2 (``gamma2_table``), and the whole chain is corestricted
+afterwards.  They share no code with the cached, merged Fox maps of
+``homology`` and the run walk of ``hecke.conj_star`` on Gamma''s own
+table.  ``CorestrictedReaders`` and ``corestricted_quotient`` are the
+route that walk replaced: the run walk on Gamma_2's table, read through
+the target's readers composed with the corestriction.  ``ind_act``, ``boundary2``,
 ``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
 ``transfer_res`` are the chain-level operations the tests check against.
 ``apply_blockwise`` maps a chain through the blockwise entries of the
@@ -73,6 +76,7 @@ coprime to the level.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 
 from hypcycle.cosets import CosetTable, SubgroupSpec, subgroup_transversal
@@ -83,6 +87,7 @@ from hypcycle.hecke import (
     WrongDivisibility,
     conjugate_by,
     hecke_coset,
+    intersection_table,
 )
 from hypcycle.homology import (
     H1Presentation,
@@ -602,11 +607,59 @@ def transfer_res(c, sub_table, reps=None):
                  c.k, c.modulus)
 
 
+def gamma2_table(dc):
+    """The coset table of Gamma_2 = Gamma' n alpha Gamma alpha^-1 of the
+    double coset ``dc`` (adj(alpha) is a multiple of alpha^-1), which
+    the double coset itself no longer builds."""
+    return intersection_table(dc.target.table, dc.alpha.adjugate(),
+                              dc.source.table)
+
+
+class CorestrictedReaders(dict):
+    """The coordinate readers of a LocalQuotient on Gamma' composed with
+    the corestriction from Gamma_2: at (slot, block) of Gamma_2, the
+    pairs (coordinate index, row C) for the readers (index, row) of the
+    target block that C sends it to.  ``entries`` are the
+    corestriction's (symspace.corestriction_map).  Filled on first use,
+    by ``get`` too, the read of ``homology.RunSums``."""
+
+    def __init__(self, entries, readers):
+        super().__init__()
+        self.entries = entries
+        self.target = readers
+
+    def __missing__(self, key):
+        slot, blk = key
+        (j, C), = self.entries[blk]
+        pairs = self[key] = [
+            (idx, row if C is None else
+             [sum(a * C[i][c] for i, a in enumerate(row))
+              for c in range(len(row))])
+            for idx, row in self.target.get((slot, j), ())]
+        return pairs
+
+    def get(self, key, default=None):
+        return self[key]
+
+
+def corestricted_quotient(dc):
+    """A stand-in for the target's LocalQuotient on Gamma_2, the route a
+    double coset took before it walked Gamma''s own table: Gamma_2's
+    table, with the target's readers read through the corestriction.
+    ``homology.RunSums`` reads its table, k, modulus and readers."""
+    table2, quotient = gamma2_table(dc), dc.target.quotient
+    k, m = quotient.k, quotient.modulus
+    entries = corestriction_map(table2, dc.target.table, k, m)
+    return SimpleNamespace(table=table2, k=k, modulus=m,
+                           readers=CorestrictedReaders(entries,
+                                                       quotient.readers))
+
+
 def conj_star_letter_walk(c, dc):
     """The conjugation push of a cycle over Gamma_1 by the alpha of the
     double coset ``dc``, expanded letter by letter on the table of
     Gamma_2 and corestricted as a whole chain."""
-    alpha, table2, k, m = dc.alpha, dc.table2, c.k, c.modulus
+    alpha, table2, k, m = dc.alpha, gamma2_table(dc), c.k, c.modulus
     out = Chain1.zero(table2, k, m)
     for gamma, v in to_group_chain(sparse(c), c.table, k, m):
         cg = conjugate_by(alpha, gamma)
@@ -614,7 +667,8 @@ def conj_star_letter_walk(c, dc):
             raise ConjugateLeavesGroup("conjugate leaves the target group")
         unit = IndVec.unit(table2, k, act(alpha, v, m), modulus=m)
         out = out + fox_expand(decompose_word(cg), unit)
-    image = apply_blockwise(dc.readers.entries, sparse(out), m)
+    entries = corestriction_map(table2, dc.target.table, k, m)
+    image = apply_blockwise(entries, sparse(out), m)
     return dense(image, dc.target.table, k, m)
 
 

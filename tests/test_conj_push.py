@@ -2,12 +2,15 @@
 coordinates, against ``oracles.conj_star_letter_walk``, which expands
 every term letter by letter on the table of Gamma_2 and corestricts the
 whole chain, over every kind of double coset; the run walk of
-``hecke.RunSums``, against the letter walk ``oracles.fox_expand``
-projected through the same readers, on words with long runs; the
-subgroup form that ``homology.restricted_form`` reads off a source
-cycle, against the restricted chain rewritten by
+``homology.RunSums``, against the letter walk ``oracles.fox_expand``
+projected through the same readers, on words with long runs and runs of
+hundreds of whole laps, on Hecke conjugates (on the target's own table
+and, through the corestriction, on Gamma_2's), and shared by four
+operators on one H1; the subgroup form that ``homology.restricted_form``
+reads off a source cycle, against the restricted chain rewritten by
 ``oracles.to_group_chain``; and the Fox-map identities the push rests
-on."""
+on, among them that the walk on the target's own table is the
+corestricted walk on Gamma_2's."""
 
 import random
 from collections import Counter
@@ -21,15 +24,16 @@ from hypothesis import strategies as st
 from hypcycle.boundary import cusp_data
 from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.hecke import (
-    CorestrictedReaders,
     DoubleCoset,
-    RunSums,
     conj_star,
     conjugate_by,
+    diamond_coset,
     diamond_matrix,
+    hecke_coset,
 )
 from hypcycle.homology import (
     LocalQuotient,
+    RunSums,
     compute_h1,
     fox_expand_unit,
     restricted_form,
@@ -43,9 +47,11 @@ from oracles import (
     apply_blockwise,
     beta_matrix,
     conj_star_letter_walk,
+    corestricted_quotient,
     dense,
     fox_expand,
     gamma0p_intersection,
+    gamma2_table,
     power,
     sparse,
     to_group_chain,
@@ -130,7 +136,7 @@ def test_conj_star_matches_letter_walk(case):
     spec, k, ring, p, op = case
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
-    assume(dc.table2.index * (2 * k + 1) <= MAX_WORK)
+    assume(gamma2_table(dc).index * (2 * k + 1) <= MAX_WORK)
     quotient, m = dc.target.quotient, ring.modulus
     for i, unit in enumerate(identity(dc.source.ngens)[:3]):
         rc = apply_blockwise(dc.res_entries, dc.source.generator_chain(i), m)
@@ -144,6 +150,15 @@ def test_conj_star_matches_letter_walk(case):
                             quotient.ambient_rank)
             assert got == [expect] * size
         assert dc.apply_coords(unit) == dc.target.module.coords(expect)
+
+
+def read_by_runs(runs, g, poly, rank):
+    """The coordinates of (g - 1) tensor poly that a RunSums reads."""
+    got = [0] * rank
+    for idx, row in runs.project(g):
+        got[idx] += sum(map(mul, row, poly))
+    m = runs.modulus
+    return [x % m for x in got] if m else got
 
 
 # long runs T^(+-q), which wrap past the T-orbits (of length 1 on
@@ -163,10 +178,7 @@ def test_run_walk_matches_letter_walk(name, k, ring, words, data):
     table = build_cosets(SubgroupSpec.parse(name))
     m = ring.modulus
     quotient = LocalQuotient(table, k, m)
-    # the table's own readers, through the identity corestriction
-    readers = CorestrictedReaders(corestriction_map(table, table, k, m),
-                                  quotient.readers)
-    runs = RunSums(table, readers, k, m)
+    runs = RunSums(quotient)
     # one RunSums for all the words: later words read the sums and
     # orbits that earlier ones left
     for word in words:
@@ -176,12 +188,94 @@ def test_run_walk_matches_letter_walk(name, k, ring, words, data):
         poly = data.draw(polys(k, ring))
         chain = fox_expand(decompose_word(g),
                            IndVec.unit(table, k, poly, modulus=m))
-        got = [0] * quotient.ambient_rank
-        for idx, row in runs.project(g):
-            got[idx] += sum(map(mul, row, poly))
-        if m:
-            got = [x % m for x in got]
-        assert got == quotient.project(sparse(chain))
+        assert (read_by_runs(runs, g, poly, quotient.ambient_rank)
+                == quotient.project(sparse(chain)))
+
+
+# runs of about 500 steps on the orbits of width 1 (the cusp at infinity
+# of Gamma_0(1) and Gamma_0(11)) and 11 (the cusp 0 of Gamma_0(11)),
+# entered at several positions; later words need more laps of an orbit
+# than earlier ones, or fewer
+LAP_WORDS = [
+    [(T, 497)],
+    [(T, -503), (S, 1), (T, 250)],
+    [(T, 12), (TP, 311), (U, 1), (T, -499), (S, 1), (T, 511)],
+    [(S, 1), (T, 11 * 37 + 5), (U, 2), (T, -60), (TP, -480)],
+]
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec("Fp", p=5),
+                                  RingSpec("ZpM", p=3, M=2)],
+                         ids=["Z", "F5", "Z/9"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["gamma0:1", "gamma0:11"])
+def test_whole_laps_match_letter_walk(name, k, ring):
+    # a run that passes b_0 n times adds the lap sums R_n = PS_w (I + P
+    # + ... + P^(n-1)) in one step; one RunSums reads every word
+    table = build_cosets(SubgroupSpec.parse(name))
+    m = ring.modulus
+    quotient = LocalQuotient(table, k, m)
+    runs = RunSums(quotient)
+    rng = random.Random(k)
+    for word in LAP_WORDS:
+        g = I
+        for x, e in word:
+            g = g * power(x, e)
+        poly = [rng.randint(-9, 9) for _ in range(2 * k + 1)]
+        chain = fox_expand(decompose_word(g),
+                           IndVec.unit(table, k, poly, modulus=m))
+        assert (read_by_runs(runs, g, poly, quotient.ambient_rank)
+                == quotient.project(sparse(chain)))
+    # the runs made whole laps: at least 497 of the orbit of width 1
+    laps = {id(orbit): len(orbit.laps) - 1
+            for orbit, _ in runs.orbits.values()}
+    assert max(laps.values()) >= 497
+
+
+def operator_by_letter_walk(dc):
+    """The matrix of a double coset, column by column from the letter
+    walk on Gamma_2 (oracles.conj_star_letter_walk)."""
+    source, target = dc.source, dc.target
+    k, m = source.k, source.ring.modulus
+    cols = []
+    for i in range(source.ngens):
+        rc = apply_blockwise(dc.res_entries, source.generator_chain(i), m)
+        walk = conj_star_letter_walk(dense(rc, dc.table1, k, m), dc)
+        cols.append(list(target.module.coords(
+            target.quotient.project(sparse(walk)))))
+    return [list(row) for row in zip(*cols)]
+
+
+# T_2, T_3, U_7 and <3> on Gamma_1(7)
+SHARED_OPS = {"T2": lambda h1: hecke_coset(2, h1),
+              "T3": lambda h1: hecke_coset(3, h1),
+              "U7": lambda h1: hecke_coset(7, h1),
+              "<3>": lambda h1: diamond_coset(3, h1)}
+
+
+def shared_matrices(ring, order):
+    """The matrices of SHARED_OPS on one H1 of Gamma_1(7) with k = 1,
+    the double cosets built in the given order; they share one
+    RunSums."""
+    h1 = compute_h1(SubgroupSpec.gamma1(7), 1, ring)
+    cosets = {name: SHARED_OPS[name](h1) for name in order}
+    assert all(dc.runs is h1.quotient.runs for dc in cosets.values())
+    return {name: cosets[name].operator().matrix for name in order}
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec("ZpM", p=3, M=2)],
+                         ids=["Z", "Z/9"])
+def test_operators_share_one_run_sums(ring):
+    # each operator reads the orbits and sums that the ones before it
+    # left, so the order they are built and mapped in changes nothing
+    assert (shared_matrices(ring, sorted(SHARED_OPS))
+            == shared_matrices(ring, sorted(SHARED_OPS, reverse=True)))
+
+
+def test_shared_run_sums_match_letter_walk():
+    h1 = compute_h1(SubgroupSpec.gamma1(7), 1, ZZ)
+    for name, matrix in shared_matrices(ZZ, sorted(SHARED_OPS)).items():
+        assert matrix == operator_by_letter_walk(SHARED_OPS[name](h1)), name
 
 
 @pytest.mark.parametrize("name,p,k,ring", [
@@ -192,27 +286,26 @@ def test_run_walk_matches_letter_walk(name, k, ring, words, data):
     ("gamma0:2", 13, 3, ZZ),
 ])
 def test_run_walk_on_hecke_conjugates(name, p, k, ring):
-    # the conjugates that a Hecke matrix walks, through one RunSums on
-    # Gamma_2: their runs start all over the wide orbits, so they read
-    # differences of two prefix sums and runs that pass an orbit's end
+    # the conjugates that a Hecke matrix walks, through the double
+    # coset's RunSums on the target's own table and through one on
+    # Gamma_2 read through the corestriction, against the letter walk on
+    # Gamma_2, corestricted: their runs start all over the orbits, so
+    # they read differences of two prefix sums and runs that pass an
+    # orbit's end, on Gamma_0(N) many times over at the orbit of width 1
     h1 = compute_h1(SubgroupSpec.parse(name), k, ring)
     dc = DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
     m = ring.modulus
-    readers = CorestrictedReaders(dc.readers.entries, h1.quotient.readers)
-    runs = RunSums(dc.table2, readers, k, m)
+    gamma2 = corestricted_quotient(dc)
     rng = random.Random(p)
     poly = [rng.randint(-9, 9) for _ in range(2 * k + 1)]
     for gamma in dc.table1.schreier_generators():
         cg = conjugate_by(dc.alpha, gamma)
         chain = fox_expand(decompose_word(cg),
-                           IndVec.unit(dc.table2, k, poly, modulus=m))
-        image = apply_blockwise(readers.entries, sparse(chain), m)
-        got = [0] * h1.quotient.ambient_rank
-        for idx, row in runs.project(cg):
-            got[idx] += sum(map(mul, row, poly))
-        if m:
-            got = [x % m for x in got]
-        assert got == h1.quotient.project(image)
+                           IndVec.unit(gamma2.table, k, poly, modulus=m))
+        image = apply_blockwise(gamma2.readers.entries, sparse(chain), m)
+        for runs in (dc.runs, RunSums(gamma2)):
+            assert (read_by_runs(runs, cg, poly, h1.quotient.ambient_rank)
+                    == h1.quotient.project(image))
 
 
 def form_terms(form, m):
@@ -262,9 +355,11 @@ def test_corestricted_fox_map_is_target_fox_map(case, word, data):
     dc = double_coset(spec, k, ring, p, op)
     m = ring.modulus
     poly = data.draw(polys(k, ring))
-    for g in [evaluate(word)] + dc.table2.schreier_generators()[:4]:
-        fox2 = fox_expand_unit(dc.table2, g, poly, k, m)
-        pushed = dense(apply_blockwise(dc.readers.entries, fox2, m),
+    table2 = gamma2_table(dc)
+    entries = corestriction_map(table2, dc.target.table, k, m)
+    for g in [evaluate(word)] + table2.schreier_generators()[:4]:
+        fox2 = fox_expand_unit(table2, g, poly, k, m)
+        pushed = dense(apply_blockwise(entries, fox2, m),
                        dc.target.table, k, m)
         direct = fox_expand_unit(dc.target.table, g, poly, k, m)
         assert pushed == dense(direct, dc.target.table, k, m)

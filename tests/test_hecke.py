@@ -8,8 +8,6 @@ from hypcycle.boundary import cusp_data
 from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
-    CorestrictedReaders,
-    RunSums,
     DoubleCoset,
     WrongDivisibility,
     conj_star,
@@ -19,7 +17,7 @@ from hypcycle.hecke import (
     hecke_coset,
     identity_operator,
 )
-from hypcycle.homology import compute_h1, cycle_of
+from hypcycle.homology import RunSums, compute_h1, cycle_of
 from hypcycle.intlinalg import QQ, RingSpec, ZZ, identity
 from hypcycle.psl2 import (
     HYPERBOLIC,
@@ -29,7 +27,7 @@ from hypcycle.psl2 import (
     classify,
     quadratic_form,
 )
-from hypcycle.symspace import act, corestriction_map, poly_pow
+from hypcycle.symspace import act, poly_pow
 from oracles import (
     TP,
     Chain1,
@@ -231,9 +229,7 @@ class TestTransfer:
 class TestConjStar:
     def test_identity_alpha(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
-        readers = CorestrictedReaders(
-            corestriction_map(h1.table, h1.table, 0), h1.quotient.readers)
-        runs = RunSums(h1.table, readers, 0, None)
+        runs = RunSums(h1.quotient)
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
             c = cycle_of(g, (1,), h1.table, 0)
@@ -254,9 +250,7 @@ class TestConjStar:
         g = T * T * TP
         c = cycle_of(g, quadratic_form(g), h1.table, 1)
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
-        readers = CorestrictedReaders(
-            corestriction_map(tgt.table, tgt.table, 1), tgt.quotient.readers)
-        runs = RunSums(tgt.table, readers, 1, None)
+        runs = RunSums(tgt.quotient)
         with pytest.raises(ConjugateLeavesGroup):
             conj_star([to_group_chain(c, h1.table, 1)], Mat2(1, 0, 0, 2),
                       runs, tgt.quotient.ambient_rank)
@@ -324,15 +318,19 @@ class TestDiamond:
         monkeypatch.setattr(hecke, "build_cosets",
                             lambda key: built.append(key) or build_cosets(key))
         dc = DoubleCoset(h1, h1, diamond_matrix(9, 2))
-        assert dc.table1 is h1.table and dc.table2 is h1.table
-        assert built == []
+        assert dc.table1 is h1.table and built == []
+        # Gamma_2 = Gamma_1(N) too, though the double coset builds none
+        table2 = hecke.intersection_table(h1.table, dc.alpha.adjugate(),
+                                          h1.table)
+        assert table2 is h1.table and built == []
         reused = dc.operator()
         monkeypatch.setattr(
             hecke, "intersection_table", lambda table, alpha, table_prime:
             hecke.build_cosets(hecke.intersection_key(
                 table.key, table_prime.key, alpha)))
         dc = DoubleCoset(h1, h1, diamond_matrix(9, 2))
-        assert dc.table1 is not h1.table and len(built) == 2
+        # the double coset builds Gamma_1's table, and no other
+        assert dc.table1 is not h1.table and len(built) == 1
         assert equals(dc.operator(), reused)
 
     @pytest.mark.parametrize("group,k,ring,d", [

@@ -112,9 +112,9 @@ BATCH_OPS = {
                          ids=["Z", "Z/9"])
 @pytest.mark.parametrize("op", sorted(BATCH_OPS))
 def test_operator_batch_matches_single_classes(k, ring, op):
-    # operator() maps every generator in one batch, where an element
-    # used 2k+1 times is pushed through the corestriction; a single
-    # class pushes only the elements it uses that often itself
+    # operator() maps every generator in one batch, where each element's
+    # Fox map is read into coordinates once for all of them; a single
+    # class reads only the elements it uses itself
     h1 = compute_h1(SubgroupSpec.gamma1(5), k, ring)
     dc = DoubleCoset(h1, h1, BATCH_OPS[op](h1))
     matrix = dc.operator().matrix

@@ -22,6 +22,9 @@ PACKAGE = Path(cli.__file__).resolve().parent
 ALLOWED = {
     "hecke.DoubleCoset.coset_count":
         "the benchmark's trace hook on DoubleCoset.__init__ reads it",
+    "symspace.corestriction_map":
+        "the benchmark's trace wraps it (perfbench/spans.py), and the "
+        "oracles corestrict from Gamma_2 with it",
     "psl2.PMat.__eq__": "tests compare group elements with ==",
     "psl2.PMat.__hash__": "the hash that goes with PMat.__eq__",
 }
