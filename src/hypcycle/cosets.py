@@ -5,19 +5,20 @@ Cosets are right cosets, and every table carries a canonical
 right-coset key: a function with key(g) == key(g') exactly when
 g' * g^-1 lies in the subgroup.  For Gamma_H(N) the key is the bottom
 row (c : d) mod N up to scaling by +-H, the P^1(Z/N) indexing of
-Cremona and of Stein's book (ch. 8); the Hecke intersection groups
-combine such keys (hecke.intersection_key).  Tables are built by
+Cremona and of Stein's book (ch. 8).  Tables are built by
 breadth-first orbit of the identity coset under right multiplication
 by S and U with one key lookup per edge, and store, for every
 transversal element t and generator x, the target coset and the
 subgroup-valued twist of t*x.  The coset of any element is one key
-lookup away.
+lookup away.  A subgroup of a tabled group, such as a Hecke
+intersection group (hecke.restriction_key), needs no table of its own:
+``subgroup_transversal`` walks its cosets in the group on its key.
 """
 
 from collections import namedtuple
 from math import gcd
 
-from .psl2 import I, S, U
+from .psl2 import I, S, T, U
 
 
 def _unit_closure(N, gens):
@@ -179,20 +180,30 @@ def build_cosets(spec_or_key):
     return CosetTable(key, transversal, mul["S"], mul["U"], cosets)
 
 
-def subgroup_transversal(sub_table, ambient_table):
-    """Representatives, inside the ambient subgroup, of the cosets of
-    the smaller subgroup: one element per coset of sub\\ambient.
+def subgroup_transversal(key, table):
+    """(reps, cosets): representatives s_r, in the group of ``table``,
+    of the right cosets of a finite-index subgroup given by its key on
+    that group, reps[0] the identity, and cosets mapping key(s_r) to r.
 
-    They are the transversal elements of the smaller subgroup's table
-    that lie in the ambient group.  The filter is exact: the smaller
-    group lies in the ambient one, so a coset sub*t lies in the ambient
-    group exactly when t does, and those cosets are the cosets of sub
-    in the ambient group.
+    The cosets are the orbit of the identity coset under the table's
+    Schreier generators.  Each new coset s has its orbit s T^w, s T^2w,
+    ... taken first (w the least with T^w in the group), so the reps
+    are short: for diag(1, p) they are the powers of T and one more.
     """
-    reps = [t for t in sub_table.transversal if ambient_table.contains(t)]
-    r = sub_table.index // ambient_table.index
-    if len(reps) != r:
-        raise RuntimeError(
-            "expected %d cosets, found %d; subgroup not inside ambient?"
-            % (r, len(reps)))
-    return reps
+    step = T
+    while not table.contains(step):
+        step = step * T
+    reps, cosets = [], {}
+
+    def add(s):
+        while (ks := key(s)) not in cosets:
+            cosets[ks] = len(reps)
+            reps.append(s)
+            s = s * step
+
+    add(I)
+    gens = table.schreier_generators()
+    for s in reps:
+        for g in gens:
+            add(s * g)
+    return reps, cosets

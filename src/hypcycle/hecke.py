@@ -7,11 +7,17 @@ The double coset of alpha with det(alpha) > 0 maps classes from
 H1(Gamma) to H1(Gamma').  A class is lifted to a cycle on Gamma, and
 its restriction to Gamma_1 = Gamma n alpha^-1 Gamma' alpha (the
 averaging map on coefficients) is read in subgroup form straight off
-that cycle, through the restriction's entries and Gamma_1's steps
-(homology.restricted_form).  Each term is conjugated through alpha
-into Gamma', and its Fox chain on Gamma''s own table is read straight
-into the ambient coordinates of Gamma''s LocalQuotient.  That chain is
-the corestriction of the term's Fox chain on Gamma_2 = alpha Gamma_1
+that cycle (homology.restricted_form).  Gamma_1 is read through
+Gamma's own table: its cosets are the s_r t_i, for t_i Gamma's
+transversal and s_r the reps of its deg cosets in Gamma, walked on
+restriction_key (cosets.subgroup_transversal).  Its step at (r, i) is
+Gamma's step g at i with the move s_r g^-1 = gamma^-1 s_r' of the reps
+(``DoubleCoset.moves``), and its restriction is rho(s_r) on every
+block (symspace.restriction_map), so no table of Gamma_1 is built and
+no coset is looked up.  Each term is conjugated through alpha into
+Gamma', and its Fox chain on Gamma''s own table is read straight into
+the ambient coordinates of Gamma''s LocalQuotient.  That chain is the
+corestriction of the term's Fox chain on Gamma_2 = alpha Gamma_1
 alpha^-1, so no table of Gamma_2 is built and nothing is corestricted.
 No chain is built on Gamma_1 or Gamma', and no chain of an image.  A
 check that needs the images of a few classes maps just those
@@ -33,7 +39,7 @@ matrix costs about one step per run, not one per letter.
 
 from operator import mul
 
-from .cosets import build_cosets, subgroup_transversal
+from .cosets import subgroup_transversal
 from .homology import restricted_form
 from .intlinalg import from_columns, identity, xgcd
 from .psl2 import Mat2, PMat
@@ -72,29 +78,19 @@ def hermite_split(m):
     return PMat(ua, q * ua - y, uc, q * uc + x), (a, b, d)
 
 
-def intersection_key(key, key_prime, alpha):
-    """Right-coset key of Gamma n alpha^-1 Gamma' alpha from the keys of
-    Gamma and Gamma'.  Write alpha*g = sigma*beta (hermite_split).  If
-    g' g^-1 lies in the intersection, then beta' beta^-1 is in SL2(Z),
-    so beta' == beta and sigma' sigma^-1 lies in Gamma'; conversely
-    those two equalities and a common Gamma coset give membership."""
+def restriction_key(alpha, key_prime):
+    """Right-coset key, on Gamma, of Gamma_1 = Gamma n alpha^-1 Gamma'
+    alpha, from the key of Gamma'.  Write alpha*h = sigma*beta
+    (hermite_split).  For h, h' in Gamma, alpha h' h^-1 alpha^-1 is
+    sigma' beta' beta^-1 sigma^-1, which lies in SL2(Z) only if
+    beta' == beta; so h' h^-1 lies in Gamma_1 exactly when beta' ==
+    beta and sigma' sigma^-1 lies in Gamma'."""
 
-    def key1(g):
-        sigma, beta = hermite_split(alpha * g.lift())
-        return key(g), key_prime(sigma), beta
+    def key(h):
+        sigma, beta = hermite_split(alpha * h.lift())
+        return key_prime(sigma), beta
 
-    return key1
-
-
-def intersection_table(table, alpha, table_prime):
-    """Coset table of Gamma n alpha^-1 Gamma' alpha, for Gamma and Gamma'
-    the groups of the tables: the table of Gamma when alpha s alpha^-1
-    lies in Gamma' for every Schreier generator s of Gamma, else one
-    built on intersection_key."""
-    conj = (conjugate_by(alpha, s) for s in table.schreier_generators())
-    if all(cg is not None and table_prime.contains(cg) for cg in conj):
-        return table
-    return build_cosets(intersection_key(table.key, table_prime.key, alpha))
+    return key
 
 
 def conj_star(forms, alpha, runs, rank):
@@ -176,7 +172,10 @@ def identity_operator(h1):
 
 
 class DoubleCoset:
-    """Prepared double-coset operator [Gamma' alpha Gamma]."""
+    """Prepared double-coset operator [Gamma' alpha Gamma].  Gamma_1 is
+    read through Gamma's table: ``reps`` are the s_r of its cosets s_r t_i
+    (on the key ``key``), ``moves`` their moves by Gamma's steps and
+    ``rhos`` the rho(s_r) of the restriction to it."""
 
     def __init__(self, source, target, alpha):
         if alpha.det() <= 0:
@@ -186,13 +185,10 @@ class DoubleCoset:
         self.source = source
         self.target = target
         self.alpha = alpha
-        k = source.k
-        modulus = source.ring.modulus
-        # Gamma_1 = Gamma n alpha^-1 Gamma' alpha
-        self.table1 = intersection_table(source.table, alpha, target.table)
-        self.reps = subgroup_transversal(self.table1, source.table)
-        self.res_entries = restriction_map(source.table, self.table1, k,
-                                           modulus, self.reps)
+        self.key = restriction_key(alpha, target.table.key)
+        self.reps, self._cosets = subgroup_transversal(self.key, source.table)
+        self.rhos = restriction_map(self.reps, source.k, source.ring.modulus)
+        self._moves = {}
         self.runs = target.quotient.runs
         self._matrix = None
 
@@ -201,12 +197,23 @@ class DoubleCoset:
         """Number of single cosets in the double coset."""
         return len(self.reps)
 
+    def moves(self, g):
+        """The move of the reps by an element g of Gamma: for each s_r,
+        the gamma = s_r' g s_r^-1 in Gamma_1 with s_r g^-1 in the coset
+        of s_r', so that s_r g^-1 == gamma^-1 s_r'.  Memoised per g."""
+        hit = self._moves.get(g.key())
+        if hit is None:
+            reps, cosets, key, ginv = self.reps, self._cosets, self.key, g.inv()
+            hit = self._moves[g.key()] = [reps[cosets[key(s * ginv)]] * g
+                                          * s.inv() for s in reps]
+        return hit
+
     def _images(self, classes):
         """Target coordinates of the images of classes, each given by its
         source coordinates, mapped as one batch."""
         source = self.source
-        forms = [restricted_form(source.chain(c), self.res_entries,
-                                 self.table1, source.k, source.ring.modulus)
+        forms = [restricted_form(source.chain(c), source.quotient.steps,
+                                 self.rhos, self.moves)
                  for c in classes]
         vecs = conj_star(forms, self.alpha, self.runs,
                          self.target.quotient.ambient_rank)

@@ -21,7 +21,8 @@ the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
 rho(g).  The Fox walk, the local quotient, ``d1`` and
 ``restricted_form`` (the subgroup form of a cycle's restriction to a
 smaller group, the first step of a Hecke image; see hecke) read it
-from the table's cache at (k, modulus) (``letter_steps``).  The Fox
+from the table's cache at (k, modulus) (``letter_steps``); the
+smaller group's steps are these with a move of its coset reps.  The Fox
 walk takes one letter at a time (``fox_step``); a cycle walks the
 letters of its reduced word, and a Hecke image walks the runs T^q of
 the word (psl2.word_runs), one step of T per letter pair, with prefix
@@ -195,25 +196,26 @@ def cycle_of(gamma, poly, table, k, modulus=None):
     return fox_expand_unit(table, gamma, tuple(poly), k, modulus)
 
 
-def restricted_form(chain, entries, table, k, m=None):
-    """The subgroup form of the restriction of a cycle to the group of
-    ``table``: a list of (gamma, vector) with gamma in that group.
+def restricted_form(chain, steps, rhos, moves):
+    """The subgroup form of the restriction of a cycle to a subgroup
+    Gamma_1 of the group Gamma of its table: a list of (gamma, vector)
+    with gamma in Gamma_1.
 
-    ``entries`` are the restriction's blockwise entries
-    (symspace.restriction_map).  Each destination block j has one
-    source block, so each nonzero block (slot, i) of the cycle and
-    entry (j, M) of i give the term (gamma, M v), gamma the element of
-    the step of j in the table's letter_steps at (k, m); terms with
-    gamma = 1 are dropped.  ``chain`` must be a cycle: it is not
-    checked here (LocalQuotient.lift checks the classes it lifts).
+    Gamma_1's cosets are the s_r t_i, s_r its reps in Gamma; its step
+    at (r, i) is Gamma's step g at i (read from Gamma's LetterSteps
+    ``steps``) with the element gamma = moves(g)[r], where s_r g^-1 ==
+    gamma^-1 s_r'.  The restriction puts rho(s_r) v (``rhos``, from
+    symspace.restriction_map) at (r, i), so each nonzero block (slot, i)
+    of the cycle gives the terms (gamma, rho(s_r) v).  Terms with
+    gamma = 1 are dropped, and with them every block whose g is 1.
+    ``chain`` must be a cycle: it is not checked here
+    (LocalQuotient.lift checks the classes it lifts).
     """
-    steps = letter_steps(table, k, m)
     terms = []
     for (slot, i), v in chain.items():
-        if any(v):
-            e = _SLOT_STEP[slot]
-            for j, M in entries[i]:
-                gamma = steps[j, slot, e][1]
+        g = steps[i, slot, _SLOT_STEP[slot]][1]
+        if any(v) and not g.is_identity():
+            for M, gamma in zip(rhos, moves(g)):
                 if not gamma.is_identity():
                     terms.append((gamma, v if M is None else
                                   [sum(map(mul, row, v)) for row in M]))

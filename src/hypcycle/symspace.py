@@ -10,8 +10,9 @@ transposed adjugate, and -1 acts trivially in even degree.
 An element of the induced module has one such block per coset of the
 subgroup's table.  Chains over it are sparse dicts keyed by
 (slot, block) (see homology); ``add_image`` accumulates into them.
-The restriction and corestriction maps are their blockwise entries.
-The Hecke side reads the restriction's directly
+The corestriction map is given by its blockwise entries, and the
+restriction by one matrix rho(s_r) per coset rep of the smaller group,
+which the Hecke side reads straight into subgroup form
 (homology.restricted_form): no chain is mapped block by block.  It
 needs no corestriction, since the Fox chain of an element on a larger
 group's table is the corestriction of its chain on a smaller one;
@@ -119,28 +120,14 @@ def reduce_chain(chain, modulus):
     return {key: [x % modulus for x in v] for key, v in chain.items()}
 
 
-def restriction_map(src_table, dst_table, k, modulus, reps):
-    """Coefficient map inducing restriction to a smaller subgroup.
-
-    Sends the block of t to the sum over subgroup-coset representatives
-    s_i (``reps``, as from cosets.subgroup_transversal) of the block of
-    s_i * t carrying s_i-translated coefficients; this is the standard
-    averaging map promoted blockwise to the full induced module, and it
-    is equivariant for the ambient group.  Returns the blockwise
-    entries: ``entries[src_block]`` lists the (dst_block, matrix) pairs,
-    None standing for the identity.  The s_i * t run over the cosets
-    of the smaller group inside Gamma * t, so every destination block
-    has exactly one source block.
-    """
-    entries = []
-    for t in src_table.transversal:
-        row = []
-        for s in reps:
-            g = s * t
-            j, delta = dst_table.coset_of(g)
-            row.append((j, rho(delta.inv() * s, k, modulus)))
-        entries.append(row)
-    return entries
+def restriction_map(reps, k, modulus=None):
+    """Coefficient map inducing restriction to a smaller subgroup, whose
+    cosets in PSL2(Z) are the s_r t_i for s_r its coset representatives
+    in the ambient group (``reps``, as from cosets.subgroup_transversal)
+    and t_i the ambient transversal: the averaging map sends the block
+    of t_i to the block of s_r t_i by rho(s_r), for every i.  Returns
+    the rho(s_r), one per rep, None standing for the identity."""
+    return [rho(s, k, modulus) for s in reps]
 
 
 def corestriction_map(src_table, dst_table, k, modulus=None):

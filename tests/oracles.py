@@ -8,9 +8,17 @@ serves subgroups that have no key, such as the theta group.  It raises
 ``BudgetExceeded`` when the orbit outgrows its bound.  With a
 ``shuffle_seed`` it explores the cosets in a seeded random order, which
 gives the transversals that the invariance tests compare.
-``schreier_transversal`` is the breadth-first transversal over the
-ambient group's Schreier generators that ``cosets.subgroup_transversal``
-replaced by a filter of the smaller table's transversal.
+``schreier_transversal`` is a breadth-first transversal over the
+ambient group's Schreier generators and their inverses, with no
+T-orbits taken first, and ``filter_transversal`` the filter of the
+smaller table's transversal that ``cosets.subgroup_transversal``
+replaced.  ``intersection_key`` and ``intersection_table`` build the
+breadth-first table of an intersection group Gamma n alpha^-1 Gamma'
+alpha, the table of Gamma_1 that a double coset no longer builds
+(``gamma1_table``); ``gamma1_restriction`` adds the blockwise
+restriction onto it (``restriction_entries``, the map that
+``symspace.restriction_map`` replaced), and ``product_table`` is
+Gamma_1's table on the transversal s_r t_i that the double coset reads.
 ``double_coset_predicates`` are the membership tests of the two
 intersection groups of a double coset, written directly from their
 definitions.
@@ -79,7 +87,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 
-from hypcycle.cosets import CosetTable, SubgroupSpec, subgroup_transversal
+from hypcycle.cosets import CosetTable, SubgroupSpec, build_cosets
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
     DoubleCoset,
@@ -87,7 +95,7 @@ from hypcycle.hecke import (
     WrongDivisibility,
     conjugate_by,
     hecke_coset,
-    intersection_table,
+    hermite_split,
 )
 from hypcycle.homology import (
     H1Presentation,
@@ -119,7 +127,7 @@ from hypcycle.symspace import (
     corestriction_map,
     poly_mod,
     reduce_chain,
-    restriction_map,
+    rho,
 )
 
 
@@ -389,27 +397,97 @@ def subgroup_cosets(contains, max_index=100000, shuffle_seed=None):
                           [edges[(i, "U")] for i in range(n)])
 
 
-def schreier_transversal(sub_table, ambient_table):
-    """Representatives, inside the ambient subgroup, of the cosets of
-    the smaller subgroup, found by a breadth-first walk over the
-    ambient group's Schreier generators and their inverses; sorted by
-    the smaller table's coset index."""
+def schreier_transversal(key, ambient_table):
+    """(reps, cosets) as from cosets.subgroup_transversal, for the
+    subgroup with right-coset key ``key`` on the ambient group, found by
+    a breadth-first walk over every Schreier generator of the ambient
+    group and its inverse, with no T-orbits taken first."""
     gens = ambient_table.schreier_generators()
     gens = gens + [g.inv() for g in gens]
-    reps = {0: I}
-    queue = [0]
-    while queue:
-        s = reps[queue.pop(0)]
+    reps, cosets = [I], {key(I): 0}
+    for s in reps:
         for g in gens:
             c = s * g
-            j, _ = sub_table.coset_of(c)
-            if j not in reps:
-                reps[j] = c
-                queue.append(j)
+            if (kc := key(c)) not in cosets:
+                cosets[kc] = len(reps)
+                reps.append(c)
+    return reps, cosets
+
+
+def filter_transversal(sub_table, ambient_table):
+    """Representatives, inside the ambient subgroup, of the cosets of
+    the smaller subgroup: the transversal elements of the smaller
+    group's table that lie in the ambient group.  The smaller group
+    lies in the ambient one, so a coset sub*t lies in the ambient group
+    exactly when t does."""
+    reps = [t for t in sub_table.transversal if ambient_table.contains(t)]
     r = sub_table.index // ambient_table.index
     if len(reps) != r:
-        raise RuntimeError("expected %d cosets, found %d" % (r, len(reps)))
-    return [reps[j] for j in sorted(reps)]
+        raise RuntimeError(
+            "expected %d cosets, found %d; subgroup not inside ambient?"
+            % (r, len(reps)))
+    return reps
+
+
+def intersection_key(key, key_prime, alpha):
+    """Right-coset key of Gamma n alpha^-1 Gamma' alpha from the keys of
+    Gamma and Gamma'.  Write alpha*g = sigma*beta (hermite_split).  If
+    g' g^-1 lies in the intersection, then beta' beta^-1 is in SL2(Z),
+    so beta' == beta and sigma' sigma^-1 lies in Gamma'; conversely
+    those two equalities and a common Gamma coset give membership."""
+
+    def key1(g):
+        sigma, beta = hermite_split(alpha * g.lift())
+        return key(g), key_prime(sigma), beta
+
+    return key1
+
+
+def intersection_table(table, alpha, table_prime):
+    """Coset table of Gamma n alpha^-1 Gamma' alpha, for Gamma and Gamma'
+    the groups of the tables: the table of Gamma when alpha s alpha^-1
+    lies in Gamma' for every Schreier generator s of Gamma, else the
+    breadth-first table on intersection_key."""
+    conj = (conjugate_by(alpha, s) for s in table.schreier_generators())
+    if all(cg is not None and table_prime.contains(cg) for cg in conj):
+        return table
+    return build_cosets(intersection_key(table.key, table_prime.key, alpha))
+
+
+def gamma1_table(dc):
+    """The breadth-first coset table of Gamma_1 = Gamma n alpha^-1 Gamma'
+    alpha of the double coset ``dc``, which the double coset itself no
+    longer builds."""
+    return intersection_table(dc.source.table, dc.alpha, dc.target.table)
+
+
+def gamma1_restriction(dc):
+    """(table, entries): Gamma_1's breadth-first table and the blockwise
+    entries of the restriction onto it from Gamma, on the reps that
+    filter its transversal; the route the double coset took before it
+    read Gamma_1 through Gamma's own table."""
+    table1, k, m = gamma1_table(dc), dc.source.k, dc.source.ring.modulus
+    reps = filter_transversal(table1, dc.source.table)
+    return table1, restriction_entries(dc.source.table, table1, k, m, reps)
+
+
+def product_table(dc):
+    """Gamma_1's coset table on the transversal s_r t_i that the double
+    coset reads (reps s_r, Gamma's transversal t_i; index r*n + i), its
+    steps found by coset lookups on intersection_key."""
+    table = dc.source.table
+    key = intersection_key(table.key, dc.target.table.key, dc.alpha)
+    transversal = [s * t for s in dc.reps for t in table.transversal]
+    cosets = {key(t): j for j, t in enumerate(transversal)}
+    if len(cosets) != len(transversal):
+        raise RuntimeError("two products s_r t_i share a coset")
+    mul = {}
+    for gen, x in (("S", S), ("U", U)):
+        mul[gen] = []
+        for t in transversal:
+            j = cosets[key(t * x)]
+            mul[gen].append((j, t * x * transversal[j].inv()))
+    return CosetTable(key, transversal, mul["S"], mul["U"], cosets)
 
 
 def double_coset_predicates(src_contains, tgt_contains, alpha):
@@ -529,10 +607,10 @@ def fox_expand(word, v):
 
 def apply_blockwise(entries, chain, m=None):
     """A library chain mapped slot by slot through the blockwise entries
-    of a map between induced modules (symspace.restriction_map,
-    corestriction_map): each nonzero block i adds matrix * block into
-    block j for every pair (j, matrix) of ``entries[i]``; reduced mod m
-    over Z/m."""
+    of a map between induced modules (restriction_entries,
+    symspace.corestriction_map): each nonzero block i adds matrix *
+    block into block j for every pair (j, matrix) of ``entries[i]``;
+    reduced mod m over Z/m."""
     out = {}
     for (slot, i), v in chain.items():
         if any(v):
@@ -581,9 +659,26 @@ def _apply_vec(entries, v, dst_table):
     return dense(image, dst_table, v.k, v.modulus).mS
 
 
+def restriction_entries(src_table, dst_table, k, modulus, reps):
+    """Blockwise entries of the restriction to a smaller subgroup: the
+    block of t goes to the block of s_i * t, for every rep s_i, with
+    coefficients rho(delta^-1 s_i), where s_i * t == delta * t'_j on
+    the smaller table.  ``entries[src_block]`` lists the (dst_block,
+    matrix) pairs, None standing for the identity.  This is the map
+    that symspace.restriction_map replaced by one rho(s_i) per rep."""
+    entries = []
+    for t in src_table.transversal:
+        row = []
+        for s in reps:
+            j, delta = dst_table.coset_of(s * t)
+            row.append((j, rho(delta.inv() * s, k, modulus)))
+        entries.append(row)
+    return entries
+
+
 def restrict_coeff(v, sub_table, reps):
-    return _apply_vec(restriction_map(v.table, sub_table, v.k, v.modulus,
-                                      reps), v, sub_table)
+    return _apply_vec(restriction_entries(v.table, sub_table, v.k,
+                                          v.modulus, reps), v, sub_table)
 
 
 def corestrict_coeff(v, sup_table):
@@ -601,8 +696,8 @@ def transfer_res(c, sub_table, reps=None):
     if not boundary1(c).is_zero():
         raise NotACycleOnTransfer("transfer requires a cycle")
     if reps is None:
-        reps = subgroup_transversal(sub_table, c.table)
-    entries = restriction_map(c.table, sub_table, c.k, c.modulus, reps)
+        reps = filter_transversal(sub_table, c.table)
+    entries = restriction_entries(c.table, sub_table, c.k, c.modulus, reps)
     return dense(apply_blockwise(entries, sparse(c), c.modulus), sub_table,
                  c.k, c.modulus)
 

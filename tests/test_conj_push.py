@@ -8,7 +8,8 @@ hundreds of whole laps, on Hecke conjugates (on the target's own table
 and, through the corestriction, on Gamma_2's), and shared by four
 operators on one H1; the subgroup form that ``homology.restricted_form``
 reads off a source cycle, against the restricted chain rewritten by
-``oracles.to_group_chain``; and the Fox-map identities the push rests
+``oracles.to_group_chain`` on Gamma_1's table on the transversal s_r t_i
+that the double coset reads; and the Fox-map identities the push rests
 on, among them that the walk on the target's own table is the
 corestricted walk on Gamma_2's."""
 
@@ -51,8 +52,12 @@ from oracles import (
     dense,
     fox_expand,
     gamma0p_intersection,
+    gamma1_restriction,
+    gamma1_table,
     gamma2_table,
     power,
+    product_table,
+    restriction_entries,
     sparse,
     to_group_chain,
 )
@@ -138,13 +143,14 @@ def test_conj_star_matches_letter_walk(case):
     dc = double_coset(spec, k, ring, p, op)
     assume(gamma2_table(dc).index * (2 * k + 1) <= MAX_WORK)
     quotient, m = dc.target.quotient, ring.modulus
+    table1, entries = gamma1_restriction(dc)
     for i, unit in enumerate(identity(dc.source.ngens)[:3]):
-        rc = apply_blockwise(dc.res_entries, dc.source.generator_chain(i), m)
-        walk = conj_star_letter_walk(dense(rc, dc.table1, k, m), dc)
+        rc = apply_blockwise(entries, dc.source.generator_chain(i), m)
+        walk = conj_star_letter_walk(dense(rc, table1, k, m), dc)
         expect = quotient.project(sparse(walk))
         # each element's Fox map is read into coordinates once per
         # batch; batches of 1, 2k and 2k+1 copies of the cycle reuse it
-        form = to_group_chain(rc, dc.table1, k, m)
+        form = to_group_chain(rc, table1, k, m)
         for size in (1, 2 * k, 2 * k + 1):
             got = conj_star([form] * size, dc.alpha, dc.runs,
                             quotient.ambient_rank)
@@ -234,13 +240,15 @@ def test_whole_laps_match_letter_walk(name, k, ring):
 
 def operator_by_letter_walk(dc):
     """The matrix of a double coset, column by column from the letter
-    walk on Gamma_2 (oracles.conj_star_letter_walk)."""
+    walk on Gamma_2 (oracles.conj_star_letter_walk) of the restriction
+    to Gamma_1's breadth-first table (oracles.gamma1_restriction)."""
     source, target = dc.source, dc.target
     k, m = source.k, source.ring.modulus
+    table1, entries = gamma1_restriction(dc)
     cols = []
     for i in range(source.ngens):
-        rc = apply_blockwise(dc.res_entries, source.generator_chain(i), m)
-        walk = conj_star_letter_walk(dense(rc, dc.table1, k, m), dc)
+        rc = apply_blockwise(entries, source.generator_chain(i), m)
+        walk = conj_star_letter_walk(dense(rc, table1, k, m), dc)
         cols.append(list(target.module.coords(
             target.quotient.project(sparse(walk)))))
     return [list(row) for row in zip(*cols)]
@@ -286,19 +294,23 @@ def test_shared_run_sums_match_letter_walk():
     ("gamma0:2", 13, 3, ZZ),
 ])
 def test_run_walk_on_hecke_conjugates(name, p, k, ring):
-    # the conjugates that a Hecke matrix walks, through the double
-    # coset's RunSums on the target's own table and through one on
-    # Gamma_2 read through the corestriction, against the letter walk on
-    # Gamma_2, corestricted: their runs start all over the orbits, so
-    # they read differences of two prefix sums and runs that pass an
-    # orbit's end, on Gamma_0(N) many times over at the orbit of width 1
+    # the conjugates that a Hecke matrix walks (of the elements that
+    # the reps' moves give, and of the Schreier generators of Gamma_1's
+    # breadth-first table), through the double coset's RunSums on the
+    # target's own table and through one on Gamma_2 read through the
+    # corestriction, against the letter walk on Gamma_2, corestricted:
+    # their runs start all over the orbits, so they read differences of
+    # two prefix sums and runs that pass an orbit's end, on Gamma_0(N)
+    # many times over at the orbit of width 1
     h1 = compute_h1(SubgroupSpec.parse(name), k, ring)
     dc = DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
     m = ring.modulus
     gamma2 = corestricted_quotient(dc)
     rng = random.Random(p)
     poly = [rng.randint(-9, 9) for _ in range(2 * k + 1)]
-    for gamma in dc.table1.schreier_generators():
+    moved = [gamma for g in h1.table.schreier_generators()
+             for gamma in dc.moves(g) if not gamma.is_identity()]
+    for gamma in moved + gamma1_table(dc).schreier_generators():
         cg = conjugate_by(dc.alpha, gamma)
         chain = fox_expand(decompose_word(cg),
                            IndVec.unit(gamma2.table, k, poly, modulus=m))
@@ -321,16 +333,21 @@ def form_terms(form, m):
 def test_restricted_form_matches_oracle(case):
     # the subgroup form read off the source cycle, against the old
     # route: restrict the cycle blockwise to a chain on Gamma_1, then
-    # rewrite that chain by its letter steps
+    # rewrite that chain by its letter steps.  Gamma_1's table is the
+    # one on the transversal s_r t_i that the double coset reads, its
+    # steps found by coset lookups on the intersection key, and the
+    # restriction's entries by coset lookups on it
     spec, k, ring, p, op = case
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
     m = ring.modulus
+    table1 = product_table(dc)
+    entries = restriction_entries(dc.source.table, table1, k, m, dc.reps)
     for i in range(min(dc.source.ngens, 3)):
         c = dc.source.generator_chain(i)
-        got = restricted_form(c, dc.res_entries, dc.table1, k, m)
-        want = to_group_chain(apply_blockwise(dc.res_entries, c, m),
-                              dc.table1, k, m)
+        got = restricted_form(c, dc.source.quotient.steps, dc.rhos,
+                              dc.moves)
+        want = to_group_chain(apply_blockwise(entries, c, m), table1, k, m)
         assert form_terms(got, m) == form_terms(want, m)
 
 

@@ -1,7 +1,8 @@
 """Keyed coset tables against the predicate enumeration of
 ``oracles.subgroup_cosets``, which decides coset equality by membership
 alone: the same transversal and multiplication tables for Gamma_H(N),
-the same intersection tables inside every kind of double coset, and the
+the same intersection tables inside every kind of double coset (and the
+same Gamma_1 cosets by the double coset's own key on Gamma), and the
 same cosets as a walk along the word of an element."""
 
 from math import gcd
@@ -23,6 +24,7 @@ from oracles import (
     beta_matrix,
     double_coset_predicates,
     gamma0p_intersection,
+    gamma1_table,
     gamma2_table,
     subgroup_cosets,
 )
@@ -126,9 +128,15 @@ def test_double_coset_tables_match_oracle(spec, p, w):
     for label, dc in double_cosets(spec, p):
         pred1, pred2 = double_coset_predicates(
             dc.source.table.contains, dc.target.table.contains, dc.alpha)
-        for keyed, pred in ((dc.table1, pred1), (gamma2_table(dc), pred2)):
+        for keyed, pred in ((gamma1_table(dc), pred1),
+                            (gamma2_table(dc), pred2)):
             oracle = subgroup_cosets(pred)
             assert keyed.index == oracle.index, (label, spec, p)
             same_table(keyed, oracle)
             assert keyed.coset_of(g) == oracle.coset_of(g), (label, spec, p)
             assert keyed.contains(g) == pred(g)
+        # the double coset's own key of Gamma_1 on Gamma: two elements
+        # of Gamma share a key exactly when they share a Gamma_1 coset
+        if dc.source.table.contains(g):
+            for s in dc.reps:
+                assert (dc.key(g) == dc.key(s)) == pred1(g * s.inv())

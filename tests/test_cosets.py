@@ -187,9 +187,11 @@ class TestSubgroupTransversal:
             return spec.contains(g) and g.b % 2 == 0
 
         sub = subgroup_cosets(pred)
-        reps = subgroup_transversal(sub, amb)
-        assert len(reps) == 3
+        reps, cosets = subgroup_transversal(
+            lambda g: sub.coset_of(g)[0], amb)
+        assert len(reps) == 3 and reps[0].is_identity()
         assert all(spec.contains(r) for r in reps)
+        assert cosets == {sub.coset_of(r)[0]: i for i, r in enumerate(reps)}
         # pairwise inequivalent modulo the subgroup
         for i, r1 in enumerate(reps):
             for r2 in reps[i + 1:]:

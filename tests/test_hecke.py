@@ -5,7 +5,7 @@ import pytest
 
 from hypcycle import cli
 from hypcycle.boundary import cusp_data
-from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
+from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.hecke import (
     ConjugateLeavesGroup,
     DoubleCoset,
@@ -18,7 +18,7 @@ from hypcycle.hecke import (
     identity_operator,
 )
 from hypcycle.homology import RunSums, compute_h1, cycle_of
-from hypcycle.intlinalg import QQ, RingSpec, ZZ, identity
+from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns, identity
 from hypcycle.psl2 import (
     HYPERBOLIC,
     I,
@@ -33,16 +33,21 @@ from oracles import (
     Chain1,
     IndVec,
     NotACycleOnTransfer,
+    apply_blockwise,
     beta_matrix,
     boundary1,
     compose,
     cycle_coords_of,
     dense,
     equals,
+    filter_transversal,
     gamma0p_intersection,
+    intersection_key,
+    intersection_table,
     is_zero,
     pi_phi_V,
     plus,
+    restriction_entries,
     scaled,
     subgroup_cosets,
     to_group_chain,
@@ -74,7 +79,7 @@ def orbit_formula_image(alpha, gamma, w, src_table, tgt_contains):
         return cg is not None and tgt_contains(cg)
 
     t1 = subgroup_cosets(pred1)
-    reps = subgroup_transversal(t1, src_table)
+    reps = filter_transversal(t1, src_table)
     r = len(reps)
     nu = {}
     for i, s in enumerate(reps):
@@ -310,28 +315,33 @@ class TestDiamond:
     def test_diamond_reuses_the_group_table(self, monkeypatch):
         # beta in Gamma_0(N) normalizes Gamma_1(N): the intersection
         # groups are Gamma_1(N) itself, and no table is built for them;
-        # the operator equals the one through the intersection tables
-        import hypcycle.hecke as hecke
+        # the operator equals the one through a Gamma_1 table built on
+        # the intersection key
+        from hypcycle.cosets import CosetTable
 
         h1 = compute_h1(SubgroupSpec.gamma1(9), 1, ZZ)
         built = []
-        monkeypatch.setattr(hecke, "build_cosets",
-                            lambda key: built.append(key) or build_cosets(key))
+        init = CosetTable.__init__
+        monkeypatch.setattr(CosetTable, "__init__", lambda self, *args:
+                            built.append(args[0]) or init(self, *args))
         dc = DoubleCoset(h1, h1, diamond_matrix(9, 2))
-        assert dc.table1 is h1.table and built == []
+        # one coset, the identity's, and no table of Gamma_1 built
+        assert dc.reps == [I] and built == []
+        assert intersection_table(h1.table, dc.alpha, h1.table) is h1.table
         # Gamma_2 = Gamma_1(N) too, though the double coset builds none
-        table2 = hecke.intersection_table(h1.table, dc.alpha.adjugate(),
-                                          h1.table)
+        table2 = intersection_table(h1.table, dc.alpha.adjugate(), h1.table)
         assert table2 is h1.table and built == []
-        reused = dc.operator()
-        monkeypatch.setattr(
-            hecke, "intersection_table", lambda table, alpha, table_prime:
-            hecke.build_cosets(hecke.intersection_key(
-                table.key, table_prime.key, alpha)))
-        dc = DoubleCoset(h1, h1, diamond_matrix(9, 2))
-        # the double coset builds Gamma_1's table, and no other
-        assert dc.table1 is not h1.table and len(built) == 1
-        assert equals(dc.operator(), reused)
+        table1 = build_cosets(intersection_key(h1.table.key, h1.table.key,
+                                               dc.alpha))
+        assert len(built) == 1 and table1.index == h1.table.index
+        m = h1.ring.modulus
+        entries = restriction_entries(h1.table, table1, 1, m, [I])
+        forms = [to_group_chain(apply_blockwise(entries, h1.generator_chain(i),
+                                                m), table1, 1, m)
+                 for i in range(h1.ngens)]
+        vecs = conj_star(forms, dc.alpha, dc.runs, h1.quotient.ambient_rank)
+        assert dc.operator().matrix == from_columns(
+            [h1.module.coords(v) for v in vecs], h1.ngens)
 
     @pytest.mark.parametrize("group,k,ring,d", [
         ("gamma1:9", 1, ZZ, 8),

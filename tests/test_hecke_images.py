@@ -28,6 +28,8 @@ from hypcycle.psl2 import Mat2
 from oracles import (
     apply_blockwise,
     equals,
+    gamma1_restriction,
+    gamma1_table,
     schreier_transversal,
     to_group_chain,
 )
@@ -82,11 +84,12 @@ def test_apply_coords_matches_operator_matrix(case, data):
     # the matrix against columns lifted from the module's generators
     # directly, not through H1Presentation.chain, and mapped one by one
     m = ring.modulus
+    table1, entries = gamma1_restriction(dc)
     cols = []
     for i in range(h1.ngens):
         generator = [row[i] for row in h1.module.gen_lift]
-        c = apply_blockwise(dc.res_entries, h1.quotient.lift(generator), m)
-        vec, = hecke.conj_star([to_group_chain(c, dc.table1, k, m)],
+        c = apply_blockwise(entries, h1.quotient.lift(generator), m)
+        vec, = hecke.conj_star([to_group_chain(c, table1, k, m)],
                                dc.alpha, dc.runs, h1.quotient.ambient_rank)
         cols.append(list(h1.module.coords(vec)))
     assert dc.operator().matrix == from_columns(cols, h1.ngens)
@@ -140,20 +143,23 @@ TRANSVERSAL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TRANSVERSAL_CASES))
 def test_transversal_matches_schreier_walk(case, monkeypatch):
-    # the transversal of Gamma_1 in Gamma read off Gamma_1's table: its
-    # elements lie in Gamma, one per coset of Gamma_1 in Gamma, and the
-    # operator equals the one built on the breadth-first walk over
-    # Gamma's Schreier generators
+    # the transversal of Gamma_1 in Gamma that the orbit walk finds: its
+    # elements lie in Gamma, one per coset of Gamma_1 in Gamma (on the
+    # breadth-first table of Gamma_1), and the operator equals the one
+    # built on the breadth-first walk over Gamma's Schreier generators
+    # and their inverses, which finds other reps of the same cosets
     group, k, alpha = TRANSVERSAL_CASES[case]
     h1 = compute_h1(SubgroupSpec.parse(group), k, ZZ)
     dc = DoubleCoset(h1, h1, alpha(h1))
+    table1 = gamma1_table(dc)
     assert all(h1.table.contains(s) for s in dc.reps)
-    cosets = [dc.table1.coset_of(s)[0] for s in dc.reps]
+    cosets = [table1.coset_of(s)[0] for s in dc.reps]
     assert len(set(cosets)) == len(cosets)
-    assert len(cosets) == dc.table1.index // h1.table.index
+    assert len(cosets) == table1.index // h1.table.index
     monkeypatch.setattr(hecke, "subgroup_transversal", schreier_transversal)
     walked = DoubleCoset(h1, h1, alpha(h1))
-    assert [walked.table1.coset_of(s)[0] for s in walked.reps] == cosets
+    assert (sorted(table1.coset_of(s)[0] for s in walked.reps)
+            == sorted(cosets))
     assert walked.operator().matrix == dc.operator().matrix
 
 

@@ -37,6 +37,7 @@ from oracles import (
     dense,
     evaluate_word,
     fox_expand,
+    gamma1_table,
     group_chain_to_chain1,
     sparse,
     subgroup_cosets,
@@ -535,7 +536,7 @@ def test_letter_steps_match_transversal(name):
     # g^-1 t_j == t_i gen^e with g in the subgroup
     if name.startswith("T2"):
         h1 = compute_h1(SubgroupSpec.gamma0(7), 0, ZZ)
-        table = DoubleCoset(h1, h1, Mat2(1, 0, 0, 2)).table1
+        table = gamma1_table(DoubleCoset(h1, h1, Mat2(1, 0, 0, 2)))
     else:
         table = build_cosets(SubgroupSpec.parse(name))
     for k, m in ((0, None), (1, None), (2, 9)):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypcycle.cosets import SubgroupSpec, build_cosets, subgroup_transversal
+from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.intlinalg import from_columns, identity, subquotient
 from hypcycle.psl2 import I, Mat2, S, T
 from hypcycle.symspace import (
@@ -15,6 +15,7 @@ from oracles import (
     TP,
     IndVec,
     corestrict_coeff,
+    filter_transversal,
     ind_act,
     monomial,
     poly_add,
@@ -184,7 +185,7 @@ class TestRestrictCorestrict:
 
         self.pred = pred
         self.sub = subgroup_cosets(pred)
-        self.reps = subgroup_transversal(self.sub, self.amb)
+        self.reps = filter_transversal(self.sub, self.amb)
 
     def test_restrict_identity_when_equal(self):
         rng = random.Random(51)
