@@ -217,7 +217,7 @@ class DoubleCoset:
                  for c in classes]
         vecs = conj_star(forms, self.alpha, self.runs,
                          self.target.quotient.ambient_rank)
-        return [self.target.module.coords(v) for v in vecs]
+        return [self.target.coords(v) for v in vecs]
 
     def apply_coords(self, coords):
         """Target coordinates of the image of one class, given by its

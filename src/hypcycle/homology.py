@@ -22,11 +22,14 @@ rho(g).  The Fox walk, the local quotient, ``d1`` and
 ``restricted_form`` (the subgroup form of a cycle's restriction to a
 smaller group, the first step of a Hecke image; see hecke) read it
 from the table's cache at (k, modulus) (``letter_steps``); the
-smaller group's steps are these with a move of its coset reps.  The Fox
-walk takes one letter at a time (``fox_step``); a cycle walks the
-letters of its reduced word, and a Hecke image walks the runs T^q of
-the word (psl2.word_runs), one step of T per letter pair, with prefix
-sums along the T-orbits (``RunSums``, one per LocalQuotient).
+smaller group's steps are these with a move of its coset reps.  One
+walk reads every element into ambient coordinates: ``RunSums``, one
+per LocalQuotient, walks the runs T^q of the element's word
+(psl2.word_runs) along the T-orbits, with prefix sums within an orbit
+and closed-form sums over its whole laps, and its single letters one
+at a time (``fox_step``).  A cycle z(gamma) (``cycle_of``) and each
+conjugated term of a Hecke image are read by the same walk; no chain of
+either is built.
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
@@ -40,6 +43,7 @@ of the induced module is ever built.
 
 from collections import namedtuple
 from functools import cached_property
+from math import comb
 from operator import add, mul, sub
 
 from .cosets import build_cosets
@@ -54,7 +58,7 @@ from .intlinalg import (
     smith_normal_form_full,
     subquotient,
 )
-from .psl2 import T_LETTERS, decompose_word, quadratic_form, word_runs
+from .psl2 import T_LETTERS, quadratic_form, word_runs
 from .symspace import act, add_image, poly_mod, poly_pow, reduce_chain, rho
 
 
@@ -155,45 +159,23 @@ def fox_step(steps, groups, block, mat, gen, e, modulus=None):
     return block, mat if A is None else _compose(A, mat, modulus)
 
 
-def _fox_unit_map(table, g, k, modulus):
-    """Entries (slot, block, matrix), one per (slot, block), so that the
-    chain of (g - 1) tensor (poly at block 0) is the sum of matrix * poly
-    placed at the given slot and block; None stands for the identity.
-    The word of g is walked letter by letter (fox_step) by the product
-    rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v, reading each step
-    from the table's letter_steps at (k, modulus)."""
-    steps = letter_steps(table, k, modulus)
-    groups = {}
-    block = 0
-    mat = None  # None means identity so far
-    for gen, e in reversed(decompose_word(g)):
-        block, mat = fox_step(steps, groups, block, mat, gen, e, modulus)
-    return merge_blocks(groups, 2 * k + 1, modulus)
-
-
-def fox_expand_unit(table, g, poly, k, modulus=None):
-    """The chain of (g - 1) tensor (poly at block 0), via the per-element
-    Fox map."""
-    out = {}
-    for slot, blk, M in _fox_unit_map(table, g, k, modulus):
-        add_image(out, (slot, blk), M, poly)
-    return reduce_chain(out, modulus)
-
-
-def cycle_of(gamma, poly, table, k, modulus=None):
-    """The chain of (gamma - 1) tensor (poly at the identity block).
-
-    Requires gamma in the subgroup of the table and poly invariant
-    under gamma (e.g. a power of its quadratic form); raises NotACycle
-    otherwise.
-    """
-    if table.coset_of(gamma)[0] != 0:
+def cycle_of(gamma, poly, quotient):
+    """Ambient coordinates in the LocalQuotient ``quotient`` of the cycle
+    (gamma - 1) tensor (poly at the identity block): the run walk of
+    gamma (``quotient.runs``) applied to poly.  Requires gamma in the
+    subgroup and poly invariant under gamma (e.g. a power of its
+    quadratic form); raises NotACycle otherwise."""
+    modulus = quotient.modulus
+    if quotient.table.coset_of(gamma)[0] != 0:
         raise NotACycle("element is not in the subgroup of the table")
     moved = act(gamma.lift(), poly, modulus)
     base = poly_mod(poly, modulus) if modulus else tuple(poly)
     if tuple(moved) != base:
         raise NotACycle("coefficient is not invariant under the element")
-    return fox_expand_unit(table, gamma, tuple(poly), k, modulus)
+    out = [0] * quotient.ambient_rank
+    for idx, row in quotient.runs.project(gamma):
+        out[idx] = sum(map(mul, row, poly))
+    return [x % modulus for x in out] if modulus else out
 
 
 def restricted_form(chain, steps, rhos, moves):
@@ -231,26 +213,52 @@ def _add_rows(acc, pairs, M):
         acc[idx] = list(map(add, acc[idx], r)) if idx in acc else r
 
 
+def lap_sums(P, n, d, powers, modulus=None):
+    """(S_n, P^n), S_n = I + P + ... + P^(n-1), for a d x d matrix P (None
+    for the identity) with N = P - I nilpotent, N^d = 0, like rho of a
+    parabolic element.  As P^j = sum_i C(j, i) N^i, S_n is the sum of
+    C(n, i+1) N^i and P^n that of C(n, i) N^i over i < min(n+1, d).
+    ``powers`` holds the N^i built so far (empty at first) and grows to
+    N^min(n, d-1); reduced mod m if a modulus is given, P^n None if P is."""
+    if not powers:  # N^0 and N
+        powers += [identity(d), [[x - (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(P or identity(d))]]
+    top = min(n, d - 1)
+    while len(powers) <= top:
+        powers.append(_compose(powers[1], powers[-1], modulus))
+    S, Pn = ([[0] * d for _ in range(d)] for _ in range(2))
+    for i in range(top + 1):
+        for acc, c in ((S, comb(n, i + 1)), (Pn, comb(n, i))):
+            if c:
+                for r, t in zip(acc, powers[i]):
+                    r[:] = [x + c * y for x, y in zip(r, t)]
+    if modulus:
+        S, Pn = ([[x % modulus for x in row] for row in M] for M in (S, Pn))
+    return S, Pn if P else None
+
+
 class _Orbit:
     """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, extended
     to a reach R <= w: for t <= R the twists Pi_t, their inverses and
-    the prefix sums PS_t; and, for n up to the most laps a run has
-    made, the lap sums R_n and P^n (see RunSums)."""
+    the prefix sums PS_t; the powers of lap_sums; and R_n and P^n for
+    each lap count n that a run has read (see RunSums)."""
 
-    __slots__ = ("blocks", "pi", "pinv", "ps", "laps")
+    __slots__ = ("blocks", "pi", "pinv", "ps", "powers", "laps")
 
     def __init__(self, blocks):
         self.blocks = blocks
         self.pi = [None]
         self.pinv = [None]
         self.ps = [{}]
-        self.laps = [({}, None)]
+        self.powers = []
+        self.laps = {}
 
 
 class RunSums:
     """The Fox walk of elements of the group of a LocalQuotient's table
     read straight into its coordinates through its readers, one step
-    per run T^q of their words (psl2.word_runs).
+    per run T^q of their words (psl2.word_runs): the cycles z(gamma)
+    (``cycle_of``) and the conjugated terms of Hecke images alike.
 
     One step of T^s (s = +-1) is the two letters of T^s, walked as in
     ``fox_step``.  Along a T^s-orbit b_0 -> b_1 -> ... -> b_(w-1)
@@ -263,16 +271,18 @@ class RunSums:
     X = Pi_t^-1 M it adds (R_n - PS_t) X + PS_r P^n X to the element's
     projected map, where R_n = PS_w (I + P + ... + P^(n-1)) are the
     lap sums (R_0 = 0), and leaves b_r with Pi_r P^n X.  A run within
-    one lap (n = 0) is the difference of two prefix sums.
+    one lap (n = 0) is the difference of two prefix sums.  P is rho of
+    a conjugate of T^(+-w), so R_n and P^n have a closed form
+    (``lap_sums``) however many laps a run makes.
 
     An orbit is found when a run first enters it, and its sums are
     extended only as far as runs reach: the prefix sums to the furthest
-    position, the lap sums to the most laps; Pi^-1 is carried from the
-    steps of T^-s, which walk the orbit backwards, as far as runs start.
-    Single letters take one fox_step each, and their deposits are read
-    once per block.  Nothing depends on the element walked, so one
-    RunSums (``LocalQuotient.runs``) serves every double coset into
-    the quotient's H1.
+    position, the lap sums to the lap counts that runs read; Pi^-1 is
+    carried from the steps of T^-s, which walk the orbit backwards, as
+    far as runs start.  Single letters take one fox_step each, and their
+    deposits are read once per block.  Nothing depends on the element
+    walked, so one RunSums (``LocalQuotient.runs``) serves every cycle
+    and every double coset into the quotient's H1.
     """
 
     def __init__(self, quotient):
@@ -312,14 +322,18 @@ class RunSums:
         n, r = divmod(t + q, len(orbit.blocks))
         self._extend(s, orbit, len(orbit.blocks) if n else r)
         hi, Pn = self._laps(orbit, n) if n else (orbit.ps[r], None)
-        lo = orbit.ps[t]  # lo's indices are among hi's
+        # lo's indices are among hi's; _extend shares every twist and row
+        # that a step leaves unchanged, so they compare by identity
+        lo = orbit.ps[t]
         rows = [(idx, list(map(sub, row, lo[idx])) if idx in lo else row)
-                for idx, row in hi.items()]
+                for idx, row in hi.items() if row is not lo.get(idx)]
         X = _compose(self._inverse(s, orbit, t), mat, m)
         _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
         if n:
             X = _compose(Pn, X, m)
             _add_rows(proj, orbit.ps[r].items(), X)
+        elif orbit.pi[r] is orbit.pi[t]:  # no step between t and r twists
+            return orbit.blocks[r], mat
         return orbit.blocks[r], _compose(orbit.pi[r], X, m)
 
     def _position(self, s, block):
@@ -356,15 +370,15 @@ class RunSums:
             pi.append(M)
 
     def _laps(self, orbit, n):
-        """(R_n, P^n), extending the lap sums as far as n, one lap at a
-        time: R_(j+1) = R_j + PS_w P^j.  The orbit is extended to w."""
-        laps, m, w = orbit.laps, self.modulus, len(orbit.blocks)
-        for j in range(len(laps) - 1, n):
-            R, Pj = laps[j]
-            acc = dict(R)  # sums are never changed
-            _add_rows(acc, orbit.ps[w].items(), Pj)
-            laps.append((acc, _compose(orbit.pi[w], Pj, m)))
-        return laps[n]
+        """(R_n, P^n) by lap_sums, memoised per n.  The orbit is extended
+        to w."""
+        hit = orbit.laps.get(n)
+        if hit is None:
+            w, m = len(orbit.blocks), self.modulus
+            S, Pn = lap_sums(orbit.pi[w], n, self.d, orbit.powers, m)
+            hit = orbit.laps[n] = {}, Pn
+            _add_rows(hit[0], orbit.ps[w].items(), S)
+        return hit
 
     def _inverse(self, s, orbit, t):
         """Pi_t^-1, extending the inverses as far as t: runs start at
@@ -391,8 +405,8 @@ class H1Presentation:
 
     The ambient coordinates of the module are those of C1 modulo the
     local relations, restricted to the generators off the spanning
-    tree (see LocalQuotient); ``coords`` projects a cycle there and
-    solves in the kernel basis, and ``chain`` lifts generator
+    tree (see LocalQuotient); ``coords`` solves a cycle's ambient
+    coordinates in the kernel basis, and ``chain`` lifts generator
     coordinates back to a cycle.
     """
 
@@ -416,9 +430,11 @@ class H1Presentation:
     def ngens(self):
         return self.module.ngens
 
-    def coords(self, chain):
-        """Generator coordinates of a cycle (over Z/m: a cycle mod m)."""
-        return self.module.coords(self.quotient.project(chain))
+    def coords(self, vec):
+        """Generator coordinates of a cycle, given by its ambient
+        coordinates (``quotient.project`` of a chain, ``cycle_of``, or a
+        Hecke image); over Z/m the vector is reduced mod m."""
+        return self.module.coords(vec)
 
     def chain(self, coords):
         """A cycle with the given generator coordinates."""
@@ -431,15 +447,10 @@ class H1Presentation:
         """Coordinates of z(gamma) = (gamma - 1) tensor q_gamma^k;
         NotDefinedForElliptic if gamma is elliptic or the identity."""
         poly = poly_pow(quadratic_form(gamma), self.k)
-        return self.coords(cycle_of(gamma, poly, self.table, self.k,
-                                    self.ring.modulus))
+        return self.coords(cycle_of(gamma, poly, self.quotient))
 
     def reduce_coords(self, coords):
         return self.module.reduce_coords(coords)
-
-
-def _dot(row, x):
-    return sum(a * y for a, y in zip(row, x) if y)
 
 
 # one ambient coordinate of C1 / im d2: row.x_block - prow.x_root (prow
@@ -565,7 +576,7 @@ class LocalQuotient:
         out = [0] * len(self.coords)
         for key, v in chain.items():
             for j, row in self.readers.get(key, ()):
-                out[j] += _dot(row, v)
+                out[j] += sum(map(mul, row, v))
         return self._reduce(out)
 
     def lift(self, vec):

@@ -414,9 +414,8 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     pmk = PModule(hk.module, p, 1)
     dec0 = ordinary_idempotent(pm0.reduce_matrix(U0.matrix), pm0)
     deck = ordinary_idempotent(pmk.reduce_matrix(Uk.matrix), pmk)
-    J = from_columns([list(hk.coords(_j_star_chain(h0.generator_chain(i),
-                                                   k, p)))
-                      for i in range(h0.ngens)], hk.ngens)
+    J = from_columns([list(hk.coords(hk.quotient.project(_j_star_chain(
+        h0.generator_chain(i), k, p)))) for i in range(h0.ngens)], hk.ngens)
     equivariant = all(
         (x - y) % p == 0
         for lrow, rrow in zip(mat_mul(J, U0.matrix), mat_mul(Uk.matrix, J))

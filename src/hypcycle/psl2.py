@@ -8,9 +8,8 @@ so T = S*U in PSL2(Z).  A word is a tuple of letters ('S', 1),
 generator.  The reduced word of an element comes as runs
 (``word_runs``): letters and powers ('T', q) read off the quotients of
 a nearest-integer Euclidean reduction, so a word of n letters costs one
-step per quotient, not per letter.  The Hecke walk takes a run in one
-step (homology.RunSums); ``decompose_word`` spells the runs out letter by
-letter for the letter walk of a cycle (homology.fox_step).
+step per quotient, not per letter.  The one walk of cycles and Hecke
+images takes a run in one step (homology.RunSums).
 """
 
 from math import gcd
@@ -215,18 +214,6 @@ def word_runs(g):
     # now +-(1, m; 0, 1): a = d = +-1, so the T-power is b/a = b*a
     _push_run(runs, b * a)
     return tuple(runs)
-
-
-def decompose_word(g):
-    """The reduced word in S, U (a tuple of letters) evaluating to g in
-    PSL2(Z): the runs of ``word_runs`` spelled out."""
-    letters = []
-    for gen, e in word_runs(g):
-        if gen == "T":
-            letters.extend(T_LETTERS[1 if e > 0 else -1] * abs(e))
-        else:
-            letters.append((gen, e))
-    return tuple(letters)
 
 
 def quadratic_form(g):

@@ -34,9 +34,14 @@ cokernels and the spanning tree of ``homology.LocalQuotient``.
 vectors, and ``conj_star_letter_walk`` is the conjugation push built on
 it: each conjugated term is expanded by walking its word on the table
 of Gamma_2 (``gamma2_table``), and the whole chain is corestricted
-afterwards.  They share no code with the cached, merged Fox maps of
-``homology`` and the run walk of ``hecke.conj_star`` on Gamma''s own
-table.  ``CorestrictedReaders`` and ``corestricted_quotient`` are the
+afterwards.  They share no code with the run walk of
+``homology.RunSums`` that ``hecke.conj_star`` and
+``homology.cycle_of`` read through.  ``fox_expand_unit`` is the letter
+walk that run walk replaced: the word of an element spelled letter by
+letter (``decompose_word``) and walked by ``homology.fox_step``, each
+block's matrices merged, giving the chain of (g - 1) tensor v; it is
+the reference for the cycles z(gamma) (``cycle_coords_of``).
+``CorestrictedReaders`` and ``corestricted_quotient`` are the
 route that walk replaced: the run walk on Gamma_2's table, read through
 the target's readers composed with the corestriction.  ``ind_act``, ``boundary2``,
 ``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
@@ -57,8 +62,9 @@ convert where they hand a chain to the library or take one back.
 
 ``zero_poly``, ``poly_add``, ``poly_sub``, ``poly_scale``,
 ``monomial``, ``x2_power``, ``cycle_coords_of`` (the coordinates of
-(gamma - 1) tensor w for any w that gamma fixes, where
-``H1Presentation.cycle_coords`` takes w = q_gamma^k),
+(gamma - 1) tensor w for any w that gamma fixes, by the letter walk,
+where ``H1Presentation.cycle_coords`` takes w = q_gamma^k by the run
+walk),
 ``letter_step`` (right multiplication of a coset by a word letter,
 composed from the table's mulS/mulU), ``TP``, ``word_from_letters`` (the
 stack reduction of a letter sequence) and ``letter_word`` (the reduced
@@ -101,8 +107,9 @@ from hypcycle.homology import (
     H1Presentation,
     NotACycle,
     compute_h1,
-    cycle_of,
-    fox_expand_unit,
+    fox_step,
+    letter_steps,
+    merge_blocks,
 )
 from hypcycle.intlinalg import (
     ColumnEchelon,
@@ -119,7 +126,7 @@ from hypcycle.intlinalg import (
     xgcd,
     zeros,
 )
-from hypcycle.psl2 import I, Mat2, PMat, S, U, decompose_word
+from hypcycle.psl2 import T_LETTERS, I, Mat2, PMat, S, U, word_runs
 from hypcycle.symspace import (
     act,
     act_matrix,
@@ -158,10 +165,44 @@ def x2_power(k):
     return monomial(k, 2 * k)
 
 
+def decompose_word(g):
+    """The reduced word in S, U (a tuple of letters) evaluating to g in
+    PSL2(Z): the runs of ``psl2.word_runs`` spelled out letter by
+    letter."""
+    letters = []
+    for gen, e in word_runs(g):
+        if gen == "T":
+            letters.extend(T_LETTERS[1 if e > 0 else -1] * abs(e))
+        else:
+            letters.append((gen, e))
+    return tuple(letters)
+
+
+def fox_expand_unit(table, g, poly, k, modulus=None):
+    """The chain of (g - 1) tensor (poly at block 0), by the letter walk:
+    the word of g (``decompose_word``) walked one letter at a time by
+    ``homology.fox_step``, by the product rule (gh - 1) x v =
+    (g - 1) x hv + (h - 1) x v, each (slot, block)'s matrices merged
+    before they act on poly.  This is the walk that the run walk of
+    ``homology.RunSums`` replaced."""
+    steps = letter_steps(table, k, modulus)
+    groups = {}
+    block, mat = 0, None
+    for gen, e in reversed(decompose_word(g)):
+        block, mat = fox_step(steps, groups, block, mat, gen, e, modulus)
+    out = {}
+    for slot, blk, M in merge_blocks(groups, 2 * k + 1, modulus):
+        add_image(out, (slot, blk), M, tuple(poly))
+    return reduce_chain(out, modulus)
+
+
 def cycle_coords_of(h1, gamma, poly):
     """Coordinates of the cycle (gamma - 1) tensor poly, for any
-    coefficient that gamma fixes."""
-    return h1.coords(cycle_of(gamma, poly, h1.table, h1.k, h1.ring.modulus))
+    coefficient that gamma fixes, read off its letter-walk chain
+    (``fox_expand_unit``): the reference for ``homology.cycle_of``,
+    which reads it by the run walk."""
+    chain = fox_expand_unit(h1.table, gamma, poly, h1.k, h1.ring.modulus)
+    return h1.coords(h1.quotient.project(chain))
 
 
 def _matvec_mod(M, v, modulus):

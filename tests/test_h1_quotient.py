@@ -128,7 +128,7 @@ class TestUnlockedRungs:
                      for b in v.blocks for x in b]
             e = [0] * h1.ngens
             e[i] = 1
-            assert h1.coords(chain) == tuple(e)
+            assert h1.coords(h1.quotient.project(chain)) == tuple(e)
         assert max(bits) < 2048
 
 
@@ -144,7 +144,7 @@ class TestGeneratorChains:
             assert boundary1(dense(chain, h1.table, k, h1.ring.modulus)).is_zero()
             e = [0] * h1.ngens
             e[i] = 1
-            assert h1.coords(chain) == tuple(e)
+            assert h1.coords(h1.quotient.project(chain)) == tuple(e)
 
 
 def run_cli(argv, capsys):

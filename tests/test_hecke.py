@@ -17,7 +17,7 @@ from hypcycle.hecke import (
     hecke_coset,
     identity_operator,
 )
-from hypcycle.homology import RunSums, compute_h1, cycle_of
+from hypcycle.homology import RunSums, compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns, identity
 from hypcycle.psl2 import (
     HYPERBOLIC,
@@ -41,6 +41,7 @@ from oracles import (
     dense,
     equals,
     filter_transversal,
+    fox_expand_unit,
     gamma0p_intersection,
     intersection_key,
     intersection_table,
@@ -226,7 +227,7 @@ class TestTransfer:
         sub = compute_h1(SubgroupSpec.gamma0(2), 1, ZZ)
         rng = random.Random(81)
         for g in random_hyperbolic_in(SubgroupSpec.gamma1(1), rng, 5):
-            c = cycle_of(g, quadratic_form(g), h1.table, 1)
+            c = fox_expand_unit(h1.table, g, quadratic_form(g), 1)
             rc = transfer_res(dense(c, h1.table, 1), sub.table)
             assert boundary1(rc).is_zero()
 
@@ -237,10 +238,10 @@ class TestConjStar:
         runs = RunSums(h1.quotient)
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
-            c = cycle_of(g, (1,), h1.table, 0)
+            c = fox_expand_unit(h1.table, g, (1,), 0)
             out, = conj_star([to_group_chain(c, h1.table, 0)], I.lift(),
                              runs, h1.quotient.ambient_rank)
-            assert h1.module.coords(out) == h1.coords(c)
+            assert h1.coords(out) == h1.coords(h1.quotient.project(c))
 
     def test_inner_automorphism_trivial(self):
         spec = SubgroupSpec.gamma0(11)
@@ -253,7 +254,7 @@ class TestConjStar:
     def test_conjugate_leaves_group(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
         g = T * T * TP
-        c = cycle_of(g, quadratic_form(g), h1.table, 1)
+        c = fox_expand_unit(h1.table, g, quadratic_form(g), 1)
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
         runs = RunSums(tgt.quotient)
         with pytest.raises(ConjugateLeavesGroup):

@@ -10,10 +10,10 @@ from hypcycle.homology import (
     NotACycle,
     compute_h1,
     cycle_of,
-    fox_expand_unit,
+    lap_sums,
     letter_steps,
 )
-from hypcycle.intlinalg import RingSpec, QQ, ZZ
+from hypcycle.intlinalg import RingSpec, QQ, ZZ, identity, mat_mul
 from hypcycle.psl2 import (
     HYPERBOLIC,
     I,
@@ -23,7 +23,6 @@ from hypcycle.psl2 import (
     T,
     U,
     classify,
-    decompose_word,
     quadratic_form,
 )
 from hypcycle.symspace import poly_pow, rho
@@ -34,11 +33,14 @@ from oracles import (
     boundary1,
     boundary2,
     cycle_coords_of,
+    decompose_word,
     dense,
     evaluate_word,
     fox_expand,
+    fox_expand_unit,
     gamma1_table,
     group_chain_to_chain1,
+    power,
     sparse,
     subgroup_cosets,
     to_group_chain,
@@ -285,7 +287,7 @@ class TestComputeH1:
                 chain = Chain1(
                     IndVec(hz.table, k, p, [tuple(x % p for x in b) for b in chain.mS.blocks]),
                     IndVec(hz.table, k, p, [tuple(x % p for x in b) for b in chain.mU.blocks]))
-                cols.append(list(hp.coords(sparse(chain))))
+                cols.append(list(hp.coords(hp.quotient.project(sparse(chain)))))
             if not cols:
                 continue
             g = hp.ngens
@@ -341,12 +343,12 @@ class TestCycleOf:
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
         g = PMat(2, 1, 1, 1)
         with pytest.raises(NotACycle):
-            cycle_of(g, (1, 0, 0), h1.table, 1)
+            cycle_of(g, (1, 0, 0), h1.quotient)
 
     def test_membership_required(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 0, ZZ)
         with pytest.raises(NotACycle):
-            cycle_of(S, (1,), h1.table, 0)
+            cycle_of(S, (1,), h1.quotient)
 
     @pytest.mark.parametrize("name", ["gamma0:11", "gamma1:5", "gammaH:13:3"])
     @pytest.mark.parametrize("ring", ["Z", "Zp:3:2"])
@@ -362,11 +364,9 @@ class TestCycleOf:
         elements += [c.stabilizer for c in cusp_data(table)]
         for k in range(3):
             h1 = compute_h1(table, k, RingSpec.parse(ring))
-            m = h1.ring.modulus
             for g in elements:
                 w = poly_pow(quadratic_form(g), k)
-                assert h1.cycle_coords(g) == h1.coords(
-                    cycle_of(g, w, h1.table, k, m))
+                assert h1.cycle_coords(g) == cycle_coords_of(h1, g, w)
 
     def test_translation_coefficient_is_x2_power(self):
         h1 = compute_h1(SubgroupSpec.gamma0(11), 2, ZZ)
@@ -387,9 +387,41 @@ class TestCycleOf:
             if classify(g) != HYPERBOLIC or not SubgroupSpec.gamma0(11).contains(g):
                 continue
             q = quadratic_form(g)
-            c = cycle_of(g, q, h1.table, 1)
+            c = fox_expand_unit(h1.table, g, q, 1)
             assert boundary1(dense(c, h1.table, 1)).is_zero()
+            # the run walk's coordinates lie in the kernel of the
+            # residues: lift raises NotACycle outside it
+            h1.quotient.lift(cycle_of(g, q, h1.quotient))
             checked += 1
+
+    @pytest.mark.parametrize("ring", ["Z", "Q", "Fp:5", "Zp:3:2"])
+    @pytest.mark.parametrize("name,k", [("gamma0:1", 5), ("gamma0:11", 0),
+                                        ("gamma0:11", 1), ("gamma0:11", 2),
+                                        ("gamma1:5", 1)])
+    def test_cycle_of_a_power_is_the_multiple(self, name, k, ring):
+        # z(gamma^n) = n z(gamma): gamma^n - 1 = (1 + gamma + ... +
+        # gamma^(n-1))(gamma - 1), and each gamma^j fixes q_gamma.  A law
+        # that holds whatever walk reads z: T^n makes n laps of the
+        # orbit of width 1 at infinity, the n-th power of the stabiliser
+        # of a cusp of width w about n laps of an orbit of width w, and
+        # hyperbolic powers have long words
+        from hypcycle.boundary import cusp_data
+        from hypcycle.ordinary import Budget, enumerate_hyperbolic
+
+        table = build_cosets(SubgroupSpec.parse(name))
+        h1 = compute_h1(table, k, RingSpec.parse(ring))
+        stabs = sorted((c.stabilizer for c in cusp_data(table)),
+                       key=lambda g: -abs(g.c))
+        cases = [(T, n, PMat(1, n, 0, 1))
+                 for n in (1, 2, 3, 7, 64, 1000, 99991, 100000)]
+        cases += [(g, n, power(g, n)) for g, n in
+                  [(stabs[0], n) for n in (2, 5, 13, 400)]
+                  + [(g, n) for g in enumerate_hyperbolic(table, Budget(3))
+                     for n in (2, 3, 6)]]
+        for g, n, gn in cases:
+            z = h1.cycle_coords(g)
+            assert h1.cycle_coords(gn) == h1.reduce_coords(
+                [n * x for x in z]), (g, n)
 
 
 class TestToGroupChain:
@@ -447,12 +479,14 @@ class TestToGroupChain:
             if classify(g) != HYPERBOLIC or not self.spec.contains(g):
                 continue
             q = quadratic_form(g)
-            c = cycle_of(g, q, self.h1.table, 1)
+            c = fox_expand_unit(self.h1.table, g, q, 1)
             terms = to_group_chain(c, self.h1.table, 1)
             for gamma, _ in terms:
                 assert self.spec.contains(gamma)
             back = group_chain_to_chain1(terms, self.h1.table, 1)
-            assert self.h1.coords(sparse(back)) == self.h1.coords(c)
+            h1 = self.h1
+            assert (h1.coords(h1.quotient.project(sparse(back)))
+                    == h1.coords(h1.quotient.project(c)))
             checked += 1
 
     def test_roundtrip_generators(self):
@@ -460,7 +494,9 @@ class TestToGroupChain:
             c = self.h1.generator_chain(i)
             terms = to_group_chain(c, self.h1.table, 1)
             back = group_chain_to_chain1(terms, self.h1.table, 1)
-            assert self.h1.coords(sparse(back)) == self.h1.coords(c)
+            h1 = self.h1
+            assert (h1.coords(h1.quotient.project(sparse(back)))
+                    == h1.coords(h1.quotient.project(c)))
 
     def test_coefficient_identity(self):
         from hypcycle.symspace import act
@@ -472,7 +508,7 @@ class TestToGroupChain:
             g = random_psl(rng, steps=8)
             if classify(g) != HYPERBOLIC or not self.spec.contains(g):
                 continue
-            c = cycle_of(g, quadratic_form(g), self.h1.table, 1)
+            c = fox_expand_unit(self.h1.table, g, quadratic_form(g), 1)
             total = zero_poly(1)
             for gamma, v in to_group_chain(c, self.h1.table, 1):
                 total = poly_add(total, act(gamma.lift(), v))
@@ -565,3 +601,31 @@ def test_steps_kept_per_k_and_modulus():
                for row in M for x in row)
     assert all(0 <= x < 9 for _, _, M in mod9.values() if M
                for row in M for x in row)
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 27])
+@pytest.mark.parametrize("k", range(7))
+def test_lap_sums_closed_form(k, modulus):
+    # (I + P + ... + P^(n-1), P^n) against the naive sums, for P = rho
+    # of parabolic elements t T^w t^-1, as the lap twists of the T-orbits
+    # are (None at k = 0, standing for the identity); one powers list
+    # serves every n of one P, read in no order
+    d = 2 * k + 1
+
+    def reduced(M):
+        return [[x % modulus for x in row] for row in M] if modulus else M
+
+    for t, w in ((I, 1), (PMat(2, 1, 5, 3), -3), (PMat(1, 0, 11, 1), 11)):
+        P = rho(t * PMat(1, w, 0, 1) * t.inv(), k, modulus)
+        assert (P is None) == (k == 0)
+        naive, total, power = {}, [[0] * d for _ in range(d)], identity(d)
+        for n in range(1001):
+            if n <= 3 * d or n == 1000:
+                naive[n] = reduced(total), reduced(power) if P else None
+            total = [[x + y for x, y in zip(r, s)]
+                     for r, s in zip(total, power)]
+            power = reduced(mat_mul(P or identity(d), power))
+        powers = []
+        for n in sorted(naive, key=lambda n: (n * 7) % 11):
+            assert lap_sums(P, n, d, powers, modulus) == naive[n], n
+        assert len(powers) <= max(d, 2)  # N^0 .. N^(d-1), and N itself

@@ -16,12 +16,18 @@ from hypcycle.psl2 import (
     U,
     NotDefinedForElliptic,
     classify,
-    decompose_word,
     poly_str,
     quadratic_form,
     word_runs,
 )
-from oracles import TP, evaluate_word, letter_word, power, word_from_letters
+from oracles import (
+    TP,
+    decompose_word,
+    evaluate_word,
+    letter_word,
+    power,
+    word_from_letters,
+)
 
 
 def random_pmat(rng, size=10**6):
