@@ -278,6 +278,7 @@ def cmd_batch(args):
         raise CliError(str(exc)) from exc
     if not isinstance(manifest, list):
         raise CliError("manifest must be a JSON list of run configs")
+    parser = build_parser()
     rows = []
     worst = 0
     for i, entry in enumerate(manifest):
@@ -298,7 +299,7 @@ def cmd_batch(args):
                     continue
                 argv.append("--%s" % key.replace("_", "-"))
                 argv.append(str(val))
-            parsed = build_parser().parse_args(argv)
+            parsed = parser.parse_args(argv)
             report, code = parsed.func(parsed)
             row["status"] = "ok"
             row["exit_code"] = code

@@ -123,8 +123,8 @@ class CosetTable:
     identity; ``mulS[i]`` and ``mulU[i]`` give (j, twist) with
     t_i * x == twist * t_j and twist in the subgroup; ``cosets`` maps
     the key of each t_i to i.  ``letter_steps`` holds the steps that
-    walks over the cosets read, one cache per (k, modulus), each filled
-    from mulS/mulU on first use (homology.letter_steps).
+    walks over the cosets read, one dict per (k, modulus), each built
+    whole from mulS/mulU on first use (homology.letter_steps).
     """
 
     def __init__(self, key, transversal, mulS, mulU, cosets):

@@ -21,15 +21,16 @@ the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
 rho(g).  The Fox walk, the local quotient, ``d1`` and
 ``restricted_form`` (the subgroup form of a cycle's restriction to a
 smaller group, the first step of a Hecke image; see hecke) read it
-from the table's cache at (k, modulus) (``letter_steps``); the
-smaller group's steps are these with a move of its coset reps.  One
-walk reads every element into ambient coordinates: ``RunSums``, one
-per LocalQuotient, walks the runs T^q of the element's word
-(psl2.word_runs) along the T-orbits, with prefix sums within an orbit
-and closed-form sums over its whole laps, and its single letters one
-at a time (``fox_step``).  A cycle z(gamma) (``cycle_of``) and each
-conjugated term of a Hecke image are read by the same walk; no chain of
-either is built.
+from the table's steps at (k, modulus) (``letter_steps``), a plain
+dict built whole from mulS/mulU on first use; the smaller group's
+steps are these with a move of its coset reps.  One walk reads every
+element into ambient coordinates: ``RunSums``, one per LocalQuotient,
+walks the runs T^q of the element's word (psl2.word_runs) along the
+T-orbits, each built whole with its prefix sums when a run first
+enters it, with closed-form sums over whole laps, and its single
+letters one at a time (``fox_step``).  A cycle z(gamma) (``cycle_of``)
+and each conjugated term of a Hecke image are read by the same walk;
+no chain of either is built.
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
@@ -66,34 +67,24 @@ class NotACycle(ValueError):
     """Chain with nonzero boundary where a cycle is required."""
 
 
-class LetterSteps(dict):
-    """The steps of a coset table's letters ('S', 1), ('U', 1) and
-    ('U', 2) at (k, modulus): the key (i, gen, e) maps to (j, g, rho(g))
-    with t_i * gen^e == g^-1 * t_j and g in the subgroup, rho(g) taken
-    mod the modulus (None at g = 1 and at k = 0).  A step is composed
-    from the table's mulS/mulU on first use."""
-
-    def __init__(self, table, k, modulus):
-        super().__init__()
-        self.table, self.k, self.modulus = table, k, modulus
-
-    def __missing__(self, key):
-        i, gen, e = key
-        mul = self.table.mulS if gen == "S" else self.table.mulU
-        j, tw = mul[i]
-        if e == 2:
-            j, tw2 = mul[j]
-            tw = tw * tw2
-        g = tw.inv()
-        hit = self[key] = j, g, rho(g, self.k, self.modulus)
-        return hit
-
-
 def letter_steps(table, k, modulus=None):
-    """The table's LetterSteps at (k, modulus), one per pair."""
+    """The steps of the table's letters ('S', 1), ('U', 1) and ('U', 2)
+    at (k, modulus), a dict built whole on first call and kept on the
+    table: the key (i, gen, e) maps to (j, g, rho(g)) with
+    t_i * gen^e == g^-1 * t_j and g in the subgroup, rho(g) taken mod the
+    modulus (None at g = 1 and at k = 0)."""
     steps = table.letter_steps.get((k, modulus))
     if steps is None:
-        steps = table.letter_steps[k, modulus] = LetterSteps(table, k, modulus)
+        steps = table.letter_steps[k, modulus] = {}
+        for i in range(table.index):
+            for gen, e in (("S", 1), ("U", 1), ("U", 2)):
+                mul = table.mulS if gen == "S" else table.mulU
+                j, tw = mul[i]
+                if e == 2:
+                    j, tw2 = mul[j]
+                    tw = tw * tw2
+                g = tw.inv()
+                steps[i, gen, e] = j, g, rho(g, k, modulus)
     return steps
 
 
@@ -104,7 +95,8 @@ _SLOT_STEP = {"S": 1, "U": 2}
 
 def d1(terms, steps):
     """d1 of a sparse chain [(slot, block, vector)] as {block: vector},
-    read through the LetterSteps ``steps``; not reduced."""
+    read through the letter steps ``steps`` (letter_steps); not
+    reduced."""
     out = {}
     for slot, b, v in terms:
         j, _, M = steps[b, slot, _SLOT_STEP[slot]]
@@ -146,8 +138,8 @@ def fox_step(steps, groups, block, mat, gen, e, modulus=None):
     matrix ``mat`` (None for the identity) deposits mat into the list
     of ``groups`` at (gen, block), and U^2 also deposits where the
     action of U sends the block; returns the block and matrix the
-    letter moves the walk to.  Steps are read from the LetterSteps
-    ``steps``."""
+    letter moves the walk to.  Steps are read from the letter steps
+    ``steps`` (letter_steps)."""
     groups.setdefault((gen, block), []).append(mat)
     if gen == "U" and e == 2:
         # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
@@ -184,7 +176,7 @@ def restricted_form(chain, steps, rhos, moves):
     with gamma in Gamma_1.
 
     Gamma_1's cosets are the s_r t_i, s_r its reps in Gamma; its step
-    at (r, i) is Gamma's step g at i (read from Gamma's LetterSteps
+    at (r, i) is Gamma's step g at i (read from Gamma's letter steps
     ``steps``) with the element gamma = moves(g)[r], where s_r g^-1 ==
     gamma^-1 s_r'.  The restriction puts rho(s_r) v (``rhos``, from
     symspace.restriction_map) at (r, i), so each nonzero block (slot, i)
@@ -238,18 +230,15 @@ def lap_sums(P, n, d, powers, modulus=None):
 
 
 class _Orbit:
-    """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, extended
-    to a reach R <= w: for t <= R the twists Pi_t, their inverses and
-    the prefix sums PS_t; the powers of lap_sums; and R_n and P^n for
-    each lap count n that a run has read (see RunSums)."""
+    """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, built
+    whole: for every t <= w the twists Pi_t, their inverses and the
+    prefix sums PS_t; the powers of lap_sums; and R_n and P^n for each
+    lap count n that a run has read (see RunSums)."""
 
     __slots__ = ("blocks", "pi", "pinv", "ps", "powers", "laps")
 
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.pi = [None]
-        self.pinv = [None]
-        self.ps = [{}]
+    def __init__(self, blocks, pi, pinv, ps):
+        self.blocks, self.pi, self.pinv, self.ps = blocks, pi, pinv, ps
         self.powers = []
         self.laps = {}
 
@@ -275,14 +264,14 @@ class RunSums:
     a conjugate of T^(+-w), so R_n and P^n have a closed form
     (``lap_sums``) however many laps a run makes.
 
-    An orbit is found when a run first enters it, and its sums are
-    extended only as far as runs reach: the prefix sums to the furthest
-    position, the lap sums to the lap counts that runs read; Pi^-1 is
-    carried from the steps of T^-s, which walk the orbit backwards, as
-    far as runs start.  Single letters take one fox_step each, and their
-    deposits are read once per block.  Nothing depends on the element
-    walked, so one RunSums (``LocalQuotient.runs``) serves every cycle
-    and every double coset into the quotient's H1.
+    The first run to enter an orbit builds it whole, from b_0 = the
+    block it enters: its twists and prefix sums, and Pi^-1 carried from
+    the steps of T^-s, which walk the orbit backwards; the lap sums are
+    kept for the lap counts that runs read.  Single letters take one
+    fox_step each, and their deposits are read once per block.  Nothing
+    depends on the element walked, so one RunSums
+    (``LocalQuotient.runs``) serves every cycle and every double coset
+    into the quotient's H1.
     """
 
     def __init__(self, quotient):
@@ -292,10 +281,6 @@ class RunSums:
         self.readers = quotient.readers
         self.d = 2 * k + 1
         self.modulus = modulus
-        mulS, mulU = table.mulS, table.mulU
-        # the block one step of T^s moves a walk to (see fox_step)
-        self.next = {1: lambda b: mulS[mulU[mulU[b][0]][0]][0],
-                     -1: lambda b: mulU[mulS[b][0]][0]}
         self.orbits = {}  # (s, block) -> (orbit, position)
 
     def project(self, g):
@@ -320,14 +305,13 @@ class RunSums:
         m = self.modulus
         orbit, t = self._position(s, block)
         n, r = divmod(t + q, len(orbit.blocks))
-        self._extend(s, orbit, len(orbit.blocks) if n else r)
         hi, Pn = self._laps(orbit, n) if n else (orbit.ps[r], None)
-        # lo's indices are among hi's; _extend shares every twist and row
-        # that a step leaves unchanged, so they compare by identity
+        # lo's indices are among hi's; _position shares every twist and
+        # row that a step leaves unchanged, so they compare by identity
         lo = orbit.ps[t]
         rows = [(idx, list(map(sub, row, lo[idx])) if idx in lo else row)
                 for idx, row in hi.items() if row is not lo.get(idx)]
-        X = _compose(self._inverse(s, orbit, t), mat, m)
+        X = _compose(orbit.pinv[t], mat, m)
         _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
         if n:
             X = _compose(Pn, X, m)
@@ -337,41 +321,47 @@ class RunSums:
         return orbit.blocks[r], _compose(orbit.pi[r], X, m)
 
     def _position(self, s, block):
-        """(orbit, position) of a block on its T^s-orbit."""
+        """(orbit, position) of a block on its T^s-orbit, the orbit built
+        whole when a run first enters it: one step is the two letters of
+        T^s, each a fox_step, and its inverse the letters of T^-s."""
         hit = self.orbits.get((s, block))
-        if hit is None:
-            nxt, blocks = self.next[s], [block]
-            b = nxt(block)
-            while b != block:
-                blocks.append(b)
-                b = nxt(b)
-            orbit = _Orbit(blocks)
-            for u, b in enumerate(blocks):
-                self.orbits[s, b] = orbit, u
-            hit = orbit, 0
-        return hit
-
-    def _extend(self, s, orbit, reach):
-        """Extend the orbit's twists and prefix sums to ``reach`` <= w:
-        one step is the two letters of T^s, each a fox_step."""
+        if hit is not None:
+            return hit
         steps, m, readers = self.steps, self.modulus, self.readers
-        blocks, pi, ps = orbit.blocks, orbit.pi, orbit.ps
-        for u in range(len(ps) - 1, reach):
+        back = [(gen, 1 if gen == "S" else 3 - e)
+                for gen, e in T_LETTERS[-s][::-1]]
+        blocks, pi, pinv, ps = [block], [None], [None], [{}]
+        while True:
             groups, rows = {}, {}
-            blk, M = blocks[u], pi[u]
+            blk, M = blocks[-1], pi[-1]
             for gen, e in reversed(T_LETTERS[s]):
                 blk, M = fox_step(steps, groups, blk, M, gen, e, m)
             for key, mats in groups.items():
                 for D in mats:
                     _add_rows(rows, readers.get(key, ()), D)
-            acc = dict(ps[u]) if rows else ps[u]  # sums are never changed
+            acc = dict(ps[-1]) if rows else ps[-1]  # sums are never changed
             _add_rows(acc, rows.items(), None)
             ps.append(acc)
             pi.append(M)
+            # Pi_u is None (the identity) only while every twist so far
+            # is, and then so is its inverse
+            B = None  # the twist of one step of T^-s, back from blk
+            if M is not None:
+                b = blk
+                for gen, e in back:
+                    b, _, A = steps[b, gen, e]
+                    B = _compose(A, B, m)
+            pinv.append(_compose(pinv[-1], B, m))
+            if blk == block:
+                break
+            blocks.append(blk)
+        orbit = _Orbit(blocks, pi, pinv, ps)
+        for u, b in enumerate(blocks):
+            self.orbits[s, b] = orbit, u
+        return orbit, 0
 
     def _laps(self, orbit, n):
-        """(R_n, P^n) by lap_sums, memoised per n.  The orbit is extended
-        to w."""
+        """(R_n, P^n) by lap_sums, memoised per n."""
         hit = orbit.laps.get(n)
         if hit is None:
             w, m = len(orbit.blocks), self.modulus
@@ -379,24 +369,6 @@ class RunSums:
             hit = orbit.laps[n] = {}, Pn
             _add_rows(hit[0], orbit.ps[w].items(), S)
         return hit
-
-    def _inverse(self, s, orbit, t):
-        """Pi_t^-1, extending the inverses as far as t: runs start at
-        fewer positions than they cover."""
-        steps, m, pinv = self.steps, self.modulus, orbit.pinv
-        back = [(gen, 1 if gen == "S" else 3 - e)
-                for gen, e in T_LETTERS[-s][::-1]]
-        for u in range(len(pinv) - 1, t):
-            # Pi_u is None (the identity) only while every twist so far
-            # is, and then so is its inverse
-            B = None  # the twist of one step of T^-s, back to b_u
-            if orbit.pi[u + 1] is not None:
-                blk = orbit.blocks[u + 1]
-                for gen, n in back:
-                    blk, _, A = steps[blk, gen, n]
-                    B = _compose(A, B, m)
-            pinv.append(_compose(pinv[u], B, m))
-        return pinv[t]
 
 
 class H1Presentation:

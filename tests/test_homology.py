@@ -577,6 +577,8 @@ def test_letter_steps_match_transversal(name):
         table = build_cosets(SubgroupSpec.parse(name))
     for k, m in ((0, None), (1, None), (2, 9)):
         steps = letter_steps(table, k, m)
+        # built whole: a plain dict with every letter at every coset
+        assert type(steps) is dict and len(steps) == 3 * table.index
         for i, t in enumerate(table.transversal):
             for gen, e in (("S", 1), ("U", 1), ("U", 2)):
                 j, g, M = steps[i, gen, e]
@@ -585,6 +587,40 @@ def test_letter_steps_match_transversal(name):
                                                               else x * x)
                 assert table.contains(g)
                 assert M == rho(g, k, m)
+
+
+@pytest.mark.parametrize("name,k,ring", [("gamma0:11", 1, "Z"),
+                                         ("gamma1:13", 0, "Z"),
+                                         ("gamma0:9", 1, "Zp:3:2"),
+                                         ("gamma0:1", 5, "Z")])
+def test_run_orbits_built_whole(name, k, ring):
+    # entering every block on both T-orbits builds each orbit whole:
+    # the orbits of T^s partition the blocks, b_(u+1) is the coset of
+    # t_(b_u) T^-s, and Pi_t Pi_t^-1 = I (mod m) at every t <= w
+    h1 = compute_h1(SubgroupSpec.parse(name), k, RingSpec.parse(ring))
+    table, runs, m = h1.table, h1.quotient.runs, h1.ring.modulus
+    d = 2 * k + 1
+    for s in (1, -1):
+        orbits = {}
+        for b in range(table.index):
+            orbit, u = runs._position(s, b)
+            assert orbit.blocks[u] == b
+            orbits[id(orbit)] = orbit
+        blocks = [b for orbit in orbits.values() for b in orbit.blocks]
+        assert sorted(blocks) == list(range(table.index))
+        for orbit in orbits.values():
+            w = len(orbit.blocks)
+            assert len(orbit.pi) == len(orbit.pinv) == len(orbit.ps) == w + 1
+            for u, b in enumerate(orbit.blocks):
+                after = table.transversal[b] * power(T, -s)
+                assert table.coset_of(after)[0] == orbit.blocks[(u + 1) % w]
+            for P, Q in zip(orbit.pi, orbit.pinv):
+                assert (P is None) == (Q is None)
+                if P is not None:
+                    prod = mat_mul(P, Q)
+                    if m:
+                        prod = [[x % m for x in row] for row in prod]
+                    assert prod == identity(d)
 
 
 def test_steps_kept_per_k_and_modulus():
