@@ -327,7 +327,10 @@ def cycle_quotient_report(spec, k, budget=Budget()):
     the image of the Fitting power of T_q mod q, lies in S + q*H1.  The
     computed span may fall short of the true one, whose quotient is
     then a Hecke quotient of the computed one, so a vanishing ordinary
-    part carries over but a nonzero one refutes nothing."""
+    part carries over but a nonzero one refutes nothing.  For the same
+    reason the reported ``invariant_factors`` (and ``order``) are those
+    of H1 modulo the computed span, a group that maps onto the true
+    H1/S: an upper bound on it, not H1/S itself."""
     h1z = compute_h1(spec, k, ZZ)
     span = h1z.module.span()
     # close under a few Hecke operators as we go: the full span is

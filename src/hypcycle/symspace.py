@@ -15,8 +15,9 @@ restriction by one matrix rho(s_r) per coset rep of the smaller group,
 which the Hecke side reads straight into subgroup form
 (homology.restricted_form): no chain is mapped block by block.  It
 needs no corestriction, since the Fox chain of an element on a larger
-group's table is the corestriction of its chain on a smaller one;
-``corestriction_map`` serves the tests' oracles and the layer trace.
+group's table is the corestriction of its chain on a smaller one.
+``corestriction_map`` stays for the benchmark's layer trace, which wraps
+it, and for the test of that lemma, which corestricts with it.
 """
 
 from operator import add, mul

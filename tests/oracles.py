@@ -1,116 +1,52 @@
 """Reference routes used only by the tests.
 
-``subgroup_cosets`` is the reference coset enumeration: breadth-first
-in the order of ``build_cosets``, but it decides coset equality by
-scanning the whole transversal with a membership predicate, and its
-tables find the coset of an element by walking its word in S and U.  It needs nothing but the predicate, so it also
-serves subgroups that have no key, such as the theta group.  It raises
-``BudgetExceeded`` when the orbit outgrows its bound.  With a
-``shuffle_seed`` it explores the cosets in a seeded random order, which
-gives the transversals that the invariance tests compare.
-``schreier_transversal`` is a breadth-first transversal over the
-ambient group's Schreier generators and their inverses, with no
-T-orbits taken first, and ``filter_transversal`` the filter of the
-smaller table's transversal that ``cosets.subgroup_transversal``
-replaced.  ``intersection_key`` and ``intersection_table`` build the
-breadth-first table of an intersection group Gamma n alpha^-1 Gamma'
-alpha, the table of Gamma_1 that a double coset no longer builds
-(``gamma1_table``); ``gamma1_restriction`` adds the blockwise
-restriction onto it (``restriction_entries``, the map that
-``symspace.restriction_map`` replaced), and ``product_table`` is
-Gamma_1's table on the transversal s_r t_i that the double coset reads.
-``double_coset_predicates`` are the membership tests of the two
-intersection groups of a double coset, written directly from their
-definitions.
+Cosets by membership: ``subgroup_cosets`` builds a coset table by
+scanning the transversal with a membership predicate, in the order of
+``build_cosets`` or, given a ``shuffle_seed``, a seeded random one, and
+raises ``BudgetExceeded`` past its bound; ``coset_reps`` finds the cosets
+of a subgroup inside a group given by generators; and
+``double_coset_predicates`` test membership in Gamma_1 = Gamma n
+alpha^-1 Gamma' alpha and Gamma_2 = Gamma' n alpha Gamma alpha^-1.
 
-``dense_h1`` is the dense presentation of H1 that ``compute_h1`` used
-before the quotient-first route: it builds d1 and d2 on the whole
-induced module from the per-letter action matrices, takes ker d1 over
-Z (or the kernel mod m, found by an integer echelon of [A | m*I]), and
-passes both to ``subquotient``.  It shares no code with the local
-cokernels and the spanning tree of ``homology.LocalQuotient``.
+Dense chains: ``IndVec`` (one degree-2k block per coset), ``Chain1`` (a
+pair (mS, mU) of them), the letter action (``letter_image`` on the
+nonzero blocks, ``ind_act_letter``, ``ind_act``) and ``boundary1``,
+``boundary2``; ``sparse`` and ``dense`` convert to and from the library's
+chains {(slot, block): vector}.  ``dense_h1`` is H1 from the dense
+two-step complex of the whole induced module, sharing no code with
+``homology.LocalQuotient``.
 
-``fox_expand`` is the letter-by-letter Fox expansion on whole induced
-vectors, and ``conj_star_letter_walk`` is the conjugation push built on
-it: each conjugated term is expanded by walking its word on the table
-of Gamma_2 (``gamma2_table``), and the whole chain is corestricted
-afterwards.  They share no code with the run walk of
-``homology.RunSums`` that ``hecke.conj_star`` and
-``homology.cycle_of`` read through.  ``fox_expand_unit`` is the letter
-walk that run walk replaced: the word of an element spelled letter by
-letter (``decompose_word``) and walked by ``homology.fox_step``, each
-block's matrices merged, giving the chain of (g - 1) tensor v; it is
-the reference for the cycles z(gamma) (``cycle_coords_of``).
-``CorestrictedReaders`` and ``corestricted_quotient`` are the
-route that walk replaced: the run walk on Gamma_2's table, read through
-the target's readers composed with the corestriction.  ``ind_act``, ``boundary2``,
-``group_chain_to_chain1``, ``restrict_coeff``, ``corestrict_coeff`` and
-``transfer_res`` are the chain-level operations the tests check against.
-``apply_blockwise`` maps a chain through the blockwise entries of the
-restriction or corestriction, and ``to_group_chain`` rewrites a cycle
-in subgroup form, reading its steps from the table's mulS/mulU and
-checking the cycle by the dense boundary: chained, they are the route
-that ``homology.restricted_form`` replaced, which built the restricted
-chain on the smaller group and walked it again.
+The letter walk: ``fox_expand`` is the Fox expansion of (g - 1) tensor v
+letter by letter along a word (``decompose_word``), the reference for
+the run walk of ``homology.RunSums`` and, by ``cycle_coords_of``, for the
+cycles z(gamma).  ``to_group_chain`` rewrites a cycle in subgroup form
+(gamma, v), and ``group_chain_to_chain1`` expands such terms back.
 
-``Chain1`` (a pair (mS, mU) of ``IndVec``, one degree-2k block per
-coset in each slot), ``ind_act_letter`` and ``boundary1`` are the dense
-reference form of the library's chains, which are sparse dicts
-{(slot, block): vector}.  ``sparse`` and ``dense`` convert between the
-two forms; the oracles above work on dense chains, and the tests
-convert where they hand a chain to the library or take one back.
+The Hecke oracle: ``HeckeOracle`` maps H1(Gamma) to H1(Gamma') by
+[Gamma' alpha Gamma] as corestriction, conjugation and restriction in
+group homology, sharing no code with ``hecke``.  It restricts a cycle's
+subgroup form to Gamma_1 by the bar-complex ``transfer`` on reps found
+by Gamma_1's membership test alone, sends each term (h, v) to
+(alpha h alpha^-1, alpha v), and Fox-expands the terms on Gamma''s table.
+``apply_blockwise`` and ``corestrict_coeff`` apply the blockwise entries
+of ``symspace.corestriction_map``.
 
-``zero_poly``, ``poly_add``, ``poly_sub``, ``poly_scale``,
-``monomial``, ``x2_power``, ``cycle_coords_of`` (the coordinates of
-(gamma - 1) tensor w for any w that gamma fixes, by the letter walk,
-where ``H1Presentation.cycle_coords`` takes w = q_gamma^k by the run
-walk),
-``letter_step`` (right multiplication of a coset by a word letter,
-composed from the table's mulS/mulU), ``TP``, ``word_from_letters`` (the
-stack reduction of a letter sequence) and ``letter_word`` (the reduced
-word built letter by letter on it, which ``psl2.word_runs`` replaced),
-``power``, ``evaluate_word``, ``transpose``,
-``rank``, ``det``, ``smith_normal_form`` (the Smith form with both
-transition matrices, built from two left-only Smith forms of the
-library), ``saturate_columns``, ``schreier`` and ``p1_size`` are matrix,
-word and coset helpers that only the tests need, and ``h_closure`` is
-the subgroup H of (Z/N)^x of a spec, grown from its generators.  ``compose``,
-``equals``, ``is_zero``, ``scaled`` and ``plus`` are the algebra of
-``hecke.OperatorMatrix`` that the operator identities are checked in.
-
-``induced_endomorphism`` is the matrix of an ambient map on the
-generators of a subquotient; ``cycle_quotient_report`` once ran its
-per-prime test on it, and the tests keep that route as the oracle of
-the test on H1 (x) F_q.  ``close_every_row`` is the Hecke-closure
-rule that ``Lattice.close_under`` replaced: every map on every row in
-each round, where close_under maps only the rows that grew.
-``beta_matrix``, ``gamma0p_intersection`` and
-``pi_phi_V`` build the level-raising square (pi, phi, V) at a prime
-coprime to the level.
+The rest are word, matrix and coset helpers (``letter_word`` is the
+construction that ``psl2.word_runs`` replaced), the algebra of
+``hecke.OperatorMatrix`` (``compose``, ``equals``, ``is_zero``,
+``scaled``, ``plus``), ``induced_endomorphism`` (the oracle of the test
+on H1 (x) F_q), ``close_every_row`` (the closure rule that
+``Lattice.close_under`` replaced) and the level-raising square
+``pi_phi_V`` at a prime coprime to the level.
 """
 
-from dataclasses import dataclass
-from types import SimpleNamespace
+import random
+from collections import namedtuple
 
-
-from hypcycle.cosets import CosetTable, SubgroupSpec, build_cosets
-from hypcycle.hecke import (
-    ConjugateLeavesGroup,
-    DoubleCoset,
-    OperatorMatrix,
-    WrongDivisibility,
-    conjugate_by,
-    hecke_coset,
-    hermite_split,
-)
-from hypcycle.homology import (
-    H1Presentation,
-    NotACycle,
-    compute_h1,
-    fox_step,
-    letter_steps,
-    merge_blocks,
-)
+from hypcycle.cosets import CosetTable, SubgroupSpec
+from hypcycle.hecke import (DoubleCoset, OperatorMatrix, WrongDivisibility,
+                            hecke_coset)
+from hypcycle.homology import NotACycle, compute_h1
 from hypcycle.intlinalg import (
     ColumnEchelon,
     NotInModule,
@@ -127,15 +63,8 @@ from hypcycle.intlinalg import (
     zeros,
 )
 from hypcycle.psl2 import T_LETTERS, I, Mat2, PMat, S, U, word_runs
-from hypcycle.symspace import (
-    act,
-    act_matrix,
-    add_image,
-    corestriction_map,
-    poly_mod,
-    reduce_chain,
-    rho,
-)
+from hypcycle.symspace import (act, add_image, corestriction_map, poly_mod,
+                               reduce_chain)
 
 
 def zero_poly(k):
@@ -150,14 +79,8 @@ def poly_sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
 
 
-def poly_scale(p, c):
-    return tuple(c * a for a in p)
-
-
 def monomial(k, i, coef=1):
-    v = [0] * (2 * k + 1)
-    v[i] = coef
-    return tuple(v)
+    return tuple(coef if j == i else 0 for j in range(2 * k + 1))
 
 
 def x2_power(k):
@@ -176,44 +99,6 @@ def decompose_word(g):
         else:
             letters.append((gen, e))
     return tuple(letters)
-
-
-def fox_expand_unit(table, g, poly, k, modulus=None):
-    """The chain of (g - 1) tensor (poly at block 0), by the letter walk:
-    the word of g (``decompose_word``) walked one letter at a time by
-    ``homology.fox_step``, by the product rule (gh - 1) x v =
-    (g - 1) x hv + (h - 1) x v, each (slot, block)'s matrices merged
-    before they act on poly.  This is the walk that the run walk of
-    ``homology.RunSums`` replaced."""
-    steps = letter_steps(table, k, modulus)
-    groups = {}
-    block, mat = 0, None
-    for gen, e in reversed(decompose_word(g)):
-        block, mat = fox_step(steps, groups, block, mat, gen, e, modulus)
-    out = {}
-    for slot, blk, M in merge_blocks(groups, 2 * k + 1, modulus):
-        add_image(out, (slot, blk), M, tuple(poly))
-    return reduce_chain(out, modulus)
-
-
-def cycle_coords_of(h1, gamma, poly):
-    """Coordinates of the cycle (gamma - 1) tensor poly, for any
-    coefficient that gamma fixes, read off its letter-walk chain
-    (``fox_expand_unit``): the reference for ``homology.cycle_of``,
-    which reads it by the run walk."""
-    chain = fox_expand_unit(h1.table, gamma, poly, h1.k, h1.ring.modulus)
-    return h1.coords(h1.quotient.project(chain))
-
-
-def _matvec_mod(M, v, modulus):
-    out = [0] * len(M)
-    for j, c in enumerate(v):
-        if c:
-            for i in range(len(M)):
-                out[i] += M[i][j] * c
-    if modulus is not None:
-        out = [x % modulus for x in out]
-    return out
 
 
 def letter_step(table, i, letter):
@@ -242,15 +127,13 @@ class IndVec:
 
     @staticmethod
     def zero(table, k, modulus=None):
-        z = zero_poly(k)
-        return IndVec(table, k, modulus, [z] * table.index)
+        return IndVec(table, k, modulus, [zero_poly(k)] * table.index)
 
     @staticmethod
-    def unit(table, k, poly, block=0, modulus=None):
+    def unit(table, k, poly, modulus=None):
+        """poly at the identity coset's block, zero elsewhere."""
         v = IndVec.zero(table, k, modulus)
-        blocks = list(v.blocks)
-        blocks[block] = poly_mod(poly, modulus) if modulus else tuple(poly)
-        v.blocks = blocks
+        v.blocks[0] = poly_mod(poly, modulus) if modulus else tuple(poly)
         return v
 
     def __add__(self, other):
@@ -261,25 +144,14 @@ class IndVec:
         return IndVec(self.table, self.k, self.modulus,
                       [poly_sub(a, b) for a, b in zip(self.blocks, other.blocks)])
 
-    def __neg__(self):
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_scale(b, -1) for b in self.blocks])
-
-    def scale(self, c):
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_scale(b, c) for b in self.blocks])
-
     def reduce(self):
-        if self.modulus is None:
-            return self
-        return IndVec(self.table, self.k, self.modulus,
-                      [poly_mod(b, self.modulus) for b in self.blocks])
+        m = self.modulus
+        return self if m is None else IndVec(
+            self.table, self.k, m, [poly_mod(b, m) for b in self.blocks])
 
     def is_zero(self):
-        if self.modulus is None:
-            return all(not any(b) for b in self.blocks)
         m = self.modulus
-        return all(all(x % m == 0 for x in b) for b in self.blocks)
+        return not any(x % m if m else x for b in self.blocks for x in b)
 
     def __eq__(self, other):
         if self.table is not other.table or self.k != other.k:
@@ -287,22 +159,28 @@ class IndVec:
         return (self - other).is_zero()
 
 
-def ind_act_letter(letter, v):
-    """Action of a single word letter on an induced vector."""
+def letter_image(table, letter, blocks, modulus=None):
+    """The nonzero blocks {j: vector} of a word letter acting on an
+    induced vector given by its nonzero blocks {i: vector}."""
     gen, e = letter
-    table, k, m = v.table, v.k, v.modulus
-    out = [zero_poly(k)] * table.index
     # right-multiplication steps compute t_i * g^-1 = twist * t_j:
     # g = S: g^-1 = S (one S-step); g = U: g^-1 = U^2; g = U^2: g^-1 = U
     steps = 1 if gen == "S" else (3 - e)
-    for i, b in enumerate(v.blocks):
-        if not any(b):
-            continue
+    out = {}
+    for i, b in blocks.items():
         j, tw = letter_step(table, i, (gen, steps))
-        M = act_matrix(tw.inv(), k, m)
-        val = _matvec_mod(M, b, m)
-        out[j] = poly_add(out[j], tuple(val))
-    return IndVec(table, k, m, out)
+        w = b if tw.is_identity() else act(tw.inv(), b, modulus)
+        out[j] = poly_add(out[j], w) if j in out else w
+    return out
+
+
+def ind_act_letter(letter, v):
+    """Action of a single word letter on an induced vector."""
+    out = [zero_poly(v.k)] * v.table.index
+    nonzero = {i: b for i, b in enumerate(v.blocks) if any(b)}
+    for j, w in letter_image(v.table, letter, nonzero, v.modulus).items():
+        out[j] = w
+    return IndVec(v.table, v.k, v.modulus, out)
 
 
 class Chain1:
@@ -319,28 +197,11 @@ class Chain1:
         return Chain1(IndVec.zero(table, k, modulus), IndVec.zero(table, k, modulus))
 
     @property
-    def table(self):
-        return self.mS.table
-
-    @property
-    def k(self):
-        return self.mS.k
-
-    @property
     def modulus(self):
         return self.mS.modulus
 
     def __add__(self, other):
         return Chain1(self.mS + other.mS, self.mU + other.mU)
-
-    def __sub__(self, other):
-        return Chain1(self.mS - other.mS, self.mU - other.mU)
-
-    def __neg__(self):
-        return Chain1(-self.mS, -self.mU)
-
-    def scale(self, c):
-        return Chain1(self.mS.scale(c), self.mU.scale(c))
 
     def reduce(self):
         return Chain1(self.mS.reduce(), self.mU.reduce())
@@ -378,8 +239,7 @@ def dense(chain, table, k, modulus=None):
 
 
 class BudgetExceeded(ValueError):
-    """Coset orbit larger than the configured bound; a ValueError, so the
-    command-line interface reports it as bad input."""
+    """Coset orbit larger than the configured bound."""
 
 
 class PredicateTable(CosetTable):
@@ -403,11 +263,7 @@ def subgroup_cosets(contains, max_index=100000, shuffle_seed=None):
     predicate (the caller guarantees finite index), exploring in the
     order of build_cosets, or, given ``shuffle_seed``, taking the next
     coset and the order of S and U at random."""
-    rng = None
-    if shuffle_seed is not None:
-        import random
-
-        rng = random.Random(shuffle_seed)
+    rng = None if shuffle_seed is None else random.Random(shuffle_seed)
     transversal = [I]
     edges = {}
     frontier = [0]
@@ -438,97 +294,27 @@ def subgroup_cosets(contains, max_index=100000, shuffle_seed=None):
                           [edges[(i, "U")] for i in range(n)])
 
 
-def schreier_transversal(key, ambient_table):
-    """(reps, cosets) as from cosets.subgroup_transversal, for the
-    subgroup with right-coset key ``key`` on the ambient group, found by
-    a breadth-first walk over every Schreier generator of the ambient
-    group and its inverse, with no T-orbits taken first."""
-    gens = ambient_table.schreier_generators()
-    gens = gens + [g.inv() for g in gens]
-    reps, cosets = [I], {key(I): 0}
+def coset_reps(contains, gens):
+    """Reps, the identity first, of the right cosets of a finite-index
+    subgroup (``contains``) of the group that ``gens`` generate: a
+    breadth-first walk s -> s g, where s g is new unless s g r^-1 lies in
+    the subgroup for a rep r found before."""
+    reps = [I]
     for s in reps:
         for g in gens:
             c = s * g
-            if (kc := key(c)) not in cosets:
-                cosets[kc] = len(reps)
+            if not any(contains(c * r.inv()) for r in reps):
                 reps.append(c)
-    return reps, cosets
-
-
-def filter_transversal(sub_table, ambient_table):
-    """Representatives, inside the ambient subgroup, of the cosets of
-    the smaller subgroup: the transversal elements of the smaller
-    group's table that lie in the ambient group.  The smaller group
-    lies in the ambient one, so a coset sub*t lies in the ambient group
-    exactly when t does."""
-    reps = [t for t in sub_table.transversal if ambient_table.contains(t)]
-    r = sub_table.index // ambient_table.index
-    if len(reps) != r:
-        raise RuntimeError(
-            "expected %d cosets, found %d; subgroup not inside ambient?"
-            % (r, len(reps)))
     return reps
 
 
-def intersection_key(key, key_prime, alpha):
-    """Right-coset key of Gamma n alpha^-1 Gamma' alpha from the keys of
-    Gamma and Gamma'.  Write alpha*g = sigma*beta (hermite_split).  If
-    g' g^-1 lies in the intersection, then beta' beta^-1 is in SL2(Z),
-    so beta' == beta and sigma' sigma^-1 lies in Gamma'; conversely
-    those two equalities and a common Gamma coset give membership."""
-
-    def key1(g):
-        sigma, beta = hermite_split(alpha * g.lift())
-        return key(g), key_prime(sigma), beta
-
-    return key1
-
-
-def intersection_table(table, alpha, table_prime):
-    """Coset table of Gamma n alpha^-1 Gamma' alpha, for Gamma and Gamma'
-    the groups of the tables: the table of Gamma when alpha s alpha^-1
-    lies in Gamma' for every Schreier generator s of Gamma, else the
-    breadth-first table on intersection_key."""
-    conj = (conjugate_by(alpha, s) for s in table.schreier_generators())
-    if all(cg is not None and table_prime.contains(cg) for cg in conj):
-        return table
-    return build_cosets(intersection_key(table.key, table_prime.key, alpha))
-
-
-def gamma1_table(dc):
-    """The breadth-first coset table of Gamma_1 = Gamma n alpha^-1 Gamma'
-    alpha of the double coset ``dc``, which the double coset itself no
-    longer builds."""
-    return intersection_table(dc.source.table, dc.alpha, dc.target.table)
-
-
-def gamma1_restriction(dc):
-    """(table, entries): Gamma_1's breadth-first table and the blockwise
-    entries of the restriction onto it from Gamma, on the reps that
-    filter its transversal; the route the double coset took before it
-    read Gamma_1 through Gamma's own table."""
-    table1, k, m = gamma1_table(dc), dc.source.k, dc.source.ring.modulus
-    reps = filter_transversal(table1, dc.source.table)
-    return table1, restriction_entries(dc.source.table, table1, k, m, reps)
-
-
-def product_table(dc):
-    """Gamma_1's coset table on the transversal s_r t_i that the double
-    coset reads (reps s_r, Gamma's transversal t_i; index r*n + i), its
-    steps found by coset lookups on intersection_key."""
-    table = dc.source.table
-    key = intersection_key(table.key, dc.target.table.key, dc.alpha)
-    transversal = [s * t for s in dc.reps for t in table.transversal]
-    cosets = {key(t): j for j, t in enumerate(transversal)}
-    if len(cosets) != len(transversal):
-        raise RuntimeError("two products s_r t_i share a coset")
-    mul = {}
-    for gen, x in (("S", S), ("U", U)):
-        mul[gen] = []
-        for t in transversal:
-            j = cosets[key(t * x)]
-            mul[gen].append((j, t * x * transversal[j].inv()))
-    return CosetTable(key, transversal, mul["S"], mul["U"], cosets)
+def conjugate(alpha, g):
+    """alpha * g * alpha^-1 in PSL2(Z), or None where it is not integral."""
+    det, m = alpha.det(), alpha * g.lift() * alpha.adjugate()
+    entries = (m.a, m.b, m.c, m.d)
+    if any(x % det for x in entries):
+        return None
+    return PMat(*(x // det for x in entries))
 
 
 def double_coset_predicates(src_contains, tgt_contains, alpha):
@@ -538,13 +324,13 @@ def double_coset_predicates(src_contains, tgt_contains, alpha):
     def pred1(g):
         if not src_contains(g):
             return False
-        cg = conjugate_by(alpha, g)
+        cg = conjugate(alpha, g)
         return cg is not None and tgt_contains(cg)
 
     def pred2(g):
         if not tgt_contains(g):
             return False
-        cg = conjugate_by(alpha.adjugate(), g)
+        cg = conjugate(alpha.adjugate(), g)
         return cg is not None and src_contains(cg)
 
     return pred1, pred2
@@ -552,19 +338,14 @@ def double_coset_predicates(src_contains, tgt_contains, alpha):
 
 def action_matrix_on_induced(table, k, letter, modulus):
     """Dense matrix of a letter acting on the induced module."""
-    n = table.index
     d = 2 * k + 1
-    N = n * d
-    A = zeros(N, N)
-    for i in range(n):
-        steps = 1 if letter[0] == "S" else (3 - letter[1])
-        jj, tw = letter_step(table, i, (letter[0], steps))
-        M = act_matrix(tw.inv(), k, modulus)
+    A = zeros(table.index * d, table.index * d)
+    for i in range(table.index):
         for col in range(d):
-            for row in range(d):
-                val = M[row][col]
-                if val:
-                    A[jj * d + row][i * d + col] = val
+            image = letter_image(table, letter, {i: monomial(k, col)}, modulus)
+            for j, w in image.items():
+                for row, x in enumerate(w):
+                    A[j * d + row][i * d + col] = x
     return A
 
 
@@ -587,14 +368,10 @@ def dense_h1(table, k, ring):
     AU = action_matrix_on_induced(table, k, ("U", 1), modulus)
     AU2 = action_matrix_on_induced(table, k, ("U", 2), modulus)
     # d1 = [AS - I | AU - I], d2 = diag(I + AS, I + AU + AU^2)
-    d1 = zeros(N, 2 * N)
-    d2 = zeros(2 * N, 2 * N)
+    d1 = [rs + ru for rs, ru in zip(AS, AU)]
+    d2 = [rs + [0] * N for rs in AS] + [
+        [0] * N + [a + b for a, b in zip(ru, ru2)] for ru, ru2 in zip(AU, AU2)]
     for i in range(N):
-        for j in range(N):
-            d1[i][j] = AS[i][j]
-            d1[i][N + j] = AU[i][j]
-            d2[i][j] = AS[i][j]
-            d2[N + i][N + j] = AU[i][j] + AU2[i][j]
         d1[i][i] -= 1
         d1[i][N + i] -= 1
         d2[i][i] += 1
@@ -626,32 +403,36 @@ def boundary2(pair):
 
 
 def fox_expand(word, v):
-    """Chain representing (eval(word) - 1) tensor v.
-
-    Built by the product rule (gh - 1) x v = (g - 1) x hv + (h - 1) x v,
-    with U^2 expanding into the U slot as (U-1) x Uv + (U-1) x v.
-    """
+    """The chain of (eval(word) - 1) tensor v, by the product rule (gh - 1)
+    x v = (g - 1) x hv + (h - 1) x v, U^2 expanding into the U slot as
+    (U-1) x Uv + (U-1) x v."""
     table, k, m = v.table, v.k, v.modulus
     out = Chain1.zero(table, k, m)
-    cur = v
+    cur = {i: b for i, b in enumerate(v.blocks) if any(b)}
     for letter in reversed(tuple(word)):
         gen, e = letter
-        if gen == "S":
-            out = Chain1(out.mS + cur, out.mU)
-        elif e == 1:
-            out = Chain1(out.mS, out.mU + cur)
-        else:
-            out = Chain1(out.mS, out.mU + cur + ind_act_letter(("U", 1), cur))
-        cur = ind_act_letter(letter, cur)
+        slot = (out.mS if gen == "S" else out.mU).blocks
+        terms = [cur] if gen == "S" or e == 1 else [
+            cur, letter_image(table, ("U", 1), cur, m)]
+        for term in terms:
+            for i, b in term.items():
+                slot[i] = poly_add(slot[i], b)
+        cur = letter_image(table, letter, cur, m)
     return out.reduce() if m else out
 
 
+def cycle_coords_of(h1, gamma, poly):
+    """Coordinates of the cycle (gamma - 1) tensor poly, for any poly that
+    gamma fixes, by the letter walk: the reference for cycle_of."""
+    chain = group_chain_to_chain1([(gamma, poly)], h1.table, h1.k,
+                                  h1.ring.modulus)
+    return h1.coords(h1.quotient.project(sparse(chain)))
+
+
 def apply_blockwise(entries, chain, m=None):
-    """A library chain mapped slot by slot through the blockwise entries
-    of a map between induced modules (restriction_entries,
-    symspace.corestriction_map): each nonzero block i adds matrix *
-    block into block j for every pair (j, matrix) of ``entries[i]``;
-    reduced mod m over Z/m."""
+    """A library chain mapped through blockwise entries (as of
+    symspace.corestriction_map): block i adds matrix * block into block
+    j for each pair (j, matrix) of ``entries[i]``; reduced mod m."""
     out = {}
     for (slot, i), v in chain.items():
         if any(v):
@@ -661,15 +442,11 @@ def apply_blockwise(entries, chain, m=None):
 
 
 def to_group_chain(c, table, k, m=None):
-    """Rewrite a cycle as a list of (gamma, poly) with gamma in the
-    subgroup of the table: the subgroup form of the homology class.
-
-    Each nonzero block of each slot contributes the twist inverse of its
-    letter step, composed from the table's mulS/mulU (one S-step for the
-    S slot, two U-steps for the U slot), S blocks first, each slot by
-    block index; terms with gamma = 1 are dropped.  The chain must be a
-    cycle (mod m over Z/m) by the dense boundary; raises NotACycle
-    otherwise."""
+    """The subgroup form of a cycle: (gamma, poly) for each nonzero block,
+    gamma the inverse twist of the block's letter step (one S-step for
+    the S slot, two U-steps for the U slot), S blocks first, by block;
+    terms with gamma = 1 dropped.  Raises NotACycle unless the dense
+    boundary vanishes (mod m over Z/m)."""
     if not boundary1(dense(c, table, k, m)).is_zero():
         raise NotACycle("nonzero residue: chain is not a cycle")
     terms = []
@@ -684,128 +461,80 @@ def to_group_chain(c, table, k, m=None):
 
 def group_chain_to_chain1(terms, table, k, modulus=None):
     """Sum of the chains of (gamma - 1) tensor v over a subgroup-form
-    list of terms; the inverse direction of to_group_chain."""
+    list of terms, each by ``fox_expand``; the inverse direction of
+    to_group_chain."""
     out = Chain1.zero(table, k, modulus)
     for gamma, poly in terms:
-        fox = fox_expand_unit(table, gamma, tuple(poly), k, modulus)
-        out = out + dense(fox, table, k, modulus)
+        out = out + fox_expand(decompose_word(gamma),
+                               IndVec.unit(table, k, poly, modulus=modulus))
     return out.reduce() if modulus else out
 
 
-def _apply_vec(entries, v, dst_table):
-    """A blockwise map on one induced vector, carried in the S slot."""
-    image = apply_blockwise(
-        entries, sparse(Chain1(v, IndVec.zero(v.table, v.k, v.modulus))),
-        v.modulus)
-    return dense(image, dst_table, v.k, v.modulus).mS
-
-
-def restriction_entries(src_table, dst_table, k, modulus, reps):
-    """Blockwise entries of the restriction to a smaller subgroup: the
-    block of t goes to the block of s_i * t, for every rep s_i, with
-    coefficients rho(delta^-1 s_i), where s_i * t == delta * t'_j on
-    the smaller table.  ``entries[src_block]`` lists the (dst_block,
-    matrix) pairs, None standing for the identity.  This is the map
-    that symspace.restriction_map replaced by one rho(s_i) per rep."""
-    entries = []
-    for t in src_table.transversal:
-        row = []
-        for s in reps:
-            j, delta = dst_table.coset_of(s * t)
-            row.append((j, rho(delta.inv() * s, k, modulus)))
-        entries.append(row)
-    return entries
-
-
-def restrict_coeff(v, sub_table, reps):
-    return _apply_vec(restriction_entries(v.table, sub_table, v.k,
-                                          v.modulus, reps), v, sub_table)
-
-
 def corestrict_coeff(v, sup_table):
-    return _apply_vec(corestriction_map(v.table, sup_table, v.k, v.modulus),
-                      v, sup_table)
+    """An induced vector on a subgroup's table mapped to the table of a
+    larger group by the entries of ``symspace.corestriction_map``."""
+    entries = corestriction_map(v.table, sup_table, v.k, v.modulus)
+    chain = sparse(Chain1(v, IndVec.zero(v.table, v.k, v.modulus)))
+    return dense(apply_blockwise(entries, chain, v.modulus), sup_table,
+                 v.k, v.modulus).mS
 
 
-class NotACycleOnTransfer(Exception):
-    """Transfer was asked for a chain with nonzero boundary."""
+def transfer(terms, reps, contains, modulus=None):
+    """The bar-complex transfer of a cycle in subgroup form, a list of
+    (gamma, v), to a subgroup (``contains``) with right coset reps
+    ``reps`` in the group: each term gives, for every rep s, the term
+    (h, s' v) with s gamma == h s', h in the subgroup and s' a rep.
+    Terms with h = 1 are dropped."""
+    out = []
+    for gamma, v in terms:
+        for s in reps:
+            x = s * gamma
+            t = next(t for t in reps if contains(x * t.inv()))
+            h = x * t.inv()
+            if not h.is_identity():
+                out.append((h, act(t.lift(), v, modulus)))
+    return out
 
 
-def transfer_res(c, sub_table, reps=None):
-    """Restriction (transfer) of a cycle to a finite-index subgroup,
-    implemented by the equivariant averaging map on coefficients."""
-    if not boundary1(c).is_zero():
-        raise NotACycleOnTransfer("transfer requires a cycle")
-    if reps is None:
-        reps = filter_transversal(sub_table, c.table)
-    entries = restriction_entries(c.table, sub_table, c.k, c.modulus, reps)
-    return dense(apply_blockwise(entries, sparse(c), c.modulus), sub_table,
-                 c.k, c.modulus)
+class HeckeOracle:
+    """The double coset [Gamma' alpha Gamma] from H1(Gamma) (``source``)
+    to H1(Gamma') (``target``) as cor o c_alpha o res.  ``contains`` is
+    the membership test of Gamma_1 = Gamma n alpha^-1 Gamma' alpha and
+    ``reps`` its right coset reps in Gamma, found by it alone."""
 
+    def __init__(self, source, target, alpha):
+        self.source, self.target, self.alpha = source, target, alpha
+        self.contains, _ = double_coset_predicates(
+            source.table.contains, target.table.contains, alpha)
+        self.reps = coset_reps(self.contains,
+                               source.table.schreier_generators())
 
-def gamma2_table(dc):
-    """The coset table of Gamma_2 = Gamma' n alpha Gamma alpha^-1 of the
-    double coset ``dc`` (adj(alpha) is a multiple of alpha^-1), which
-    the double coset itself no longer builds."""
-    return intersection_table(dc.target.table, dc.alpha.adjugate(),
-                              dc.source.table)
+    def restricted(self, chain):
+        """The transfer of a cycle on Gamma to Gamma_1, in subgroup form."""
+        k, m = self.source.k, self.source.ring.modulus
+        return transfer(to_group_chain(chain, self.source.table, k, m),
+                        self.reps, self.contains, m)
 
+    def image(self, chain):
+        """Target coordinates of the image of a cycle on Gamma: its
+        transfer's terms (h, v) become (alpha h alpha^-1, alpha v), summed
+        per element, and are Fox-expanded on Gamma''s table."""
+        target, alpha = self.target, self.alpha
+        k, m = target.k, target.ring.modulus
+        sums = {}
+        for h, v in self.restricted(chain):
+            delta = conjugate(alpha, h)
+            sums[delta] = poly_add(sums.get(delta, zero_poly(k)),
+                                   act(alpha, v, m))
+        pushed = group_chain_to_chain1(sums.items(), target.table, k, m)
+        return target.coords(target.quotient.project(sparse(pushed)))
 
-class CorestrictedReaders(dict):
-    """The coordinate readers of a LocalQuotient on Gamma' composed with
-    the corestriction from Gamma_2: at (slot, block) of Gamma_2, the
-    pairs (coordinate index, row C) for the readers (index, row) of the
-    target block that C sends it to.  ``entries`` are the
-    corestriction's (symspace.corestriction_map).  Filled on first use,
-    by ``get`` too, the read of ``homology.RunSums``."""
-
-    def __init__(self, entries, readers):
-        super().__init__()
-        self.entries = entries
-        self.target = readers
-
-    def __missing__(self, key):
-        slot, blk = key
-        (j, C), = self.entries[blk]
-        pairs = self[key] = [
-            (idx, row if C is None else
-             [sum(a * C[i][c] for i, a in enumerate(row))
-              for c in range(len(row))])
-            for idx, row in self.target.get((slot, j), ())]
-        return pairs
-
-    def get(self, key, default=None):
-        return self[key]
-
-
-def corestricted_quotient(dc):
-    """A stand-in for the target's LocalQuotient on Gamma_2, the route a
-    double coset took before it walked Gamma''s own table: Gamma_2's
-    table, with the target's readers read through the corestriction.
-    ``homology.RunSums`` reads its table, k, modulus and readers."""
-    table2, quotient = gamma2_table(dc), dc.target.quotient
-    k, m = quotient.k, quotient.modulus
-    entries = corestriction_map(table2, dc.target.table, k, m)
-    return SimpleNamespace(table=table2, k=k, modulus=m,
-                           readers=CorestrictedReaders(entries,
-                                                       quotient.readers))
-
-
-def conj_star_letter_walk(c, dc):
-    """The conjugation push of a cycle over Gamma_1 by the alpha of the
-    double coset ``dc``, expanded letter by letter on the table of
-    Gamma_2 and corestricted as a whole chain."""
-    alpha, table2, k, m = dc.alpha, gamma2_table(dc), c.k, c.modulus
-    out = Chain1.zero(table2, k, m)
-    for gamma, v in to_group_chain(sparse(c), c.table, k, m):
-        cg = conjugate_by(alpha, gamma)
-        if cg is None or not table2.contains(cg):
-            raise ConjugateLeavesGroup("conjugate leaves the target group")
-        unit = IndVec.unit(table2, k, act(alpha, v, m), modulus=m)
-        out = out + fox_expand(decompose_word(cg), unit)
-    entries = corestriction_map(table2, dc.target.table, k, m)
-    image = apply_blockwise(entries, sparse(out), m)
-    return dense(image, dc.target.table, k, m)
+    def matrix(self):
+        """The operator matrix: the images of the source generators."""
+        source = self.source
+        return from_columns([self.image(source.generator_chain(i))
+                             for i in range(source.ngens)],
+                            self.target.ngens)
 
 
 TP = PMat(1, 0, 1, 1)  # lower triangular T' = S * T^-1 * S^-1 ~ transpose
@@ -860,8 +589,6 @@ def evaluate_word(word):
 
 
 def transpose(A):
-    if not A:
-        return []
     return [list(col) for col in zip(*A)]
 
 
@@ -895,15 +622,11 @@ def det(A):
 
 
 def smith_normal_form(A):
-    """Return (U, D, V) with A == U*D*V, U and V unimodular and D diagonal
-    with nonnegative entries satisfying d1 | d2 | ...
-
-    The left-only Smith form of A^T gives a unimodular W with A*W zero
-    past its first r = rank(A) columns.  In the left-only Smith form
-    A*W == U*D*V3, V3 is then needed only on its first r rows, which are
-    the rows of U^-1*A*W divided by the invariant factors; the other
-    rows are taken from the identity.  V = V3 * W^-1.
-    """
+    """(U, D, V) with A == U*D*V, U and V unimodular, D diagonal with
+    d1 | d2 | ... >= 0.  The left-only Smith form of A^T gives a
+    unimodular W with A*W zero past its first r = rank(A) columns; in
+    that of A*W == U*D*V3, the first r rows of V3 are those of U^-1*A*W
+    over the invariant factors, the rest the identity's; V = V3 * W^-1."""
     n = len(A[0]) if A else 0
     U2, U2inv, _ = smith_normal_form_full(transpose(A))
     AW = mat_mul(A, transpose(U2inv))
@@ -917,10 +640,9 @@ def smith_normal_form(A):
 
 
 def close_every_row(lattice, maps, rounds, target=None):
-    """The closure rule of ``Lattice.close_under`` with no frontier:
-    each round applies every map to every row of the lattice as it
-    stood when the round began.  Same round cap and target stop; True
-    if the lattice grew."""
+    """``Lattice.close_under`` with no frontier: each round maps every row
+    as the round began.  Same round cap and target stop; True if the
+    lattice grew."""
     grew = False
     for _ in range(rounds):
         rows = [r[:] for r in lattice.rows]
@@ -958,18 +680,11 @@ def schreier(table, g):
 
 def p1_size(N):
     """#P^1(Z/N) by the multiplicative formula N * prod(1 + 1/p)."""
-    n = N
-    num = N
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            num = num // p * (p + 1)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        num = num // n * (n + 1)
-    return num
+    size = N
+    for p in range(2, N + 1):
+        if N % p == 0 and all(p % q for q in range(2, p)):
+            size = size // p * (p + 1)
+    return size
 
 
 class NotStable(Exception):
@@ -977,15 +692,9 @@ class NotStable(Exception):
 
 
 def induced_endomorphism(f, module):
-    """Matrix of an ambient linear map on the generators of ``module``.
-
-    ``f`` is a callable on ambient vectors or an ambient square matrix.
-    Raises NotStable if some generator image leaves the module.
-    """
-    if callable(f):
-        apply = f
-    else:
-        apply = lambda v: mat_vec(f, v)
+    """Matrix of an ambient linear map (a callable or a square matrix) on
+    the generators of ``module``; NotStable if an image leaves it."""
+    apply = f if callable(f) else (lambda v: mat_vec(f, v))
     cols = []
     for i in range(module.ngens):
         w = apply([row[i] for row in module.gen_lift])
@@ -1047,30 +756,19 @@ def beta_matrix(N, p):
     return Mat2(m, n, N, p)
 
 
-@dataclass
-class PPhiV:
-    """The canonical map pi, the transfer phi, and the shift V between
-    the level-N and level-Np presentations, with U_p downstairs."""
-
-    h1: H1Presentation
-    h1p: H1Presentation
-    pi: OperatorMatrix
-    phi: OperatorMatrix
-    V: OperatorMatrix
-    Up: OperatorMatrix
+# the canonical map pi, the transfer phi and the shift V between the
+# level-N and level-Np presentations, with U_p downstairs
+PPhiV = namedtuple("PPhiV", "h1 h1p pi phi V Up")
 
 
 def h_closure(spec):
-    """The subgroup H of (Z/N)^x generated by the spec's h_gens: the
-    residues of all products of the generators, grown one factor at a
-    time until no new residue appears."""
-    N = spec.N
-    closure = {1 % N}
-    while True:
-        grown = closure | {(h * g) % N for h in closure for g in spec.h_gens}
-        if grown == closure:
-            return frozenset(closure)
+    """The subgroup H of (Z/N)^x generated by the spec's h_gens, grown one
+    factor at a time until no new residue appears."""
+    N, closure, grown = spec.N, set(), {1 % spec.N}
+    while grown != closure:
         closure = grown
+        grown = closure | {h * g % N for h in closure for g in spec.h_gens}
+    return frozenset(closure)
 
 
 def gamma0p_intersection(spec, p):

@@ -1,20 +1,15 @@
-"""The conjugation push of ``hecke.conj_star``, read straight into target
-coordinates, against ``oracles.conj_star_letter_walk``, which expands
-every term letter by letter on the table of Gamma_2 and corestricts the
-whole chain, over every kind of double coset; the run walk of
-``homology.RunSums``, against the letter walk ``oracles.fox_expand``
-projected through the same readers, on words with long runs and runs of
-hundreds of whole laps, on Hecke conjugates (on the target's own table
-and, through the corestriction, on Gamma_2's), and shared by four
-operators on one H1; the subgroup form that ``homology.restricted_form``
-reads off a source cycle, against the restricted chain rewritten by
-``oracles.to_group_chain`` on Gamma_1's table on the transversal s_r t_i
-that the double coset reads; and the Fox-map identities the push rests
-on, among them that the walk on the target's own table is the
-corestricted walk on Gamma_2's."""
+"""Hecke images against the independent oracle ``oracles.HeckeOracle``,
+which restricts a cycle by the bar-complex transfer, conjugates each
+term and walks it letter by letter on the target's table (``fox_expand``),
+over every kind of double coset; the run walk of ``homology.RunSums``
+against that letter walk, on words with long runs and runs of hundreds
+of whole laps, on Hecke conjugates, and shared by four operators on one
+H1; the subgroup form that ``homology.restricted_form`` reads off a
+source cycle, against the transfer; and the soundness lemma the push
+rests on: the walk on the target's own table is the corestricted walk on
+Gamma_2's."""
 
 import random
-from collections import Counter
 from math import gcd
 from operator import mul
 
@@ -38,29 +33,23 @@ from hypcycle.homology import (
     compute_h1,
     restricted_form,
 )
-from hypcycle.intlinalg import RingSpec, ZZ, identity
+from hypcycle.intlinalg import RingSpec, ZZ
 from hypcycle.psl2 import I, Mat2, S, T, U
 from hypcycle.symspace import corestriction_map
 from oracles import (
     TP,
+    HeckeOracle,
     IndVec,
     apply_blockwise,
     beta_matrix,
-    conj_star_letter_walk,
-    corestricted_quotient,
     decompose_word,
     dense,
+    double_coset_predicates,
     fox_expand,
-    fox_expand_unit,
     gamma0p_intersection,
-    gamma1_restriction,
-    gamma1_table,
-    gamma2_table,
     power,
-    product_table,
-    restriction_entries,
     sparse,
-    to_group_chain,
+    subgroup_cosets,
 )
 
 PUSH = settings(max_examples=30, deadline=None, derandomize=True,
@@ -71,10 +60,12 @@ RUNS = settings(max_examples=60, deadline=None, derandomize=True)
 
 OPS = ["hecke", "diamond", "pi", "phi", "V", "cusp"]
 # level times (p+1)^2 bounds the tables of V, the largest kind, before
-# any is built; blocks of the Gamma_2 table times 2k+1 bounds the
-# letter walk of the oracle
+# any is built; the target's blocks times the cosets times 2k+1 bounds
+# the oracle's letter walk, and Gamma_2's index, that of Gamma_1, the
+# membership scans that build its table
 MAX_LEVEL_WORK = 200
 MAX_WORK = 1200
+MAX_GAMMA2_INDEX = 200
 
 words = st.lists(st.sampled_from([S, U, T, TP, T.inv(), TP.inv()]),
                  min_size=0, max_size=12)
@@ -139,24 +130,25 @@ def double_coset(spec, k, ring, p, op):
 @PUSH
 @given(push_cases())
 def test_conj_star_matches_letter_walk(case):
+    # the operator against the Hecke oracle, which walks each conjugate
+    # letter by letter on Gamma''s table; each element's Fox map is read
+    # into coordinates once per batch, so batches of 1, 2k and 2k+1
+    # copies of a cycle's subgroup form give copies of its image
     spec, k, ring, p, op = case
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
-    assume(gamma2_table(dc).index * (2 * k + 1) <= MAX_WORK)
-    quotient, m = dc.target.quotient, ring.modulus
-    table1, entries = gamma1_restriction(dc)
-    for i, unit in enumerate(identity(dc.source.ngens)[:3]):
-        rc = apply_blockwise(entries, dc.source.generator_chain(i), m)
-        walk = conj_star_letter_walk(dense(rc, table1, k, m), dc)
-        expect = quotient.project(sparse(walk))
-        # each element's Fox map is read into coordinates once per
-        # batch; batches of 1, 2k and 2k+1 copies of the cycle reuse it
-        form = to_group_chain(rc, table1, k, m)
+    assume(dc.target.table.index * dc.coset_count * (2 * k + 1) <= MAX_WORK)
+    source, target = dc.source, dc.target
+    want = HeckeOracle(source, target, dc.alpha).matrix()
+    assert dc.operator().matrix == want
+    for i in range(min(source.ngens, 2)):
+        form = restricted_form(source.generator_chain(i),
+                               source.quotient.steps, dc.rhos, dc.moves)
         for size in (1, 2 * k, 2 * k + 1):
             got = conj_star([form] * size, dc.alpha, dc.runs,
-                            quotient.ambient_rank)
-            assert got == [expect] * size
-        assert dc.apply_coords(unit) == dc.target.module.coords(expect)
+                            target.quotient.ambient_rank)
+            assert [list(target.coords(v)) for v in got] == [
+                [row[i] for row in want]] * size
 
 
 def read_by_runs(runs, g, poly, rank):
@@ -238,22 +230,6 @@ def test_whole_laps_match_letter_walk(name, k, ring):
     assert max(laps) >= 497
 
 
-def operator_by_letter_walk(dc):
-    """The matrix of a double coset, column by column from the letter
-    walk on Gamma_2 (oracles.conj_star_letter_walk) of the restriction
-    to Gamma_1's breadth-first table (oracles.gamma1_restriction)."""
-    source, target = dc.source, dc.target
-    k, m = source.k, source.ring.modulus
-    table1, entries = gamma1_restriction(dc)
-    cols = []
-    for i in range(source.ngens):
-        rc = apply_blockwise(entries, source.generator_chain(i), m)
-        walk = conj_star_letter_walk(dense(rc, table1, k, m), dc)
-        cols.append(list(target.module.coords(
-            target.quotient.project(sparse(walk)))))
-    return [list(row) for row in zip(*cols)]
-
-
 # T_2, T_3, U_7 and <3> on Gamma_1(7)
 SHARED_OPS = {"T2": lambda h1: hecke_coset(2, h1),
               "T3": lambda h1: hecke_coset(3, h1),
@@ -281,9 +257,12 @@ def test_operators_share_one_run_sums(ring):
 
 
 def test_shared_run_sums_match_letter_walk():
+    # the four matrices read through one RunSums, against the Hecke
+    # oracle's letter walk
     h1 = compute_h1(SubgroupSpec.gamma1(7), 1, ZZ)
     for name, matrix in shared_matrices(ZZ, sorted(SHARED_OPS)).items():
-        assert matrix == operator_by_letter_walk(SHARED_OPS[name](h1)), name
+        oracle = HeckeOracle(h1, h1, SHARED_OPS[name](h1).alpha)
+        assert matrix == oracle.matrix(), name
 
 
 @pytest.mark.parametrize("name,p,k,ring", [
@@ -294,89 +273,78 @@ def test_shared_run_sums_match_letter_walk():
     ("gamma0:2", 13, 3, ZZ),
 ])
 def test_run_walk_on_hecke_conjugates(name, p, k, ring):
-    # the conjugates that a Hecke matrix walks (of the elements that
-    # the reps' moves give, and of the Schreier generators of Gamma_1's
-    # breadth-first table), through the double coset's RunSums on the
-    # target's own table and through one on Gamma_2 read through the
-    # corestriction, against the letter walk on Gamma_2, corestricted:
+    # the conjugates that a Hecke matrix walks (of the elements that the
+    # reps' moves give, and of the elements of Gamma_1 that the oracle's
+    # transfer of each generator gives), through the double coset's
+    # RunSums on the target's own table, against the letter walk there:
     # their runs start all over the orbits, so they read differences of
     # two prefix sums and runs that pass an orbit's end, on Gamma_0(N)
     # many times over at the orbit of width 1
     h1 = compute_h1(SubgroupSpec.parse(name), k, ring)
     dc = DoubleCoset(h1, h1, Mat2(1, 0, 0, p))
+    oracle = HeckeOracle(h1, h1, dc.alpha)
     m = ring.modulus
-    gamma2 = corestricted_quotient(dc)
     rng = random.Random(p)
     poly = [rng.randint(-9, 9) for _ in range(2 * k + 1)]
     moved = [gamma for g in h1.table.schreier_generators()
-             for gamma in dc.moves(g) if not gamma.is_identity()]
-    for gamma in moved + gamma1_table(dc).schreier_generators():
+             for gamma in dc.moves(g)]
+    moved += [h for i in range(h1.ngens)
+              for h, _ in oracle.restricted(h1.generator_chain(i))]
+    elements = {gamma.key(): gamma for gamma in moved
+                if not gamma.is_identity()}
+    for gamma in elements.values():
         cg = conjugate_by(dc.alpha, gamma)
         chain = fox_expand(decompose_word(cg),
-                           IndVec.unit(gamma2.table, k, poly, modulus=m))
-        image = apply_blockwise(gamma2.readers.entries, sparse(chain), m)
-        for runs in (dc.runs, RunSums(gamma2)):
-            assert (read_by_runs(runs, cg, poly, h1.quotient.ambient_rank)
-                    == h1.quotient.project(image))
-
-
-def form_terms(form, m):
-    """The multiset of terms (gamma key, vector mod m) of a subgroup
-    form, zero vectors dropped."""
-    terms = ((g.key(), tuple(x % m for x in v) if m else tuple(v))
-             for g, v in form)
-    return Counter(t for t in terms if any(t[1]))
+                           IndVec.unit(h1.table, k, poly, modulus=m))
+        assert (read_by_runs(dc.runs, cg, poly, h1.quotient.ambient_rank)
+                == h1.quotient.project(sparse(chain)))
 
 
 @PUSH
 @given(push_cases())
 def test_restricted_form_matches_oracle(case):
-    # the subgroup form read off the source cycle, against the old
-    # route: restrict the cycle blockwise to a chain on Gamma_1, then
-    # rewrite that chain by its letter steps.  Gamma_1's table is the
-    # one on the transversal s_r t_i that the double coset reads, its
-    # steps found by coset lookups on the intersection key, and the
-    # restriction's entries by coset lookups on it
+    # the subgroup form read off the source cycle has its elements in
+    # Gamma_1 (by its membership test) and, pushed by hecke.conj_star,
+    # the image of the bar-complex transfer of the cycle's subgroup form
+    # (oracles.transfer, on reps found by that membership test alone)
     spec, k, ring, p, op = case
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
-    m = ring.modulus
-    table1 = product_table(dc)
-    entries = restriction_entries(dc.source.table, table1, k, m, dc.reps)
-    for i in range(min(dc.source.ngens, 3)):
-        c = dc.source.generator_chain(i)
-        got = restricted_form(c, dc.source.quotient.steps, dc.rhos,
-                              dc.moves)
-        want = to_group_chain(apply_blockwise(entries, c, m), table1, k, m)
-        assert form_terms(got, m) == form_terms(want, m)
-
-
-@FOX
-@given(groups(), st.integers(0, 2), rings(), words, st.data())
-def test_fox_unit_map_matches_letter_walk(spec, k, ring, word, data):
-    table = build_cosets(spec)
-    m = ring.modulus
-    g = evaluate(word)
-    poly = data.draw(polys(k, ring))
-    expect = fox_expand(decompose_word(g), IndVec.unit(table, k, poly, modulus=m))
-    assert dense(fox_expand_unit(table, g, poly, k, m), table, k, m) == expect
-    # the second expansion reads the letter steps the first one cached
-    assert dense(fox_expand_unit(table, g, poly, k, m), table, k, m) == expect
+    source, target = dc.source, dc.target
+    oracle = HeckeOracle(source, target, dc.alpha)
+    chains = [source.generator_chain(i) for i in range(min(source.ngens, 3))]
+    forms = [restricted_form(c, source.quotient.steps, dc.rhos, dc.moves)
+             for c in chains]
+    assert all(oracle.contains(gamma) for form in forms for gamma, _ in form)
+    rank = target.quotient.ambient_rank
+    got = conj_star(forms, dc.alpha, dc.runs, rank)
+    want = conj_star([oracle.restricted(c) for c in chains], dc.alpha,
+                     dc.runs, rank)
+    assert ([target.coords(v) for v in got]
+            == [target.coords(v) for v in want])
 
 
 @PUSH
 @given(push_cases(), words, st.data())
 def test_corestricted_fox_map_is_target_fox_map(case, word, data):
+    # the soundness lemma of the walk on the target's own table: the Fox
+    # chain of an element on the table of Gamma_2 (built by its
+    # membership test), corestricted to Gamma', is its Fox chain on the
+    # table of Gamma'
     spec, k, ring, p, op = case
     assume(spec.N * (p + 1) ** 2 <= MAX_LEVEL_WORK)
     dc = double_coset(spec, k, ring, p, op)
+    assume(dc.source.table.index * dc.coset_count <= MAX_GAMMA2_INDEX)
     m = ring.modulus
     poly = data.draw(polys(k, ring))
-    table2 = gamma2_table(dc)
-    entries = corestriction_map(table2, dc.target.table, k, m)
+    target = dc.target.table
+    _, pred2 = double_coset_predicates(dc.source.table.contains,
+                                       target.contains, dc.alpha)
+    table2 = subgroup_cosets(pred2)
+    entries = corestriction_map(table2, target, k, m)
     for g in [evaluate(word)] + table2.schreier_generators()[:4]:
-        fox2 = fox_expand_unit(table2, g, poly, k, m)
-        pushed = dense(apply_blockwise(entries, fox2, m),
-                       dc.target.table, k, m)
-        direct = fox_expand_unit(dc.target.table, g, poly, k, m)
-        assert pushed == dense(direct, dc.target.table, k, m)
+        word_g = decompose_word(g)
+        fox2 = fox_expand(word_g, IndVec.unit(table2, k, poly, modulus=m))
+        pushed = apply_blockwise(entries, sparse(fox2), m)
+        direct = fox_expand(word_g, IndVec.unit(target, k, poly, modulus=m))
+        assert dense(pushed, target, k, m) == direct

@@ -1,15 +1,15 @@
 """The double coset's reading of Gamma_1 = Gamma n alpha^-1 Gamma' alpha
-through Gamma's own table, against the breadth-first table of Gamma_1
-built on the intersection key (``oracles.gamma1_table``), which the
-double coset no longer builds:
+through Gamma's own table, against Gamma_1's membership test
+(``oracles.double_coset_predicates``) and the Hecke oracle
+(``oracles.HeckeOracle``), which shares no code with it:
 
-- the reps are one element of Gamma per coset of Gamma_1 in Gamma;
+- the reps are one element of Gamma per coset of Gamma_1 in Gamma, as
+  many as the oracle finds by membership alone;
 - every element gamma of the reps' moves by a step g of Gamma lies in
   Gamma_1, and is the one with s_r g^-1 == gamma^-1 s_r';
-- the subgroup forms that ``homology.restricted_form`` reads map under
-  ``hecke.conj_star`` to the same target coordinates as the forms of
-  the restriction onto Gamma_1's table (``oracles.gamma1_restriction``
-  and ``to_group_chain``), for every generator.
+- the images of the first generators are the oracle's, whose transfer,
+  conjugation and letter walk on the target's table share nothing with
+  the double coset's.
 
 The double cosets are those of ``boundary.check_hecke_generation``:
 diag(1, p) for its primes (T_p or U_p), the diamond operators that are
@@ -21,14 +21,18 @@ import pytest
 
 from hypcycle.boundary import GENERATION_PRIMES, cusp_data
 from hypcycle.cosets import SubgroupSpec
-from hypcycle.hecke import DoubleCoset, conj_star, diamond_matrix
-from hypcycle.homology import compute_h1, restricted_form
-from hypcycle.intlinalg import RingSpec
+from hypcycle.hecke import DoubleCoset, diamond_matrix
+from hypcycle.homology import compute_h1
+from hypcycle.intlinalg import RingSpec, identity
 from hypcycle.psl2 import Mat2
-from oracles import apply_blockwise, gamma1_restriction, to_group_chain
+from oracles import HeckeOracle
 
 GROUPS = ["gamma0:11", "gamma0:9", "gamma1:9", "gammaH:13:3"]
 RINGS = [(0, "Z"), (1, "Z"), (2, "Q"), (1, "Fp:3"), (2, "Zp:5:2")]
+# the oracle's letter walk takes about 0.1 s per image at k = 2 on
+# Gamma_1(9); the operator matrices are checked against it in
+# test_conj_push
+IMAGES = 2
 
 
 def generation_cosets(h1):
@@ -52,36 +56,29 @@ def generation_cosets(h1):
 @pytest.mark.parametrize("group", GROUPS)
 def test_coset_action_matches_intersection_table(group, k, ring):
     h1 = compute_h1(SubgroupSpec.parse(group), k, RingSpec.parse(ring))
-    m = h1.ring.modulus
     steps = h1.quotient.steps
     step_elements = {steps[i, slot, e][1]
                      for i in range(h1.table.index)
                      for slot, e in (("S", 1), ("U", 2))}
     for name, dc in generation_cosets(h1):
-        table1, entries = gamma1_restriction(dc)
+        oracle = HeckeOracle(h1, h1, dc.alpha)
+        in_gamma1 = oracle.contains
         # the reps: deg distinct cosets of Gamma_1, each in Gamma
         reps = dc.reps
-        cosets = [table1.coset_of(s)[0] for s in reps]
-        assert len(reps) == table1.index // h1.table.index, name
-        assert len(set(cosets)) == len(reps), name
+        assert len(reps) == len(oracle.reps), name
         assert all(h1.table.contains(s) for s in reps), name
+        assert not [(r, t) for r, s in enumerate(reps)
+                    for t in reps[:r] if in_gamma1(s * t.inv())], name
         # the moves: gamma in Gamma_1 with s_r g^-1 == gamma^-1 s_r'
         for g in step_elements:
             for s, gamma in zip(reps, dc.moves(g)):
-                assert table1.contains(gamma), (name, g, s)
-                j = table1.coset_of(s * g.inv())[0]
-                assert gamma == reps[cosets.index(j)] * g * s.inv()
-        # the images of every generator, from both subgroup forms
-        chains = [h1.generator_chain(i) for i in range(h1.ngens)]
-        forms = [restricted_form(c, steps, dc.rhos, dc.moves)
-                 for c in chains]
-        oracle = [to_group_chain(apply_blockwise(entries, c, m), table1, k, m)
-                  for c in chains]
-        rank = h1.quotient.ambient_rank
-        got = conj_star(forms, dc.alpha, dc.runs, rank)
-        want = conj_star(oracle, dc.alpha, dc.runs, rank)
-        assert ([h1.module.coords(v) for v in got]
-                == [h1.module.coords(v) for v in want]), name
+                assert in_gamma1(gamma), (name, g, s)
+                s2 = gamma * s * g.inv()
+                assert s2 in reps, (name, g, s)
+        # the images of the first generators
+        for i, unit in enumerate(identity(h1.ngens)[:IMAGES]):
+            assert (dc.apply_coords(unit)
+                    == oracle.image(h1.generator_chain(i))), (name, i)
 
 
 def test_cosets_cover_every_kind():

@@ -1,8 +1,8 @@
 """Keyed coset tables against the predicate enumeration of
 ``oracles.subgroup_cosets``, which decides coset equality by membership
 alone: the same transversal and multiplication tables for Gamma_H(N),
-the same intersection tables inside every kind of double coset (and the
-same Gamma_1 cosets by the double coset's own key on Gamma), and the
+the same Gamma_1 cosets by the double coset's own key on Gamma as by the
+membership test of Gamma_1 inside every kind of double coset, and the
 same cosets as a walk along the word of an element."""
 
 from math import gcd
@@ -24,8 +24,6 @@ from oracles import (
     beta_matrix,
     double_coset_predicates,
     gamma0p_intersection,
-    gamma1_table,
-    gamma2_table,
     subgroup_cosets,
 )
 
@@ -123,20 +121,15 @@ def double_cosets(spec, p):
 
 @HECKE
 @given(specs(max_level=8), st.sampled_from([2, 3, 5]), words)
-def test_double_coset_tables_match_oracle(spec, p, w):
+def test_double_coset_key_matches_membership(spec, p, w):
+    # the double coset's own key of Gamma_1 on Gamma: two elements of
+    # Gamma share a key exactly when they share a Gamma_1 coset by its
+    # membership test, and the reps lie in distinct cosets
     g = evaluate(w)
     for label, dc in double_cosets(spec, p):
-        pred1, pred2 = double_coset_predicates(
+        pred1, _ = double_coset_predicates(
             dc.source.table.contains, dc.target.table.contains, dc.alpha)
-        for keyed, pred in ((gamma1_table(dc), pred1),
-                            (gamma2_table(dc), pred2)):
-            oracle = subgroup_cosets(pred)
-            assert keyed.index == oracle.index, (label, spec, p)
-            same_table(keyed, oracle)
-            assert keyed.coset_of(g) == oracle.coset_of(g), (label, spec, p)
-            assert keyed.contains(g) == pred(g)
-        # the double coset's own key of Gamma_1 on Gamma: two elements
-        # of Gamma share a key exactly when they share a Gamma_1 coset
+        assert len({dc.key(s) for s in dc.reps}) == len(dc.reps), label
         if dc.source.table.contains(g):
             for s in dc.reps:
-                assert (dc.key(g) == dc.key(s)) == pred1(g * s.inv())
+                assert (dc.key(g) == dc.key(s)) == pred1(g * s.inv()), label

@@ -58,8 +58,9 @@ def h1_cases(draw):
 def test_invariant_factors_match_dense_route(case):
     spec, k, ring = case
     table = build_cosets(spec)
-    # the dense route is quadratic in this dimension; keep it small
-    assume(table.index * (2 * k + 1) <= 84)
+    # the dense route is quadratic in this dimension; keep it small, and
+    # smaller mod m, where its kernel is an echelon of [d1 | m*I]
+    assume(table.index * (2 * k + 1) <= (60 if ring.modulus else 84))
     got = compute_h1(table, k, ring).invariant_factors
     assert got == dense_h1(table, k, ring).invariant_factors, (spec, k, ring)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import zlib
 
 import pytest
 
@@ -17,8 +18,8 @@ from hypcycle.hecke import (
     hecke_coset,
     identity_operator,
 )
-from hypcycle.homology import RunSums, compute_h1
-from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns, identity
+from hypcycle.homology import NotACycle, RunSums, compute_h1
+from hypcycle.intlinalg import QQ, RingSpec, ZZ, identity
 from hypcycle.psl2 import (
     HYPERBOLIC,
     I,
@@ -30,29 +31,23 @@ from hypcycle.psl2 import (
 from hypcycle.symspace import act, poly_pow
 from oracles import (
     TP,
-    Chain1,
+    HeckeOracle,
     IndVec,
-    NotACycleOnTransfer,
-    apply_blockwise,
     beta_matrix,
-    boundary1,
     compose,
+    coset_reps,
     cycle_coords_of,
-    dense,
+    decompose_word,
     equals,
-    filter_transversal,
-    fox_expand_unit,
+    fox_expand,
     gamma0p_intersection,
-    intersection_key,
-    intersection_table,
     is_zero,
     pi_phi_V,
     plus,
-    restriction_entries,
     scaled,
-    subgroup_cosets,
+    sparse,
     to_group_chain,
-    transfer_res,
+    transfer,
     x2_power,
 )
 
@@ -79,8 +74,7 @@ def orbit_formula_image(alpha, gamma, w, src_table, tgt_contains):
         cg = conjugate_by(alpha, g)
         return cg is not None and tgt_contains(cg)
 
-    t1 = subgroup_cosets(pred1)
-    reps = filter_transversal(t1, src_table)
+    reps = coset_reps(pred1, src_table.schreier_generators())
     r = len(reps)
     nu = {}
     for i, s in enumerate(reps):
@@ -215,21 +209,31 @@ class TestTransfer:
         assert equals(got, scaled(identity_operator(h1), 5))
 
     def test_transfer_requires_cycle(self):
+        # the oracle restricts a cycle only: a chain with nonzero
+        # boundary has no subgroup form
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
         sub = compute_h1(SubgroupSpec.gamma0(2), 1, ZZ)
-        bad = Chain1(IndVec.unit(h1.table, 1, (1, 0, 0)),
-                     IndVec.zero(h1.table, 1))
-        with pytest.raises(NotACycleOnTransfer):
-            transfer_res(bad, sub.table)
+        oracle = HeckeOracle(h1, sub, I.lift())
+        with pytest.raises(NotACycle):
+            oracle.restricted({("S", 0): [1, 0, 0]})
 
     def test_chain_level_transfer_is_cycle(self):
-        h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
-        sub = compute_h1(SubgroupSpec.gamma0(2), 1, ZZ)
+        # the bar-complex transfer of a cycle (gamma, q_gamma) on level
+        # one to Gamma_0(2) is a cycle there: its terms lie in
+        # Gamma_0(2), and sum (h w - w) = 0
+        spec = SubgroupSpec.gamma0(2)
+        level_one = build_cosets(SubgroupSpec.gamma1(1))
+        reps = coset_reps(spec.contains, level_one.schreier_generators())
+        assert len(reps) == 3
         rng = random.Random(81)
         for g in random_hyperbolic_in(SubgroupSpec.gamma1(1), rng, 5):
-            c = fox_expand_unit(h1.table, g, quadratic_form(g), 1)
-            rc = transfer_res(dense(c, h1.table, 1), sub.table)
-            assert boundary1(rc).is_zero()
+            terms = transfer([(g, quadratic_form(g))], reps, spec.contains)
+            assert terms and all(spec.contains(h) for h, _ in terms)
+            total = [0, 0, 0]
+            for h, w in terms:
+                total = [t + x - y
+                         for t, x, y in zip(total, act(h.lift(), w), w)]
+            assert total == [0, 0, 0]
 
 
 class TestConjStar:
@@ -238,7 +242,8 @@ class TestConjStar:
         runs = RunSums(h1.quotient)
         rng = random.Random(82)
         for g in random_hyperbolic_in(SubgroupSpec.gamma0(11), rng, 4):
-            c = fox_expand_unit(h1.table, g, (1,), 0)
+            c = sparse(fox_expand(decompose_word(g),
+                                  IndVec.unit(h1.table, 0, (1,))))
             out, = conj_star([to_group_chain(c, h1.table, 0)], I.lift(),
                              runs, h1.quotient.ambient_rank)
             assert h1.coords(out) == h1.coords(h1.quotient.project(c))
@@ -254,7 +259,8 @@ class TestConjStar:
     def test_conjugate_leaves_group(self):
         h1 = compute_h1(SubgroupSpec.gamma1(1), 1, ZZ)
         g = T * T * TP
-        c = fox_expand_unit(h1.table, g, quadratic_form(g), 1)
+        c = sparse(fox_expand(decompose_word(g),
+                              IndVec.unit(h1.table, 1, quadratic_form(g))))
         tgt = compute_h1(SubgroupSpec.gamma0(11), 1, ZZ)
         runs = RunSums(tgt.quotient)
         with pytest.raises(ConjugateLeavesGroup):
@@ -316,8 +322,7 @@ class TestDiamond:
     def test_diamond_reuses_the_group_table(self, monkeypatch):
         # beta in Gamma_0(N) normalizes Gamma_1(N): the intersection
         # groups are Gamma_1(N) itself, and no table is built for them;
-        # the operator equals the one through a Gamma_1 table built on
-        # the intersection key
+        # the operator is the Hecke oracle's
         from hypcycle.cosets import CosetTable
 
         h1 = compute_h1(SubgroupSpec.gamma1(9), 1, ZZ)
@@ -328,21 +333,11 @@ class TestDiamond:
         dc = DoubleCoset(h1, h1, diamond_matrix(9, 2))
         # one coset, the identity's, and no table of Gamma_1 built
         assert dc.reps == [I] and built == []
-        assert intersection_table(h1.table, dc.alpha, h1.table) is h1.table
-        # Gamma_2 = Gamma_1(N) too, though the double coset builds none
-        table2 = intersection_table(h1.table, dc.alpha.adjugate(), h1.table)
-        assert table2 is h1.table and built == []
-        table1 = build_cosets(intersection_key(h1.table.key, h1.table.key,
-                                               dc.alpha))
-        assert len(built) == 1 and table1.index == h1.table.index
-        m = h1.ring.modulus
-        entries = restriction_entries(h1.table, table1, 1, m, [I])
-        forms = [to_group_chain(apply_blockwise(entries, h1.generator_chain(i),
-                                                m), table1, 1, m)
-                 for i in range(h1.ngens)]
-        vecs = conj_star(forms, dc.alpha, dc.runs, h1.quotient.ambient_rank)
-        assert dc.operator().matrix == from_columns(
-            [h1.module.coords(v) for v in vecs], h1.ngens)
+        oracle = HeckeOracle(h1, h1, dc.alpha)
+        assert oracle.reps == [I]
+        assert all(oracle.contains(g) for g in h1.table.schreier_generators())
+        assert dc.operator().matrix == oracle.matrix()
+        assert built == []
 
     @pytest.mark.parametrize("group,k,ring,d", [
         ("gamma1:9", 1, ZZ, 8),
@@ -407,7 +402,9 @@ class TestOrbitFormulaOracle:
         spec = SubgroupSpec.parse(spec_name)
         h1 = compute_h1(spec, k, ZZ)
         op = hecke_coset(p, h1).operator()
-        rng = random.Random(hash((spec_name, k, p)) & 0xFFFF)
+        # a fixed seed per parameter set: str hashes change with
+        # PYTHONHASHSEED, and a failure must replay
+        rng = random.Random(zlib.crc32(repr((spec_name, k, p)).encode()))
         for g in random_hyperbolic_in(spec, rng, 3):
             w = poly_pow(quadratic_form(g), k)
             z = list(h1.cycle_coords(g))

@@ -23,23 +23,17 @@ from hypcycle.hecke import (
     identity_operator,
 )
 from hypcycle.homology import compute_h1
-from hypcycle.intlinalg import QQ, RingSpec, ZZ, from_columns, identity
+from hypcycle.intlinalg import (QQ, RingSpec, ZZ, columns, from_columns,
+                                identity)
 from hypcycle.psl2 import Mat2
-from oracles import (
-    apply_blockwise,
-    equals,
-    gamma1_restriction,
-    gamma1_table,
-    schreier_transversal,
-    to_group_chain,
-)
+from oracles import HeckeOracle, coset_reps, equals
 
 IMAGES = settings(max_examples=50, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
                                          HealthCheck.filter_too_much])
-# index times (2k+1) times the number of generators bounds the chain
-# images of a whole operator matrix
-MAX_WORK = 4000
+# index times (2k+1) times the number of generators bounds the oracle's
+# letter walks for a whole operator matrix
+MAX_WORK = 1500
 
 
 @st.composite
@@ -81,17 +75,13 @@ def test_apply_coords_matches_operator_matrix(case, data):
     assume(0 < h1.ngens
            and h1.table.index * (2 * k + 1) * h1.ngens <= MAX_WORK)
     dc = double_coset(h1, op, p)
-    # the matrix against columns lifted from the module's generators
-    # directly, not through H1Presentation.chain, and mapped one by one
+    # the matrix against the Hecke oracle's images of cycles lifted
+    # from the module's generators directly, not through
+    # H1Presentation.chain, and mapped one by one
     m = ring.modulus
-    table1, entries = gamma1_restriction(dc)
-    cols = []
-    for i in range(h1.ngens):
-        generator = [row[i] for row in h1.module.gen_lift]
-        c = apply_blockwise(entries, h1.quotient.lift(generator), m)
-        vec, = hecke.conj_star([to_group_chain(c, table1, k, m)],
-                               dc.alpha, dc.runs, h1.quotient.ambient_rank)
-        cols.append(list(h1.module.coords(vec)))
+    oracle = HeckeOracle(h1, h1, dc.alpha)
+    cols = [oracle.image(h1.quotient.lift(generator))
+            for generator in columns(h1.module.gen_lift)]
     assert dc.operator().matrix == from_columns(cols, h1.ngens)
     lo, hi = (0, m - 1) if m else (-9, 9)
     for _ in range(3):
@@ -144,22 +134,27 @@ TRANSVERSAL_CASES = {
 @pytest.mark.parametrize("case", sorted(TRANSVERSAL_CASES))
 def test_transversal_matches_schreier_walk(case, monkeypatch):
     # the transversal of Gamma_1 in Gamma that the orbit walk finds: its
-    # elements lie in Gamma, one per coset of Gamma_1 in Gamma (on the
-    # breadth-first table of Gamma_1), and the operator equals the one
-    # built on the breadth-first walk over Gamma's Schreier generators
-    # and their inverses, which finds other reps of the same cosets
+    # elements lie in Gamma, one per coset of Gamma_1 in Gamma (by the
+    # membership test of Gamma_1), and the operator equals the one built
+    # on the Hecke oracle's reps, a breadth-first walk over Gamma's
+    # Schreier generators by membership alone, which finds other reps of
+    # the same cosets
     group, k, alpha = TRANSVERSAL_CASES[case]
     h1 = compute_h1(SubgroupSpec.parse(group), k, ZZ)
     dc = DoubleCoset(h1, h1, alpha(h1))
-    table1 = gamma1_table(dc)
+    oracle = HeckeOracle(h1, h1, dc.alpha)
     assert all(h1.table.contains(s) for s in dc.reps)
-    cosets = [table1.coset_of(s)[0] for s in dc.reps]
-    assert len(set(cosets)) == len(cosets)
-    assert len(cosets) == table1.index // h1.table.index
-    monkeypatch.setattr(hecke, "subgroup_transversal", schreier_transversal)
+    assert len(dc.reps) == len(oracle.reps)
+    assert not [(r, t) for r, s in enumerate(dc.reps) for t in dc.reps[:r]
+                if oracle.contains(s * t.inv())]
+
+    def by_membership(key, table):
+        reps = coset_reps(oracle.contains, table.schreier_generators())
+        return reps, {key(s): r for r, s in enumerate(reps)}
+
+    monkeypatch.setattr(hecke, "subgroup_transversal", by_membership)
     walked = DoubleCoset(h1, h1, alpha(h1))
-    assert (sorted(table1.coset_of(s)[0] for s in walked.reps)
-            == sorted(cosets))
+    assert walked.reps == oracle.reps
     assert walked.operator().matrix == dc.operator().matrix
 
 

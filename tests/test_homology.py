@@ -4,7 +4,6 @@ from math import gcd
 import pytest
 
 from hypcycle.cosets import SubgroupSpec, build_cosets
-from hypcycle.hecke import DoubleCoset
 from hypcycle.homology import (
     LocalQuotient,
     NotACycle,
@@ -35,10 +34,9 @@ from oracles import (
     cycle_coords_of,
     decompose_word,
     dense,
+    double_coset_predicates,
     evaluate_word,
     fox_expand,
-    fox_expand_unit,
-    gamma1_table,
     group_chain_to_chain1,
     power,
     sparse,
@@ -172,14 +170,21 @@ class TestFoxExpand:
             assert boundary1(c) == ind_act(evaluate_word(w), v) - v
 
     def test_unit_map_agrees(self):
+        # on a unit vector, the letter walk of a word and the run walk of
+        # the element it spells give the same coordinates
+        quotients = {k: LocalQuotient(self.table, k) for k in range(3)}
         rng = random.Random(68)
         for _ in range(40):
             k = rng.randint(0, 2)
             p = random_poly(rng, k)
             w = random_word(rng, 25)
-            direct = fox_expand(w, IndVec.unit(self.table, k, p))
-            cached = fox_expand_unit(self.table, evaluate_word(w), p, k)
-            assert direct == dense(cached, self.table, k)
+            quo = quotients[k]
+            direct = quo.project(sparse(fox_expand(w, IndVec.unit(
+                self.table, k, p))))
+            runs = [0] * quo.ambient_rank
+            for idx, row in quo.runs.project(evaluate_word(w)):
+                runs[idx] = sum(a * x for a, x in zip(row, p))
+            assert direct == runs
 
     def test_boundary_of_fox_mod_p(self):
         from oracles import ind_act
@@ -387,8 +392,8 @@ class TestCycleOf:
             if classify(g) != HYPERBOLIC or not SubgroupSpec.gamma0(11).contains(g):
                 continue
             q = quadratic_form(g)
-            c = fox_expand_unit(h1.table, g, q, 1)
-            assert boundary1(dense(c, h1.table, 1)).is_zero()
+            c = fox_expand(decompose_word(g), IndVec.unit(h1.table, 1, q))
+            assert boundary1(c).is_zero()
             # the run walk's coordinates lie in the kernel of the
             # residues: lift raises NotACycle outside it
             h1.quotient.lift(cycle_of(g, q, h1.quotient))
@@ -479,14 +484,14 @@ class TestToGroupChain:
             if classify(g) != HYPERBOLIC or not self.spec.contains(g):
                 continue
             q = quadratic_form(g)
-            c = fox_expand_unit(self.h1.table, g, q, 1)
-            terms = to_group_chain(c, self.h1.table, 1)
+            c = group_chain_to_chain1([(g, q)], self.h1.table, 1)
+            terms = to_group_chain(sparse(c), self.h1.table, 1)
             for gamma, _ in terms:
                 assert self.spec.contains(gamma)
             back = group_chain_to_chain1(terms, self.h1.table, 1)
             h1 = self.h1
             assert (h1.coords(h1.quotient.project(sparse(back)))
-                    == h1.coords(h1.quotient.project(c)))
+                    == h1.coords(h1.quotient.project(sparse(c))))
             checked += 1
 
     def test_roundtrip_generators(self):
@@ -508,9 +513,10 @@ class TestToGroupChain:
             g = random_psl(rng, steps=8)
             if classify(g) != HYPERBOLIC or not self.spec.contains(g):
                 continue
-            c = fox_expand_unit(self.h1.table, g, quadratic_form(g), 1)
+            c = group_chain_to_chain1([(g, quadratic_form(g))],
+                                      self.h1.table, 1)
             total = zero_poly(1)
-            for gamma, v in to_group_chain(c, self.h1.table, 1):
+            for gamma, v in to_group_chain(sparse(c), self.h1.table, 1):
                 total = poly_add(total, act(gamma.lift(), v))
                 total = poly_add(total, tuple(-x for x in v))
             assert not any(total)
@@ -571,8 +577,11 @@ def test_letter_steps_match_transversal(name):
     # every step (j, g, rho(g)) against the transversal itself:
     # g^-1 t_j == t_i gen^e with g in the subgroup
     if name.startswith("T2"):
-        h1 = compute_h1(SubgroupSpec.gamma0(7), 0, ZZ)
-        table = gamma1_table(DoubleCoset(h1, h1, Mat2(1, 0, 0, 2)))
+        # Gamma_1 of T_2, known by its membership test alone
+        contains = build_cosets(SubgroupSpec.gamma0(7)).contains
+        pred1, _ = double_coset_predicates(contains, contains,
+                                           Mat2(1, 0, 0, 2))
+        table = subgroup_cosets(pred1)
     else:
         table = build_cosets(SubgroupSpec.parse(name))
     for k, m in ((0, None), (1, None), (2, 9)):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from hypcycle.cosets import SubgroupSpec, build_cosets
-from hypcycle.intlinalg import from_columns, identity, subquotient
-from hypcycle.psl2 import I, Mat2, S, T
+from hypcycle.homology import compute_h1
+from hypcycle.psl2 import HYPERBOLIC, I, Mat2, S, T, classify, quadratic_form
 from hypcycle.symspace import (
     NonPositiveDeterminant,
     act,
@@ -15,13 +15,15 @@ from oracles import (
     TP,
     IndVec,
     corestrict_coeff,
-    filter_transversal,
+    coset_reps,
+    group_chain_to_chain1,
     ind_act,
     monomial,
     poly_add,
     poly_sub,
-    restrict_coeff,
+    sparse,
     subgroup_cosets,
+    transfer,
     x2_power,
     zero_poly,
 )
@@ -163,19 +165,12 @@ class TestIndAct:
             assert [tuple(x % 9 for x in b) for b in over_z.blocks] == list(over_m.blocks)
 
 
-def coinvariant_module(table, k):
-    """V / span{(gamma - 1) w} over the subgroup of the table."""
-    d = 2 * k + 1
-    cols = []
-    for gamma in table.schreier_generators():
-        for i in range(d):
-            w = monomial(k, i)
-            cols.append(list(poly_sub(act(gamma.lift(), w), w)))
-    img = from_columns(cols, d) if cols else [[0] * 0 for _ in range(d)]
-    return subquotient(identity(d), img)
-
-
 class TestRestrictCorestrict:
+    """The bar-complex transfer of ``oracles.transfer``, from Gamma_0(3)
+    to its subgroup of index 3 with b even (known by membership, with
+    reps found by membership alone), and the blockwise corestriction of
+    ``symspace.corestriction_map`` back."""
+
     def setup_method(self):
         self.spec = SubgroupSpec.gamma0(3)
         self.amb = build_cosets(self.spec)
@@ -185,30 +180,34 @@ class TestRestrictCorestrict:
 
         self.pred = pred
         self.sub = subgroup_cosets(pred)
-        self.reps = filter_transversal(self.sub, self.amb)
+        self.reps = coset_reps(pred, self.amb.schreier_generators())
+        assert len(self.reps) == self.sub.index // self.amb.index == 3
+
+    def elements(self, rng, count, hyperbolic=False):
+        """Nontrivial elements of Gamma_0(3), or hyperbolic ones, whose
+        (g, q_g^k) are single-term cycles."""
+        out = []
+        while len(out) < count:
+            g = random_psl(rng, steps=8)
+            if (self.spec.contains(g) and not g.is_identity()
+                    and (not hyperbolic or classify(g) == HYPERBOLIC)):
+                out.append(g)
+        return out
+
+    def coords(self, h1, terms):
+        chain = group_chain_to_chain1(terms, h1.table, h1.k)
+        return h1.coords(h1.quotient.project(sparse(chain)))
 
     def test_restrict_identity_when_equal(self):
         rng = random.Random(51)
-        v = IndVec(self.amb, 1, None,
-                   [random_poly(rng, 1) for _ in range(self.amb.index)])
-        assert restrict_coeff(v, self.amb, reps=[I]) == v
+        terms = [(g, random_poly(rng, 1)) for g in self.elements(rng, 10)]
+        assert transfer(terms, [I], self.spec.contains) == terms
 
     def test_corestrict_identity_when_equal(self):
         rng = random.Random(52)
         v = IndVec(self.amb, 1, None,
                    [random_poly(rng, 1) for _ in range(self.amb.index)])
         assert corestrict_coeff(v, self.amb) == v
-
-    def test_restrict_equivariance(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            k = rng.randint(0, 2)
-            v = IndVec(self.amb, k, None,
-                       [random_poly(rng, k) for _ in range(self.amb.index)])
-            g = random_psl(rng)
-            lhs = restrict_coeff(ind_act(g, v), self.sub, reps=self.reps)
-            rhs = ind_act(g, restrict_coeff(v, self.sub, reps=self.reps))
-            assert lhs == rhs
 
     def test_corestrict_equivariance(self):
         rng = random.Random(54)
@@ -220,56 +219,54 @@ class TestRestrictCorestrict:
             assert corestrict_coeff(ind_act(g, v), self.amb) == ind_act(g, corestrict_coeff(v, self.amb))
 
     def test_rep_choice_independence(self):
+        # other reps of the same cosets give the same class on the
+        # subgroup
         rng = random.Random(55)
+        gens = self.sub.schreier_generators()
         twisted = []
         for s in self.reps:
             gamma = I
             for _ in range(rng.randint(0, 3)):
-                gamma = gamma * self.sub.schreier_generators()[
-                    rng.randrange(len(self.sub.schreier_generators()))]
-            if not self.pred(gamma):
-                gamma = I
+                gamma = gamma * gens[rng.randrange(len(gens))]
             twisted.append(gamma * s)
-        for _ in range(20):
-            k = rng.randint(0, 2)
-            v = IndVec(self.amb, k, None,
-                       [random_poly(rng, k) for _ in range(self.amb.index)])
-            a = restrict_coeff(v, self.sub, reps=self.reps)
-            b = restrict_coeff(v, self.sub, reps=twisted)
-            assert a == b
+        assert twisted != self.reps
+        for k in (0, 1, 2):
+            h1 = compute_h1(self.sub, k)
+            for g in self.elements(rng, 4, hyperbolic=True):
+                z = [(g, poly_pow(quadratic_form(g), k))]
+                assert (self.coords(h1, transfer(z, self.reps, self.pred))
+                        == self.coords(h1, transfer(z, twisted, self.pred)))
 
     def test_degree_zero_shadow(self):
-        # restriction followed by augmentation is m -> sum_i s_i m in
-        # the subgroup coinvariants
+        # the transfer is a chain map: the boundary sum (h w - w) of the
+        # transferred terms is sum_r s_r applied to the boundary of the
+        # terms, whether or not they form a cycle
         rng = random.Random(56)
-        k = 1
-        coinv = coinvariant_module(self.sub, k)
+
+        def boundary(terms):
+            total = zero_poly(1)
+            for g, v in terms:
+                total = poly_add(total, poly_sub(act(g.lift(), v), v))
+            return total
+
         for _ in range(30):
-            m = random_poly(rng, k)
-            v = IndVec.unit(self.amb, k, m)
-            rv = restrict_coeff(v, self.sub, reps=self.reps)
-            total = zero_poly(k)
-            for b in rv.blocks:
-                total = poly_add(total, b)
-            expect = zero_poly(k)
+            terms = [(g, random_poly(rng, 1)) for g in self.elements(rng, 2)]
+            expect = zero_poly(1)
             for s in self.reps:
-                expect = poly_add(expect, act(s.lift(), m))
-            assert coinv.coords(list(total)) == coinv.coords(list(expect))
+                expect = poly_add(expect, act(s.lift(), boundary(terms)))
+            assert boundary(transfer(terms, self.reps, self.pred)) == expect
 
     def test_cor_res_augmentation_is_index(self):
-        # corestrict(restrict(m)) sums to index * m in ambient coinvariants
+        # corestriction after restriction, read back on Gamma_0(3), is
+        # multiplication by the index 3
         rng = random.Random(57)
-        k = 1
-        coinv = coinvariant_module(self.amb, k)
-        r = len(self.reps)
-        for _ in range(30):
-            m = random_poly(rng, k)
-            v = IndVec.unit(self.amb, k, m)
-            back = corestrict_coeff(restrict_coeff(v, self.sub, reps=self.reps), self.amb)
-            total = zero_poly(k)
-            for b in back.blocks:
-                total = poly_add(total, b)
-            assert coinv.coords(list(total)) == coinv.coords([r * x for x in m])
+        for k in (0, 1, 2):
+            h1 = compute_h1(self.spec, k)
+            for g in self.elements(rng, 4, hyperbolic=True):
+                z = [(g, poly_pow(quadratic_form(g), k))]
+                back = self.coords(h1, transfer(z, self.reps, self.pred))
+                assert back == h1.reduce_coords(
+                    [3 * x for x in self.coords(h1, z)])
 
 
 def test_poly_mul_pow():
