@@ -208,7 +208,8 @@ class ColumnEchelon:
     column of H past the last pivot is zero.  Each row is cleared by
     Euclidean steps on its smallest entry with nearest-integer
     quotients, which keeps the entries of W far smaller than pairwise
-    extended-gcd combination does.
+    extended-gcd combination does.  The rows above row i are zero from
+    its first free column c on, so the steps touch only H[i:].
     """
 
     def __init__(self, A):
@@ -233,7 +234,7 @@ class ColumnEchelon:
                     if j == p:
                         continue
                     q = _nearest_quotient(row[j], a)
-                    for r in H:
+                    for r in H[i:]:
                         r[j] -= q * r[p]
                     for r in W:
                         r[j] -= q * r[p]
@@ -242,12 +243,12 @@ class ColumnEchelon:
                 live = rest
             p = live[0]
             if p != c:
-                for r in H:
+                for r in H[i:]:
                     r[c], r[p] = r[p], r[c]
                 for r in W:
                     r[c], r[p] = r[p], r[c]
             if row[c] < 0:
-                for r in H:
+                for r in H[i:]:
                     r[c] = -r[c]
                 for r in W:
                     r[c] = -r[c]
@@ -402,15 +403,15 @@ class Lattice:
                     for t in range(j, self.n):
                         ri[t] -= q * rk[t]
 
-    def close_under(self, maps, frontier, rounds, target=None):
+    def close_under(self, maps, frontier, target=None):
         """Add images under the linear ``maps`` until a round adds
-        nothing, for at most ``rounds`` rounds or until canonical()
-        equals ``target``; True if the lattice grew.  A round maps the
-        vectors that grew the lattice in the round before (the first,
-        ``frontier``): the rest lay in it already, so this adds the
-        images of the whole lattice."""
+        nothing or canonical() equals ``target``; True if the lattice
+        grew.  A round maps the vectors that grew the lattice in the
+        round before (the first, ``frontier``): the rest lay in it
+        already, so this adds the images of the whole lattice.  It ends:
+        each round but the last grows the lattice, and Z^n is Noetherian."""
         grew = False
-        for _ in range(rounds):
+        while frontier:
             new = []
             for f in maps:
                 for v in frontier:
@@ -419,7 +420,7 @@ class Lattice:
                         new.append(image)
             frontier = new
             grew = grew or bool(new)
-            if not new or self.canonical() == target:
+            if self.canonical() == target:
                 break
         return grew
 
@@ -607,21 +608,14 @@ def subquotient(kernel, image, ring=ZZ):
     U, Uinv, D = smith_normal_form_full(Y)
     diag = diagonal(D)
     dfull = diag + [0] * (s - len(diag))
-    # SNF diagonal is 1,...,1, torsion increasing, then 0s: keep the non-units
-    kept = [i for i in range(s) if dfull[i] != 1]
-    factors = [dfull[i] for i in kept]
-    gen_cols = []
-    for i in kept:
-        ucol = [U[r][i] for r in range(s)]
-        gen_cols.append(mat_vec(kernel, ucol) if s else [0] * n)
-    gen_lift = from_columns(gen_cols, n)
-    uinv_rows = [Uinv[i] for i in kept]
-    if ring.kind == "Q":
-        # over Q only the free part survives
-        free_idx = [t for t, d in enumerate(factors) if d == 0]
-        factors = [0] * len(free_idx)
-        gen_cols = [gen_cols[t] for t in free_idx]
-        gen_lift = from_columns(gen_cols, n)
-        uinv_rows = [uinv_rows[t] for t in free_idx]
-    return FgModule(factors, gen_lift, ech, uinv_rows)
+    # SNF diagonal is 1,...,1, torsion increasing, then 0s: keep the
+    # non-units, and over Q only the free part
+    kept = [i for i in range(s)
+            if dfull[i] == 0 or dfull[i] != 1 and ring.kind != "Q"]
+    # generator i is kernel * (column i of U); on the free part these
+    # columns are unit vectors, whose zeros mat_mul skips
+    gen_cols = mat_mul([[U[r][i] for r in range(s)] for i in kept],
+                       columns(kernel))
+    return FgModule([dfull[i] for i in kept], from_columns(gen_cols, n),
+                    ech, [Uinv[i] for i in kept])
 

@@ -31,12 +31,13 @@ from .intlinalg import (
 )
 from .psl2 import HYPERBOLIC, I, classify
 
-# ``quotient`` closes its span under these Hecke operators (for at most
-# this many rounds) after this many draws in a row add nothing, and stops
-# drawing once closure adds nothing either; primes of the quotient's order
-# above the operator bound get no Hecke matrix and stay Inconclusive
+# ``quotient`` closes its span under these Hecke operators after this
+# many draws in a row add nothing, and stops drawing once closure adds
+# nothing either; the closure ends because each of its rounds but the
+# last grows the span, and an ascending chain of sublattices of Z^g is
+# finite.  Primes of the quotient's order above the operator bound get
+# no Hecke matrix and stay Inconclusive
 QUOTIENT_HECKE_PRIMES = (2, 3)
-QUOTIENT_CLOSURE_ROUNDS = 8
 QUIET_DRAWS = 25
 MAX_OPERATOR_PRIME = 2000
 # depth of ``enumerate_hyperbolic``'s word ball, which on all but the
@@ -343,8 +344,7 @@ def cycle_quotient_report(spec, k, budget=Budget()):
         tried += 1
         quiet = 0 if span.add(h1z.cycle_coords(gamma)) else quiet + 1
         if quiet >= QUIET_DRAWS:
-            if not span.close_under(maps, [r[:] for r in span.rows],
-                                    QUOTIENT_CLOSURE_ROUNDS):
+            if not span.close_under(maps, [r[:] for r in span.rows]):
                 break
             quiet = 0
     factors = subquotient(identity(h1z.ngens),

@@ -36,7 +36,7 @@ construction that ``psl2.word_runs`` replaced), the algebra of
 ``hecke.OperatorMatrix`` (``compose``, ``equals``, ``is_zero``,
 ``scaled``, ``plus``), ``induced_endomorphism`` (the oracle of the test
 on H1 (x) F_q), ``close_every_row`` (the closure rule that
-``Lattice.close_under`` replaced) and the level-raising square
+``Lattice.close_under`` replaced, one ``every_row_round`` at a time) and the level-raising square
 ``pi_phi_V`` at a prime coprime to the level.
 """
 
@@ -639,20 +639,26 @@ def smith_normal_form(A):
     return U, D, mat_mul(V3, transpose(U2))
 
 
-def close_every_row(lattice, maps, rounds, target=None):
+def every_row_round(lattice, maps):
+    """One round of ``close_every_row``: add the images of every row as
+    the round began; True if the lattice grew."""
+    rows = [r[:] for r in lattice.rows]
+    added = False
+    for f in maps:
+        for r in rows:
+            if lattice.add(list(f(r))):
+                added = True
+    return added
+
+
+def close_every_row(lattice, maps, target=None):
     """``Lattice.close_under`` with no frontier: each round maps every row
-    as the round began.  Same round cap and target stop; True if the
-    lattice grew."""
+    as the round began, until a round adds nothing or the lattice is
+    ``target``.  True if the lattice grew."""
     grew = False
-    for _ in range(rounds):
-        rows = [r[:] for r in lattice.rows]
-        added = False
-        for f in maps:
-            for r in rows:
-                if lattice.add(list(f(r))):
-                    added = True
-        grew = grew or added
-        if not added or lattice.canonical() == target:
+    while every_row_round(lattice, maps):
+        grew = True
+        if lattice.canonical() == target:
             break
     return grew
 

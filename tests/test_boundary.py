@@ -85,6 +85,26 @@ def test_hecke_generation_gamma1_9():
     assert report.span_factors == report.boundary_factors == (0,) * 7
 
 
+@pytest.mark.parametrize("group,named,cusps", [
+    ("gamma0:11", ["T2", "T3", "T5"], 2),
+    # (Z/9)^x / +-1 = {1, 8}, {2, 7}, {4, 5}
+    ("gamma1:9", ["T2", "U3", "T5", "<2>", "<4>"], 8),
+    # (Z/13)^x / +-<3> = {1, 3, 4, 9, 10, 12}, {2, 5, 6, 7, 8, 11}
+    ("gammaH:13:3", ["T2", "T3", "T5", "<2>"], 4),
+    ("gamma1:13", ["T2", "T3", "T5", "<2>", "<3>", "<4>", "<5>", "<6>"], 12),
+])
+def test_hecke_generation_operators(group, named, cusps):
+    # one diamond per nontrivial class of (Z/N)^x / +-H, named by its
+    # least element, then one double coset per cusp other than infinity
+    report = check_hecke_generation(SubgroupSpec.parse(group), 0)
+    assert report.verdict == "Verified"
+    ops = list(report.operators)
+    assert ops[:len(named)] == named
+    movers = ops[len(named):]
+    assert len(movers) == cusps - 1
+    assert all(name.startswith("[G ") for name in movers)
+
+
 def test_boundary_subgroup_gamma1_13():
     # 12 cusps: the parabolic cycles span a free module of rank 12
     spec = SubgroupSpec.gamma1(13)

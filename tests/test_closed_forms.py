@@ -1,14 +1,24 @@
-"""Hecke charpolys against closed forms that share no code path with
-``hypcycle`` (``closed_forms``): on level one with Sym^10 coefficients,
-T_p has the Eisenstein eigenvalue 1 + p^11 and, on the two classes of
-the discriminant form, Ramanujan's tau(p)."""
+"""H1 and Hecke charpolys against closed forms that share no code path
+with ``hypcycle`` (``closed_forms``): on level one with Sym^10
+coefficients, T_p has the Eisenstein eigenvalue 1 + p^11 and, on the two
+classes of the discriminant form, Ramanujan's tau(p); with trivial
+coefficients, H1 of Gamma_0(N) has rank 2g + c - 1 and the torsion of
+its elliptic points."""
 
 import json
 
 import pytest
 
-from closed_forms import ramanujan_tau
+from closed_forms import (
+    gamma0_cusps,
+    gamma0_genus,
+    gamma0_nu2,
+    gamma0_nu3,
+    ramanujan_tau,
+)
 from hypcycle import cli
+from hypcycle.cosets import SubgroupSpec
+from hypcycle.homology import compute_h1
 
 TAU = ramanujan_tau(97)
 
@@ -21,3 +31,27 @@ def test_level_one_weight_12_charpoly_is_eisenstein_and_tau(p, capsys):
     assert cli.main(argv.split()) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["charpoly"] == "(x-%d)*(x%+d)^2" % (1 + p ** 11, -TAU[p])
+
+
+def _check_gamma0_h1(N):
+    # Gamma_0(N) in PSL2(Z) is a free product of nu2 copies of Z/2, nu3
+    # of Z/3 and a free group of rank 2g + c - 1
+    h1 = compute_h1(SubgroupSpec.gamma0(N), 0)
+    assert h1.rank == 2 * gamma0_genus(N) + gamma0_cusps(N) - 1, N
+    two, three = gamma0_nu2(N), gamma0_nu3(N)
+    six = min(two, three)
+    torsion = [2] * (two - six) + [3] * (three - six) + [6] * six
+    assert [d for d in h1.invariant_factors if d] == torsion, N
+
+
+def test_gamma0_h1_rank_is_2g_plus_c_minus_1_up_to_100():
+    for N in range(1, 101):
+        _check_gamma0_h1(N)
+
+
+@pytest.mark.parametrize("N,rank", [(360, 145), (720, 289), (1000, 301),
+                                    (2000, 601)])
+def test_gamma0_h1_rank_at_large_index(N, rank):
+    # index 864 to 3,600; about 2 s in all, most of it at 2000
+    assert 2 * gamma0_genus(N) + gamma0_cusps(N) - 1 == rank
+    _check_gamma0_h1(N)

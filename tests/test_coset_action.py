@@ -12,8 +12,11 @@ through Gamma's own table, against Gamma_1's membership test
   the double coset's.
 
 The double cosets are those of ``boundary.check_hecke_generation``:
-diag(1, p) for its primes (T_p or U_p), the diamond operators that are
-not the identity, and the cusp-moving double cosets."""
+diag(1, p) for its primes (T_p or U_p), the diamond double cosets and
+the cusp-moving double cosets.  The check applies one diamond per
+nontrivial class of (Z/N)^x / +-H; here every beta_d with d outside +-H
+is exercised, so a class of several units gives several alphas of one
+double coset (d and -d on Gamma_1(N), for one)."""
 
 from math import gcd
 
@@ -37,7 +40,8 @@ IMAGES = 2
 
 def generation_cosets(h1):
     """(name, DoubleCoset) for each double coset that
-    check_hecke_generation applies on h1."""
+    check_hecke_generation applies on h1, with one diamond per unit d
+    outside +-H rather than one per class."""
     spec = h1.spec
     out = [("%s%d" % ("U" if spec.N % p == 0 else "T", p),
             DoubleCoset(h1, h1, Mat2(1, 0, 0, p))) for p in GENERATION_PRIMES]

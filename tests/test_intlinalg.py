@@ -27,6 +27,7 @@ from oracles import (
     NotStable,
     close_every_row,
     det,
+    every_row_round,
     induced_endomorphism,
     rank,
     saturate_columns,
@@ -342,8 +343,8 @@ def _lattice(n, vecs):
 @st.composite
 def closures(draw):
     """A lattice of Z^n (n <= 5) from a few vectors, up to three linear
-    maps, a round cap, and a target: none, or the lattice that the
-    every-row rule reaches after some rounds."""
+    maps, and a target: none, or the lattice that the every-row rule
+    reaches after some rounds."""
     n = draw(st.integers(1, 5))
     vec = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
     vecs = draw(st.lists(vec, min_size=1, max_size=3))
@@ -351,46 +352,53 @@ def closures(draw):
                                            max_size=n),
                                   min_size=n, max_size=n),
                          min_size=1, max_size=3))
-    rounds = draw(st.integers(1, 5))
     target = None
     reach = draw(st.none() | st.integers(1, 6))
     if reach is not None:
         lat = _lattice(n, vecs)
-        close_every_row(lat, [lambda v, A=A: mat_vec(A, v) for A in mats],
-                        reach)
+        for _ in range(reach):
+            every_row_round(lat, [lambda v, A=A: mat_vec(A, v) for A in mats])
         target = lat.canonical()
-    return n, vecs, mats, rounds, target
+    return n, vecs, mats, target
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(closures())
 def test_close_under_matches_every_row_rule(case):
-    n, vecs, mats, rounds, target = case
+    # both rules run to their fixpoint, or stop at the round that
+    # reaches the target
+    n, vecs, mats, target = case
     maps = [lambda v, A=A: mat_vec(A, v) for A in mats]
     got, want = _lattice(n, vecs), _lattice(n, vecs)
-    grew = got.close_under(maps, vecs, rounds, target)
-    assert grew == close_every_row(want, maps, rounds, target)
+    grew = got.close_under(maps, vecs, target)
+    assert grew == close_every_row(want, maps, target)
     assert got.canonical() == want.canonical()
 
 
-def test_close_under_rounds_and_cap():
-    # the shift e_i -> e_{i+1} on Z^5 grows span{e_0} by one unit
-    # vector per round: four rounds that grow and a fifth that adds
-    # nothing; a cap of two stops at span{e_0, e_1, e_2}
-    shift = [[int(i == j + 1) for j in range(5)] for i in range(5)]
-    maps = [lambda v: mat_vec(shift, v)]
-    e0 = [1, 0, 0, 0, 0]
-    full = _lattice(5, [e0])
-    assert full.close_under(maps, [e0], 10)
-    assert full.canonical() == tuple(tuple(r) for r in identity(5))
-    capped = _lattice(5, [e0])
-    assert capped.close_under(maps, [e0], 2)
-    assert capped.canonical() == tuple(tuple(r) for r in identity(5)[:3])
-    assert not full.close_under(maps, [list(r) for r in full.rows], 10)
+def _shift(n):
+    """The shift e_i -> e_(i+1) on Z^n, which grows span{e_0} by one unit
+    vector per round: n - 1 rounds that grow and one that adds nothing."""
+    shift = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    return [lambda v: mat_vec(shift, v)], [1] + [0] * (n - 1)
+
+
+def test_close_under_runs_to_fixpoint():
+    # 11 growing rounds, more than any fixed cap the Hecke closures once
+    # had (at most 8)
+    maps, e0 = _shift(12)
+    full = _lattice(12, [e0])
+    assert full.close_under(maps, [e0])
+    assert full.canonical() == tuple(tuple(r) for r in identity(12))
+    assert not full.close_under(maps, [list(r) for r in full.rows])
+
+
+def test_close_under_stops_at_target():
     # the target stops the closure at the round that reaches it
+    maps, e0 = _shift(5)
     stopped = _lattice(5, [e0])
-    stopped.close_under(maps, [e0], 10, capped.canonical())
-    assert stopped.canonical() == capped.canonical()
+    target = tuple(tuple(r) for r in identity(5)[:3])
+    assert stopped.close_under(maps, [e0], target)
+    assert stopped.canonical() == target
 
 
 def test_saturate_columns():
