@@ -88,12 +88,8 @@ def _budget_from(args):
 
 
 def _config_dict(args):
-    skip = {"func", "output"}
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or callable(val):
-            continue
-        out[key] = val
+    out = {key: val for key, val in vars(args).items()
+           if key not in ("func", "output")}
     out["version"] = __version__
     return out
 
@@ -322,95 +318,61 @@ def cmd_batch(args):
     return buf.getvalue(), worst
 
 
-def _add_budget_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-generators", type=_positive, default=300,
-                   dest="max_generators")
-
-
 OUTPUT_HELP = "write the report to a file"
+
+GROUP = ("--group", {"required": True})
+WEIGHT = ("--k", {"type": _weight, "required": True})
+PRIME = ("--p", {"type": _prime, "required": True})
+PRECISION = ("--M", {"type": _positive, "default": 2})
+LEVEL = ("--N", {"type": _positive, "required": True})
+RING_Z = ("--ring", {"default": "Z"})
+BUDGET = (("--seed", {"type": int, "default": 0}),
+          ("--max-generators", {"type": _positive, "default": 300}))
+
+# subcommand -> (handler, help, flags), in the order of the help text;
+# each flag is an (option, argparse keywords) pair
+COMMANDS = {
+    "h1": (cmd_h1, "invariant factors and rank of H1",
+           (GROUP, WEIGHT, RING_Z)),
+    "cycle": (cmd_cycle, "cycle class of a matrix",
+              (GROUP, WEIGHT, ("--matrix", {"required": True}))),
+    "hecke": (cmd_hecke, "Hecke operator matrix and charpoly",
+              (GROUP, WEIGHT, ("--ring", {"default": "Q"}),
+               ("--op", {"required": True, "help": "Tp | Up | diamond:d"}),
+               ("--p", {"type": _prime}))),
+    "ordinary": (cmd_ordinary, "ordinary part of H1 mod p^M",
+                 (GROUP, WEIGHT, PRIME, PRECISION)),
+    "verify-main": (cmd_verify_main, "ordinary part vs hyperbolic-cycle span",
+                    (GROUP, WEIGHT, PRIME, PRECISION) + BUDGET),
+    "quotient": (cmd_quotient, "H1 / hyperbolic-cycle span",
+                 (GROUP, WEIGHT) + BUDGET),
+    "boundary": (cmd_boundary, "cusps and boundary subgroup",
+                 (GROUP, WEIGHT, RING_Z)),
+    "check-identity": (cmd_check_identity,
+                       "T_p z(T) = (1 + p^(2k+1) <p>) z(T)",
+                       (LEVEL, PRIME, WEIGHT)),
+    "check-generation": (cmd_check_generation,
+                         "Hecke generation of the boundary", (GROUP, WEIGHT)),
+    "bridge": (cmd_bridge, "mod-p reduction bridge (p | N)",
+               (LEVEL, PRIME, WEIGHT) + BUDGET),
+    # the top-level --output, also accepted after batch; without a
+    # default here, the subcommand would overwrite a value given before
+    "batch": (cmd_batch, "run a JSON manifest, emit CSV",
+              (("--manifest", {"required": True}),
+               ("--output", {"default": argparse.SUPPRESS,
+                             "help": OUTPUT_HELP}))),
+}
 
 
 def build_parser():
     parser = _Parser(prog="hypcycle", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("h1", help="invariant factors and rank of H1")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.add_argument("--ring", default="Z")
-    p.set_defaults(func=cmd_h1)
-
-    p = sub.add_parser("cycle", help="cycle class of a matrix")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_cycle)
-
-    p = sub.add_parser("hecke", help="Hecke operator matrix and charpoly")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.add_argument("--ring", default="Q")
-    p.add_argument("--op", required=True, help="Tp | Up | diamond:d")
-    p.add_argument("--p", type=_prime)
-    p.set_defaults(func=cmd_hecke)
-
-    p = sub.add_parser("ordinary", help="ordinary part of H1 mod p^M")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--M", type=_positive, default=2)
-    p.set_defaults(func=cmd_ordinary)
-
-    p = sub.add_parser("verify-main",
-                       help="ordinary part vs hyperbolic-cycle span")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--M", type=_positive, default=2)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_verify_main)
-
-    p = sub.add_parser("quotient", help="H1 / hyperbolic-cycle span")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("boundary", help="cusps and boundary subgroup")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.add_argument("--ring", default="Z")
-    p.set_defaults(func=cmd_boundary)
-
-    p = sub.add_parser("check-identity",
-                       help="T_p z(T) = (1 + p^(2k+1) <p>) z(T)")
-    p.add_argument("--N", type=_positive, required=True)
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.set_defaults(func=cmd_check_identity)
-
-    p = sub.add_parser("check-generation",
-                       help="Hecke generation of the boundary")
-    p.add_argument("--group", required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    p.set_defaults(func=cmd_check_generation)
-
-    p = sub.add_parser("bridge", help="mod-p reduction bridge (p | N)")
-    p.add_argument("--N", type=_positive, required=True)
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--k", type=_weight, required=True)
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_bridge)
-
-    p = sub.add_parser("batch", help="run a JSON manifest, emit CSV")
-    p.add_argument("--manifest", required=True)
-    # the top-level --output, also accepted after the subcommand; without
-    # a default here, the subcommand would overwrite a value given before
-    p.add_argument("--output", default=argparse.SUPPRESS, help=OUTPUT_HELP)
-    p.set_defaults(func=cmd_batch)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, kwargs in flags:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     parser.add_argument("--output", help=OUTPUT_HELP)
     return parser
 

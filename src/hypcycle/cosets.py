@@ -155,13 +155,10 @@ class CosetTable:
         return list(seen.values())
 
 
-def build_cosets(spec_or_key):
-    """Breadth-first coset table of the subgroup given by a SubgroupSpec
-    or by a right-coset key function; one key lookup per edge."""
-    if isinstance(spec_or_key, SubgroupSpec):
-        key = spec_or_key.coset_key
-    else:
-        key = spec_or_key
+def build_cosets(spec):
+    """Breadth-first coset table of the subgroup given by a SubgroupSpec;
+    one key lookup per edge."""
+    key = spec.coset_key
     transversal = [I]
     cosets = {key(I): 0}
     mul = {"S": [], "U": []}

@@ -44,6 +44,7 @@ of the induced module is ever built.
 
 from collections import namedtuple
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import comb
 from operator import add, mul, sub
 
@@ -533,13 +534,19 @@ class LocalQuotient:
     def _push(self, blocks):
         """Add tree generators until only the root block of a 0-chain
         is left: returns (root block, tree coefficients by block).
-        Parents have smaller indices, so one descending sweep does."""
+        Parents have smaller indices, so popping the largest block left
+        from a heap pushes every block once, leaves first."""
         coef = {}
-        for b in range(max(blocks, default=0), 0, -1):
-            v = self._reduce(blocks.pop(b, []))
+        heap = [-b for b in blocks if b]
+        heapify(heap)
+        while heap:
+            b = -heappop(heap)
+            v = self._reduce(blocks.pop(b))
             if any(v):
                 coef[b] = v
                 _, parent, M = self.tree[b]
+                if parent and parent not in blocks:
+                    heappush(heap, -parent)
                 add_image(blocks, parent, M, v)
         return self._reduce(blocks.get(0, [0] * (2 * self.k + 1))), coef
 

@@ -84,7 +84,8 @@ def mat_mul(A, B):
     return C
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v) if a) for row in A]
+    nonzero = [(t, x) for t, x in enumerate(v) if x]
+    return [sum(row[t] * x for t, x in nonzero) for row in A]
 
 
 def columns(A):
@@ -279,7 +280,8 @@ class ColumnEchelon:
             q = v // h
             y[c] = q
             for t in range(i, self.nrows):
-                res[t] -= q * self.H[t][c]
+                if self.H[t][c]:
+                    res[t] -= q * self.H[t][c]
         if any(res):
             return None
         return mat_vec(self.W, y)
@@ -546,8 +548,7 @@ class FgModule:
         y = self._kernel_ech.solve(list(vec))
         if y is None:
             raise NotInModule("vector outside the module")
-        raw = [sum(r[t] * y[t] for t in range(len(y)) if y[t]) for r in self._uinv_rows]
-        return self.reduce_coords(raw)
+        return self.reduce_coords(mat_vec(self._uinv_rows, y))
 
     def lift(self, coords):
         """Ambient vector with the given generator coordinates."""

@@ -2,8 +2,8 @@
 3 bad input), the ``batch`` runner's exit code, ``--output`` on either
 side of the subcommand, a ``batch`` entry refused as an error row,
 byte-identical reports for repeated runs, the cycle class of a
-hyperbolic matrix, ``boundary`` over each ring, and ``hecke`` in a
-process where sympy cannot be imported."""
+hyperbolic matrix, ``boundary`` over each ring, the subparsers a run
+builds, and ``hecke`` in a process where sympy cannot be imported."""
 
 import csv
 import io

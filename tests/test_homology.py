@@ -654,22 +654,34 @@ def test_lap_sums_closed_form(k, modulus):
     # (I + P + ... + P^(n-1), P^n) against the naive sums, for P = rho
     # of parabolic elements t T^w t^-1, as the lap twists of the T-orbits
     # are (None at k = 0, standing for the identity); one powers list
-    # serves every n of one P, read in no order
+    # serves every n of one P, read in no order.  The sums up to 3d are
+    # taken term by term, the one at 1000 by doubling: S_2m = S_m +
+    # P^m S_m and S_(m+1) = S_m + P^m
     d = 2 * k + 1
 
     def reduced(M):
         return [[x % modulus for x in row] for row in M] if modulus else M
 
+    def add(A, B):
+        return [[x + y for x, y in zip(r, s)] for r, s in zip(A, B)]
+
     for t, w in ((I, 1), (PMat(2, 1, 5, 3), -3), (PMat(1, 0, 11, 1), 11)):
         P = rho(t * PMat(1, w, 0, 1) * t.inv(), k, modulus)
         assert (P is None) == (k == 0)
+        step = P or identity(d)
         naive, total, power = {}, [[0] * d for _ in range(d)], identity(d)
-        for n in range(1001):
-            if n <= 3 * d or n == 1000:
-                naive[n] = reduced(total), reduced(power) if P else None
-            total = [[x + y for x, y in zip(r, s)]
-                     for r, s in zip(total, power)]
-            power = reduced(mat_mul(P or identity(d), power))
+        for n in range(3 * d + 1):
+            naive[n] = reduced(total), power if P else None
+            total = add(total, power)
+            power = reduced(mat_mul(step, power))
+        total, power = [[0] * d for _ in range(d)], identity(d)
+        for bit in bin(1000)[2:]:
+            total = reduced(add(total, mat_mul(power, total)))
+            power = reduced(mat_mul(power, power))
+            if bit == "1":
+                total = reduced(add(total, power))
+                power = reduced(mat_mul(step, power))
+        naive[1000] = total, power if P else None
         powers = []
         for n in sorted(naive, key=lambda n: (n * 7) % 11):
             assert lap_sums(P, n, d, powers, modulus) == naive[n], n
