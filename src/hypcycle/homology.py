@@ -45,7 +45,7 @@ of the induced module is ever built.
 from collections import namedtuple
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import comb
+from math import comb, gcd
 from operator import add, mul, sub
 
 from .cosets import build_cosets
@@ -503,8 +503,6 @@ class LocalQuotient:
                        for (slot, b), (root, P) in sorted(full.items())
                        if self.tree[b][0] != slot for i in range(d)]
         self.coords += sorted(fixed, key=lambda c: c.order != 0)
-        self.torsion = [(j, c.order) for j, c in enumerate(self.coords)
-                        if c.order]
         # the functionals of project, by the chain block they read
         self.readers = {}  # (slot, block) -> [(coordinate index, row)]
         for j, c in enumerate(self.coords):
@@ -512,7 +510,7 @@ class LocalQuotient:
             if c.prow:
                 self.readers.setdefault((c.slot, c.root), []).append(
                     (j, [-x for x in c.prow]))
-        self.nfree = len(self.coords) - len(self.torsion)
+        self.nfree = sum(1 for c in self.coords if not c.order)
         cols = [self._push(d1([(c.slot, c.block, c.lift)], steps))[0]
                 for c in self.coords[:self.nfree]]
         self.residues = from_columns(cols, d)
@@ -578,10 +576,10 @@ def compute_h1(spec_or_table, k, ring=ZZ):
     coefficients over the given ring.
 
     H1 is the torsion of C1 / im d2 plus the kernel of d1 on its free
-    part (see LocalQuotient).  Over Z and Q that kernel is primitive;
-    over Z/m it is the kernel mod m, taken modulo m on the free part
-    and modulo gcd(e, m) on a local torsion factor e.  Over Q only the
-    free part is exposed.
+    part (see LocalQuotient), primitive over Z and Q and mod m over
+    Z/m.  The ring enters here only, as one relation r*e_i on each
+    ambient coordinate of local order e (0 if free): r = e over Z,
+    gcd(e, m) over Z/m and 1 on the torsion over Q, where e is a unit.
     """
     if k < 0:
         raise ValueError("k must be >= 0, got %d" % k)
@@ -600,11 +598,13 @@ def compute_h1(spec_or_table, k, ring=ZZ):
     else:
         K = kernel_mod(quo.residues, modulus)
     kcols = [col + [0] * (n - s) for col in columns(K)]
-    image = []
-    for idx, e in quo.torsion:
-        kcols.append([int(t == idx) for t in range(n)])
-        image.append([e * (t == idx) for t in range(n)])
+    kcols += [[int(t == i) for t in range(n)] for i in range(s, n)]
+    orders = [c.order for c in quo.coords]
     if modulus is not None:
-        image += [[modulus * (t == i) for t in range(n)] for i in range(n)]
-    module = subquotient(from_columns(kcols, n), from_columns(image, n), ring)
+        orders = [gcd(e, modulus) for e in orders]
+    elif ring.kind == "Q":
+        orders = [int(e != 0) for e in orders]
+    image = [[r * (t == i) for t in range(n)]
+             for i, r in enumerate(orders) if r]
+    module = subquotient(from_columns(kcols, n), from_columns(image, n))
     return H1Presentation(table, k, ring, module, quo, spec=spec)

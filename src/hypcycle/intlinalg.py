@@ -6,12 +6,13 @@ its left transition matrices, a column echelon form used for integer
 kernels and exact solving, the kernel modulo m in Hermite form, and a
 row-style lattice accumulator for incremental spans and their closure
 under linear maps (``Lattice.close_under``).
-Finitely generated modules (subquotients of Z^n, possibly with a
-prime-power modulus) are presented by invariant factors together with
-an exact coordinate map.  Submodules are formed in generator
-coordinates: ``FgModule.span`` gives the lattice of the relations plus
-some vectors, and ``FgModule.factors`` the invariant factors of such a
-lattice modulo the relations.
+Finitely generated modules (subquotients of Z^n) are presented by
+invariant factors together with an exact coordinate map.  They know no
+coefficient ring: a ring is the relations its caller puts in the image
+(homology.compute_h1 adds them for H1).  Submodules are formed in
+generator coordinates: ``FgModule.span`` gives the lattice of the
+relations plus some vectors, and ``FgModule.factors`` the invariant
+factors of such a lattice modulo the relations.
 
 Entry size, not dimension, drives the cost, so every elimination
 bounds it: the column echelon clears each row by Euclidean steps on
@@ -511,11 +512,13 @@ QQ = RingSpec("Q")
 
 
 class FgModule:
-    """Finitely generated subquotient of Z^n (optionally modulo m).
+    """Finitely generated subquotient of Z^n, over Z.
 
     Presented by generators (columns of ``gen_lift`` in ambient
     coordinates) and invariant factors: torsion orders first in
-    increasing divisibility order, then 0 for each free factor.
+    increasing divisibility order, then 0 for each free factor.  For H1
+    over Z/m the relations contain m*Z^n, so no factor is free; over Q
+    the torsion has unit relations, so only free factors are left.
     """
 
     def __init__(self, invariant_factors, gen_lift, kernel_ech, uinv_rows):
@@ -575,48 +578,38 @@ class FgModule:
 
     def factors(self, lat):
         """Invariant factors of ``lat`` (from span) modulo the relations,
-        over Z for any ring: with a modulus m the relations contain
-        m*Z^n, and over Q there are none."""
+        over Z for any ring: the relations already hold the ring's."""
         rels = from_columns(self.relation_columns(), self.ngens)
         return subquotient(lat.basis_columns(), rels).invariant_factors
 
 
-def subquotient(kernel, image, ring=ZZ):
-    """FgModule presenting span(kernel)/span(image) over the given ring.
+def subquotient(kernel, image):
+    """FgModule presenting span(kernel)/span(image) over Z.
 
     ``kernel`` and ``image`` are matrices whose columns live in the same
     ambient Z^n; the image columns must lie in the span of the kernel
-    columns.  For a ring with modulus m, the relations m*span(kernel)
-    are imposed automatically.
+    columns.  The image holds every relation: a coefficient ring enters
+    as relations its caller adds (homology.compute_h1).
     """
     n = len(kernel)
-    s = len(kernel[0]) if kernel and kernel[0] is not None else 0
+    s = len(kernel[0]) if kernel else 0
     ech = ColumnEchelon(kernel) if s else None
     img_cols = columns(image) if image else []
-    m = ring.modulus
     ys = []
     for col in img_cols:
         y = ech.solve(col) if ech else ([] if not any(col) else None)
         if y is None:
             raise ImageNotContained("image column outside kernel span")
         ys.append(y)
-    if m is not None:
-        for i in range(s):
-            col = [0] * s
-            col[i] = m
-            ys.append(col)
     Y = from_columns(ys, s)
     U, Uinv, D = smith_normal_form_full(Y)
     diag = diagonal(D)
     dfull = diag + [0] * (s - len(diag))
-    # SNF diagonal is 1,...,1, torsion increasing, then 0s: keep the
-    # non-units, and over Q only the free part
-    kept = [i for i in range(s)
-            if dfull[i] == 0 or dfull[i] != 1 and ring.kind != "Q"]
+    # SNF diagonal is 1,...,1, torsion increasing, then 0s: keep non-units
+    kept = [i for i in range(s) if dfull[i] != 1]
     # generator i is kernel * (column i of U); on the free part these
     # columns are unit vectors, whose zeros mat_mul skips
     gen_cols = mat_mul([[U[r][i] for r in range(s)] for i in kept],
                        columns(kernel))
     return FgModule([dfull[i] for i in kept], from_columns(gen_cols, n),
                     ech, [Uinv[i] for i in kept])
-

@@ -51,14 +51,16 @@ Budget = namedtuple("Budget", "max_generators seed", defaults=(300, 0))
 
 class PModule(FgModule):
     """H1 tensored with Z/p^M: an FgModule whose invariant factors are
-    its cyclic p-power orders, with no ambient presentation, and the
-    projection from integral H1 coordinates (``fg`` the module over Z)."""
+    its cyclic p-power orders gcd(d, p^M) (p^M on a free factor d = 0,
+    as compute_h1 relates a coordinate), with no ambient presentation,
+    and the projection from integral H1 coordinates (``fg`` the module
+    over Z)."""
 
     def __init__(self, fg, p, M):
         self.p = p
         self.M = M
         m = self.modulus = p ** M
-        orders = [m if d == 0 else gcd(d, m) for d in fg.invariant_factors]
+        orders = [gcd(d, m) for d in fg.invariant_factors]
         self.keep = [i for i, o in enumerate(orders) if o > 1]
         super().__init__([orders[i] for i in self.keep], None, None, None)
 

@@ -361,7 +361,8 @@ def kernel_mod_augmented(A, m):
 
 
 def dense_h1(table, k, ring):
-    """FgModule of ker d1 / im d2 on the dense two-step complex."""
+    """FgModule of ker d1 / im d2 on the dense two-step complex, over Z
+    or modulo the ring's modulus, whose relations m*I it adds itself."""
     modulus = ring.modulus
     N = table.index * (2 * k + 1)
     AS = action_matrix_on_induced(table, k, ("S", 1), modulus)
@@ -377,11 +378,11 @@ def dense_h1(table, k, ring):
         d2[i][i] += 1
         d2[N + i][N + i] += 1
     if modulus is None:
-        return subquotient(kernel_basis(d1), d2, ring)
+        return subquotient(kernel_basis(d1), d2)
     K = kernel_mod_augmented(d1, modulus)
     image = [d2[i] + [modulus if j == i else 0 for j in range(2 * N)]
              for i in range(2 * N)]
-    return subquotient(K, image, ring)
+    return subquotient(K, image)
 
 
 def ind_act(g, v):

@@ -17,8 +17,9 @@ from closed_forms import (
     ramanujan_tau,
 )
 from hypcycle import cli
-from hypcycle.cosets import SubgroupSpec
+from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.homology import compute_h1
+from hypcycle.intlinalg import RingSpec
 
 TAU = ramanujan_tau(97)
 
@@ -55,3 +56,18 @@ def test_gamma0_h1_rank_at_large_index(N, rank):
     # index 864 to 3,600; about 2 s in all, most of it at 2000
     assert 2 * gamma0_genus(N) + gamma0_cusps(N) - 1 == rank
     _check_gamma0_h1(N)
+
+
+@pytest.mark.parametrize("N", list(range(1, 41)) + [360])
+def test_gamma0_h1_mod_small_primes_and_mod_4(N):
+    # at k = 0, H0 = Z is free, so H1 over Z/m is H1 tensor Z/m: the
+    # relations compute_h1 adds for the ring, against the closed form
+    table = build_cosets(SubgroupSpec.gamma0(N))
+    rank = 2 * gamma0_genus(N) + gamma0_cusps(N) - 1
+    two, three = gamma0_nu2(N), gamma0_nu3(N)
+    for ell in (2, 3, 5):
+        h1 = compute_h1(table, 0, RingSpec("Fp", p=ell))
+        count = rank + two * (ell == 2) + three * (ell == 3)
+        assert h1.invariant_factors == (ell,) * count, (N, ell)
+    h1 = compute_h1(table, 0, RingSpec("ZpM", p=2, M=2))
+    assert h1.invariant_factors == (2,) * two + (4,) * rank, N

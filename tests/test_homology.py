@@ -229,6 +229,24 @@ class TestComputeH1:
             h1 = compute_h1(SubgroupSpec.gamma1(1), k, QQ)
             assert h1.rank == h1_dim_level_one(k)
 
+    @pytest.mark.parametrize("N, k", [(1, 9), (7, 3), (13, 0), (13, 6),
+                                      (37, 2)])
+    def test_q_is_the_free_part_over_z(self, N, k):
+        # over Q the local torsion takes unit relations; H1 keeps the
+        # free generators of H1 over Z, the basis the default hecke
+        # report prints, and a cycle keeps its free coordinates
+        table = build_cosets(SubgroupSpec.gamma0(N))
+        hz, hq = compute_h1(table, k, ZZ), compute_h1(table, k, QQ)
+        assert any(c.order for c in hz.quotient.coords)
+        free = [i for i, d in enumerate(hz.invariant_factors) if d == 0]
+        assert hq.invariant_factors == (0,) * len(free)
+        assert hq.module.gen_lift == [[row[i] for i in free]
+                                      for row in hz.module.gen_lift]
+        for j in (1, 2, 5):
+            g = PMat(1, j, N, 1 + j * N)
+            z = hz.cycle_coords(g)
+            assert hq.cycle_coords(g) == tuple(z[i] for i in free)
+
     def test_transversal_independence(self):
         spec = SubgroupSpec.gamma1(5)
         base = compute_h1(spec, 1, ZZ)

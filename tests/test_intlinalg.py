@@ -10,8 +10,6 @@ from hypcycle.intlinalg import (
     ImageNotContained,
     Lattice,
     NotInModule,
-    RingSpec,
-    QQ,
     diagonal,
     from_columns,
     identity,
@@ -270,15 +268,20 @@ class TestSubquotient:
         assert m.coords([2, 0]) == (1,)
 
     def test_modulus_ring(self):
-        ring = RingSpec("ZpM", p=2, M=2)
-        m = subquotient(identity(2), from_columns([[8, 0], [0, 3]], 2), ring)
-        # Z/8 x Z/3 tensor Z/4 = Z/4
+        # a ring enters as relations the caller adds: Z/8 x Z/3 with the
+        # relations 4*e_i of Z/4 is Z/8 x Z/3 tensor Z/4 = Z/4
+        rels = [[8, 0], [0, 3], [4, 0], [0, 4]]
+        m = subquotient(identity(2), from_columns(rels, 2))
         assert m.invariant_factors == (4,)
 
     def test_q_ring_free_part(self):
-        m = subquotient(identity(3), from_columns([[2, 0, 0]], 3), QQ)
+        # over Q the order 2 is a unit: its relation 1*e_0 leaves only
+        # the free part, with the free generators of Z/2 x Z^2
+        m = subquotient(identity(3), from_columns([[2, 0, 0], [1, 0, 0]], 3))
         assert m.invariant_factors == (0, 0)
         assert m.rank == 2
+        z = subquotient(identity(3), from_columns([[2, 0, 0]], 3))
+        assert m.gen_lift == [row[1:] for row in z.gen_lift]
 
 
 class TestInducedEndomorphism:
