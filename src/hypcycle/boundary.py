@@ -75,7 +75,7 @@ IdentityReport = namedtuple("IdentityReport", "verdict N p k lhs rhs")
 def check_boundary_identity(N, p, k):
     """T_p z(T) = (1 + p^(2k+1) <p>) z(T) on Gamma_1(N^2), exactly in
     H1 coordinates over Z."""
-    if p == N or N % p == 0:
+    if N % p == 0:
         raise WrongDivisibility("the identity needs p coprime to N")
     spec = SubgroupSpec.gamma1(N * N)
     h1 = compute_h1(spec, k, ZZ)
@@ -101,12 +101,12 @@ def check_hecke_generation(spec, k):
     spans the boundary subgroup (the subgroup must contain T).
 
     Applies the diag(1, l) double cosets for ``GENERATION_PRIMES``, one
-    diamond operator per nontrivial class of (Z/N)^x / +-H and the
-    cusp-moving double cosets to the new vectors of each round until a
-    round adds nothing or the span is the boundary.  Each round but the
-    last grows the span, and sublattices of Z^g satisfy the ascending
-    chain condition, so this ends; Inconclusive if short of the
-    boundary."""
+    diamond operator (``hecke.diamond_coset``) per nontrivial class of
+    (Z/N)^x / +-H and the cusp-moving double cosets to the new vectors
+    of each round until a round adds nothing or the span is the
+    boundary.  Each round but the last grows the span, and sublattices
+    of Z^g satisfy the ascending chain condition, so this ends;
+    Inconclusive if short of the boundary."""
     if not spec.contains(T):
         raise ValueError("supported groups contain T (width one at infinity)")
     h1 = compute_h1(spec, k, ZZ)
@@ -118,13 +118,14 @@ def check_hecke_generation(spec, k):
         ops.append(hecke_coset(ell, h1))
         names.append(("U%d" if spec.N % ell == 0 else "T%d") % ell)
     # <d> depends only on the class of d in (Z/N)^x / +-H, the key of its
-    # matrix; the identity's class gives the identity operator
+    # matrix; the identity's class gives the identity operator, which
+    # adds nothing to the span
     seen = {spec.coset_key(I)}
     for d in range(2, spec.N):
         beta = gcd(d, spec.N) == 1 and diamond_matrix(spec.N, d)
         if beta and (key := spec.coset_key(beta)) not in seen:
             seen.add(key)
-            ops.append(DoubleCoset(h1, h1, beta))
+            ops.append(diamond_coset(d, h1))
             names.append("<%d>" % d)
     # cusp-moving conjugations: the lemma's generation statement runs
     # over all alpha of positive determinant, and reaching a cusp other

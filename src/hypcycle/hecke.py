@@ -1,7 +1,9 @@
 """Double-coset operators on H1, and the specializations T_p, U_p and
 the diamond operators: ``hecke_coset`` is the one constructor of the
 double coset of diag(1,p), which is T_p or U_p by the divisibility of
-the level, and ``diamond_coset`` the one constructor of <d>.
+the level, and ``diamond_coset`` the one constructor of <d>, a
+DoubleCoset for every unit d (for d in +-H the double coset is the
+group itself, and its operator the identity).
 
 The double coset of alpha with det(alpha) > 0 maps classes from
 H1(Gamma) to H1(Gamma').  A class is lifted to a cycle on Gamma, and
@@ -41,7 +43,7 @@ from operator import mul
 
 from .cosets import subgroup_transversal
 from .homology import restricted_form
-from .intlinalg import from_columns, identity, xgcd
+from .intlinalg import from_columns, identity, mat_vec, xgcd
 from .psl2 import Mat2, PMat
 from .symspace import act, restriction_map
 
@@ -139,18 +141,7 @@ class OperatorMatrix:
         self.target = target
 
     def apply_coords(self, coords):
-        g = self.target.ngens
-        out = [0] * g
-        for j, c in enumerate(coords):
-            if c:
-                for i in range(g):
-                    out[i] += self.matrix[i][j] * c
-        return self.target.reduce_coords(out)
-
-    def operator(self):
-        """The matrix is its own operator, so it stands wherever a
-        prepared DoubleCoset does (see diamond_coset)."""
-        return self
+        return self.target.reduce_coords(mat_vec(self.matrix, coords))
 
     def charpoly(self):
         """Coefficients of the characteristic polynomial on the free
@@ -165,10 +156,6 @@ class OperatorMatrix:
         from . import polyz
 
         return polyz.factor_str(self.charpoly())
-
-
-def identity_operator(h1):
-    return OperatorMatrix(identity(h1.ngens), h1, h1)
 
 
 class DoubleCoset:
@@ -250,13 +237,10 @@ def diamond_matrix(N, d):
 
 def diamond_coset(d, h1):
     """The diamond operator <d>, the double coset of an element beta of
-    Gamma_0(N) with lower-right entry d mod N (diamond_matrix): the
-    identity operator when beta lies in the group (d in +-H), else a
-    DoubleCoset.  Both have ``operator`` and ``apply_coords``."""
+    Gamma_0(N) with lower-right entry d mod N (diamond_matrix).  When
+    beta lies in the group (d in +-H) that double coset is the group
+    itself, one coset, and its operator is the identity."""
     spec = h1.spec
     if spec is None:
         raise ValueError("diamond operator needs a subgroup spec")
-    beta = diamond_matrix(spec.N, d)
-    if spec.contains(beta):
-        return identity_operator(h1)
-    return DoubleCoset(h1, h1, beta)
+    return DoubleCoset(h1, h1, diamond_matrix(spec.N, d))

@@ -546,8 +546,6 @@ class FgModule:
 
         Raises NotInModule if the vector is not in the module.
         """
-        if self._kernel_ech is None:
-            raise NotInModule("module has no ambient presentation")
         y = self._kernel_ech.solve(list(vec))
         if y is None:
             raise NotInModule("vector outside the module")
@@ -593,11 +591,10 @@ def subquotient(kernel, image):
     """
     n = len(kernel)
     s = len(kernel[0]) if kernel else 0
-    ech = ColumnEchelon(kernel) if s else None
-    img_cols = columns(image) if image else []
+    ech = ColumnEchelon(kernel)
     ys = []
-    for col in img_cols:
-        y = ech.solve(col) if ech else ([] if not any(col) else None)
+    for col in columns(image):
+        y = ech.solve(col)
         if y is None:
             raise ImageNotContained("image column outside kernel span")
         ys.append(y)

@@ -174,8 +174,6 @@ def enumerate_hyperbolic(table, budget, exclude_p=None):
                 gens.append(gh)
         if len(gens) >= 48:
             break
-    if not gens:
-        return
     emitted = 0
     seen = set()
     class_counts = {}

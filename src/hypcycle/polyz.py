@@ -4,8 +4,8 @@ A polynomial is the list of its integer coefficients, leading first:
 [1, -3, 2] is x^2 - 3x + 2 and [] is zero.  ``charpoly`` is
 Faddeev-LeVerrier, whose divisions are exact over Z.  ``factor`` pulls
 out the power of x, splits the rest into square-free parts (Yun) and
-factors each part by Zassenhaus: factor it modulo the least prime that
-keeps it square-free (distinct-degree, then equal-degree splitting),
+factors each part by Zassenhaus: factor it modulo the least odd prime
+that keeps it square-free (distinct-degree, then equal-degree splitting),
 Hensel-lift the factors past twice the Mignotte bound, and recombine
 them by trial division over Z (Cohen, *A Course in Computational
 Algebraic Number Theory*, GTM 138, 2.2.4 and 3.4-3.5).  ``factor_str``
@@ -172,7 +172,8 @@ def _squarefree(f):
 
 
 def _factor_mod(f, p):
-    """Monic irreducible factors of a monic f, square-free modulo p."""
+    """Monic irreducible factors of a monic f, square-free modulo an odd
+    prime p."""
     rng = random.Random(p)
     out = []
     h = X
@@ -191,20 +192,13 @@ def _factor_mod(f, p):
 
 
 def _split_equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus: the factors of f, all of degree d, modulo p;
-    for p = 2 the trace a + a^2 + ... + a^(2^(d-1)) replaces
-    a^((p^d - 1)/2) - 1."""
+    """Cantor-Zassenhaus: the factors of f, all of degree d, modulo an
+    odd prime p, split off by gcd(f, a^((p^d - 1)/2) - 1) for random a."""
     if len(f) - 1 == d:
         return [f]
     while True:
         a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
-        if p == 2:
-            t = s = a
-            for _ in range(d - 1):
-                s = _powmod(s, 2, f, 2)
-                t = _sub(t, s, 2)
-        else:
-            t = _sub(_powmod(a, (p ** d - 1) // 2, f, p), [1], p)
+        t = _sub(_powmod(a, (p ** d - 1) // 2, f, p), [1], p)
         g = _gcd_mod(f, t, p)
         if 1 < len(g) < len(f):
             return (_split_equal_degree(g, d, p, rng)
@@ -237,7 +231,7 @@ def _hensel(g, factors, p, a):
 def _zassenhaus(g):
     """Irreducible factors of a monic square-free g with g(0) != 0."""
     dg = _deriv(g)
-    p = next(p for p in count(2) if is_prime(p)
+    p = next(p for p in count(3, 2) if is_prime(p)
              and _gcd_mod(_reduce(g, p), _reduce(dg, p), p) == [1])
     factors = _factor_mod(_reduce(g, p), p)
     if len(factors) == 1:

@@ -15,6 +15,12 @@ Automorphic Functions, Props. 1.40 and 1.43; Diamond-Shurman, ch. 3).
 H1(Gamma_0(N), Z) with trivial coefficients is free of rank 2g + c - 1
 beside its 2- and 3-torsion: the compact curve contributes 2g and each
 cusp past the first one more.
+
+``gamma0_cusp_forms`` gives dim S_w(Gamma_0(N)) for even w >= 4 from the
+same numbers (Diamond-Shurman, Thm. 3.5.1; Stein, *Modular Forms: A
+Computational Approach*, GSM 79, 6.1).  For k >= 1, Eichler-Shimura
+gives H1(Gamma_0(N), Sym^2k) the rank 2 dim S_(2k+2) + c, the Eisenstein
+series contributing dim E_(2k+2) = c.
 """
 
 from math import gcd
@@ -89,3 +95,11 @@ def gamma0_genus(N):
                 - 4 * gamma0_nu3(N) - 6 * gamma0_cusps(N))
     assert twelve_g % 12 == 0, N
     return twelve_g // 12
+
+
+def gamma0_cusp_forms(N, w):
+    """dim S_w(Gamma_0(N)) for even w >= 4: (w - 1)(g - 1)
+    + floor(w/4) nu2 + floor(w/3) nu3 + (w/2 - 1) c."""
+    assert w >= 4 and w % 2 == 0, w
+    return ((w - 1) * (gamma0_genus(N) - 1) + w // 4 * gamma0_nu2(N)
+            + w // 3 * gamma0_nu3(N) + (w // 2 - 1) * gamma0_cusps(N))

@@ -33,11 +33,12 @@ of ``symspace.corestriction_map``.
 
 The rest are word, matrix and coset helpers (``letter_word`` is the
 construction that ``psl2.word_runs`` replaced), the algebra of
-``hecke.OperatorMatrix`` (``compose``, ``equals``, ``is_zero``,
-``scaled``, ``plus``), ``induced_endomorphism`` (the oracle of the test
-on H1 (x) F_q), ``close_every_row`` (the closure rule that
-``Lattice.close_under`` replaced, one ``every_row_round`` at a time) and the level-raising square
-``pi_phi_V`` at a prime coprime to the level.
+``hecke.OperatorMatrix`` (``identity_operator``, ``compose``,
+``equals``, ``is_zero``, ``scaled``, ``plus``),
+``induced_endomorphism`` (the oracle of the test on H1 (x) F_q),
+``close_every_row`` (the closure rule that ``Lattice.close_under``
+replaced, one ``every_row_round`` at a time) and the level-raising
+square ``pi_phi_V`` at a prime coprime to the level.
 """
 
 import random
@@ -714,6 +715,11 @@ def induced_endomorphism(f, module):
 
 def _column(op, j):
     return [row[j] for row in op.matrix]
+
+
+def identity_operator(h1):
+    """The identity OperatorMatrix on ``h1``."""
+    return OperatorMatrix(identity(h1.ngens), h1, h1)
 
 
 def compose(f, g):

@@ -3,13 +3,15 @@ with ``hypcycle`` (``closed_forms``): on level one with Sym^10
 coefficients, T_p has the Eisenstein eigenvalue 1 + p^11 and, on the two
 classes of the discriminant form, Ramanujan's tau(p); with trivial
 coefficients, H1 of Gamma_0(N) has rank 2g + c - 1 and the torsion of
-its elliptic points."""
+its elliptic points; with Sym^2k coefficients, k >= 1, it has the
+Eichler-Shimura rank 2 dim S_(2k+2) + c."""
 
 import json
 
 import pytest
 
 from closed_forms import (
+    gamma0_cusp_forms,
     gamma0_cusps,
     gamma0_genus,
     gamma0_nu2,
@@ -56,6 +58,23 @@ def test_gamma0_h1_rank_at_large_index(N, rank):
     # index 864 to 3,600; about 2 s in all, most of it at 2000
     assert 2 * gamma0_genus(N) + gamma0_cusps(N) - 1 == rank
     _check_gamma0_h1(N)
+
+
+def test_level_one_and_gamma0_11_eichler_shimura_ranks():
+    # the formula alone: level one at k = 30 and 40, Gamma_0(11) at k = 2
+    for N, k, rank in ((1, 30, 9), (1, 40, 13), (11, 2, 10)):
+        assert 2 * gamma0_cusp_forms(N, 2 * k + 2) + gamma0_cusps(N) == rank
+
+
+@pytest.mark.parametrize("k,N_max", [(1, 50), (2, 50), (3, 26)])
+def test_gamma0_h1_rank_is_eichler_shimura(k, N_max):
+    # the rho-twists of Sym^2k on every letter step enter d1, so a twist
+    # that breaks the action (an untwisted S step, say) moves the rank
+    # off 2 dim S_(2k+2) + c; about 3.5 s in all
+    for N in range(1, N_max + 1):
+        h1 = compute_h1(SubgroupSpec.gamma0(N), k)
+        expect = 2 * gamma0_cusp_forms(N, 2 * k + 2) + gamma0_cusps(N)
+        assert h1.rank == expect, (N, k)
 
 
 @pytest.mark.parametrize("N", list(range(1, 41)) + [360])

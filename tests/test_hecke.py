@@ -16,7 +16,6 @@ from hypcycle.hecke import (
     diamond_coset,
     diamond_matrix,
     hecke_coset,
-    identity_operator,
 )
 from hypcycle.homology import NotACycle, RunSums, compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ, identity
@@ -41,6 +40,7 @@ from oracles import (
     equals,
     fox_expand,
     gamma0p_intersection,
+    identity_operator,
     is_zero,
     pi_phi_V,
     plus,
@@ -346,11 +346,13 @@ class TestDiamond:
         ("gammaH:13:3", 1, ZZ, 3),
         ("gammaH:13:3", 1, ZZ, 9),
         ("gammaH:13:3", 1, ZZ, 10),
+        ("gamma1:7", 1, QQ, 6),
+        ("gammaH:13:3", 1, RingSpec("ZpM", p=3, M=2), 10),
     ])
     def test_diamond_in_the_group_is_the_identity(self, group, k, ring, d):
-        # d in +-H: beta lies in the group, and its double coset is
-        # exactly the identity matrix, which diamond_coset returns
-        # without building it
+        # d in +-H: beta lies in the group, so its double coset is the
+        # group itself, and the DoubleCoset that diamond_coset builds
+        # gives exactly the identity matrix
         spec = SubgroupSpec.parse(group)
         h1 = compute_h1(spec, k, ring)
         beta = diamond_matrix(spec.N, d)
@@ -358,7 +360,7 @@ class TestDiamond:
         identity = identity_operator(h1).matrix
         assert DoubleCoset(h1, h1, beta).operator().matrix == identity
         op = diamond_coset(d, h1)
-        assert not isinstance(op, DoubleCoset)
+        assert isinstance(op, DoubleCoset)
         assert op.operator().matrix == identity
 
     def test_diamond_commutes_with_tp(self):

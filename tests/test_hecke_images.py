@@ -20,13 +20,12 @@ from hypcycle.hecke import (
     WrongDivisibility,
     diamond_coset,
     diamond_matrix,
-    identity_operator,
 )
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import (QQ, RingSpec, ZZ, columns, from_columns,
                                 identity)
 from hypcycle.psl2 import Mat2
-from oracles import HeckeOracle, coset_reps, equals
+from oracles import HeckeOracle, coset_reps, equals, identity_operator
 
 IMAGES = settings(max_examples=50, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -160,8 +159,9 @@ def test_transversal_matches_schreier_walk(case, monkeypatch):
 
 def test_diamond_keeps_identity_and_divisibility():
     h1 = compute_h1(SubgroupSpec.gamma1(13), 0, ZZ)
-    assert equals(diamond_coset(14, h1), identity_operator(h1))
-    assert equals(diamond_coset(14, h1).operator(), identity_operator(h1))
+    op = diamond_coset(14, h1)
+    assert isinstance(op, DoubleCoset)
+    assert equals(op.operator(), identity_operator(h1))
     with pytest.raises(WrongDivisibility):
         diamond_coset(13, h1)
 
@@ -182,10 +182,12 @@ def mapped_cycles(monkeypatch):
 
 
 def test_identity_check_maps_one_cycle_per_double_coset(mapped_cycles):
-    # on Gamma_1(9), <2> is a double coset; on Gamma_1(4) every <p> is
-    # +-1, in the group, and the identity operator maps no cycle
-    assert check_boundary_identity(3, 2, 1).verdict == "Verified"
-    assert mapped_cycles[0] == 2
+    # T_p and <p> each map z(T) once, also where <p> is trivial: on
+    # Gamma_1(4) <3> = <-1>, and diamond_coset builds the double coset of
+    # the group itself
+    for N, p, mapped in ((3, 2, 2), (2, 3, 4)):
+        assert check_boundary_identity(N, p, 1).verdict == "Verified"
+        assert mapped_cycles[0] == mapped
 
 
 def test_generation_check_maps_frontier_only(mapped_cycles):

@@ -75,6 +75,10 @@ def sympy_str(f):
 @example([1, -2, 1])
 @example([1, 0, -1])
 @example(T5)
+# square-free modulo 2, where they split as x(x+1) and as two cubics;
+# Zassenhaus factors them modulo an odd prime
+@example([1, -5, 6])
+@example([1, 1, 1, 3, 1, 1, 1])
 def test_factor_matches_sympy(f):
     pairs = factor(f)
     product = [1]
