@@ -286,9 +286,12 @@ def cmd_batch(args):
                                % (entry,))
             row["subcommand"] = entry.get("subcommand", "")
             # a batch row would print CSV in place of a report, and a
-            # manifest naming itself would recurse
+            # manifest naming itself would recurse; a row's report goes
+            # to the CSV, never to a file of its own
             if row["subcommand"] == "batch":
                 raise CliError("a manifest entry cannot run batch")
+            if "output" in entry:
+                raise CliError("a manifest entry cannot name output")
             argv = [row["subcommand"]]
             for key, val in entry.items():
                 if key == "subcommand":
@@ -355,12 +358,8 @@ COMMANDS = {
                          "Hecke generation of the boundary", (GROUP, WEIGHT)),
     "bridge": (cmd_bridge, "mod-p reduction bridge (p | N)",
                (LEVEL, PRIME, WEIGHT) + BUDGET),
-    # the top-level --output, also accepted after batch; without a
-    # default here, the subcommand would overwrite a value given before
     "batch": (cmd_batch, "run a JSON manifest, emit CSV",
-              (("--manifest", {"required": True}),
-               ("--output", {"default": argparse.SUPPRESS,
-                             "help": OUTPUT_HELP}))),
+              (("--manifest", {"required": True}),)),
 }
 
 
@@ -372,6 +371,9 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         for option, kwargs in flags:
             p.add_argument(option, **kwargs)
+        # the top-level --output, also accepted after the subcommand;
+        # without a default here, it would overwrite a value given before
+        p.add_argument("--output", default=argparse.SUPPRESS, help=OUTPUT_HELP)
         p.set_defaults(func=func)
     parser.add_argument("--output", help=OUTPUT_HELP)
     return parser

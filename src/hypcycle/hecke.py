@@ -28,8 +28,10 @@ the generators.  An ``OperatorMatrix`` carries that matrix, its
 ``apply_coords`` and the characteristic polynomial on the free part.
 
 Classes are mapped in batches (one class, or every generator for the
-matrix), and each conjugated element has its Fox map read into
-coordinates once per batch.  That read walks the element's word as
+matrix), and each conjugated element is walked once per batch: with
+the summed vectors alpha v of the classes that use it as columns when
+they are fewer than 2k+1, else with its (2k+1)-square Fox map, read
+once per class.  That walk reads the element's word as
 runs T^q (psl2.word_runs) along the T-orbits of Gamma''s table: prefix
 sums of the projected reader rows along each orbit, and sums over its
 whole laps, give a run's rows in at most two products, however long it
@@ -39,7 +41,7 @@ conjugates for T_p and U_p have runs of length about p, so a Hecke
 matrix costs about one step per run, not one per letter.
 """
 
-from operator import mul
+from operator import add, mul
 
 from .cosets import subgroup_transversal
 from .homology import restricted_form
@@ -106,29 +108,39 @@ def conj_star(forms, alpha, runs, rank):
     A term (gamma, v) of a subgroup form becomes the Fox chain of
     (alpha gamma alpha^-1 - 1) tensor alpha v on Gamma', the
     corestriction of that chain on Gamma_2 = alpha Gamma_1 alpha^-1;
-    it is read into coordinates and never built: each element's Fox
-    map is read into coordinates once per batch by ``runs``, and each
-    of its terms applies that map to alpha v.
+    it is read into coordinates and never built.  The terms are grouped
+    by element, in the order first seen (the first element that leaves
+    Gamma' raises), and their vectors summed per form, so each element
+    is walked once by ``runs``: with its n vectors alpha v as columns
+    when n < d = 2k+1, else with its d x d map, read once per form.
     """
-    modulus = runs.modulus
-    maps = {}  # element key -> projected Fox map
-    images = []
-    for form in forms:
-        vec = [0] * rank
+    m, d = runs.modulus, runs.d
+    sums = {}  # element key -> (conjugate, {class: sum of its vectors})
+    for j, form in enumerate(forms):
         for gamma, v in form:
             key = gamma.key()
-            proj = maps.get(key)
-            if proj is None:
+            hit = sums.get(key)
+            if hit is None:
                 cg = conjugate_by(alpha, gamma)
                 if cg is None or not runs.table.contains(cg):
                     raise ConjugateLeavesGroup(
                         "conjugate of %r leaves the target group" % (gamma,))
-                proj = maps[key] = runs.project(cg)
-            av = act(alpha, v, modulus)
-            for idx, row in proj:
-                vec[idx] += sum(map(mul, row, av))
-        images.append([x % modulus for x in vec] if modulus else vec)
-    return images
+                hit = sums[key] = cg, {}
+            acc = hit[1]
+            acc[j] = list(map(add, acc[j], v)) if j in acc else v
+    images = [[0] * rank for _ in forms]
+    for cg, acc in sums.values():
+        avs = {j: act(alpha, v, m) for j, v in acc.items()}
+        if len(avs) < d:  # walk the columns alpha v, one per class
+            V = list(zip(*avs.values()))
+            for idx, row in runs.project(cg, V):
+                for j, x in zip(avs, row):
+                    images[j][idx] += x
+        else:  # walk the d x d map and read it once per class
+            for idx, row in runs.project(cg):
+                for j, av in avs.items():
+                    images[j][idx] += sum(map(mul, row, av))
+    return [[x % m for x in vec] for vec in images] if m else images
 
 
 class OperatorMatrix:

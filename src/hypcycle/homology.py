@@ -30,7 +30,10 @@ T-orbits, each built whole with its prefix sums when a run first
 enters it, with closed-form sums over whole laps, and its single
 letters one at a time (``fox_step``).  A cycle z(gamma) (``cycle_of``)
 and each conjugated term of a Hecke image are read by the same walk;
-no chain of either is built.
+no chain of either is built.  The walk carries only the columns it is
+applied to: a cycle walks q_gamma^k as one column, and a conjugated
+element the vectors of the classes that use it, unless they are 2k+1
+or more (see hecke.conj_star); then it carries its (2k+1)-square map.
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
@@ -115,19 +118,17 @@ def _compose(M, N, modulus=None):
 
 
 def merge_blocks(groups, d, modulus=None):
-    """Entries (slot, block, matrix) from lists of d x d matrices keyed
-    by (slot, block), None standing for the identity.  A lone matrix is
-    kept as it is, by reference; repeats are summed into a new matrix,
-    reduced mod m if a modulus is given."""
+    """Entries (slot, block, matrix) from lists of d x m matrices keyed
+    by (slot, block), None standing for the d x d identity.  A lone
+    matrix is kept as it is, by reference; repeats are summed into a new
+    matrix, reduced mod m if a modulus is given."""
     entries = []
     for (slot, blk), mats in groups.items():
         if len(mats) == 1:
             entries.append((slot, blk, mats[0]))
             continue
-        ones = mats.count(None)
-        acc = [[ones * (i == j) for j in range(d)] for i in range(d)]
-        for M in filter(None, mats):  # the matrices, not the identities
-            acc = [[x + y for x, y in zip(r, s)] for r, s in zip(acc, M)]
+        mats = [identity(d) if M is None else M for M in mats]
+        acc = [list(map(sum, zip(*rows))) for rows in zip(*mats)]
         if modulus is not None:
             acc = [[x % modulus for x in row] for row in acc]
         entries.append((slot, blk, acc))
@@ -155,9 +156,9 @@ def fox_step(steps, groups, block, mat, gen, e, modulus=None):
 def cycle_of(gamma, poly, quotient):
     """Ambient coordinates in the LocalQuotient ``quotient`` of the cycle
     (gamma - 1) tensor (poly at the identity block): the run walk of
-    gamma (``quotient.runs``) applied to poly.  Requires gamma in the
-    subgroup and poly invariant under gamma (e.g. a power of its
-    quadratic form); raises NotACycle otherwise."""
+    gamma (``quotient.runs``) carrying poly as its one column.  Requires
+    gamma in the subgroup and poly invariant under gamma (e.g. a power
+    of its quadratic form); raises NotACycle otherwise."""
     modulus = quotient.modulus
     if quotient.table.coset_of(gamma)[0] != 0:
         raise NotACycle("element is not in the subgroup of the table")
@@ -166,8 +167,8 @@ def cycle_of(gamma, poly, quotient):
     if tuple(moved) != base:
         raise NotACycle("coefficient is not invariant under the element")
     out = [0] * quotient.ambient_rank
-    for idx, row in quotient.runs.project(gamma):
-        out[idx] = sum(map(mul, row, poly))
+    for idx, (x,) in quotient.runs.project(gamma, [[c] for c in poly]):
+        out[idx] = x
     return [x % modulus for x in out] if modulus else out
 
 
@@ -273,6 +274,10 @@ class RunSums:
     depends on the element walked, so one RunSums
     (``LocalQuotient.runs``) serves every cycle and every double coset
     into the quotient's H1.
+
+    A walk may start from a d x m block V in place of M = I: its
+    deposits and twists are then d x m, each product costs d m per row
+    in place of d^2, and it reads the projected map times V.
     """
 
     def __init__(self, quotient):
@@ -284,12 +289,14 @@ class RunSums:
         self.modulus = modulus
         self.orbits = {}  # (s, block) -> (orbit, position)
 
-    def project(self, g):
-        """The projected Fox map of g: pairs (coordinate index, row),
-        the sum of the reader rows times the Fox entries of g."""
+    def project(self, g, V=None):
+        """The projected Fox map of g times the d x m block V (None for
+        the identity, m = d): pairs (coordinate index, row of length m),
+        the sum of the reader rows times the Fox entries of g times V.
+        The walk starts from V, so each step carries m columns."""
         steps, m, readers = self.steps, self.modulus, self.readers
         proj, groups = {}, {}
-        block, mat = 0, None
+        block, mat = 0, V
         for gen, e in reversed(word_runs(g)):
             if gen == "T":
                 block, mat = self._run(proj, block, mat, e)

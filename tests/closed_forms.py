@@ -16,6 +16,14 @@ H1(Gamma_0(N), Z) with trivial coefficients is free of rank 2g + c - 1
 beside its 2- and 3-torsion: the compact curve contributes 2g and each
 cusp past the first one more.
 
+``level_one_hecke_charpoly`` gives the characteristic polynomial of T_p
+on S_w(SL2(Z)), read off q-expansions: the forms Delta^j E_4^a E_6^b of
+weight w, one for each order j >= 1 of vanishing at infinity, are a
+basis of S_w whose expansions start with q^j, and T_p maps sum a(n) q^n
+to sum (a(pn) + p^(w-1) a(n/p)) q^n.  H1(SL2(Z), Sym^(w-2)) has T_p
+with the Eisenstein eigenvalue 1 + p^(w-1) once and that polynomial
+twice (Eichler-Shimura).
+
 ``gamma0_cusp_forms`` gives dim S_w(Gamma_0(N)) for even w >= 4 from the
 same numbers (Diamond-Shurman, Thm. 3.5.1; Stein, *Modular Forms: A
 Computational Approach*, GSM 79, 6.1).  For k >= 1, Eichler-Shimura
@@ -23,6 +31,7 @@ gives H1(Gamma_0(N), Sym^2k) the rank 2 dim S_(2k+2) + c, the Eisenstein
 series contributing dim E_(2k+2) = c.
 """
 
+from fractions import Fraction
 from math import gcd
 
 
@@ -35,6 +44,64 @@ def ramanujan_tau(n_max):
             for i in range(n_max - 1, n - 1, -1):
                 series[i] -= series[i - n]
     return [0] + series
+
+
+def _sigma(n, e):
+    return sum(d ** e for d in range(1, n + 1) if n % d == 0)
+
+
+def _series_mul(f, g):
+    """The product of two q-expansions, truncated to the shorter one."""
+    n = min(len(f), len(g))
+    return [sum(f[i] * g[t - i] for i in range(t + 1)) for t in range(n)]
+
+
+def level_one_hecke_charpoly(w, p):
+    """Coefficients, leading first, of the characteristic polynomial of
+    T_p on S_w(SL2(Z)) for even w >= 4, in the basis Delta^j E_4^a E_6^b
+    (4a + 6b = w - 12j, b <= 1) for j = 1 .. dim S_w."""
+    dims = [j for j in range(1, w // 12 + 1) if w - 12 * j != 2]
+    n = p * len(dims) + 1  # coefficients of q^0 .. q^(p dim)
+    e4 = [1] + [240 * _sigma(i, 3) for i in range(1, n)]
+    e6 = [1] + [-504 * _sigma(i, 5) for i in range(1, n)]
+    delta = ramanujan_tau(n - 1)
+    basis = []
+    for j in dims:
+        a, two = divmod(w - 12 * j, 4)  # weight 4a + 2 is E_6 E_4^(a-1)
+        f = [1] + [0] * (n - 1)
+        for g in [delta] * j + ([e6] + [e4] * (a - 1) if two else [e4] * a):
+            f = _series_mul(f, g)
+        basis.append(f)
+    # each image in the basis, by its coefficients of q^1 .. q^dim: the
+    # basis is unitriangular there, so the coordinates are integers
+    matrix = []
+    for f in basis:
+        image = [f[p * m] + (p ** (w - 1) * f[m // p] if m % p == 0 else 0)
+                 for m in range(len(dims) + 1)]
+        coords = []
+        for j, g in zip(dims, basis):
+            c = image[j]
+            coords.append(c)
+            image = [x - c * y for x, y in zip(image, g)]
+        matrix.append(coords)  # a column, stored as a row: same charpoly
+    return _charpoly(matrix)
+
+
+def _charpoly(A):
+    """Coefficients, leading first, of det(x I - A) for an integer
+    matrix, by Faddeev-LeVerrier: M_1 = I, c_t = -tr(A M_t) / t and
+    M_(t+1) = A M_t + c_t I, each division exact."""
+    n = len(A)
+    coeffs, M = [1], [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(1, n + 1):
+        AM = [[sum(A[i][s] * M[s][j] for s in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = Fraction(-sum(AM[i][i] for i in range(n)), t)
+        assert c.denominator == 1
+        coeffs.append(int(c))
+        M = [[AM[i][j] + int(c) * (i == j) for j in range(n)]
+             for i in range(n)]
+    return coeffs
 
 
 def prime_factors(n):

@@ -105,10 +105,23 @@ def test_batch_entry_running_batch_is_an_error_row(tmp_path, capsys):
     assert "batch" in out[0]["detail"]
 
 
+def test_batch_entry_naming_output_is_an_error_row(tmp_path, capsys):
+    # a row's report goes to the CSV: an entry that names a file of its
+    # own is refused, and writes nothing
+    target = tmp_path / "row.json"
+    code, out = run_batch(tmp_path, capsys,
+                          [GOOD, dict(GOOD, output=str(target)), GOOD])
+    assert code == 2
+    assert [(row["status"], row["exit_code"]) for row in out] == [
+        ("ok", "0"), ("error", "3"), ("ok", "0")]
+    assert "output" in out[1]["detail"] and not target.exists()
+
+
 @pytest.mark.parametrize("before, after", [
     (["--output", "{out}"], ["batch", "--manifest", "{manifest}"]),
     ([], ["batch", "--manifest", "{manifest}", "--output", "{out}"]),
     (["--output", "{out}"], ["h1", "--group", "gamma0:11", "--k", "0"]),
+    ([], ["h1", "--group", "gamma0:11", "--k", "0", "--output", "{out}"]),
 ])
 def test_output_flag_writes_the_file(before, after, tmp_path, capsys):
     manifest = tmp_path / "manifest.json"

@@ -1,7 +1,9 @@
 """H1 and Hecke charpolys against closed forms that share no code path
 with ``hypcycle`` (``closed_forms``): on level one with Sym^10
 coefficients, T_p has the Eisenstein eigenvalue 1 + p^11 and, on the two
-classes of the discriminant form, Ramanujan's tau(p); with trivial
+classes of the discriminant form, Ramanujan's tau(p), and with Sym^22
+coefficients, twice the irreducible quadratic charpoly of T_p on the
+two cusp forms of weight 24, read off q-expansions; with trivial
 coefficients, H1 of Gamma_0(N) has rank 2g + c - 1 and the torsion of
 its elliptic points; with Sym^2k coefficients, k >= 1, it has the
 Eichler-Shimura rank 2 dim S_(2k+2) + c."""
@@ -16,6 +18,7 @@ from closed_forms import (
     gamma0_genus,
     gamma0_nu2,
     gamma0_nu3,
+    level_one_hecke_charpoly,
     ramanujan_tau,
 )
 from hypcycle import cli
@@ -34,6 +37,24 @@ def test_level_one_weight_12_charpoly_is_eisenstein_and_tau(p, capsys):
     assert cli.main(argv.split()) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["charpoly"] == "(x-%d)*(x%+d)^2" % (1 + p ** 11, -TAU[p])
+
+
+# T_p on S_24(SL2(Z)), pinned: p = 2 has the eigenvalues 540 +- 12 sqrt(144169)
+WEIGHT_24 = {2: [1, -1080, -20468736], 3: [1, -339480, -19020146544]}
+
+
+@pytest.mark.parametrize("p", sorted(WEIGHT_24))
+def test_level_one_weight_24_charpoly_is_eisenstein_and_a_quadratic(p, capsys):
+    # the first closed-form rows with an irreducible factor; d = 23, and
+    # each term is walked with only the columns it is applied to
+    quadratic = WEIGHT_24[p]
+    assert level_one_hecke_charpoly(24, p) == quadratic
+    assert level_one_hecke_charpoly(12, p) == [1, -TAU[p]]
+    argv = "hecke --group gamma0:1 --k 11 --op Tp --p %d" % p
+    assert cli.main(argv.split()) == 0
+    report = json.loads(capsys.readouterr().out)
+    _, b, c = quadratic
+    assert report["charpoly"] == "(x-%d)*(x^2%+d*x%+d)^2" % (1 + p ** 23, b, c)
 
 
 def _check_gamma0_h1(N):

@@ -104,13 +104,27 @@ BATCH_OPS = {
                          ids=["Z", "Z/9"])
 @pytest.mark.parametrize("op", sorted(BATCH_OPS))
 def test_operator_batch_matches_single_classes(k, ring, op):
-    # operator() maps every generator in one batch, where each element's
-    # Fox map is read into coordinates once for all of them; a single
-    # class reads only the elements it uses itself
+    # operator() maps every generator in one batch, where each element is
+    # walked once for all the classes that use it: with its d x d map
+    # when they are d or more, else with their columns; a single class
+    # walks only the elements it uses itself, one column each
     h1 = compute_h1(SubgroupSpec.gamma1(5), k, ring)
-    dc = DoubleCoset(h1, h1, BATCH_OPS[op](h1))
+    _check_batch(DoubleCoset(h1, h1, BATCH_OPS[op](h1)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec("ZpM", p=3, M=2)],
+                         ids=["Z", "Z/9"])
+def test_level_one_batch_matches_single_classes(ring):
+    # T_5 at k = 9: d = 19 is more than the classes of any batch, so the
+    # batch walks as many columns as its classes, and each single class one
+    h1 = compute_h1(SubgroupSpec.gamma0(1), 9, ring)
+    assert 1 < h1.ngens < 19
+    _check_batch(DoubleCoset(h1, h1, Mat2(1, 0, 0, 5)))
+
+
+def _check_batch(dc):
     matrix = dc.operator().matrix
-    for j, unit in enumerate(identity(h1.ngens)):
+    for j, unit in enumerate(identity(dc.source.ngens)):
         assert [row[j] for row in matrix] == list(dc.apply_coords(unit))
 
 

@@ -1,7 +1,11 @@
 import random
+from functools import cache
 from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.homology import (
@@ -704,3 +708,48 @@ def test_lap_sums_closed_form(k, modulus):
         for n in sorted(naive, key=lambda n: (n * 7) % 11):
             assert lap_sums(P, n, d, powers, modulus) == naive[n], n
         assert len(powers) <= max(d, 2)  # N^0 .. N^(d-1), and N itself
+
+
+@cache
+def _runs(name, k, m):
+    return LocalQuotient(build_cosets(SubgroupSpec.parse(name)), k, m).runs
+
+
+# letters S, U and runs T^q up to 40 long, past the width of every T-orbit
+# of these groups (at most 13), so the lap sums carry the walk too
+LETTERS = st.one_of(st.just(S), st.just(U),
+                    st.integers(-40, 40).map(lambda q: PMat(1, q, 0, 1)))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.lists(LETTERS, max_size=6), st.integers(0, 2 ** 32))
+def _check_columns(runs, letters, seed):
+    # project(g, V) against project(g) times V, for V of every width
+    d, m = runs.d, runs.modulus
+    rng = random.Random(seed)
+    lo, hi = (0, m - 1) if m else (-9, 9)
+    g = I
+    for x in letters:
+        g = g * x
+    V = [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
+    for h in (g, power(T, 50) * S * power(T, -37) * g):
+        full = dict(runs.project(h))
+        want = {idx: [sum(map(mul, row, col)) for col in zip(*V)]
+                for idx, row in full.items()}
+        for w in range(1, d + 1):  # V's first w columns
+            got = dict(runs.project(h, [row[:w] for row in V]))
+            for idx in set(want) | set(got):
+                pair = (want.get(idx, [0] * d)[:w], got.get(idx, [0] * w))
+                if m:
+                    pair = [[x % m for x in v] for v in pair]
+                assert pair[0] == pair[1], (h, w, idx)
+
+
+@pytest.mark.parametrize("name", ["gamma0:11", "gamma1:5", "gammaH:13:3",
+                                  "gamma0:1"])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+@pytest.mark.parametrize("m", [None, 9], ids=["Z", "Z/9"])
+def test_run_walk_of_columns_is_the_map_times_them(name, k, m):
+    # cycles and narrow batches of Hecke terms walk only the columns
+    # they apply the projected Fox map to
+    _check_columns(_runs(name, k, m))
