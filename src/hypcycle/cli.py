@@ -139,14 +139,17 @@ def cmd_cycle(args):
 
 
 def cmd_hecke(args):
+    from functools import partial
+
     from .cosets import SubgroupSpec
-    from .hecke import WrongDivisibility, diamond_coset, hecke_coset
+    from .hecke import (WrongDivisibility, diamond_coset, diamond_matrix,
+                        hecke_coset)
     from .homology import compute_h1
     from .intlinalg import RingSpec
 
     spec = SubgroupSpec.parse(args.group)
     ring = RingSpec.parse(args.ring)
-    h1 = compute_h1(spec, args.k, ring)
+    # the operator is checked before H1 is built
     op_name = args.op
     if op_name in ("Tp", "Up"):
         if args.p is None:
@@ -155,14 +158,17 @@ def cmd_hecke(args):
             raise WrongDivisibility("T_p requires p coprime to the level")
         if op_name == "Up" and spec.N % args.p:
             raise WrongDivisibility("U_p requires p dividing the level")
-        op = hecke_coset(args.p, h1).operator()
+        coset = partial(hecke_coset, args.p)
         label = "%s%d" % (op_name[0], args.p)
     elif op_name.startswith("diamond:"):
         d = int(op_name.split(":", 1)[1])
-        op = diamond_coset(d, h1).operator()
+        diamond_matrix(spec.N, d)  # WrongDivisibility unless gcd(d, N) = 1
+        coset = partial(diamond_coset, d)
         label = "<%d>" % d
     else:
         raise CliError("unknown operator %r" % op_name)
+    h1 = compute_h1(spec, args.k, ring)
+    op = coset(h1).operator()
     report = {
         "group": spec.name,
         "k": args.k,

@@ -6,11 +6,13 @@ DoubleCoset for every unit d (for d in +-H the double coset is the
 group itself, and its operator the identity).
 
 The double coset of alpha with det(alpha) > 0 maps classes from
-H1(Gamma) to H1(Gamma').  A class is lifted to a cycle on Gamma, and
-its restriction to Gamma_1 = Gamma n alpha^-1 Gamma' alpha (the
-averaging map on coefficients) is read in subgroup form straight off
-that cycle (homology.restricted_form).  Gamma_1 is read through
-Gamma's own table: its cosets are the s_r t_i, for t_i Gamma's
+H1(Gamma) to H1(Gamma').  A class is given by its blocks off Gamma's
+spanning tree (homology.LocalQuotient.blocks), and its restriction to
+Gamma_1 = Gamma n alpha^-1 Gamma' alpha (the averaging map on
+coefficients) is read in subgroup form straight off them
+(homology.restricted_form): the tree edges that would make the blocks
+a cycle have twist 1 and restrict to no term, so no cycle is built.
+Gamma_1 is read through Gamma's own table: its cosets are the s_r t_i, for t_i Gamma's
 transversal and s_r the reps of its deg cosets in Gamma, walked on
 restriction_key (cosets.subgroup_transversal).  Its step at (r, i) is
 Gamma's step g at i with the move s_r g^-1 = gamma^-1 s_r' of the reps
@@ -211,8 +213,9 @@ class DoubleCoset:
         """Target coordinates of the images of classes, each given by its
         source coordinates, mapped as one batch."""
         source = self.source
-        forms = [restricted_form(source.chain(c), source.quotient.steps,
-                                 self.rhos, self.moves)
+        quo = source.quotient
+        forms = [restricted_form(quo.blocks(source.module.lift(c)),
+                                 quo.steps, self.rhos, self.moves)
                  for c in classes]
         vecs = conj_star(forms, self.alpha, self.runs,
                          self.target.quotient.ambient_rank)

@@ -18,36 +18,39 @@ gamma; ``H1Presentation.cycle_coords(gamma)`` gives their coordinates.
 
 Every walk over the cosets reads one fact per coset i and letter x^e:
 the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
-rho(g).  The Fox walk, the local quotient, ``d1`` and
-``restricted_form`` (the subgroup form of a cycle's restriction to a
-smaller group, the first step of a Hecke image; see hecke) read it
-from the table's steps at (k, modulus) (``letter_steps``), a plain
-dict built whole from mulS/mulU on first use; the smaller group's
-steps are these with a move of its coset reps.  One walk reads every
-element into ambient coordinates: ``RunSums``, one per LocalQuotient,
-walks the runs T^q of the element's word (psl2.word_runs) along the
-T-orbits, each built whole with its prefix sums when a run first
-enters it, with closed-form sums over whole laps, and its single
-letters one at a time (``fox_step``).  A cycle z(gamma) (``cycle_of``)
-and each conjugated term of a Hecke image are read by the same walk;
-no chain of either is built.  The walk carries only the columns it is
-applied to: a cycle walks q_gamma^k as one column, and a conjugated
-element the vectors of the classes that use it, unless they are 2k+1
-or more (see hecke.conj_star); then it carries its (2k+1)-square map.
+rho(g).  The Fox walk, the local quotient and ``restricted_form``
+(the subgroup form of a class's restriction to a smaller group, the
+first step of a Hecke image; see hecke) read it from the table's steps
+at (k, modulus) (``letter_steps``), a plain dict built whole from
+mulS/mulU on first use; the smaller group's steps are these with a
+move of its coset reps.  One walk reads every element into ambient
+coordinates: ``RunSums``, one per LocalQuotient, walks the runs T^q of
+the element's word (psl2.word_runs) along the T-orbits, each built
+whole with its prefix sums when a run first enters it, with
+closed-form sums over whole laps, and its single letters one at a time
+(``fox_step``).  A cycle z(gamma) (``cycle_of``) and each conjugated
+term of a Hecke image are read by the same walk; no chain of either is
+built.  The walk carries only the columns it is applied to: a cycle
+walks q_gamma^k as one column, and a conjugated element the vectors of
+the classes that use it, unless they are 2k+1 or more (see
+hecke.conj_star); then it carries its (2k+1)-square map.
 
 H1 is computed quotient first.  d2 is block diagonal over the S-orbits
 (size <= 2) and U-orbits (size <= 3) of cosets, so C1 / im d2 is a sum
 of small per-orbit cokernels: the local 2- and 3-term Manin relations.
 The induced d1 on their free generators is a graph incidence matrix
-with (2k+1)-square blocks; a spanning tree of the coset graph clears
-all of it but one block, and the kernel is taken there, over Z or
-modulo p^M (LocalQuotient, compute_h1).  No dense matrix of the size
-of the induced module is ever built.
+with (2k+1)-square blocks.  A spanning tree of the coset graph whose
+edges all have twist 1 (the edges that found each coset of the
+breadth-first table) clears all of it but one block, where each
+generator off the tree leaves (rho(g) - 1) times its lift, and the
+kernel is taken there, over Z or modulo p^M (LocalQuotient,
+compute_h1).  A class is read off its blocks off the tree alone
+(``LocalQuotient.blocks``), so no cycle is built from a class, and no
+dense matrix of the size of the induced module is ever built.
 """
 
 from collections import namedtuple
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from math import comb, gcd
 from operator import add, mul, sub
 
@@ -60,11 +63,12 @@ from .intlinalg import (
     kernel_basis,
     kernel_mod,
     mat_mul,
+    mat_vec,
     smith_normal_form_full,
     subquotient,
 )
 from .psl2 import T_LETTERS, quadratic_form, word_runs
-from .symspace import act, add_image, poly_mod, poly_pow, reduce_chain, rho
+from .symspace import act, poly_mod, poly_pow, rho
 
 
 class NotACycle(ValueError):
@@ -95,18 +99,6 @@ def letter_steps(table, k, modulus=None):
 # the exponent e of the step that a chain block of slot x reads:
 # x^-1 = x^e, and t_i * x^-1 = g^-1 * t_j sends block i to block j by g
 _SLOT_STEP = {"S": 1, "U": 2}
-
-
-def d1(terms, steps):
-    """d1 of a sparse chain [(slot, block, vector)] as {block: vector},
-    read through the letter steps ``steps`` (letter_steps); not
-    reduced."""
-    out = {}
-    for slot, b, v in terms:
-        j, _, M = steps[b, slot, _SLOT_STEP[slot]]
-        add_image(out, j, M, v)
-        add_image(out, b, None, [-x for x in v])
-    return out
 
 
 def _compose(M, N, modulus=None):
@@ -172,8 +164,8 @@ def cycle_of(gamma, poly, quotient):
     return [x % modulus for x in out] if modulus else out
 
 
-def restricted_form(chain, steps, rhos, moves):
-    """The subgroup form of the restriction of a cycle to a subgroup
+def restricted_form(blocks, steps, rhos, moves):
+    """The subgroup form of the restriction of a class to a subgroup
     Gamma_1 of the group Gamma of its table: a list of (gamma, vector)
     with gamma in Gamma_1.
 
@@ -182,13 +174,14 @@ def restricted_form(chain, steps, rhos, moves):
     ``steps``) with the element gamma = moves(g)[r], where s_r g^-1 ==
     gamma^-1 s_r'.  The restriction puts rho(s_r) v (``rhos``, from
     symspace.restriction_map) at (r, i), so each nonzero block (slot, i)
-    of the cycle gives the terms (gamma, rho(s_r) v).  Terms with
-    gamma = 1 are dropped, and with them every block whose g is 1.
-    ``chain`` must be a cycle: it is not checked here
-    (LocalQuotient.lift checks the classes it lifts).
+    of a cycle gives the terms (gamma, rho(s_r) v).  Terms with
+    gamma = 1 are dropped, and with them every block whose g is 1, the
+    tree edges among them (LocalQuotient): so a class reads the same
+    off its ``blocks`` off the tree (LocalQuotient.blocks) as off the
+    cycle that the tree edges complete them to.
     """
     terms = []
-    for (slot, i), v in chain.items():
+    for (slot, i), v in blocks.items():
         g = steps[i, slot, _SLOT_STEP[slot]][1]
         if any(v) and not g.is_identity():
             for M, gamma in zip(rhos, moves(g)):
@@ -386,8 +379,8 @@ class H1Presentation:
     The ambient coordinates of the module are those of C1 modulo the
     local relations, restricted to the generators off the spanning
     tree (see LocalQuotient); ``coords`` solves a cycle's ambient
-    coordinates in the kernel basis, and ``chain`` lifts generator
-    coordinates back to a cycle.
+    coordinates in the kernel basis, and a class given by generator
+    coordinates is read as ``quotient.blocks(module.lift(coords))``.
     """
 
     def __init__(self, table, k, ring, module, quotient, spec=None):
@@ -416,13 +409,6 @@ class H1Presentation:
         Hecke image); over Z/m the vector is reduced mod m."""
         return self.module.coords(vec)
 
-    def chain(self, coords):
-        """A cycle with the given generator coordinates."""
-        return self.quotient.lift(self.module.lift(coords))
-
-    def generator_chain(self, i):
-        return self.chain([int(j == i) for j in range(self.ngens)])
-
     def cycle_coords(self, gamma):
         """Coordinates of z(gamma) = (gamma - 1) tensor q_gamma^k;
         NotDefinedForElliptic if gamma is elliptic or the identity."""
@@ -450,14 +436,18 @@ class LocalQuotient:
     coset with letter matrix M has the cokernel of I+M (or I+M+M^2),
     read off its Smith form.  Torsion generators are cycles.
 
-    A free generator at a coset b > 0 whose letter sends b to a smaller
-    coset is a tree edge: its d1 is -I at b and a unimodular block at
-    the parent, and breadth-first coset tables give every b > 0 one.
-    Pushing a d1 column down the tree (leaves first) clears every block
-    but the root's, so ker d1 on the quotient is the kernel of a
-    (2k+1) x s matrix ``residues`` over the s free generators off the
-    tree.  These, then the torsion generators, are the ambient
-    coordinates ``coords``.
+    A free generator at a coset b > 0 whose letter step goes to a
+    smaller coset with g = 1 is a tree edge: its d1 is -v at b and v at
+    the parent.  The edge that found b in a breadth-first coset table
+    (t_b == t_parent x) is one, so every b > 0 has one.  Clearing the
+    blocks of a 0-chain down the tree (leaves first) adds them all up at
+    the root, so ker d1 on the quotient is the kernel of a (2k+1) x s
+    matrix ``residues`` over the s free generators off the tree, the
+    column of each (rho(g) - 1) times its lift, g from its letter step.
+    These, then the torsion generators, are the ambient coordinates
+    ``coords``.  A class is its blocks off the tree (``blocks``): the
+    tree edges that make it a cycle are read by no coordinate and have
+    g = 1.
     """
 
     def __init__(self, table, k, modulus=None):
@@ -496,19 +486,19 @@ class LocalQuotient:
                 fixed += [Coord(slot, i, Uinv[r], None, None,
                                 [row[r] for row in U], D[r][r])
                           for r in range(d) if D[r][r] != 1]
-        self.tree = {}  # block -> (slot, parent, M)
+        self.tree = {}  # block -> slot of its tree edge
         for b in range(1, n):
             for slot in ("S", "U"):
-                parent, _, M = steps[b, slot, _SLOT_STEP[slot]]
-                if (slot, b) in full and parent < b:
-                    self.tree[b] = (slot, parent, M)
+                parent, g, _ = steps[b, slot, _SLOT_STEP[slot]]
+                if parent < b and g.is_identity():
+                    self.tree[b] = slot
                     break
             else:
                 raise RuntimeError("coset table is not breadth-first")
         unit = identity(d)
         self.coords = [Coord(slot, b, unit[i], root, P[i], unit[i], 0)
                        for (slot, b), (root, P) in sorted(full.items())
-                       if self.tree[b][0] != slot for i in range(d)]
+                       if self.tree[b] != slot for i in range(d)]
         self.coords += sorted(fixed, key=lambda c: c.order != 0)
         # the functionals of project, by the chain block they read
         self.readers = {}  # (slot, block) -> [(coordinate index, row)]
@@ -518,8 +508,11 @@ class LocalQuotient:
                 self.readers.setdefault((c.slot, c.root), []).append(
                     (j, [-x for x in c.prow]))
         self.nfree = sum(1 for c in self.coords if not c.order)
-        cols = [self._push(d1([(c.slot, c.block, c.lift)], steps))[0]
-                for c in self.coords[:self.nfree]]
+        cols = []
+        for c in self.coords[:self.nfree]:
+            M = steps[c.block, c.slot, _SLOT_STEP[c.slot]][2]
+            cols.append(self._reduce([0] * d if M is None else list(
+                map(sub, mat_vec(M, c.lift), c.lift))))
         self.residues = from_columns(cols, d)
 
     @property
@@ -536,25 +529,6 @@ class LocalQuotient:
         m = self.modulus
         return [x % m for x in v] if m else v
 
-    def _push(self, blocks):
-        """Add tree generators until only the root block of a 0-chain
-        is left: returns (root block, tree coefficients by block).
-        Parents have smaller indices, so popping the largest block left
-        from a heap pushes every block once, leaves first."""
-        coef = {}
-        heap = [-b for b in blocks if b]
-        heapify(heap)
-        while heap:
-            b = -heappop(heap)
-            v = self._reduce(blocks.pop(b))
-            if any(v):
-                coef[b] = v
-                _, parent, M = self.tree[b]
-                if parent and parent not in blocks:
-                    heappush(heap, -parent)
-                add_image(blocks, parent, M, v)
-        return self._reduce(blocks.get(0, [0] * (2 * self.k + 1))), coef
-
     def project(self, chain):
         """Ambient coordinates of a chain modulo the local relations."""
         out = [0] * len(self.coords)
@@ -563,19 +537,16 @@ class LocalQuotient:
                 out[j] += sum(map(mul, row, v))
         return self._reduce(out)
 
-    def lift(self, vec):
-        """A cycle with the given ambient coordinates (vec must lie in
-        the kernel of ``residues`` on the free part)."""
-        terms = [(c.slot, c.block, [a * x for x in c.lift])
-                 for a, c in zip(vec, self.coords) if a]
-        root, coef = self._push(d1(terms, self.steps))
-        if any(root):
-            raise NotACycle("vector outside the kernel of the residues")
-        terms += [(self.tree[b][0], b, v) for b, v in coef.items()]
-        acc = {}
-        for slot, b, v in terms:
-            add_image(acc, (slot, b), None, v)
-        return reduce_chain(acc, self.modulus)
+    def blocks(self, vec):
+        """The blocks off the tree {(slot, block): vector} of the class
+        with ambient coordinates vec: a times the lift of each coordinate,
+        summed per block, reduced mod m."""
+        out = {}
+        for a, c in zip(vec, self.coords):
+            if a:
+                key, w = (c.slot, c.block), [a * x for x in c.lift]
+                out[key] = list(map(add, out[key], w)) if key in out else w
+        return {key: self._reduce(v) for key, v in out.items()}
 
 
 def compute_h1(spec_or_table, k, ring=ZZ):

@@ -401,9 +401,12 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     Gamma_1(N) for p | N, and unit-scales hyperbolic cycles outside the
     principal congruence subgroup of level p.
 
-    j_* is one matrix J, the images of the generators' chains: it is
-    U_p-equivariant when J*U_p == U_p*J mod p, and it maps the constant
-    ordinary part and the constant cycles by products with J."""
+    j_* is one matrix J, the images of the generators, each read off
+    its blocks off the spanning tree (homology.LocalQuotient.blocks; both
+    presentations share the table and so the tree, whose blocks no
+    coordinate reads): it is U_p-equivariant when J*U_p == U_p*J mod p,
+    and it maps the constant ordinary part and the constant cycles by
+    products with J."""
     if N % p:
         raise ValueError("the reduction bridge needs p dividing the level")
     spec = SubgroupSpec.gamma1(N)
@@ -418,7 +421,8 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     dec0 = ordinary_idempotent(pm0.reduce_matrix(U0.matrix), pm0)
     deck = ordinary_idempotent(pmk.reduce_matrix(Uk.matrix), pmk)
     J = from_columns([list(hk.coords(hk.quotient.project(_j_star_chain(
-        h0.generator_chain(i), k, p)))) for i in range(h0.ngens)], hk.ngens)
+        h0.quotient.blocks(h0.module.lift(e)), k, p))))
+        for e in identity(h0.ngens)], hk.ngens)
     equivariant = all(
         (x - y) % p == 0
         for lrow, rrow in zip(mat_mul(J, U0.matrix), mat_mul(Uk.matrix, J))

@@ -9,18 +9,16 @@ transposed adjugate, and -1 acts trivially in even degree.
 
 An element of the induced module has one such block per coset of the
 subgroup's table.  Chains over it are sparse dicts keyed by
-(slot, block) (see homology); ``add_image`` accumulates into them.
-The corestriction map is given by its blockwise entries, and the
-restriction by one matrix rho(s_r) per coset rep of the smaller group,
-which the Hecke side reads straight into subgroup form
-(homology.restricted_form): no chain is mapped block by block.  It
-needs no corestriction, since the Fox chain of an element on a larger
-group's table is the corestriction of its chain on a smaller one.
-``corestriction_map`` stays for the benchmark's layer trace, which wraps
-it, and for the test of that lemma, which corestricts with it.
+(slot, block) (see homology).  The corestriction map is given by its
+blockwise entries, and the restriction by one matrix rho(s_r) per
+coset rep of the smaller group, which the Hecke side reads straight
+into subgroup form (homology.restricted_form): no chain is mapped
+block by block.  It needs no corestriction, since the Fox chain of an
+element on a larger group's table is the corestriction of its chain on
+a smaller one.  ``corestriction_map`` stays for the benchmark's layer
+trace, which wraps it, and for the test of that lemma, which
+corestricts with it.
 """
-
-from operator import add, mul
 
 from .psl2 import PMat
 
@@ -105,20 +103,6 @@ def act(g, poly, modulus=None):
     if modulus is not None:
         out = [x % modulus for x in out]
     return tuple(out)
-
-
-def add_image(acc, key, M, v):
-    """acc[key] += M v, with None standing for the identity."""
-    w = v if M is None else [sum(map(mul, row, v)) for row in M]
-    cur = acc.get(key)
-    acc[key] = w if cur is None else list(map(add, cur, w))
-
-
-def reduce_chain(chain, modulus):
-    """The chain with its vectors reduced mod m (as it is over Z)."""
-    if not modulus:
-        return chain
-    return {key: [x % modulus for x in v] for key, v in chain.items()}
 
 
 def restriction_map(reps, k, modulus=None):

@@ -14,7 +14,11 @@ nonzero blocks, ``ind_act_letter``, ``ind_act``) and ``boundary1``,
 ``boundary2``; ``sparse`` and ``dense`` convert to and from the library's
 chains {(slot, block): vector}.  ``dense_h1`` is H1 from the dense
 two-step complex of the whole induced module, sharing no code with
-``homology.LocalQuotient``.
+``homology.LocalQuotient``.  The library reads a class off its blocks
+off the spanning tree and builds no cycle; ``lift_cycle`` adds the tree
+edges that clear their dense boundary, leaves first, and
+``generator_chain`` is the cycle so lifted from a generator, for the
+tests and the Hecke oracle that need whole cycles.
 
 The letter walk: ``fox_expand`` is the Fox expansion of (g - 1) tensor v
 letter by letter along a word (``decompose_word``), the reference for
@@ -64,8 +68,7 @@ from hypcycle.intlinalg import (
     zeros,
 )
 from hypcycle.psl2 import T_LETTERS, I, Mat2, PMat, S, U, word_runs
-from hypcycle.symspace import (act, add_image, corestriction_map, poly_mod,
-                               reduce_chain)
+from hypcycle.symspace import act, corestriction_map, poly_mod
 
 
 def zero_poly(k):
@@ -439,8 +442,41 @@ def apply_blockwise(entries, chain, m=None):
     for (slot, i), v in chain.items():
         if any(v):
             for j, M in entries[i]:
-                add_image(out, (slot, j), M, v)
-    return reduce_chain(out, m)
+                w = tuple(v) if M is None else tuple(mat_vec(M, v))
+                key = (slot, j)
+                out[key] = poly_add(out[key], w) if key in out else w
+    return {key: poly_mod(v, m) if m else v for key, v in out.items()}
+
+
+def lift_cycle(quotient, vec):
+    """A cycle with the ambient coordinates ``vec`` of a
+    homology.LocalQuotient: the class's blocks off the tree
+    (``quotient.blocks``) and, from the last coset down, the tree edge at
+    each block b > 0 that moves b's dense boundary to its parent (a step
+    of twist 1 to a smaller coset).  Raises NotACycle if a boundary is
+    left at the identity coset: vec is outside the kernel of the
+    residues."""
+    table, k, m = quotient.table, quotient.k, quotient.modulus
+    chain = quotient.blocks(vec)
+    left = boundary1(dense(chain, table, k, m)).blocks
+    for b in range(table.index - 1, 0, -1):
+        v = poly_mod(left[b], m) if m else left[b]
+        if any(v):
+            slot = quotient.tree[b]
+            parent, tw = letter_step(table, b,
+                                     (slot, 1 if slot == "S" else 2))
+            assert parent < b and tw.is_identity(), "twisted tree edge"
+            chain[slot, b] = list(v)
+            left[parent] = poly_add(left[parent], v)
+    if any(x % m if m else x for x in left[0]):
+        raise NotACycle("vector outside the kernel of the residues")
+    return chain
+
+
+def generator_chain(h1, i):
+    """A cycle of the i-th generator of an H1 presentation (lift_cycle)."""
+    return lift_cycle(h1.quotient,
+                      h1.module.lift([int(j == i) for j in range(h1.ngens)]))
 
 
 def to_group_chain(c, table, k, m=None):
@@ -534,7 +570,7 @@ class HeckeOracle:
     def matrix(self):
         """The operator matrix: the images of the source generators."""
         source = self.source
-        return from_columns([self.image(source.generator_chain(i))
+        return from_columns([self.image(generator_chain(source, i))
                              for i in range(source.ngens)],
                             self.target.ngens)
 

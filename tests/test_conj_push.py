@@ -47,6 +47,7 @@ from oracles import (
     double_coset_predicates,
     fox_expand,
     gamma0p_intersection,
+    generator_chain,
     power,
     sparse,
     subgroup_cosets,
@@ -142,7 +143,7 @@ def test_conj_star_matches_letter_walk(case):
     want = HeckeOracle(source, target, dc.alpha).matrix()
     assert dc.operator().matrix == want
     for i in range(min(source.ngens, 2)):
-        form = restricted_form(source.generator_chain(i),
+        form = restricted_form(generator_chain(source, i),
                                source.quotient.steps, dc.rhos, dc.moves)
         for size in (1, 2 * k, 2 * k + 1):
             got = conj_star([form] * size, dc.alpha, dc.runs,
@@ -289,7 +290,7 @@ def test_run_walk_on_hecke_conjugates(name, p, k, ring):
     moved = [gamma for g in h1.table.schreier_generators()
              for gamma in dc.moves(g)]
     moved += [h for i in range(h1.ngens)
-              for h, _ in oracle.restricted(h1.generator_chain(i))]
+              for h, _ in oracle.restricted(generator_chain(h1, i))]
     elements = {gamma.key(): gamma for gamma in moved
                 if not gamma.is_identity()}
     for gamma in elements.values():
@@ -312,7 +313,7 @@ def test_restricted_form_matches_oracle(case):
     dc = double_coset(spec, k, ring, p, op)
     source, target = dc.source, dc.target
     oracle = HeckeOracle(source, target, dc.alpha)
-    chains = [source.generator_chain(i) for i in range(min(source.ngens, 3))]
+    chains = [generator_chain(source, i) for i in range(min(source.ngens, 3))]
     forms = [restricted_form(c, source.quotient.steps, dc.rhos, dc.moves)
              for c in chains]
     assert all(oracle.contains(gamma) for form in forms for gamma, _ in form)

@@ -33,6 +33,7 @@ from oracles import (
     boundary1,
     dense,
     dense_h1,
+    generator_chain,
     kernel_mod_augmented,
     rank,
 )
@@ -123,7 +124,7 @@ class TestUnlockedRungs:
         assert h1.rank == 5
         bits = [x.bit_length() for row in h1.module.gen_lift for x in row]
         for i in range(h1.ngens):
-            chain = h1.generator_chain(i)
+            chain = generator_chain(h1, i)
             dc = dense(chain, h1.table, 11)
             bits += [x.bit_length() for v in (dc.mS, dc.mU)
                      for b in v.blocks for x in b]
@@ -141,7 +142,7 @@ class TestGeneratorChains:
     def test_lifts_are_cycles_with_unit_coords(self, group, k, ring):
         h1 = compute_h1(SubgroupSpec.parse(group), k, RingSpec.parse(ring))
         for i in range(h1.ngens):
-            chain = h1.generator_chain(i)
+            chain = generator_chain(h1, i)
             assert boundary1(dense(chain, h1.table, k, h1.ring.modulus)).is_zero()
             e = [0] * h1.ngens
             e[i] = 1
@@ -201,6 +202,30 @@ class TestCli:
     def test_bad_input_exits_3(self, argv, capsys):
         code, report = run_cli(argv.split(), capsys)
         assert code == 3 and "error" in report
+
+    @pytest.mark.parametrize("argv,error", [
+        ("hecke --group gamma0:500 --k 1 --op Tp --p 5",
+         "T_p requires p coprime to the level"),
+        ("hecke --group gamma0:500 --k 1 --op Up --p 3",
+         "U_p requires p dividing the level"),
+        ("hecke --group gamma0:500 --k 1 --op Tp",
+         "--op Tp requires --p"),
+        ("hecke --group gamma0:500 --k 1 --op bogus",
+         "unknown operator 'bogus'"),
+        ("hecke --group gamma0:500 --k 1 --op diamond:10",
+         "diamond operator needs gcd(d, N) = 1"),
+    ])
+    def test_bad_operator_exits_3_before_h1(self, argv, error, monkeypatch,
+                                            capsys):
+        # the operator is checked before H1 is built: a compute_h1 that
+        # would raise something no exit code catches is never reached
+        def unreachable(*args, **kwargs):
+            raise AssertionError("H1 built for a bad operator")
+
+        monkeypatch.setattr("hypcycle.homology.compute_h1", unreachable)
+        code, report = run_cli(argv.split(), capsys)
+        assert (code, report) == (3, {"error": error,
+                                      "version": cli.__version__})
 
     @pytest.mark.parametrize("exc", [NotACycle, BudgetExceeded,
                                      ConjugateLeavesGroup, NotInModule,

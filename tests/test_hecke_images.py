@@ -25,7 +25,8 @@ from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import (QQ, RingSpec, ZZ, columns, from_columns,
                                 identity)
 from hypcycle.psl2 import Mat2
-from oracles import HeckeOracle, coset_reps, equals, identity_operator
+from oracles import (HeckeOracle, coset_reps, equals, generator_chain,
+                     identity_operator, lift_cycle)
 
 IMAGES = settings(max_examples=50, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow,
@@ -75,11 +76,12 @@ def test_apply_coords_matches_operator_matrix(case, data):
            and h1.table.index * (2 * k + 1) * h1.ngens <= MAX_WORK)
     dc = double_coset(h1, op, p)
     # the matrix against the Hecke oracle's images of cycles lifted
-    # from the module's generators directly, not through
-    # H1Presentation.chain, and mapped one by one
+    # from the module's generators by the oracle (lift_cycle), where
+    # the operator reads only their blocks off the tree, mapped one by
+    # one
     m = ring.modulus
     oracle = HeckeOracle(h1, h1, dc.alpha)
-    cols = [oracle.image(h1.quotient.lift(generator))
+    cols = [oracle.image(lift_cycle(h1.quotient, generator))
             for generator in columns(h1.module.gen_lift)]
     assert dc.operator().matrix == from_columns(cols, h1.ngens)
     lo, hi = (0, m - 1) if m else (-9, 9)
@@ -169,6 +171,48 @@ def test_transversal_matches_schreier_walk(case, monkeypatch):
     walked = DoubleCoset(h1, h1, alpha(h1))
     assert walked.reps == oracle.reps
     assert walked.operator().matrix == dc.operator().matrix
+
+
+def _block_cosets(h1):
+    """(name, alpha): T_2 and T_3, U_N, <2> where it is nontrivial and
+    one cusp-moving double coset, those that the group has."""
+    N = h1.spec.N
+    out = [("T2", Mat2(1, 0, 0, 2)), ("T3", Mat2(1, 0, 0, 3))]
+    if N > 1:
+        out.append(("U%d" % N, Mat2(1, 0, 0, N)))
+    if N > 2 and not h1.spec.contains(diamond_matrix(N, 2)):
+        out.append(("<2>", diamond_matrix(N, 2)))
+    movers = [c.representative for c in cusp_data(h1.table)
+              if not c.representative.is_identity()]
+    out += [("cusp", g.lift()) for g in movers[:1]]
+    return out
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "Fp:5", "Zp:3:2"])
+@pytest.mark.parametrize("group,k,kinds", [
+    ("gamma0:11", 1, "T2 T3 U11 cusp"),
+    ("gamma1:13", 1, "T2 T3 U13 <2> cusp"),
+    ("gammaH:13:3", 1, "T2 T3 U13 <2> cusp"),
+    ("gamma0:1", 5, "T2 T3")])
+def test_off_tree_blocks_carry_the_class(group, k, kinds, ring):
+    # a generator's blocks off the tree project back to its ambient
+    # lift, and the images of the first two generators and the last,
+    # which the operator reads off those blocks alone, are the Hecke
+    # oracle's images of whole cycles (oracles.generator_chain)
+    h1 = compute_h1(SubgroupSpec.parse(group), k, RingSpec.parse(ring))
+    quo, m = h1.quotient, h1.ring.modulus
+    assert h1.ngens >= 2
+    for generator in columns(h1.module.gen_lift):
+        assert quo.project(quo.blocks(generator)) == (
+            [x % m for x in generator] if m else generator)
+    cosets = _block_cosets(h1)
+    assert " ".join(name for name, _ in cosets) == kinds
+    for name, alpha in cosets:
+        dc, oracle = DoubleCoset(h1, h1, alpha), HeckeOracle(h1, h1, alpha)
+        for i in sorted({0, 1, h1.ngens - 1}):
+            unit = [int(j == i) for j in range(h1.ngens)]
+            assert (dc.apply_coords(unit)
+                    == oracle.image(generator_chain(h1, i))), (name, i)
 
 
 def test_diamond_keeps_identity_and_divisibility():

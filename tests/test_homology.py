@@ -28,7 +28,7 @@ from hypcycle.psl2 import (
     classify,
     quadratic_form,
 )
-from hypcycle.symspace import poly_pow, rho
+from hypcycle.symspace import act, poly_pow, rho
 from oracles import (
     TP,
     Chain1,
@@ -41,7 +41,9 @@ from oracles import (
     double_coset_predicates,
     evaluate_word,
     fox_expand,
+    generator_chain,
     group_chain_to_chain1,
+    lift_cycle,
     power,
     sparse,
     subgroup_cosets,
@@ -310,7 +312,7 @@ class TestComputeH1:
                 dd = hz.invariant_factors[i]
                 if dd != 0 and dd % p:
                     continue  # this cyclic factor dies after tensoring
-                chain = dense(hz.generator_chain(i), hz.table, k)
+                chain = dense(generator_chain(hz, i), hz.table, k)
                 chain = Chain1(
                     IndVec(hz.table, k, p, [tuple(x % p for x in b) for b in chain.mS.blocks]),
                     IndVec(hz.table, k, p, [tuple(x % p for x in b) for b in chain.mU.blocks]))
@@ -417,8 +419,8 @@ class TestCycleOf:
             c = fox_expand(decompose_word(g), IndVec.unit(h1.table, 1, q))
             assert boundary1(c).is_zero()
             # the run walk's coordinates lie in the kernel of the
-            # residues: lift raises NotACycle outside it
-            h1.quotient.lift(cycle_of(g, q, h1.quotient))
+            # residues: the oracle's lift_cycle raises NotACycle outside it
+            lift_cycle(h1.quotient, cycle_of(g, q, h1.quotient))
             checked += 1
 
     @pytest.mark.parametrize("ring", ["Z", "Q", "Fp:5", "Zp:3:2"])
@@ -471,7 +473,7 @@ class TestToGroupChain:
         # a cycle mod 3 but not over Z, and c + n is no cycle mod 3
         # whenever d1(n) is nonzero mod 3 (read by the dense oracle)
         table = self.h1.table
-        c = self.h1.generator_chain(0)
+        c = generator_chain(self.h1, 0)
 
         def plus(n, s):
             out = {key: list(v) for key, v in c.items()}
@@ -518,7 +520,7 @@ class TestToGroupChain:
 
     def test_roundtrip_generators(self):
         for i in range(self.h1.ngens):
-            c = self.h1.generator_chain(i)
+            c = generator_chain(self.h1, i)
             terms = to_group_chain(c, self.h1.table, 1)
             back = group_chain_to_chain1(terms, self.h1.table, 1)
             h1 = self.h1
@@ -526,7 +528,6 @@ class TestToGroupChain:
                     == h1.coords(h1.quotient.project(c)))
 
     def test_coefficient_identity(self):
-        from hypcycle.symspace import act
         from oracles import poly_add, zero_poly
 
         rng = random.Random(75)
@@ -577,9 +578,10 @@ def test_readers_match_coordinate_formula(spec, k, m):
 @pytest.mark.parametrize("name,ring", [("gamma0:11", "Z"),
                                        ("gamma1:5", "Zp:3:2")])
 def test_lift_rejects_vectors_outside_the_residue_kernel(name, ring):
-    # the one residue check on the way to a Hecke image: a free unit
-    # vector whose residue column is nonzero (mod m) is no cycle, and
-    # the lift of every generator is a cycle by the dense boundary
+    # a residue is the dense boundary that the tree leaves at the
+    # identity coset: a free unit vector whose residue column is nonzero
+    # (mod m) lifts to no cycle (oracles.lift_cycle), and every
+    # generator lifts to a cycle by the dense boundary
     h1 = compute_h1(SubgroupSpec.parse(name), 1, RingSpec.parse(ring))
     quo, m = h1.quotient, h1.ring.modulus
     outside = [j for j in range(quo.nfree)
@@ -587,9 +589,9 @@ def test_lift_rejects_vectors_outside_the_residue_kernel(name, ring):
     assert outside
     for j in outside:
         with pytest.raises(NotACycle):
-            quo.lift([int(t == j) for t in range(quo.ambient_rank)])
+            lift_cycle(quo, [int(t == j) for t in range(quo.ambient_rank)])
     for i in range(h1.ngens):
-        chain = h1.generator_chain(i)
+        chain = generator_chain(h1, i)
         assert boundary1(dense(chain, h1.table, 1, m)).is_zero()
 
 
@@ -618,6 +620,41 @@ def test_letter_steps_match_transversal(name):
                                                               else x * x)
                 assert table.contains(g)
                 assert M == rho(g, k, m)
+
+
+@cache
+def _table(name):
+    return build_cosets(SubgroupSpec.parse(name))
+
+
+# every group here but Gamma_0(1) and Gamma_0(2) has a coset whose first
+# step to a smaller coset is twisted, so a tree that takes it fails
+@pytest.mark.parametrize("ring", ["Z", "Q", "Fp:5", "Zp:3:2"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["gamma0:1", "gamma0:2", "gamma0:11",
+                                  "gamma0:23", "gamma0:37", "gamma0:64",
+                                  "gamma1:9", "gamma1:13", "gammaH:13:3"])
+def test_tree_is_untwisted_and_residues_are_twist_minus_one(name, k, ring):
+    # every coset b > 0 has a tree edge x with t_b x^-1 == t_parent for
+    # a smaller parent (read off the transversal itself), and the
+    # residue column of each free generator off the tree is
+    # (rho(g) - 1) times its lift, mod m, where t_i x^-1 == g^-1 t_j
+    table = _table(name)
+    h1 = compute_h1(table, k, RingSpec.parse(ring))
+    quo, m = h1.quotient, h1.ring.modulus
+    assert sorted(quo.tree) == list(range(1, table.index))
+    inverse = {"S": S, "U": U * U}
+    for b, slot in quo.tree.items():
+        parent, twist = table.coset_of(table.transversal[b] * inverse[slot])
+        assert parent < b and twist.is_identity(), (b, slot)
+    assert len(quo.residues) == 2 * k + 1
+    for j, c in enumerate(quo.coords[:quo.nfree]):
+        _, twist = table.coset_of(table.transversal[c.block]
+                                  * inverse[c.slot])
+        moved = act(twist.inv(), c.lift, m)
+        want = [x - y for x, y in zip(moved, c.lift)]
+        assert [row[j] for row in quo.residues] == (
+            [x % m for x in want] if m else want), (j, c)
 
 
 @pytest.mark.parametrize("name,k,ring", [("gamma0:11", 1, "Z"),
