@@ -22,19 +22,19 @@ from .psl2 import I, S, T, U
 
 
 def _unit_closure(N, gens):
-    units = {1 % N}
-    units.update(g % N for g in gens)
-    frontier = set(units)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in list(units):
-                c = (a * b) % N
-                if c not in units:
-                    new.add(c)
-        units |= new
-        frontier = new
-    return frozenset(units)
+    """The subgroup of (Z/N)^x generated by the units gens: each g not
+    in the group H so far adds the cosets H g, H g^2, ... up to the
+    first power of g in H, so each element is made once."""
+    group = {1 % N}
+    for g in gens:
+        x = g % N
+        if x in group:
+            continue
+        old = list(group)
+        while x not in group:
+            group.update((h * x) % N for h in old)
+            x = (x * g) % N
+    return frozenset(group)
 
 
 class SubgroupSpec(namedtuple("SubgroupSpec", "N h_gens")):
@@ -50,8 +50,7 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "N h_gens")):
                 raise ValueError("%d is not a unit mod %d" % (g, N))
         self = super().__new__(cls, N, h_gens)
         self.label = label
-        self._h_set = _unit_closure(N, h_gens)
-        self._pm_h = tuple(self._h_set | {(-h) % N for h in self._h_set})
+        self._pm_h = _unit_closure(N, (*h_gens, -1))
         self._keys = {}
         return self
 
@@ -92,13 +91,9 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "N h_gens")):
         return self.label or "gammaH:%d:%s" % (self.N, ",".join(map(str, self.h_gens)))
 
     def contains(self, g):
-        """Membership of an element of PSL2(Z): some sign lift has
-        c = 0 mod N and d mod N in H."""
-        N = self.N
-        if g.c % N:
-            return False
-        d = g.d % N
-        return d in self._h_set or (-d) % N in self._h_set
+        """Membership of an element of PSL2(Z): c = 0 mod N and d mod N
+        in +-H, so that some sign lift has d mod N in H."""
+        return g.c % self.N == 0 and g.d % self.N in self._pm_h
 
     def coset_key(self, g):
         """Key of the right coset Gamma_H * g: left multiplication by an
@@ -122,9 +117,9 @@ class CosetTable:
     when g' * g^-1 lies in the subgroup.  ``transversal[0]`` is the
     identity; ``mulS[i]`` and ``mulU[i]`` give (j, twist) with
     t_i * x == twist * t_j and twist in the subgroup; ``cosets`` maps
-    the key of each t_i to i.  ``letter_steps`` holds the steps that
-    walks over the cosets read, one dict per (k, modulus), each built
-    whole from mulS/mulU on first use (homology.letter_steps).
+    the key of each t_i to i.  The table keeps nothing derived from
+    them: each homology.LocalQuotient builds its own letter steps, at
+    its k and modulus, from mulS and mulU (homology.letter_steps).
     """
 
     def __init__(self, key, transversal, mulS, mulU, cosets):
@@ -134,7 +129,6 @@ class CosetTable:
         self.mulU = mulU
         self.index = len(transversal)
         self._cosets = cosets
-        self.letter_steps = {}
 
     def contains(self, g):
         """Membership of g: its coset is the identity coset."""

@@ -49,7 +49,7 @@ from .cosets import subgroup_transversal
 from .homology import restricted_form
 from .intlinalg import from_columns, identity, mat_vec, xgcd
 from .psl2 import Mat2, PMat
-from .symspace import act, restriction_map
+from .symspace import act_matrix, restriction_map
 
 
 class WrongDivisibility(ValueError):
@@ -115,6 +115,7 @@ def conj_star(forms, alpha, runs, rank):
     Gamma' raises), and their vectors summed per form, so each element
     is walked once by ``runs``: with its n vectors alpha v as columns
     when n < d = 2k+1, else with its d x d map, read once per form.
+    The action matrix of alpha is built here, once per call.
     """
     m, d = runs.modulus, runs.d
     sums = {}  # element key -> (conjugate, {class: sum of its vectors})
@@ -131,8 +132,9 @@ def conj_star(forms, alpha, runs, rank):
             acc = hit[1]
             acc[j] = list(map(add, acc[j], v)) if j in acc else v
     images = [[0] * rank for _ in forms]
+    A = act_matrix(alpha, d // 2, m)
     for cg, acc in sums.values():
-        avs = {j: act(alpha, v, m) for j, v in acc.items()}
+        avs = {j: mat_vec(A, v) for j, v in acc.items()}
         if len(avs) < d:  # walk the columns alpha v, one per class
             V = list(zip(*avs.values()))
             for idx, row in runs.project(cg, V):

@@ -20,12 +20,11 @@ Every walk over the cosets reads one fact per coset i and letter x^e:
 the coset j and the g in the subgroup with t_i x^e = g^-1 t_j, and
 rho(g).  The Fox walk, the local quotient and ``restricted_form``
 (the subgroup form of a class's restriction to a smaller group, the
-first step of a Hecke image; see hecke) read it from the table's steps
-at (k, modulus) (``letter_steps``), a plain dict built whole from
-mulS/mulU on first use; the smaller group's steps are these with a
-move of its coset reps.  One walk reads every element into ambient
-coordinates: ``RunSums``, one per LocalQuotient, walks the runs T^q of
-the element's word (psl2.word_runs) along the T-orbits, each built
+first step of a Hecke image; see hecke) read the steps that the
+LocalQuotient builds whole at its k and modulus (``letter_steps``); the
+smaller group's steps are these with a move of its coset reps.  One
+walk reads every element into ambient coordinates: ``RunSums``, one
+per LocalQuotient, walks the runs T^q of the element's word (psl2.word_runs) along the T-orbits, each built
 whole with its prefix sums when a run first enters it, with
 closed-form sums over whole laps, and its single letters one at a time
 (``fox_step``).  A cycle z(gamma) (``cycle_of``) and each conjugated
@@ -77,22 +76,20 @@ class NotACycle(ValueError):
 
 def letter_steps(table, k, modulus=None):
     """The steps of the table's letters ('S', 1), ('U', 1) and ('U', 2)
-    at (k, modulus), a dict built whole on first call and kept on the
-    table: the key (i, gen, e) maps to (j, g, rho(g)) with
-    t_i * gen^e == g^-1 * t_j and g in the subgroup, rho(g) taken mod the
-    modulus (None at g = 1 and at k = 0)."""
-    steps = table.letter_steps.get((k, modulus))
-    if steps is None:
-        steps = table.letter_steps[k, modulus] = {}
-        for i in range(table.index):
-            for gen, e in (("S", 1), ("U", 1), ("U", 2)):
-                mul = table.mulS if gen == "S" else table.mulU
-                j, tw = mul[i]
-                if e == 2:
-                    j, tw2 = mul[j]
-                    tw = tw * tw2
-                g = tw.inv()
-                steps[i, gen, e] = j, g, rho(g, k, modulus)
+    at (k, modulus), a dict built whole: the key (i, gen, e) maps to
+    (j, g, rho(g)) with t_i * gen^e == g^-1 * t_j and g in the subgroup,
+    rho(g) taken mod the modulus (None at g = 1 and at k = 0).  Each
+    LocalQuotient builds one, at its own modulus (``steps``)."""
+    steps = {}
+    for i in range(table.index):
+        for gen, e in (("S", 1), ("U", 1), ("U", 2)):
+            mul = table.mulS if gen == "S" else table.mulU
+            j, tw = mul[i]
+            if e == 2:
+                j, tw2 = mul[j]
+                tw = tw * tw2
+            g = tw.inv()
+            steps[i, gen, e] = j, g, rho(g, k, modulus)
     return steps
 
 
@@ -265,8 +262,8 @@ class RunSums:
     kept for the lap counts that runs read.  Single letters take one
     fox_step each, and their deposits are read once per block.  Nothing
     depends on the element walked, so one RunSums
-    (``LocalQuotient.runs``) serves every cycle and every double coset
-    into the quotient's H1.
+    (``LocalQuotient.runs``), reading its quotient's steps, serves every
+    cycle and every double coset into the quotient's H1.
 
     A walk may start from a d x m block V in place of M = I: its
     deposits and twists are then d x m, each product costs d m per row
@@ -274,12 +271,11 @@ class RunSums:
     """
 
     def __init__(self, quotient):
-        table, k, modulus = quotient.table, quotient.k, quotient.modulus
-        self.table = table
-        self.steps = letter_steps(table, k, modulus)
+        self.table = quotient.table
+        self.steps = quotient.steps
         self.readers = quotient.readers
-        self.d = 2 * k + 1
-        self.modulus = modulus
+        self.d = 2 * quotient.k + 1
+        self.modulus = quotient.modulus
         self.orbits = {}  # (s, block) -> (orbit, position)
 
     def project(self, g, V=None):
@@ -447,7 +443,9 @@ class LocalQuotient:
     These, then the torsion generators, are the ambient coordinates
     ``coords``.  A class is its blocks off the tree (``blocks``): the
     tree edges that make it a cycle are read by no coordinate and have
-    g = 1.
+    g = 1.  The quotient builds the one step table (``steps``) that it
+    and its RunSums read, at its modulus; the fixed cosets' Smith forms,
+    taken over Z, take rho(g) over Z themselves.
     """
 
     def __init__(self, table, k, modulus=None):
@@ -456,9 +454,7 @@ class LocalQuotient:
         self.table = table
         self.k = k
         self.modulus = modulus
-        # the Z steps over every ring: the fixed-coset Smith forms are
-        # taken over Z, and the relations mod m come in compute_h1
-        steps = self.steps = letter_steps(table, k)
+        steps = self.steps = letter_steps(table, k, modulus)
         full = {}      # (slot, block) -> (orbit root, transport P)
         fixed = []
         for slot, order in (("S", 2), ("U", 3)):
@@ -474,12 +470,14 @@ class LocalQuotient:
                 if len(orbit) == order:
                     P = identity(d)
                     for a, b in zip(orbit, orbit[1:]):  # i is the least
-                        P = _compose(steps[a, slot, e][2], P)
+                        P = _compose(steps[a, slot, e][2], P, modulus)
                         full[(slot, b)] = (i, P)
                     continue
+                # over Z: the relations mod m come in compute_h1
+                M = rho(steps[i, slot, e][1], k)
                 R = power = identity(d)
                 for _ in range(order - 1):
-                    power = _compose(steps[i, slot, e][2], power)
+                    power = _compose(M, power)
                     R = [[x + y for x, y in zip(r1, r2)]
                          for r1, r2 in zip(R, power)]
                 U, Uinv, D = smith_normal_form_full(R)

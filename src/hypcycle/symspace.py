@@ -17,7 +17,9 @@ block by block.  It needs no corestriction, since the Fox chain of an
 element on a larger group's table is the corestriction of its chain on
 a smaller one.  ``corestriction_map`` stays for the benchmark's layer
 trace, which wraps it, and for the test of that lemma, which
-corestricts with it.
+corestricts with it.  No matrix is cached here: the LocalQuotient
+keeps the rho(g) of its steps, a DoubleCoset the rho(s_r) of its
+restriction, and hecke.conj_star builds alpha's matrix once per call.
 """
 
 from .psl2 import PMat
@@ -49,9 +51,6 @@ def poly_pow(p, e):
     return out
 
 
-_ACT_CACHE = {}
-
-
 def act_matrix(g, k, modulus=None):
     """Matrix of the action of g on degree-2k forms; columns indexed by
     monomials X1^(2k-j) X2^j."""
@@ -63,10 +62,6 @@ def act_matrix(g, k, modulus=None):
         raise NonPositiveDeterminant("determinant %d" % (a * d - b * c,))
     if modulus is not None:
         a, b, c, d = a % modulus, b % modulus, c % modulus, d % modulus
-    key = (a, b, c, d, k, modulus)
-    M = _ACT_CACHE.get(key)
-    if M is not None:
-        return M
     n = 2 * k
     # pow1[i] = coefficients of (d*X1 - b*X2)^i, pow2[i] of (-c*X1 + a*X2)^i
     pow1 = [(1,)]
@@ -80,9 +75,7 @@ def act_matrix(g, k, modulus=None):
         if modulus is not None:
             col = poly_mod(col, modulus)
         cols.append(col)
-    M = [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    _ACT_CACHE[key] = M
-    return M
+    return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
 
 
 def rho(g, k, modulus=None):

@@ -29,6 +29,13 @@ same numbers (Diamond-Shurman, Thm. 3.5.1; Stein, *Modular Forms: A
 Computational Approach*, GSM 79, 6.1).  For k >= 1, Eichler-Shimura
 gives H1(Gamma_0(N), Sym^2k) the rank 2 dim S_(2k+2) + c, the Eisenstein
 series contributing dim E_(2k+2) = c.
+
+The ``gamma1_*`` functions give the same numbers for Gamma_1(N), N >= 5,
+which has no elliptic points and does not contain -1 (Diamond-Shurman,
+section 3.9): its index in PSL2(Z) is
+mu = (N^2/2) prod_(p | N) (1 - 1/p^2), its cusp count
+c = (1/2) sum_(d | N) phi(d) phi(N/d), its genus g = 1 + mu/12 - c/2,
+and dim S_w = (w - 1)(g - 1) + (w/2 - 1) c for even w >= 4.
 """
 
 from fractions import Fraction
@@ -170,3 +177,34 @@ def gamma0_cusp_forms(N, w):
     assert w >= 4 and w % 2 == 0, w
     return ((w - 1) * (gamma0_genus(N) - 1) + w // 4 * gamma0_nu2(N)
             + w // 3 * gamma0_nu3(N) + (w // 2 - 1) * gamma0_cusps(N))
+
+
+
+def gamma1_index(N):
+    """[PSL2(Z) : Gamma_1(N)] = (N^2/2) prod_(p | N) (1 - 1/p^2), N >= 5."""
+    assert N >= 5, N
+    twice = N * N
+    for p in prime_factors(N):
+        twice = twice // (p * p) * (p * p - 1)
+    return twice // 2
+
+
+def gamma1_cusps(N):
+    """(1/2) sum_(d | N) phi(d) phi(N/d), N >= 5."""
+    assert N >= 5, N
+    return sum(_phi(d) * _phi(N // d)
+               for d in range(1, N + 1) if N % d == 0) // 2
+
+
+def gamma1_genus(N):
+    """g = 1 + mu/12 - c/2, N >= 5: there are no elliptic points."""
+    twelve_g = 12 + gamma1_index(N) - 6 * gamma1_cusps(N)
+    assert twelve_g % 12 == 0, N
+    return twelve_g // 12
+
+
+def gamma1_cusp_forms(N, w):
+    """dim S_w(Gamma_1(N)) for even w >= 4 and N >= 5:
+    (w - 1)(g - 1) + (w/2 - 1) c."""
+    assert w >= 4 and w % 2 == 0, w
+    return (w - 1) * (gamma1_genus(N) - 1) + (w // 2 - 1) * gamma1_cusps(N)

@@ -6,7 +6,8 @@ coefficients, twice the irreducible quadratic charpoly of T_p on the
 two cusp forms of weight 24, read off q-expansions; with trivial
 coefficients, H1 of Gamma_0(N) has rank 2g + c - 1 and the torsion of
 its elliptic points; with Sym^2k coefficients, k >= 1, it has the
-Eichler-Shimura rank 2 dim S_(2k+2) + c."""
+Eichler-Shimura rank 2 dim S_(2k+2) + c; and H1 of Gamma_1(N), N >= 5,
+is free of the same ranks from the closed forms of Gamma_1(N)."""
 
 import json
 
@@ -18,6 +19,10 @@ from closed_forms import (
     gamma0_genus,
     gamma0_nu2,
     gamma0_nu3,
+    gamma1_cusp_forms,
+    gamma1_cusps,
+    gamma1_genus,
+    gamma1_index,
     level_one_hecke_charpoly,
     ramanujan_tau,
 )
@@ -111,3 +116,18 @@ def test_gamma0_h1_mod_small_primes_and_mod_4(N):
         assert h1.invariant_factors == (ell,) * count, (N, ell)
     h1 = compute_h1(table, 0, RingSpec("ZpM", p=2, M=2))
     assert h1.invariant_factors == (2,) * two + (4,) * rank, N
+
+
+@pytest.mark.parametrize("N", range(5, 21))
+def test_gamma1_h1_is_free_of_closed_form_rank(N):
+    # Gamma_1(N), N >= 5, is free (no elliptic points, -1 not in it), so
+    # H1 is free: rank 2g + c - 1 at k = 0 and, by Eichler-Shimura,
+    # 2 dim S_(2k+2) + c at k >= 1
+    table = build_cosets(SubgroupSpec.gamma1(N))
+    assert table.index == gamma1_index(N)
+    g, c = gamma1_genus(N), gamma1_cusps(N)
+    for k in range(3):
+        h1 = compute_h1(table, k)
+        rank = 2 * g + c - 1 if k == 0 else 2 * gamma1_cusp_forms(
+            N, 2 * k + 2) + c
+        assert h1.invariant_factors == (0,) * rank, (N, k)

@@ -5,10 +5,12 @@ import pytest
 
 from hypcycle.cosets import (
     SubgroupSpec,
+    _unit_closure,
     build_cosets,
     subgroup_transversal,
 )
 from hypcycle.hecke import diamond_matrix
+from hypcycle.intlinalg import xgcd
 from hypcycle.psl2 import I, PMat, S, T, U
 from oracles import (
     BudgetExceeded,
@@ -72,6 +74,60 @@ class TestMembership:
         N = 5
         g = PMat(-1, 0, 5, -1)  # canonical rep is (1,0,-5,1)
         assert SubgroupSpec.gamma1(N).contains(g)
+
+
+def pairwise_closure(N, gens):
+    """The subgroup of (Z/N)^x generated by gens: the set with 1 and the
+    gens, closed by the products of every pair until none is new."""
+    group = {1 % N} | {g % N for g in gens}
+    while True:
+        grown = group | {a * b % N for a in group for b in group}
+        if grown == group:
+            return frozenset(group)
+        group = grown
+
+
+def test_unit_closure_matches_pairwise_closure():
+    # for every N < 200: the empty set, -1, units already in the group
+    # and random sets of units, with repeats and elements that add
+    # nothing (a square and a negative of the others)
+    rng = random.Random(0)
+    for N in range(1, 200):
+        units = [a for a in range(1, N) if gcd(a, N) == 1] or [0]
+        sets = [(), (-1,), (1, 1, N - 1)]
+        for size in (1, 2, 3):
+            gens = [rng.choice(units) for _ in range(size)]
+            sets.append(tuple(gens + [gens[0] ** 2, -gens[-1]]))
+        for gens in sets:
+            assert _unit_closure(N, gens) == pairwise_closure(N, gens), (
+                N, gens)
+
+
+def random_psl2(rng, N):
+    """A random element of PSL2(Z), with c = 0 mod N half of the time."""
+    while True:
+        c = rng.randrange(-5 * N, 5 * N) * (N if rng.random() < 0.5 else 1)
+        d = rng.randrange(-5 * N, 5 * N)
+        x, y, g = xgcd(d, c)
+        if g == 1:
+            return PMat(x, -y, c, d)
+
+
+@pytest.mark.parametrize("name", ["gamma0:1", "gamma0:2", "gamma0:37",
+                                  "gamma0:60", "gamma1:3", "gamma1:13",
+                                  "gamma1:60", "gammaH:13:3", "gammaH:21:4",
+                                  "gammaH:35:11", "gammaH:60:7",
+                                  "gammaH:56:3,9"])
+def test_contains_is_the_identity_coset_key(name):
+    spec = SubgroupSpec.parse(name)
+    rng = random.Random(name)
+    identity_key = spec.coset_key(I)
+    hits = 0
+    for _ in range(400):
+        g = random_psl2(rng, spec.N)
+        assert spec.contains(g) == (spec.coset_key(g) == identity_key), g
+        hits += spec.contains(g)
+    assert hits
 
 
 class TestBuildCosets:

@@ -38,6 +38,7 @@ from oracles import (
     cycle_coords_of,
     decompose_word,
     dense,
+    dense_h1,
     double_coset_predicates,
     evaluate_word,
     fox_expand,
@@ -691,20 +692,32 @@ def test_run_orbits_built_whole(name, k, ring):
                     assert prod == identity(d)
 
 
-def test_steps_kept_per_k_and_modulus():
-    # over Z/9 the local quotient reads the Z steps, the Fox walk of a
-    # cycle its own steps mod 9, both on the one table
+def test_quotient_builds_one_step_table_at_its_modulus():
+    # over Z/9 the local quotient builds its steps mod 9, and its run
+    # walk reads those same steps
     h1 = compute_h1(SubgroupSpec.gamma0(11), 1, RingSpec.parse("Zp:3:2"))
-    table = h1.table
-    assert h1.quotient.steps is table.letter_steps[1, None]
-    g = PMat(3, 1, 11, 4)
-    h1.cycle_coords(g)
-    assert set(table.letter_steps) == {(1, None), (1, 9)}
-    z_steps, mod9 = table.letter_steps[1, None], table.letter_steps[1, 9]
-    assert any(x < 0 for _, _, M in z_steps.values() if M
+    quo = h1.quotient
+    assert quo.runs.steps is quo.steps
+    assert len(quo.steps) == 3 * h1.table.index
+    assert any(M for _, _, M in quo.steps.values())
+    assert all(0 <= x < 9 for _, _, M in quo.steps.values() if M
                for row in M for x in row)
-    assert all(0 <= x < 9 for _, _, M in mod9.values() if M
-               for row in M for x in row)
+
+
+# the elliptic levels: the fixed cosets' Smith forms, taken over Z,
+# give the 2- and 3-torsion that a ring of modulus 4, 9 or 3 sees
+ELLIPTIC = [("gamma0:1", k) for k in range(5)] + [
+    (name, k) for name in ("gamma0:2", "gamma0:3", "gamma0:13", "gammaH:13:3")
+    for k in range(4)]
+
+
+@pytest.mark.parametrize("ring", ["Zp:2:2", "Zp:3:2", "Fp:3"])
+@pytest.mark.parametrize("name,k", ELLIPTIC)
+def test_fixed_cosets_mod_m_match_dense_route(name, k, ring):
+    table = _table(name)
+    ring = RingSpec.parse(ring)
+    got = compute_h1(table, k, ring).invariant_factors
+    assert got == dense_h1(table, k, ring).invariant_factors
 
 
 @pytest.mark.parametrize("modulus", [None, 7, 27])
