@@ -187,7 +187,7 @@ def cmd_ordinary(args):
     from .ordinary import ordinary_part
 
     spec = SubgroupSpec.parse(args.group)
-    dec, pm, h1z, op = ordinary_part(spec, args.k, args.p, args.M)
+    split, h1z, _ = ordinary_part(spec, args.k, args.p, args.M)
     report = {
         "group": spec.name,
         "k": args.k,
@@ -195,9 +195,9 @@ def cmd_ordinary(args):
         "M": args.M,
         "operator": ("U%d" if spec.N % args.p == 0 else "T%d") % args.p,
         "h1_invariant_factors": list(h1z.invariant_factors),
-        "ordinary_invariant_factors": list(dec.ordinary_factors),
-        "ordinary_rank": dec.ordinary_rank,
-        "nilpotent_rank": dec.nilpotent_rank,
+        "ordinary_invariant_factors": list(split.ordinary_factors),
+        "ordinary_rank": split.ordinary_rank,
+        "nilpotent_rank": split.nilpotent_rank,
     }
     return report, 0
 

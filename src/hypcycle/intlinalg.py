@@ -24,6 +24,7 @@ homology.LocalQuotient).
 
 from bisect import bisect_left
 from collections import namedtuple
+from functools import cached_property
 from math import isqrt
 
 
@@ -87,6 +88,23 @@ def mat_mul(A, B):
 def mat_vec(A, v):
     nonzero = [(t, x) for t, x in enumerate(v) if x]
     return [sum(row[t] * x for t, x in nonzero) for row in A]
+
+
+def sparse_columns(A, ncols):
+    """The nonzeros (row, entry) of each of the ``ncols`` columns of A."""
+    return [[(i, x) for i, x in enumerate(col) if x]
+            for col in (zip(*A) if A else [()] * ncols)]
+
+
+def sparse_mat_vec(cols, v, nrows):
+    """A*v from the ``sparse_columns`` of A: it reads only the nonzeros
+    of the columns that meet a nonzero of v."""
+    out = [0] * nrows
+    for x, col in zip(v, cols):
+        if x:
+            for i, a in col:
+                out[i] += a * x
+    return out
 
 
 def columns(A):
@@ -165,8 +183,9 @@ def _snf_inplace(D, U, Uinv):
             piv = min([(abs(D[i][k]), i, k) for i in range(k + 1, m) if D[i][k]]
                       + [(abs(D[k][j]), k, j) for j in range(k + 1, n) if D[k][j]],
                       default=None)
-            if piv is None:
+            if piv is None and abs(a) != 1:
                 # force divisibility of the remaining block by the pivot
+                # (a unit pivot divides every entry)
                 bad = next((i for i in range(k + 1, m)
                             if any(D[i][j] % a for j in range(k + 1, n))), None)
                 if bad is not None:
@@ -285,7 +304,11 @@ class ColumnEchelon:
                     res[t] -= q * self.H[t][c]
         if any(res):
             return None
-        return mat_vec(self.W, y)
+        return sparse_mat_vec(self._w_columns, y, self.ncols)
+
+    @cached_property
+    def _w_columns(self):
+        return sparse_columns(self.W, self.ncols)
 
 
 def kernel_basis(A):
@@ -521,11 +544,11 @@ class FgModule:
     the torsion has unit relations, so only free factors are left.
     """
 
-    def __init__(self, invariant_factors, gen_lift, kernel_ech, uinv_rows):
+    def __init__(self, invariant_factors, gen_lift, kernel_ech, uinv_cols):
         self.invariant_factors = tuple(invariant_factors)
         self.gen_lift = gen_lift
         self._kernel_ech = kernel_ech
-        self._uinv_rows = uinv_rows   # rows of Uinv of the kept generators
+        self._uinv_cols = uinv_cols  # sparse_columns of kept rows of Uinv
 
     @property
     def ngens(self):
@@ -549,7 +572,8 @@ class FgModule:
         y = self._kernel_ech.solve(list(vec))
         if y is None:
             raise NotInModule("vector outside the module")
-        return self.reduce_coords(mat_vec(self._uinv_rows, y))
+        return self.reduce_coords(
+            sparse_mat_vec(self._uinv_cols, y, self.ngens))
 
     def lift(self, coords):
         """Ambient vector with the given generator coordinates."""
@@ -609,4 +633,4 @@ def subquotient(kernel, image):
     gen_cols = mat_mul([[U[r][i] for r in range(s)] for i in kept],
                        columns(kernel))
     return FgModule([dfull[i] for i in kept], from_columns(gen_cols, n),
-                    ech, [Uinv[i] for i in kept])
+                    ech, sparse_columns([Uinv[i] for i in kept], s))

@@ -7,8 +7,9 @@ by Fitting's lemma, as e*M (+) (1 - e)*M: A is invertible on the
 ordinary part e*M and nilpotent on the rest.  One power A^n with n at
 least the length of M is zero on (1 - e)*M and an automorphism of e*M,
 so its image is the ordinary part; no projector is formed.
-``verify-main``, ``bridge`` and ``quotient``'s per-prime test read that
-image from ``ordinary_idempotent``.
+``ordinary_idempotent`` builds H1 (x) Z/p^M with that power and its
+image as one ``FittingSplit``; ``ordinary``, ``verify-main``, ``bridge``
+and ``quotient``'s per-prime test each make one call.
 """
 
 from collections import namedtuple
@@ -49,49 +50,30 @@ MAX_WORD_LEN = 10
 Budget = namedtuple("Budget", "max_generators seed", defaults=(300, 0))
 
 
-class PModule(FgModule):
-    """H1 tensored with Z/p^M: an FgModule whose invariant factors are
-    its cyclic p-power orders gcd(d, p^M) (p^M on a free factor d = 0,
-    as compute_h1 relates a coordinate), with no ambient presentation,
-    and the projection from integral H1 coordinates (``fg`` the module
-    over Z)."""
+class FittingSplit(FgModule):
+    """H1 (x) Z/p^M split by one endomorphism; made by
+    ``ordinary_idempotent`` alone.  Its invariant factors are the orders
+    gcd(d, p^M) (p^M on a free d = 0, as compute_h1 relates a
+    coordinate) of the factors ``keep`` of H1 that survive, with no
+    ambient presentation and composition ``length``; ``project`` maps
+    integral H1 coordinates onto them.  ``power`` is the Fitting power P
+    and ``image`` the ordinary part im P, whose invariant factors are
+    computed on first read (``quotient``'s per-prime test reads none)."""
 
     def __init__(self, fg, p, M):
-        self.p = p
-        self.M = M
-        m = self.modulus = p ** M
-        orders = [gcd(d, m) for d in fg.invariant_factors]
+        self.p, self.M = p, M
+        orders = [gcd(d, p ** M) for d in fg.invariant_factors]
         self.keep = [i for i, o in enumerate(orders) if o > 1]
         super().__init__([orders[i] for i in self.keep], None, None, None)
+        self.length = sum(o % p ** e == 0 for o in self.invariant_factors
+                          for e in range(1, M + 1))
 
     def project(self, coords):
-        return [coords[i] % o
-                for i, o in zip(self.keep, self.invariant_factors)]
-
-    def reduce_matrix(self, A):
-        m = self.modulus
-        return [[A[i][j] % m for j in self.keep] for i in self.keep]
-
-    def length(self):
-        """Composition length: sum of p-adic valuations of the orders."""
-        total = 0
-        for o in self.invariant_factors:
-            while o > 1:
-                o //= self.p
-                total += 1
-        return total
-
-
-class OrdinaryDecomposition(namedtuple(
-        "OrdinaryDecomposition", "pm power image")):
-    """The Fitting split of ``pm`` under one endomorphism: its power P
-    and the ordinary image im P.  The image's invariant factors are
-    computed on first read; ``quotient``'s per-prime test reads only the
-    image."""
+        return self.reduce_coords([coords[i] for i in self.keep])
 
     @cached_property
     def ordinary_factors(self):
-        return self.pm.factors(self.image)
+        return self.factors(self.image)
 
     @property
     def ordinary_rank(self):
@@ -99,46 +81,42 @@ class OrdinaryDecomposition(namedtuple(
 
     @property
     def nilpotent_rank(self):
-        return self.pm.ngens - self.ordinary_rank
+        return self.ngens - self.ordinary_rank
 
     def apply(self, coords):
         """Image under the Fitting power, an automorphism of e*M."""
-        out = mat_vec(self.power, coords)
-        return [x % o for x, o in zip(out, self.pm.invariant_factors)]
+        return self.reduce_coords(mat_vec(self.power, coords))
 
 
-def ordinary_idempotent(A, pm):
-    """Fitting split of a finite module of p-power exponent under A.
+def ordinary_idempotent(A, fg, p, M):
+    """The FittingSplit of the integral module ``fg`` tensored with
+    Z/p^M under the endomorphism of integral matrix A.
 
-    On a module of length L, P = A^n with n >= L is an automorphism of
-    the ordinary part e*M and zero on the nilpotent part (1 - e)*M, so
-    im P = e*M; n is the least power of two >= L, reached by repeated
-    squaring mod p^M.  ``apply`` multiplies by P, not by e: P*z =
-    u(e*z) for the automorphism u = P on e*M, so projected vectors span
-    e*M exactly when their e-projections do.  The name stays: the
-    benchmark's ``perfbench/spans.py`` traces this function by it.
+    A is restricted to the kept factors and reduced mod p^M; P = A^n for
+    n the least power of two >= the length, reached by repeated squaring
+    mod p^M.  ``apply`` multiplies by P, not by e: P*z = u(e*z) for the
+    automorphism u = P on e*M, so projected vectors span e*M exactly
+    when their e-projections do.  The name stays: the benchmark's
+    ``perfbench/spans.py`` traces this function by it.
     """
-    m = pm.modulus
-    P = [[x % m for x in row] for row in A]
-    n, length = 1, pm.length()
-    while n < length:
+    split = FittingSplit(fg, p, M)
+    m, keep = p ** M, split.keep
+    P = [[A[i][j] % m for j in keep] for i in keep]
+    n = 1
+    while n < split.length:
         P = [[x % m for x in row] for row in mat_mul(P, P)]
         n *= 2
-    return OrdinaryDecomposition(pm, P, pm.span(columns(P)))
+    split.power, split.image = P, split.span(columns(P))
+    return split
 
 
 def ordinary_part(spec, k, p, M):
     """Ordinary part of H1 tensored with Z/p^M under the diag(1,p)
-    double coset (T_p or U_p by divisibility).
-
-    Returns (decomposition, pm, h1z, operator).
+    double coset (T_p or U_p by divisibility): (split, h1z, operator).
     """
     h1z = compute_h1(spec, k, ZZ)
     op = hecke_coset(p, h1z).operator()
-    pm = PModule(h1z.module, p, M)
-    A = pm.reduce_matrix(op.matrix)
-    dec = ordinary_idempotent(A, pm)
-    return dec, pm, h1z, op
+    return ordinary_idempotent(op.matrix, h1z.module, p, M), h1z, op
 
 
 def enumerate_hyperbolic(table, budget, exclude_p=None):
@@ -271,17 +249,17 @@ def verify_main_theorem(spec, k, p, M, budget=Budget()):
     generated Z_p-module e(H1 (x) Z_p), and so its reduction at every
     M.  The ordinary rank is dim e(H1 (x) F_p), the same at every M.
     """
-    dec, pm, h1z, _ = ordinary_part(spec, k, p, M)
-    target = dec.image.canonical()
-    span = pm.span()
+    split, h1z, _ = ordinary_part(spec, k, p, M)
+    target = split.image.canonical()
+    span = split.span()
     tried = 0
     if span.canonical() != target:
         for g in enumerate_hyperbolic(h1z.table, budget):
             tried += 1
-            if span.add(dec.apply(pm.project(h1z.cycle_coords(g)))) \
+            if span.add(split.apply(split.project(h1z.cycle_coords(g)))) \
                     and span.canonical() == target:
                 break
-    span_factors = pm.factors(span)
+    span_factors = split.factors(span)
     return SpanReport(
         verdict="Verified" if span.canonical() == target else "Inconclusive",
         group=spec.name,
@@ -289,9 +267,9 @@ def verify_main_theorem(spec, k, p, M, budget=Budget()):
         p=p,
         M=M,
         budget=budget._asdict(),
-        ordinary_rank=dec.ordinary_rank,
+        ordinary_rank=split.ordinary_rank,
         span_rank=len(span_factors),
-        invariant_factors=dec.ordinary_factors,
+        invariant_factors=split.ordinary_factors,
         span_invariant_factors=tuple(span_factors),
         generators_tried=tried,
     )
@@ -362,10 +340,9 @@ def cycle_quotient_report(spec, k, budget=Budget()):
             # is stable
             if not all(span.contains(mat_vec(A, s)) for s in span.rows):
                 continue
-            pq = PModule(h1z.module, q, 1)
-            reduced = pq.span(pq.project(s) for s in span.rows)
-            image = ordinary_idempotent(pq.reduce_matrix(A), pq).image
-            if all(reduced.contains(row) for row in image.rows):
+            split = ordinary_idempotent(A, h1z.module, q, 1)
+            reduced = split.span(split.project(s) for s in span.rows)
+            if all(reduced.contains(row) for row in split.image.rows):
                 prime_verdicts[str(q)] = "Verified"
     verified = free_rank == 0 and all(
         v == "Verified" for v in prime_verdicts.values())
@@ -416,10 +393,8 @@ def mod_p_bridge(N, p, k, budget=Budget()):
     hk = compute_h1(table, k, ring)
     U0 = hecke_coset(p, h0).operator()
     Uk = hecke_coset(p, hk).operator()
-    pm0 = PModule(h0.module, p, 1)
-    pmk = PModule(hk.module, p, 1)
-    dec0 = ordinary_idempotent(pm0.reduce_matrix(U0.matrix), pm0)
-    deck = ordinary_idempotent(pmk.reduce_matrix(Uk.matrix), pmk)
+    dec0 = ordinary_idempotent(U0.matrix, h0.module, p, 1)
+    deck = ordinary_idempotent(Uk.matrix, hk.module, p, 1)
     J = from_columns([list(hk.coords(hk.quotient.project(_j_star_chain(
         h0.quotient.blocks(h0.module.lift(e)), k, p))))
         for e in identity(h0.ngens)], hk.ngens)
@@ -428,9 +403,9 @@ def mod_p_bridge(N, p, k, budget=Budget()):
         for lrow, rrow in zip(mat_mul(J, U0.matrix), mat_mul(Uk.matrix, J))
         for x, y in zip(lrow, rrow))
     # image of the constant ordinary part spans the weighted one; over
-    # F_p every generator has order p, so pm0 keeps them all
-    span = pmk.span(deck.apply(pmk.project(mat_vec(J, row)))
-                    for row in dec0.image.rows)
+    # F_p every generator has order p, so dec0 keeps them all
+    span = deck.span(deck.apply(deck.project(mat_vec(J, row)))
+                     for row in dec0.image.rows)
     image_matches = span.canonical() == deck.image.canonical()
     dims_equal = dec0.ordinary_rank == deck.ordinary_rank
     # unit scaling on hyperbolic cycles outside level-p principal

@@ -17,6 +17,7 @@ from hypcycle.intlinalg import (
     kernel_mod,
     mat_mul,
     mat_vec,
+    smith_normal_form_full,
     subquotient,
     xgcd,
     zeros,
@@ -109,6 +110,21 @@ class TestSmithNormalForm:
         A = identity(3)
         _, D, _ = smith_normal_form(A)
         assert diagonal(D) == [1, 1, 1]
+
+    @pytest.mark.parametrize("A,diag", [
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 1, 6]),
+        ([[-1, 0, 0], [0, 4, 0], [0, 0, 6]], [1, 2, 12]),
+    ])
+    def test_unit_pivot_before_forced_divisibility(self, A, diag):
+        # the unit pivot comes first and divides everything; the next
+        # pivot, 2 or 4, must be made to divide the entry after it
+        U, Uinv, D = smith_normal_form_full(A)
+        assert diagonal(D) == diag == snf_diagonal_oracle(A)
+        assert mat_mul(U, Uinv) == identity(3)
+        U, D, V = smith_normal_form(A)
+        assert mat_mul(U, mat_mul(D, V)) == A
+        assert diagonal(D) == diag
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
     def test_zero(self):
         A = zeros(2, 3)
