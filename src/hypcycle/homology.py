@@ -24,10 +24,12 @@ first step of a Hecke image; see hecke) read the steps that the
 LocalQuotient builds whole at its k and modulus (``letter_steps``); the
 smaller group's steps are these with a move of its coset reps.  One
 walk reads every element into ambient coordinates: ``RunSums``, one
-per LocalQuotient, walks the runs T^q of the element's word (psl2.word_runs) along the T-orbits, each built
-whole with its prefix sums when a run first enters it, with
-closed-form sums over whole laps, and its single letters one at a time
-(``fox_step``).  A cycle z(gamma) (``cycle_of``) and each conjugated
+per LocalQuotient, walks the runs T^q of the element's word
+(psl2.word_runs) along the T-orbits, each built whole when a run first
+enters it, with its prefix sums, the indices each step moves and its
+twists rho(h), h the product of the step elements so far; whole laps
+take closed-form sums, and single letters sum their deposits per block
+as they are made.  A cycle z(gamma) (``cycle_of``) and each conjugated
 term of a Hecke image are read by the same walk; no chain of either is
 built.  The walk carries only the columns it is applied to: a cycle
 walks q_gamma^k as one column, and a conjugated element the vectors of
@@ -66,7 +68,7 @@ from .intlinalg import (
     smith_normal_form_full,
     subquotient,
 )
-from .psl2 import T_LETTERS, quadratic_form, word_runs
+from .psl2 import T_LETTERS, I, quadratic_form, word_runs
 from .symspace import act, poly_mod, poly_pow, rho
 
 
@@ -104,42 +106,6 @@ def _compose(M, N, modulus=None):
         return N if M is None else M
     out = mat_mul(M, N)
     return [[x % modulus for x in row] for row in out] if modulus else out
-
-
-def merge_blocks(groups, d, modulus=None):
-    """Entries (slot, block, matrix) from lists of d x m matrices keyed
-    by (slot, block), None standing for the d x d identity.  A lone
-    matrix is kept as it is, by reference; repeats are summed into a new
-    matrix, reduced mod m if a modulus is given."""
-    entries = []
-    for (slot, blk), mats in groups.items():
-        if len(mats) == 1:
-            entries.append((slot, blk, mats[0]))
-            continue
-        mats = [identity(d) if M is None else M for M in mats]
-        acc = [list(map(sum, zip(*rows))) for rows in zip(*mats)]
-        if modulus is not None:
-            acc = [[x % modulus for x in row] for row in acc]
-        entries.append((slot, blk, acc))
-    return entries
-
-
-def fox_step(steps, groups, block, mat, gen, e, modulus=None):
-    """One letter (gen, e) of the Fox walk: the walk at ``block`` with
-    matrix ``mat`` (None for the identity) deposits mat into the list
-    of ``groups`` at (gen, block), and U^2 also deposits where the
-    action of U sends the block; returns the block and matrix the
-    letter moves the walk to.  Steps are read from the letter steps
-    ``steps`` (letter_steps)."""
-    groups.setdefault((gen, block), []).append(mat)
-    if gen == "U" and e == 2:
-        # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
-        # where the action of U sends the current block (two U-steps)
-        jj, _, A = steps[block, "U", 2]
-        groups.setdefault(("U", jj), []).append(_compose(A, mat, modulus))
-    # the current vector moves by the letter: one block moves
-    block, _, A = steps[block, gen, 1 if gen == "S" else 3 - e]
-    return block, mat if A is None else _compose(A, mat, modulus)
 
 
 def cycle_of(gamma, poly, quotient):
@@ -224,13 +190,16 @@ def lap_sums(P, n, d, powers, modulus=None):
 class _Orbit:
     """One T^s-orbit b_0 -> ... -> b_(w-1) of a table's blocks, built
     whole: for every t <= w the twists Pi_t, their inverses and the
-    prefix sums PS_t; the powers of lap_sums; and R_n and P^n for each
-    lap count n that a run has read (see RunSums)."""
+    prefix sums PS_t; the coordinate indices whose prefix sums step u
+    changes, moved[start[u]:start[u+1]]; the powers of lap_sums; and R_n
+    and P^n for each lap count n that a run has read (see RunSums)."""
 
-    __slots__ = ("blocks", "pi", "pinv", "ps", "powers", "laps")
+    __slots__ = ("blocks", "pi", "pinv", "ps", "moved", "start", "powers",
+                 "laps")
 
-    def __init__(self, blocks, pi, pinv, ps):
+    def __init__(self, blocks, pi, pinv, ps, moved, start):
         self.blocks, self.pi, self.pinv, self.ps = blocks, pi, pinv, ps
+        self.moved, self.start = moved, start
         self.powers = []
         self.laps = {}
 
@@ -241,10 +210,10 @@ class RunSums:
     per run T^q of their words (psl2.word_runs): the cycles z(gamma)
     (``cycle_of``) and the conjugated terms of Hecke images alike.
 
-    One step of T^s (s = +-1) is the two letters of T^s, walked as in
-    ``fox_step``.  Along a T^s-orbit b_0 -> b_1 -> ... -> b_(w-1)
-    of the table's blocks, a walk that enters b_0 with matrix M is at
-    b_u with Pi_u M, and G(b) are the reader rows that one step from b
+    One step of T^s (s = +-1) is the two letters of T^s, each walked
+    by ``_letter``.  Along a T^s-orbit b_0 -> b_1 -> ... -> b_(w-1) of
+    the table's blocks, a walk that enters b_0 with matrix M is at b_u
+    with Pi_u M, and G(b) are the reader rows that one step from b
     deposits per unit matrix.  The prefix sums are PS_t = sum over
     u < t of G(b_u) Pi_u, and the orbit closes with the lap twist
     P = Pi_w.  A run of q steps entering b_t with M, where
@@ -252,18 +221,19 @@ class RunSums:
     X = Pi_t^-1 M it adds (R_n - PS_t) X + PS_r P^n X to the element's
     projected map, where R_n = PS_w (I + P + ... + P^(n-1)) are the
     lap sums (R_0 = 0), and leaves b_r with Pi_r P^n X.  A run within
-    one lap (n = 0) is the difference of two prefix sums.  P is rho of
-    a conjugate of T^(+-w), so R_n and P^n have a closed form
-    (``lap_sums``) however many laps a run makes.
+    one lap (n = 0) is the difference of two prefix sums, at the
+    indices that its steps change.  P is rho of a conjugate of
+    T^(+-w), so R_n and P^n have a closed form (``lap_sums``) however
+    many laps a run makes.
 
     The first run to enter an orbit builds it whole, from b_0 = the
-    block it enters: its twists and prefix sums, and Pi^-1 carried from
-    the steps of T^-s, which walk the orbit backwards; the lap sums are
-    kept for the lap counts that runs read.  Single letters take one
-    fox_step each, and their deposits are read once per block.  Nothing
-    depends on the element walked, so one RunSums
-    (``LocalQuotient.runs``), reading its quotient's steps, serves every
-    cycle and every double coset into the quotient's H1.
+    block it enters: its prefix sums and its twists Pi_u = rho(h_u),
+    h_u the product of the step elements so far, so Pi_u^-1 =
+    rho(h_u^-1); the lap sums are kept for the lap counts that runs
+    read.  A walk sums its deposits per block as it makes them
+    (``_deposit``).  Nothing depends on the element walked, so one
+    RunSums (``LocalQuotient.runs``), reading its quotient's steps,
+    serves every cycle and every double coset into the quotient's H1.
 
     A walk may start from a d x m block V in place of M = I: its
     deposits and twists are then d x m, each product costs d m per row
@@ -283,17 +253,43 @@ class RunSums:
         the identity, m = d): pairs (coordinate index, row of length m),
         the sum of the reader rows times the Fox entries of g times V.
         The walk starts from V, so each step carries m columns."""
-        steps, m, readers = self.steps, self.modulus, self.readers
-        proj, groups = {}, {}
+        proj, sums = {}, {}
         block, mat = 0, V
         for gen, e in reversed(word_runs(g)):
             if gen == "T":
                 block, mat = self._run(proj, block, mat, e)
             else:
-                block, mat = fox_step(steps, groups, block, mat, gen, e, m)
-        for slot, blk, M in merge_blocks(groups, self.d, m):
-            _add_rows(proj, readers.get((slot, blk), ()), M)
+                block, mat, _ = self._letter(sums, block, mat, gen, e)
+        for key, M in sums.items():
+            _add_rows(proj, self.readers.get(key, ()), M)
         return list(proj.items())
+
+    def _letter(self, sums, block, mat, gen, e):
+        """One letter (gen, e) of the Fox walk at ``block`` with matrix
+        ``mat`` (None for the identity), depositing into ``sums``: the
+        block, matrix and step element g that the letter moves it to."""
+        steps, m = self.steps, self.modulus
+        self._deposit(sums, (gen, block), mat)
+        if gen == "U" and e == 2:
+            # U^2 expands as (U-1) x Uv + (U-1) x v; the Uv part lands
+            # where the action of U sends the current block (two U-steps)
+            jj, _, A = steps[block, "U", 2]
+            self._deposit(sums, ("U", jj), _compose(A, mat, m))
+        # the current vector moves by the letter: one block moves
+        block, g, A = steps[block, gen, 1 if gen == "S" else 3 - e]
+        return block, _compose(A, mat, m), g
+
+    def _deposit(self, sums, key, M):
+        """sums[key] += M, None standing for the identity: a lone deposit
+        is kept by reference, and a sum is a new matrix, reduced mod m if
+        a modulus is given."""
+        if key not in sums:
+            sums[key] = M
+            return
+        m = self.modulus
+        A, B = (identity(self.d) if X is None else X for X in (sums[key], M))
+        acc = [list(map(add, r, t)) for r, t in zip(A, B)]
+        sums[key] = [[x % m for x in row] for row in acc] if m else acc
 
     def _run(self, proj, block, mat, q):
         """Add the run T^q entering ``block`` with ``mat`` to proj;
@@ -303,11 +299,11 @@ class RunSums:
         orbit, t = self._position(s, block)
         n, r = divmod(t + q, len(orbit.blocks))
         hi, Pn = self._laps(orbit, n) if n else (orbit.ps[r], None)
-        # lo's indices are among hi's; _position shares every twist and
-        # row that a step leaves unchanged, so they compare by identity
-        lo = orbit.ps[t]
-        rows = [(idx, list(map(sub, row, lo[idx])) if idx in lo else row)
-                for idx, row in hi.items() if row is not lo.get(idx)]
+        # within a lap, PS_r differs from PS_t where steps t..r-1 moved it
+        keys = hi if n else set(orbit.moved[orbit.start[t]:orbit.start[r]])
+        lo = orbit.ps[t]  # its indices are among hi's
+        rows = [(idx, list(map(sub, hi[idx], lo[idx])) if idx in lo
+                 else hi[idx]) for idx in keys]
         X = _compose(orbit.pinv[t], mat, m)
         _add_rows(proj, [(idx, row) for idx, row in rows if any(row)], X)
         if n:
@@ -320,39 +316,33 @@ class RunSums:
     def _position(self, s, block):
         """(orbit, position) of a block on its T^s-orbit, the orbit built
         whole when a run first enters it: one step is the two letters of
-        T^s, each a fox_step, and its inverse the letters of T^-s."""
+        T^s, and h carries the product of their step elements."""
         hit = self.orbits.get((s, block))
         if hit is not None:
             return hit
-        steps, m, readers = self.steps, self.modulus, self.readers
-        back = [(gen, 1 if gen == "S" else 3 - e)
-                for gen, e in T_LETTERS[-s][::-1]]
+        k, m, readers = self.d // 2, self.modulus, self.readers
         blocks, pi, pinv, ps = [block], [None], [None], [{}]
+        moved, start, h = [], [0], I
         while True:
-            groups, rows = {}, {}
+            sums, rows = {}, {}
             blk, M = blocks[-1], pi[-1]
             for gen, e in reversed(T_LETTERS[s]):
-                blk, M = fox_step(steps, groups, blk, M, gen, e, m)
-            for key, mats in groups.items():
-                for D in mats:
-                    _add_rows(rows, readers.get(key, ()), D)
+                blk, M, g = self._letter(sums, blk, M, gen, e)
+                if M is not None:  # else g = 1 so far, or k = 0
+                    h = g * h
+            for key, D in sums.items():
+                _add_rows(rows, readers.get(key, ()), D)
             acc = dict(ps[-1]) if rows else ps[-1]  # sums are never changed
             _add_rows(acc, rows.items(), None)
+            moved += rows
+            start.append(len(moved))
             ps.append(acc)
             pi.append(M)
-            # Pi_u is None (the identity) only while every twist so far
-            # is, and then so is its inverse
-            B = None  # the twist of one step of T^-s, back from blk
-            if M is not None:
-                b = blk
-                for gen, e in back:
-                    b, _, A = steps[b, gen, e]
-                    B = _compose(A, B, m)
-            pinv.append(_compose(pinv[-1], B, m))
+            pinv.append(None if M is None else rho(h.inv(), k, m))
             if blk == block:
                 break
             blocks.append(blk)
-        orbit = _Orbit(blocks, pi, pinv, ps)
+        orbit = _Orbit(blocks, pi, pinv, ps, moved, start)
         for u, b in enumerate(blocks):
             self.orbits[s, b] = orbit, u
         return orbit, 0

@@ -8,8 +8,9 @@ ordinary part e*M and nilpotent on the rest.  One power A^n with n at
 least the length of M is zero on (1 - e)*M and an automorphism of e*M,
 so its image is the ordinary part; no projector is formed.
 ``ordinary_idempotent`` builds H1 (x) Z/p^M with that power and its
-image as one ``FittingSplit``; ``ordinary``, ``verify-main``, ``bridge``
-and ``quotient``'s per-prime test each make one call.
+image as one ``FittingSplit``; ``ordinary``, ``verify-main`` and
+``quotient``'s per-prime test each make one call, and ``bridge`` two,
+one per weight.
 """
 
 from collections import namedtuple

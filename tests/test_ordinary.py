@@ -1,13 +1,14 @@
 """Soundness of the verdicts of the ordinary-part verifiers, the
 quotient's per-prime test on H1 (x) F_q against the induced
 endomorphism on the quotient, the Fitting split of the ordinary part,
-the ordinary rank against charpoly(T_p) mod p, the mod-p bridge, and
-that a quotient Verified is verify-main Verified at every prime."""
+the ordinary rank against charpoly(T_p) mod p, the mod-p bridge, that
+a quotient Verified is verify-main Verified at every prime, and the
+phases of the hyperbolic element stream."""
 
 import pytest
 
 from hypcycle import ordinary
-from hypcycle.cosets import SubgroupSpec
+from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.hecke import hecke_coset
 from hypcycle.homology import compute_h1
 from hypcycle.intlinalg import (
@@ -29,6 +30,7 @@ from hypcycle.ordinary import (
     verify_main_theorem,
 )
 from hypcycle.polyz import charpoly
+from hypcycle.psl2 import HYPERBOLIC, classify
 from oracles import induced_endomorphism
 
 
@@ -134,6 +136,21 @@ def test_quotient_prime_test_fails_without_cycles(monkeypatch):
     new, old = quotient_prime_verdicts(SubgroupSpec.gamma0(1), 0, Budget(),
                                        monkeypatch)
     assert new == old == {"2": "Inconclusive", "3": "Inconclusive"}
+
+
+def test_hyperbolic_stream_past_its_ball():
+    # on SL_2(Z) the word ball yields 100 elements, one per class, and
+    # its deferred list 200 more; the seeded random walks give the rest,
+    # so only elements past the first 300 depend on the seed
+    table = build_cosets(SubgroupSpec.gamma0(1))
+    first, second = (list(ordinary.enumerate_hyperbolic(
+        table, Budget(400, seed))) for seed in (0, 1))
+    assert all(classify(g) == HYPERBOLIC and table.contains(g)
+               for g in first)
+    a, b = ([g.key() for g in stream] for stream in (first, second))
+    assert len(set(a)) == len(a) == 400
+    assert a[:300] == b[:300]
+    assert all(x != y for x, y in zip(a[300:], b[300:]))
 
 
 @pytest.mark.parametrize("budget", [Budget(max_generators=1),
