@@ -43,8 +43,8 @@ The induced d1 on their free generators is a graph incidence matrix
 with (2k+1)-square blocks.  A spanning tree of the coset graph whose
 edges all have twist 1 (the edges that found each coset of the
 breadth-first table) clears all of it but one block, where each
-generator off the tree leaves (rho(g) - 1) times its lift, and the
-kernel is taken there, over Z or modulo p^M (LocalQuotient,
+coordinate leaves (rho(g) - 1) times its lift (zero on torsion), and
+the kernel is taken there, over Z or modulo p^M (LocalQuotient,
 compute_h1).  A class is read off its blocks off the tree alone
 (``LocalQuotient.blocks``), so no cycle is built from a class, and no
 dense matrix of the size of the induced module is ever built.
@@ -58,7 +58,6 @@ from operator import add, mul, sub
 from .cosets import build_cosets
 from .intlinalg import (
     ZZ,
-    columns,
     from_columns,
     identity,
     kernel_basis,
@@ -420,22 +419,23 @@ class LocalQuotient:
     relations).  A full orbit (o0, o1[, o2]) has the free cokernel
     x_{o_t} - P_t x_{o0}, generated by unit vectors at o1[, o2]; a fixed
     coset with letter matrix M has the cokernel of I+M (or I+M+M^2),
-    read off its Smith form.  Torsion generators are cycles.
+    read off its Smith form.  Torsion generators v are cycles: e v in
+    im(I + M (+ M^2)) gives e (M - I) v = 0 in the torsion-free C0.
 
     A free generator at a coset b > 0 whose letter step goes to a
     smaller coset with g = 1 is a tree edge: its d1 is -v at b and v at
     the parent.  The edge that found b in a breadth-first coset table
     (t_b == t_parent x) is one, so every b > 0 has one.  Clearing the
     blocks of a 0-chain down the tree (leaves first) adds them all up at
-    the root, so ker d1 on the quotient is the kernel of a (2k+1) x s
-    matrix ``residues`` over the s free generators off the tree, the
-    column of each (rho(g) - 1) times its lift, g from its letter step.
-    These, then the torsion generators, are the ambient coordinates
-    ``coords``.  A class is its blocks off the tree (``blocks``): the
-    tree edges that make it a cycle are read by no coordinate and have
-    g = 1.  The quotient builds the one step table (``steps``) that it
-    and its RunSums read, at its modulus; the fixed cosets' Smith forms,
-    taken over Z, take rho(g) over Z themselves.
+    the root, so ker d1 on the quotient is the kernel of a (2k+1) x n
+    matrix ``residues``, with one column per ambient coordinate of
+    ``coords`` (the free generators off the tree, then the torsion
+    generators): (rho(g) - 1) times its lift, g from its letter step.
+    A class is its blocks off the tree (``blocks``): the tree edges
+    that make it a cycle are read by no coordinate and have g = 1.  The
+    quotient builds the one step table (``steps``) that it and its
+    RunSums read, at its modulus; the fixed cosets' Smith forms, taken
+    over Z, take rho(g) over Z themselves.
     """
 
     def __init__(self, table, k, modulus=None):
@@ -495,9 +495,8 @@ class LocalQuotient:
             if c.prow:
                 self.readers.setdefault((c.slot, c.root), []).append(
                     (j, [-x for x in c.prow]))
-        self.nfree = sum(1 for c in self.coords if not c.order)
         cols = []
-        for c in self.coords[:self.nfree]:
+        for c in self.coords:
             M = steps[c.block, c.slot, _SLOT_STEP[c.slot]][2]
             cols.append(self._reduce([0] * d if M is None else list(
                 map(sub, mat_vec(M, c.lift), c.lift))))
@@ -541,11 +540,11 @@ def compute_h1(spec_or_table, k, ring=ZZ):
     """H1 presentation of the congruence subgroup with degree-2k
     coefficients over the given ring.
 
-    H1 is the torsion of C1 / im d2 plus the kernel of d1 on its free
-    part (see LocalQuotient), primitive over Z and Q and mod m over
-    Z/m.  The ring enters here only, as one relation r*e_i on each
-    ambient coordinate of local order e (0 if free): r = e over Z,
-    gcd(e, m) over Z/m and 1 on the torsion over Q, where e is a unit.
+    H1 is the kernel of the residues (see LocalQuotient), primitive
+    over Z and Q and mod m over Z/m, modulo the relations.  The ring
+    enters here only, as one relation r*e_i on each ambient coordinate
+    of local order e (0 if free): r = e over Z, gcd(e, m) over Z/m and
+    1 on the torsion over Q, where e is a unit.
     """
     if k < 0:
         raise ValueError("k must be >= 0, got %d" % k)
@@ -557,14 +556,11 @@ def compute_h1(spec_or_table, k, ring=ZZ):
         table = build_cosets(spec)
     modulus = ring.modulus
     quo = LocalQuotient(table, k, modulus)
-    s = quo.nfree
     n = quo.ambient_rank
     if modulus is None:
         K = kernel_basis(quo.residues)
     else:
         K = kernel_mod(quo.residues, modulus)
-    kcols = [col + [0] * (n - s) for col in columns(K)]
-    kcols += [[int(t == i) for t in range(n)] for i in range(s, n)]
     orders = [c.order for c in quo.coords]
     if modulus is not None:
         orders = [gcd(e, modulus) for e in orders]
@@ -572,5 +568,5 @@ def compute_h1(spec_or_table, k, ring=ZZ):
         orders = [int(e != 0) for e in orders]
     image = [[r * (t == i) for t in range(n)]
              for i, r in enumerate(orders) if r]
-    module = subquotient(from_columns(kcols, n), from_columns(image, n))
+    module = subquotient(K, from_columns(image, n))
     return H1Presentation(table, k, ring, module, quo, spec=spec)

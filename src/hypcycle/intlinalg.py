@@ -15,11 +15,11 @@ relations plus some vectors, and ``FgModule.factors`` the invariant
 factors of such a lattice modulo the relations.
 
 Entry size, not dimension, drives the cost, so every elimination
-bounds it: the column echelon clears each row by Euclidean steps on
-its smallest entry with nearest-integer quotients, and the kernel
-modulo m keeps every entry reduced mod m with pivots of least
-valuation.  H1 hands these routines only small matrices (see
-homology.LocalQuotient).
+bounds it: the column echelon clears the rows with one nonzero entry
+first, with no step, then each row by Euclidean steps on its smallest
+entry with nearest-integer quotients, and the kernel modulo m keeps
+every entry reduced mod m with pivots of least valuation.  H1 hands
+these routines only small matrices (see homology.LocalQuotient).
 """
 
 from bisect import bisect_left
@@ -64,10 +64,6 @@ def identity(n):
     for i in range(n):
         M[i][i] = 1
     return M
-
-
-def mat_copy(A):
-    return [row[:] for row in A]
 
 
 def mat_mul(A, B):
@@ -207,7 +203,7 @@ def smith_normal_form_full(A):
     transition matrices, A == U*D*V for a unimodular V that is not
     formed."""
     m = len(A)
-    D = mat_copy(A)
+    D = [row[:] for row in A]
     U, Uinv = identity(m), identity(m)
     _snf_inplace(D, U, Uinv)
     return U, Uinv, D
@@ -223,20 +219,26 @@ def diagonal(D):
 
 
 class ColumnEchelon:
-    """Unimodular column reduction A*W == H with H in echelon form.
+    """Unimodular column reduction: H is A*W with the rows of A in the
+    order they are cleared (``order``), and in echelon form.
 
-    ``pivots`` lists (row, col) pairs with strictly increasing rows; every
-    column of H past the last pivot is zero.  Each row is cleared by
-    Euclidean steps on its smallest entry with nearest-integer
-    quotients, which keeps the entries of W far smaller than pairwise
-    extended-gcd combination does.  The rows above row i are zero from
-    its first free column c on, so the steps touch only H[i:].
+    Rows with at most one nonzero entry go first, then the others, each
+    in its given order: such a row takes no step and makes no fill, so
+    a matrix of mostly unit rows (compute_h1's residue kernel) leaves
+    the steps to its few dense rows.  Those are cleared by Euclidean
+    steps on their smallest entry with nearest-integer quotients, which
+    keeps W far smaller than pairwise extended-gcd combination does.
+    The rows above row i are zero from its first free column c on, so
+    the steps touch only H[i:].  ``pivots`` lists (row of H, col) pairs
+    with strictly increasing rows; every column past the last pivot is
+    zero.
     """
 
     def __init__(self, A):
         m = len(A)
         n = len(A[0]) if A else 0
-        H = mat_copy(A)
+        order = sorted(range(m), key=lambda i: sum(map(bool, A[i])) > 1)
+        H = [A[i][:] for i in order]
         W = identity(n)
         pivots = []
         c = 0
@@ -277,6 +279,7 @@ class ColumnEchelon:
             c += 1
         self.H = H
         self.W = W
+        self.order = order
         self.pivots = pivots
         self.ncols = n
         self.nrows = m
@@ -288,7 +291,7 @@ class ColumnEchelon:
 
     def solve(self, b):
         """Integer x with A x == b, or None if none exists."""
-        res = list(b)
+        res = [b[i] for i in self.order]
         y = [0] * self.ncols
         for i, c in self.pivots:
             v = res[i]

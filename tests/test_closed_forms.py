@@ -118,7 +118,7 @@ def test_gamma0_h1_mod_small_primes_and_mod_4(N):
     assert h1.invariant_factors == (2,) * two + (4,) * rank, N
 
 
-@pytest.mark.parametrize("N", range(5, 21))
+@pytest.mark.parametrize("N", range(5, 31))
 def test_gamma1_h1_is_free_of_closed_form_rank(N):
     # Gamma_1(N), N >= 5, is free (no elliptic points, -1 not in it), so
     # H1 is free: rank 2g + c - 1 at k = 0 and, by Eichler-Shimura,

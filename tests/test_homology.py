@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypcycle import homology
 from hypcycle.cosets import SubgroupSpec, build_cosets
 from hypcycle.homology import (
     LocalQuotient,
@@ -16,7 +17,14 @@ from hypcycle.homology import (
     lap_sums,
     letter_steps,
 )
-from hypcycle.intlinalg import RingSpec, QQ, ZZ, identity, mat_mul
+from hypcycle.intlinalg import (
+    QQ,
+    ZZ,
+    RingSpec,
+    identity,
+    mat_mul,
+    subquotient,
+)
 from hypcycle.psl2 import (
     HYPERBOLIC,
     I,
@@ -585,7 +593,7 @@ def test_lift_rejects_vectors_outside_the_residue_kernel(name, ring):
     # generator lifts to a cycle by the dense boundary
     h1 = compute_h1(SubgroupSpec.parse(name), 1, RingSpec.parse(ring))
     quo, m = h1.quotient, h1.ring.modulus
-    outside = [j for j in range(quo.nfree)
+    outside = [j for j in range(quo.ambient_rank)
                if any(row[j] % m if m else row[j] for row in quo.residues)]
     assert outside
     for j in outside:
@@ -638,7 +646,7 @@ def _table(name):
 def test_tree_is_untwisted_and_residues_are_twist_minus_one(name, k, ring):
     # every coset b > 0 has a tree edge x with t_b x^-1 == t_parent for
     # a smaller parent (read off the transversal itself), and the
-    # residue column of each free generator off the tree is
+    # residue column of each ambient coordinate, free or torsion, is
     # (rho(g) - 1) times its lift, mod m, where t_i x^-1 == g^-1 t_j
     table = _table(name)
     h1 = compute_h1(table, k, RingSpec.parse(ring))
@@ -649,13 +657,42 @@ def test_tree_is_untwisted_and_residues_are_twist_minus_one(name, k, ring):
         parent, twist = table.coset_of(table.transversal[b] * inverse[slot])
         assert parent < b and twist.is_identity(), (b, slot)
     assert len(quo.residues) == 2 * k + 1
-    for j, c in enumerate(quo.coords[:quo.nfree]):
+    for j, c in enumerate(quo.coords):
         _, twist = table.coset_of(table.transversal[c.block]
                                   * inverse[c.slot])
         moved = act(twist.inv(), c.lift, m)
         want = [x - y for x, y in zip(moved, c.lift)]
         assert [row[j] for row in quo.residues] == (
             [x % m for x in want] if m else want), (j, c)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zp:2:2", "Zp:3:2", "Fp:3"])
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("name", ["gamma0:1", "gamma0:2", "gamma0:5",
+                                  "gamma0:10", "gamma0:13", "gamma0:25",
+                                  "gammaH:13:3"])
+def test_torsion_coordinates_have_zero_residues(name, k, ring, monkeypatch):
+    # a torsion generator v at a fixed coset with letter matrix M is a
+    # cycle: e v in im(1 + M (+ M^2)) gives e (M - 1) v = 0 in the
+    # torsion-free C0.  So its residue column is zero, and its unit
+    # vector is a column of the kernel that compute_h1 passes to
+    # subquotient unchanged
+    passed = []
+
+    def recording(kernel, image):
+        passed.append(kernel)
+        return subquotient(kernel, image)
+
+    monkeypatch.setattr(homology, "subquotient", recording)
+    h1 = compute_h1(_table(name), k, RingSpec.parse(ring))
+    quo = h1.quotient
+    (kernel,) = passed
+    kernel_cols = {tuple(col) for col in zip(*kernel)}
+    for j, c in enumerate(quo.coords):
+        if c.order:
+            assert not any(row[j] for row in quo.residues), (j, c)
+            unit = tuple(int(t == j) for t in range(quo.ambient_rank))
+            assert unit in kernel_cols, (j, c)
 
 
 @pytest.mark.parametrize("name,k,ring", [("gamma0:11", 1, "Z"),

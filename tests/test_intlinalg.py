@@ -420,6 +420,88 @@ def test_close_under_stops_at_target():
     assert stopped.canonical() == target
 
 
+@st.composite
+def sparse_tailed_matrices(draw):
+    """Integer matrices shaped like a residue kernel: a few dense rows,
+    then rows with at most one nonzero entry, which ColumnEchelon clears
+    first; a dense row may sit among them."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    dense = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=1, max_size=3))
+    single = []
+    for col, x in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                          st.integers(-3, 3)),
+                                max_size=n + 2)):
+        row = [0] * n
+        row[col] = x
+        single.append(row)
+    late = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         max_size=1))
+    at = draw(st.integers(0, len(single)))
+    return dense + single[:at] + late + single[at:]
+
+
+def kernel_rows_in_order(A, n):
+    """Columns spanning the integer kernel of A, taken one row at a time
+    in the given order: extended gcd steps bring the row's values on the
+    kernel so far to one nonzero column, and the others span its kernel."""
+    cols = identity(n)
+    for row in A:
+        pivot, rest = None, []
+        for c in cols:
+            x = sum(a * y for a, y in zip(row, c))
+            if not x:
+                rest.append(c)
+            elif pivot is None:
+                pivot = (x, c)
+            else:
+                a, p = pivot
+                u, v, g = xgcd(a, x)
+                pivot = (g, [u * s + v * t for s, t in zip(p, c)])
+                rest.append([(a // g) * t - (x // g) * s
+                             for s, t in zip(p, c)])
+        cols = rest
+    return cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_tailed_matrices(), st.data())
+def test_column_echelon_clears_single_entry_rows_first(A, data):
+    m, n = len(A), len(A[0])
+    ech = ColumnEchelon(A)
+    nnz = [sum(1 for x in row if x) for row in A]
+    # the rows with at most one nonzero first, each group in its order
+    assert ech.order == ([i for i in range(m) if nnz[i] <= 1]
+                         + [i for i in range(m) if nnz[i] > 1])
+    # H is A*W with the rows in that order, W unimodular
+    assert mat_mul([A[i] for i in ech.order], ech.W) == ech.H
+    assert abs(det(ech.W)) == 1
+    # echelon: pivot rows strictly increase, pivot c in column c, and each
+    # row is zero from the number of pivots at or above it on
+    assert [c for _, c in ech.pivots] == list(range(len(ech.pivots)))
+    assert all(a < b for (a, _), (b, _) in zip(ech.pivots, ech.pivots[1:]))
+    for i, c in ech.pivots:
+        assert ech.H[i][c] > 0
+    for i, row in enumerate(ech.H):
+        r = sum(1 for t, _ in ech.pivots if t <= i)
+        assert not any(row[r:]), (i, row)
+    # exact preimages, and None exactly off the column lattice of A
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    b = mat_vec(A, x)
+    y = ech.solve(b)
+    assert y is not None and mat_vec(A, y) == b
+    lat = _lattice(m, [list(col) for col in zip(*A)])
+    for t in range(m):
+        e = [b[i] + (i == t) for i in range(m)]
+        y = ech.solve(e)
+        assert (y is not None) == lat.contains(e)
+        assert y is None or mat_vec(A, y) == e
+    # the kernel is the one taken with the rows in their given order
+    assert (_lattice(n, ech.kernel_columns()).canonical()
+            == _lattice(n, kernel_rows_in_order(A, n)).canonical())
+
+
 def test_saturate_columns():
     B = from_columns([[2, 2, 0], [0, 0, 4]], 3)
     S = saturate_columns(B)
