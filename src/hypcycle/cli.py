@@ -11,8 +11,11 @@ Each subcommand imports the modules it runs when it is called, and
 this module imports only argparse, json and sys: a process that runs
 under PYTHONDONTWRITEBYTECODE compiles every module it imports from
 source, so ``--version`` loads no other module of the package, ``h1``
-none of the Hecke, ordinary-part or boundary code, and only a charpoly
-(a ``hecke`` report over Q) loads polyz.
+none of the Hecke, run-walk, ordinary-part or boundary code, and only
+a charpoly (a ``hecke`` report over Q) loads polyz.  The arguments are
+read in two stages: the top-level parser reads --version, --output
+and the subcommand's name, and only the named subcommand's parser is
+built to read the rest, so ``--version`` builds no subcommand parser.
 """
 
 import argparse
@@ -280,7 +283,6 @@ def cmd_batch(args):
         raise CliError(str(exc)) from exc
     if not isinstance(manifest, list):
         raise CliError("manifest must be a JSON list of run configs")
-    parser = build_parser()
     rows = []
     worst = 0
     for i, entry in enumerate(manifest):
@@ -304,7 +306,7 @@ def cmd_batch(args):
                     continue
                 argv.append("--%s" % key.replace("_", "-"))
                 argv.append(str(val))
-            parsed = parser.parse_args(argv)
+            parsed = parse_args(argv)
             report, code = parsed.func(parsed)
             row["status"] = "ok"
             row["exit_code"] = code
@@ -370,19 +372,47 @@ COMMANDS = {
 
 
 def build_parser():
-    parser = _Parser(prog="hypcycle", description=__doc__)
+    """The top-level parser: --version, --output and the subcommand,
+    whose positional takes its name and every argument after it (nargs
+    PARSER, as a subparser would); its help lists the table."""
+    listing = "".join("\n  %-22s%s" % (name, text)
+                      for name, (_, text, _) in COMMANDS.items())
+    parser = _Parser(prog="hypcycle", description=__doc__,
+                     epilog="subcommands:" + listing,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (func, help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for option, kwargs in flags:
-            p.add_argument(option, **kwargs)
-        # the top-level --output, also accepted after the subcommand;
-        # without a default here, it would overwrite a value given before
-        p.add_argument("--output", default=argparse.SUPPRESS, help=OUTPUT_HELP)
-        p.set_defaults(func=func)
+    parser.add_argument("subcommand", choices=COMMANDS, nargs=argparse.PARSER,
+                        help="one of the subcommands below, then its options")
     parser.add_argument("--output", help=OUTPUT_HELP)
     return parser
+
+
+def subcommand_parser(name):
+    """The parser of one subcommand's options."""
+    func, _, flags = COMMANDS[name]
+    parser = _Parser(prog="hypcycle " + name)
+    for option, kwargs in flags:
+        parser.add_argument(option, **kwargs)
+    # the top-level --output, also accepted after the subcommand;
+    # without a default here, it would overwrite a value given before
+    parser.add_argument("--output", default=argparse.SUPPRESS, help=OUTPUT_HELP)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def parse_args(argv=None):
+    """The arguments of one run, read in two stages: the top-level
+    parser reads the options before the subcommand and its name, and
+    only that subcommand's parser is built to read the rest.
+    Unrecognized arguments of both stages are reported together, as a
+    subparser's would be."""
+    top = build_parser()
+    args, extra = top.parse_known_args(argv)
+    args.subcommand, *rest = args.subcommand
+    args, more = subcommand_parser(args.subcommand).parse_known_args(rest, args)
+    if extra + more:
+        top.error("unrecognized arguments: %s" % " ".join(extra + more))
+    return args
 
 
 def _print_error(exc):
@@ -390,9 +420,8 @@ def _print_error(exc):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         result, code = args.func(args)
     except (CliError,) + INPUT_ERRORS as exc:
         _print_error(exc)
@@ -403,7 +432,7 @@ def main(argv=None):
         result = dict(result)
         result["config"] = _config_dict(args)
         text = _dumps(result) + "\n"
-    output = getattr(args, "output", None)
+    output = args.output
     if output:
         try:
             with open(output, "w") as fh:

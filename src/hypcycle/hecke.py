@@ -10,7 +10,7 @@ H1(Gamma) to H1(Gamma').  A class is given by its blocks off Gamma's
 spanning tree (homology.LocalQuotient.blocks), and its restriction to
 Gamma_1 = Gamma n alpha^-1 Gamma' alpha (the averaging map on
 coefficients) is read in subgroup form straight off them
-(homology.restricted_form): the tree edges that would make the blocks
+(``restricted_form``): the tree edges that would make the blocks
 a cycle have twist 1 and restrict to no term, so no cycle is built.
 Gamma_1 is read through Gamma's own table: its cosets are the s_r t_i, for t_i Gamma's
 transversal and s_r the reps of its deg cosets in Gamma, walked on
@@ -34,10 +34,10 @@ matrix), and each conjugated element is walked once per batch: with
 the summed vectors alpha v of the classes that use it as columns when
 they are fewer than 2k+1, else with its (2k+1)-square Fox map, read
 once per class.  That walk reads the element's word as
-runs T^q (psl2.word_runs) along the T-orbits of Gamma''s table: prefix
+runs T^q (walk.word_runs) along the T-orbits of Gamma''s table: prefix
 sums of the projected reader rows along each orbit, and sums over its
 whole laps, give a run's rows in at most two products, however long it
-is (homology.RunSums).  Each target H1's LocalQuotient keeps one
+is (walk.RunSums).  Each target H1's LocalQuotient keeps one
 (``runs``), so every operator into it shares the orbits and sums.  The
 conjugates for T_p and U_p have runs of length about p, so a Hecke
 matrix costs about one step per run, not one per letter.
@@ -46,7 +46,7 @@ matrix costs about one step per run, not one per letter.
 from operator import add, mul
 
 from .cosets import subgroup_transversal
-from .homology import restricted_form
+from .homology import SLOT_STEP
 from .intlinalg import from_columns, identity, mat_vec, xgcd
 from .psl2 import Mat2, PMat
 from .symspace import act_matrix, restriction_map
@@ -99,9 +99,36 @@ def restriction_key(alpha, key_prime):
     return key
 
 
+def restricted_form(blocks, steps, rhos, moves):
+    """The subgroup form of the restriction of a class to a subgroup
+    Gamma_1 of the group Gamma of its table: a list of (gamma, vector)
+    with gamma in Gamma_1.
+
+    Gamma_1's cosets are the s_r t_i, s_r its reps in Gamma; its step
+    at (r, i) is Gamma's step g at i (read from Gamma's letter steps
+    ``steps``) with the element gamma = moves(g)[r], where s_r g^-1 ==
+    gamma^-1 s_r'.  The restriction puts rho(s_r) v (``rhos``, from
+    symspace.restriction_map) at (r, i), so each nonzero block (slot, i)
+    of a cycle gives the terms (gamma, rho(s_r) v).  Terms with
+    gamma = 1 are dropped, and with them every block whose g is 1, the
+    tree edges among them (homology.LocalQuotient): so a class reads the
+    same off its ``blocks`` off the tree (LocalQuotient.blocks) as off
+    the cycle that the tree edges complete them to.
+    """
+    terms = []
+    for (slot, i), v in blocks.items():
+        g = steps[i, slot, SLOT_STEP[slot]][1]
+        if any(v) and not g.is_identity():
+            for M, gamma in zip(rhos, moves(g)):
+                if not gamma.is_identity():
+                    terms.append((gamma, v if M is None else
+                                  [sum(map(mul, row, v)) for row in M]))
+    return terms
+
+
 def conj_star(forms, alpha, runs, rank):
     """Map classes of Gamma_1, each given in subgroup form (a list of
-    (gamma, vector), as from homology.restricted_form), by conjugation
+    (gamma, vector), as from restricted_form), by conjugation
     through alpha into Gamma'; returns the images as ambient coordinate
     vectors (of length ``rank``) of Gamma''s LocalQuotient, reduced mod
     m.  ``runs`` are the RunSums of that quotient; they give Gamma''s

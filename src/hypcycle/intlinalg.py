@@ -81,6 +81,15 @@ def mat_mul(A, B):
                     Ci[j] += a * Bt[j]
     return C
 
+
+def compose(M, N, modulus=None):
+    """M N, None standing for the identity; reduced mod m if given."""
+    if M is None or N is None:
+        return N if M is None else M
+    out = mat_mul(M, N)
+    return [[x % modulus for x in row] for row in out] if modulus else out
+
+
 def mat_vec(A, v):
     nonzero = [(t, x) for t, x in enumerate(v) if x]
     return [sum(row[t] * x for t, x in nonzero) for row in A]
@@ -392,7 +401,7 @@ class Lattice:
     def add(self, vec):
         """Add a vector; return True if the lattice grew."""
         v = list(vec)
-        grew = False
+        first = None  # the first row the add inserts or rewrites
         for j in range(self.n):
             if not v[j]:
                 continue
@@ -400,7 +409,7 @@ class Lattice:
             if k == len(self.pivcol) or self.pivcol[k] != j:
                 self.rows.insert(k, v if v[j] > 0 else [-x for x in v])
                 self.pivcol.insert(k, j)
-                grew = True
+                first = k if first is None else first
                 break
             row = self.rows[k]
             a, b = row[j], v[j]
@@ -415,15 +424,19 @@ class Lattice:
                     p, q = row[t], v[t]
                     row[t] = x * p + y * q
                     v[t] = -bg * p + ag * q
-                grew = True
-        if grew:
-            self._reduce()
-        return grew
+                first = k if first is None else first
+        if first is not None:
+            self._reduce(first)
+        return first is not None
 
-    def _reduce(self):
-        """Bring every entry above a pivot into [0, pivot)."""
+    def _reduce(self, first):
+        """Bring every entry above a pivot into [0, pivot), for the pivots
+        of rows ``first`` on.  The rows above ``first`` are as the last
+        reduction left them, and reducing by a later pivot changes them
+        only at or beyond its column, so their own pivots stay reduced."""
         rows = self.rows
-        for k, j in enumerate(self.pivcol):
+        for k in range(first, len(rows)):
+            j = self.pivcol[k]
             a = rows[k][j]
             for i in range(k):
                 q = rows[i][j] // a

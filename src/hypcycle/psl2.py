@@ -1,15 +1,9 @@
-"""Matrices in SL2(Z) and PSL2(Z), trace classification, word
-decomposition over the order-2/order-3 generators, and the invariant
-binary quadratic form of a non-elliptic matrix.
+"""Matrices in SL2(Z) and PSL2(Z), trace classification, and the
+invariant binary quadratic form of a non-elliptic matrix.
 
 Generator convention: S = [[0,-1],[1,0]] and U = S*T = [[0,-1],[1,1]],
-so T = S*U in PSL2(Z).  A word is a tuple of letters ('S', 1),
-('U', 1), ('U', 2), reduced: no two adjacent letters on the same
-generator.  The reduced word of an element comes as runs
-(``word_runs``): letters and powers ('T', q) read off the quotients of
-a nearest-integer Euclidean reduction, so a word of n letters costs one
-step per quotient, not per letter.  The one walk of cycles and Hecke
-images takes a run in one step (homology.RunSums).
+so T = S*U in PSL2(Z).  The reduced word of an element over S and U,
+as runs of T, is walk.word_runs.
 """
 
 from math import gcd
@@ -141,79 +135,6 @@ def classify(g):
     if t < 2:
         return IDENTITY if g.is_identity() else ELLIPTIC
     return IDENTITY if g.is_identity() else PARABOLIC
-
-
-# ---------------------------------------------------------------------------
-# words over {S, U, U^2}
-
-
-# the letters of T = S*U and of T^-1 = U^2*S
-T_LETTERS = {1: (("S", 1), ("U", 1)), -1: (("U", 2), ("S", 1))}
-
-
-def _last_letter(runs):
-    gen, e = runs[-1]
-    if gen == "T":
-        return T_LETTERS[1 if e > 0 else -1][1]
-    return gen, e
-
-
-def _push_letter(runs, gen, e):
-    """Append a letter to a reduced run list, merging it with the last
-    letter; a run gives up its last letter to the merge."""
-    if runs and _last_letter(runs)[0] == gen:
-        top, q = runs.pop()
-        if top == "T":
-            s = 1 if q > 0 else -1
-            if q != s:
-                runs.append(("T", q - s))
-            runs.append(T_LETTERS[s][0])
-            q = 1  # the run's last letter, U or S
-        e += q
-    e %= 2 if gen == "S" else 3
-    if e:
-        runs.append((gen, e))
-
-
-def _push_run(runs, q):
-    """Append T^q to a reduced run list: while the first letter of T^q
-    merges with the last letter, one factor T^(+-1) goes letter by
-    letter; the rest is one run."""
-    s = 1 if q > 0 else -1
-    while q and runs and _last_letter(runs)[0] == T_LETTERS[s][0][0]:
-        for gen, e in T_LETTERS[s]:
-            _push_letter(runs, gen, e)
-        q -= s
-    if q:
-        runs.append(("T", q))
-
-
-def word_runs(g):
-    """The reduced word in S, U evaluating to g in PSL2(Z), as runs: a
-    tuple of letters and runs ('T', q), q != 0, a run standing for
-    T^q, spelled (S U)^q for q > 0 and (U^2 S)^-q for q < 0.
-
-    Euclidean reduction on the bottom row: while c != 0, split off
-    T^q, q the nearest integer to a/c, and a swap by S; the tail is a
-    power of T.  Each quotient is one run, and only the letters where a
-    run meets the next S merge (S S = 1, U U = U^2, U^2 U^2 = U).  After
-    the first, every quotient has |q| >= 2, and a merge takes at most
-    one factor T^(+-1) off each end of a run.
-    """
-    runs = []
-    a, b, c, d = g.key()
-    while c:
-        q, r = divmod(a, c)
-        if 2 * abs(r) > abs(c):
-            q += 1
-        _push_run(runs, q)
-        _push_letter(runs, "S", 1)
-        # g <- S^-1 * T^-q * g, with S^-1 = S in PSL2(Z)
-        a, b = a - q * c, b - q * d
-        a, b, c, d = c, d, -a, -b
-    # now +-(1, m; 0, 1): a = d = +-1, so the T-power is b/a = b*a
-    _push_run(runs, b * a)
-    return tuple(runs)
 
 
 def quadratic_form(g):

@@ -12,7 +12,7 @@ subgroup's table.  Chains over it are sparse dicts keyed by
 (slot, block) (see homology).  The corestriction map is given by its
 blockwise entries, and the restriction by one matrix rho(s_r) per
 coset rep of the smaller group, which the Hecke side reads straight
-into subgroup form (homology.restricted_form): no chain is mapped
+into subgroup form (hecke.restricted_form): no chain is mapped
 block by block.  It needs no corestriction, since the Fox chain of an
 element on a larger group's table is the corestriction of its chain on
 a smaller one.  ``corestriction_map`` stays for the benchmark's layer

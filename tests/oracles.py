@@ -22,7 +22,7 @@ tests and the Hecke oracle that need whole cycles.
 
 The letter walk: ``fox_expand`` is the Fox expansion of (g - 1) tensor v
 letter by letter along a word (``decompose_word``), the reference for
-the run walk of ``homology.RunSums`` and, by ``cycle_coords_of``, for the
+the run walk of ``walk.RunSums`` and, by ``cycle_coords_of``, for the
 cycles z(gamma).  ``to_group_chain`` rewrites a cycle in subgroup form
 (gamma, v), and ``group_chain_to_chain1`` expands such terms back.
 
@@ -36,7 +36,7 @@ by Gamma_1's membership test alone, sends each term (h, v) to
 of ``symspace.corestriction_map``.
 
 The rest are word, matrix and coset helpers (``letter_word`` is the
-construction that ``psl2.word_runs`` replaced), the algebra of
+construction that ``walk.word_runs`` replaced), the algebra of
 ``hecke.OperatorMatrix`` (``identity_operator``, ``compose``,
 ``equals``, ``is_zero``, ``scaled``, ``plus``),
 ``induced_endomorphism`` (the oracle of the test on H1 (x) F_q),
@@ -67,8 +67,9 @@ from hypcycle.intlinalg import (
     xgcd,
     zeros,
 )
-from hypcycle.psl2 import T_LETTERS, I, Mat2, PMat, S, U, word_runs
+from hypcycle.psl2 import I, Mat2, PMat, S, U
 from hypcycle.symspace import act, corestriction_map, poly_mod
+from hypcycle.walk import T_LETTERS, word_runs
 
 
 def zero_poly(k):
@@ -94,7 +95,7 @@ def x2_power(k):
 
 def decompose_word(g):
     """The reduced word in S, U (a tuple of letters) evaluating to g in
-    PSL2(Z): the runs of ``psl2.word_runs`` spelled out letter by
+    PSL2(Z): the runs of ``walk.word_runs`` spelled out letter by
     letter."""
     letters = []
     for gen, e in word_runs(g):
@@ -595,7 +596,7 @@ def letter_word(g):
     """The reduced word of g built letter by letter: floor quotients of
     the Euclidean reduction, each T^q spelled as |q| letter pairs, the
     whole sequence reduced by ``word_from_letters``.  This is the
-    construction that ``psl2.word_runs`` replaced."""
+    construction that ``walk.word_runs`` replaced."""
     def t_power(q):
         return [("S", 1), ("U", 1)] * q if q > 0 else [("U", 2), ("S", 1)] * -q
 

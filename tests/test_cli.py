@@ -1,21 +1,23 @@
 """Exit codes of the command-line interface (0 Verified, 2 Inconclusive,
 3 bad input), the ``batch`` runner's exit code, ``--output`` on either
 side of the subcommand, a ``batch`` entry refused as an error row,
-byte-identical reports for repeated runs, the cycle class of a
-hyperbolic matrix, ``boundary`` over each ring, the subparsers a run
-builds, and ``hecke`` in a process where sympy cannot be imported."""
+byte-identical reports for repeated runs, the exact bytes of the
+argument errors and of a ``batch`` CSV with error rows, the ``--help``
+listing, the cycle class of a hyperbolic matrix, ``boundary`` over
+each ring, and ``hecke`` in a process where sympy cannot be imported."""
 
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hypcycle import cli
+from hypcycle import __version__, cli
 from hypcycle.intlinalg import RingSpec
 
 
@@ -135,6 +137,78 @@ def test_output_flag_writes_the_file(before, after, tmp_path, capsys):
         assert next(csv.DictReader(io.StringIO(text)))["status"] == "ok"
     else:
         assert json.loads(text)["invariant_factors"] == [0, 0, 0]
+
+
+# the argparse message for a name outside the subcommand table
+INVALID_CHOICE = ("argument subcommand: invalid choice: 'foo' (choose from "
+                  "'h1', 'cycle', 'hecke', 'ordinary', 'verify-main', "
+                  "'quotient', 'boundary', 'check-identity', "
+                  "'check-generation', 'bridge', 'batch')")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("", "the following arguments are required: subcommand"),
+    ("foo", INVALID_CHOICE),
+    ("h1 --group gamma0:11 --k -1", "argument --k: k must be >= 0, got -1"),
+    ("h1 --group gamma0:11 --k 0 --bogus", "unrecognized arguments: --bogus"),
+    ("--bogus h1 --group gamma0:11 --k 0 --ring Z --bogus 1",
+     "unrecognized arguments: --bogus --bogus 1"),
+    ("h1 --group gamma0:11",
+     "the following arguments are required: --k"),
+])
+def test_argument_errors_are_exact(argv, message, capsys):
+    # each error is one JSON line and exit code 3; the unrecognized
+    # arguments before and after the subcommand are named together
+    assert cli.main(argv.split()) == 3
+    assert capsys.readouterr().out == (
+        '{"error":"%s","version":"%s"}\n' % (message, __version__))
+
+
+def test_output_before_and_after_the_subcommand_agree(tmp_path, capsys):
+    # --output is read by the top-level parser before the subcommand and
+    # by the subcommand's parser after it: the same file either way, and
+    # the config names neither
+    texts = []
+    for where in ("before", "after"):
+        out = str(tmp_path / ("%s.json" % where))
+        args = ["h1", "--group", "gamma0:11", "--k", "1"]
+        argv = (["--output", out] + args if where == "before"
+                else args + ["--output", out])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == ""
+        texts.append(Path(out).read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["config"] == {
+        "group": "gamma0:11", "k": 1, "ring": "Z", "subcommand": "h1",
+        "version": __version__}
+
+
+def test_batch_with_error_rows_is_exact(tmp_path, capsys):
+    rows = [GOOD, dict(GOOD, k=-1), dict(GOOD, bogus=1), {"subcommand": "foo"}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(rows))
+    assert cli.main(["batch", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().out == (
+        "row,subcommand,status,exit_code,group,k,ring,p,M,verdict,detail\n"
+        '0,h1,ok,0,gamma0:11,0,Z,,,,"{""group"":""gamma0:11"",'
+        '""invariant_factors"":[0,0,0],""k"":0,""level"":11,""rank"":3,'
+        '""ring"":""Z""}"\n'
+        '1,h1,error,3,,,,,,,"argument --k: k must be >= 0, got -1"\n'
+        "2,h1,error,3,,,,,,,unrecognized arguments: --bogus 1\n"
+        '3,foo,error,3,,,,,,,"%s"\n' % INVALID_CHOICE)
+
+
+def test_help_lists_every_subcommand(capsys):
+    # the check of the installed package's --help: each subcommand
+    # starts a line of its own, after the indent
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    for sub in ("h1", "cycle", "hecke", "ordinary", "verify-main", "quotient",
+                "boundary", "check-identity", "check-generation", "bridge",
+                "batch"):
+        assert re.search(r"^ +%s( |$)" % re.escape(sub), help_text, re.M), sub
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,10 @@
 """Hecke images against the independent oracle ``oracles.HeckeOracle``,
 which restricts a cycle by the bar-complex transfer, conjugates each
 term and walks it letter by letter on the target's table (``fox_expand``),
-over every kind of double coset; the run walk of ``homology.RunSums``
+over every kind of double coset; the run walk of ``walk.RunSums``
 against that letter walk, on words with long runs and runs of hundreds
 of whole laps, on Hecke conjugates, and shared by four operators on one
-H1; the subgroup form that ``homology.restricted_form`` reads off a
+H1; the subgroup form that ``hecke.restricted_form`` reads off a
 source cycle, against the transfer; and the soundness lemma the push
 rests on: the walk on the target's own table is the corestricted walk on
 Gamma_2's."""
@@ -26,16 +26,13 @@ from hypcycle.hecke import (
     diamond_coset,
     diamond_matrix,
     hecke_coset,
-)
-from hypcycle.homology import (
-    LocalQuotient,
-    RunSums,
-    compute_h1,
     restricted_form,
 )
+from hypcycle.homology import LocalQuotient, compute_h1
 from hypcycle.intlinalg import RingSpec, ZZ
 from hypcycle.psl2 import I, Mat2, S, T, U
 from hypcycle.symspace import corestriction_map
+from hypcycle.walk import RunSums
 from oracles import (
     TP,
     HeckeOracle,

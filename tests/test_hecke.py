@@ -17,7 +17,7 @@ from hypcycle.hecke import (
     diamond_matrix,
     hecke_coset,
 )
-from hypcycle.homology import NotACycle, RunSums, compute_h1
+from hypcycle.homology import NotACycle, compute_h1
 from hypcycle.intlinalg import QQ, RingSpec, ZZ, identity
 from hypcycle.psl2 import (
     HYPERBOLIC,
@@ -28,6 +28,7 @@ from hypcycle.psl2 import (
     quadratic_form,
 )
 from hypcycle.symspace import act, poly_pow
+from hypcycle.walk import RunSums
 from oracles import (
     TP,
     HeckeOracle,

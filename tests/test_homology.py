@@ -14,7 +14,6 @@ from hypcycle.homology import (
     NotACycle,
     compute_h1,
     cycle_of,
-    lap_sums,
     letter_steps,
 )
 from hypcycle.intlinalg import (
@@ -37,6 +36,7 @@ from hypcycle.psl2 import (
     quadratic_form,
 )
 from hypcycle.symspace import act, poly_pow, rho
+from hypcycle.walk import lap_sums
 from oracles import (
     TP,
     Chain1,

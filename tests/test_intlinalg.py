@@ -352,6 +352,32 @@ class TestLattice:
             assert a.canonical() == b.canonical()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+    min_size=1, max_size=8)), st.randoms(use_true_random=False))
+def test_add_reduces_as_a_full_reduction(vecs, rng):
+    # add reduces only the pivots from the first row it inserts or
+    # rewrites; after every add, in any order, the form equals a full
+    # reduction of the same rows, and the final form does not depend on
+    # the order
+    n = len(vecs[0])
+    forms = []
+    for order in (vecs, rng.sample(vecs, len(vecs))):
+        lat = Lattice(n)
+        for v in order:
+            before = lat.canonical()
+            grew = lat.add(v)
+            full = Lattice(n)
+            full.rows = [list(r) for r in lat.rows]
+            full.pivcol = list(lat.pivcol)
+            full._reduce(0)
+            assert lat.canonical() == full.canonical()
+            assert grew == (lat.canonical() != before)
+        forms.append(lat.canonical())
+    assert forms[0] == forms[1]
+
+
 def _lattice(n, vecs):
     lat = Lattice(n)
     for v in vecs:

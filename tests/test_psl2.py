@@ -18,8 +18,8 @@ from hypcycle.psl2 import (
     classify,
     poly_str,
     quadratic_form,
-    word_runs,
 )
+from hypcycle.walk import word_runs
 from oracles import (
     TP,
     decompose_word,
